@@ -9,6 +9,7 @@ integration-by-parts boundary terms exactly zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,45 +24,96 @@ from .fields import (
     X_FIELD,
     cross,
     field_to_text,
-    pairing_product,
+    pairing_components,
 )
 from .operators import CheckResult, OPS, curl, derived_rng, div, grad, random_field
 from .poly import P_ONE, Poly3
 from .rational import PiScalar, RatMatrix
 
 
-def _gamma_half(m: int) -> tuple[Fraction, int]:
-    """Gamma(m + 1/2) as (rational, power of sqrt(pi)); the power is always 1."""
-    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1
+@functools.cache
+def _moments(half: int) -> tuple[int, int, dict[int, int]]:
+    """Integer ball moments for exponent sums up to 2*half, as (scale, base, table).
+
+    For even a, b, c with S = a + b + c the closed form is
+        integral over the unit ball of x1^a x2^b x3^c
+            = 4*pi (a-1)!! (b-1)!! (c-1)!! / (S+3)!!
+    (the unit-sphere moment divided by S + 3).  The table stores that
+    coefficient of pi times scale = (2*half + 3)!!, an integer because
+    (S+3)!! divides it, keyed by the monomial code (a*base + b)*base + c with
+    base = 2*half + 1; the code of a product is the sum of the codes of its
+    factors.  Monomials with an odd exponent integrate to zero and are absent.
+    The cached table is shared: callers must not mutate it.
+    """
+    top = 2 * half
+    base = top + 1
+    scale = _odd_factorial(top + 3)
+    table = {}
+    for a in range(0, top + 1, 2):
+        for b in range(0, top + 1 - a, 2):
+            for c in range(0, top + 1 - a - b, 2):
+                moment = 4 * _odd_factorial(a - 1) * _odd_factorial(b - 1) * _odd_factorial(c - 1)
+                table[(a * base + b) * base + c] = moment * (scale // _odd_factorial(a + b + c + 3))
+    return scale, base, table
+
+
+def _odd_factorial(n: int) -> int:
+    """n!! for odd n >= -1."""
+    return math.prod(range(n, 0, -2))
 
 
 def ball_monomial_integral(a: int, b: int, c: int) -> Fraction:
     """Coefficient q in  integral over the unit ball of x1^a x2^b x3^c = q*pi."""
-    if a % 2 or b % 2 or c % 2:
-        return Fraction(0)
-    num = Fraction(1)
-    sqrt_pi_power = 0
-    for e in (a, b, c):
-        g, p = _gamma_half(e // 2)
-        num *= g
-        sqrt_pi_power += p
-    den, dp = _gamma_half((a + b + c) // 2 + 1)
-    sqrt_pi_power -= dp
-    if sqrt_pi_power != 2:
-        raise AssertionError("sqrt(pi) factors did not cancel to a single pi")
-    return Fraction(2, a + b + c + 3) * num / den
+    scale, base, table = _moments((a + b + c + 1) // 2)
+    return Fraction(table.get((a * base + b) * base + c, 0), scale)
+
+
+def _buckets(p: Poly3, den: int, base: int) -> dict[int, list[tuple[int, int]]]:
+    """Terms of p as (monomial code, integer numerator over den), keyed by exponent parity."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for (a, b, c), coeff in p.terms.items():
+        parity = (a & 1) << 2 | (b & 1) << 1 | (c & 1)
+        code = (a * base + b) * base + c
+        out.setdefault(parity, []).append((code, coeff.numerator * (den // coeff.denominator)))
+    return out
+
+
+def _common_denominator(polys) -> int:
+    return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+
+def _pair_integral(pairs: list[tuple[Poly3, Poly3]]) -> PiScalar:
+    """Integral over the unit ball of sum p*q over the pairs, from the term pairs.
+
+    The product polynomials are never formed.  Each side is written as integer
+    numerators over one common denominator, and only terms of equal exponent
+    parity are paired, because any other pair has an odd exponent sum and
+    integrates to zero.  The sum runs in Python ints; one Fraction is built
+    at the end.
+    """
+    pairs = [(p, q) for p, q in pairs if p.terms and q.terms]
+    if not pairs:
+        return PiScalar(Fraction(0))
+    den_left = _common_denominator(p for p, _ in pairs)
+    den_right = _common_denominator(q for _, q in pairs)
+    top = max(p.degree() + q.degree() for p, q in pairs)
+    scale, base, table = _moments((top + 1) // 2)
+    total = 0
+    for p, q in pairs:
+        left = _buckets(p, den_left, base)
+        for parity, right in _buckets(q, den_right, base).items():
+            for code, num in left.get(parity, ()):
+                total += num * sum(n * table[code + k] for k, n in right)
+    return PiScalar(Fraction(total, den_left * den_right * scale))
 
 
 def integrate_ball(p: Poly3) -> PiScalar:
-    total = Fraction(0)
-    for (a, b, c), coeff in p.terms.items():
-        total += coeff * ball_monomial_integral(a, b, c)
-    return PiScalar(total)
+    return _pair_integral([(p, P_ONE)])
 
 
 def l2_pair(a: TypedField, b: TypedField) -> PiScalar:
     """Integral over the unit ball of the pointwise product (uv, u.v or u:v)."""
-    return integrate_ball(pairing_product(a, b))
+    return _pair_integral(pairing_components(a, b))
 
 
 def bump(k: int) -> Poly3:

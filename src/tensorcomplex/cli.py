@@ -14,12 +14,12 @@ from .diagram import build_diagram
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
-def _default_seed() -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("TENSORCOMPLEX_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        parser.error(f"TENSORCOMPLEX_SEED must be an integer, got {raw!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("degree must be >= 0 and samples >= 1")
     cfg = SuiteConfig(
         suite=args.suite,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed if args.seed is not None else _default_seed(parser),
         degree=args.degree,
         samples=args.samples,
         format=args.format,

@@ -286,15 +286,17 @@ def matmul(a: TypedField, b: TypedField) -> TypedField:
     return TypedField.matrix(rows)
 
 
+def pairing_components(a: TypedField, b: TypedField) -> list[tuple[Poly3, Poly3]]:
+    """Component pairs whose products sum to the pointwise pairing: uv, u.v or u:v."""
+    same_kind = a.kind is b.kind and a.kind in (FieldKind.SCALAR, FieldKind.VECTOR)
+    if same_kind or (a.is_matrix_kind and b.is_matrix_kind):
+        return list(zip(a.components, b.components))
+    raise KindError(f"no pairing between {a.kind.value} and {b.kind.value}")
+
+
 def pairing_product(a: TypedField, b: TypedField) -> Poly3:
     """Pointwise scalar product matching the kinds: uv, u.v or u:v."""
-    if a.kind is FieldKind.SCALAR and b.kind is FieldKind.SCALAR:
-        return a.comp(1) * b.comp(1)
-    if a.kind is FieldKind.VECTOR and b.kind is FieldKind.VECTOR:
-        return dot(a, b).comp(1)
-    if a.is_matrix_kind and b.is_matrix_kind:
-        return frobenius(a, b).comp(1)
-    raise KindError(f"no pairing between {a.kind.value} and {b.kind.value}")
+    return sum((p * q for p, q in pairing_components(a, b)), P_ZERO)
 
 
 # -- basis fields -------------------------------------------------------
@@ -314,30 +316,42 @@ ID_FIELD = TypedField.identity_scaled(P_ONE)
 # print as p/q.  The round-trip text -> field -> text is bit-exact.
 
 
+def _text_indices(kind: FieldKind) -> list[tuple[int, int]]:
+    """Index pairs of the component lines, in component order."""
+    if kind is FieldKind.SCALAR:
+        return [(1, 1)]
+    if kind is FieldKind.VECTOR:
+        return [(i, 1) for i in range(1, 4)]
+    return [(i, j) for i in range(1, 4) for j in range(1, 4)]
+
+
 def field_to_text(f: TypedField) -> str:
     lines = [f"kind: {f.kind.value}"]
-    if f.kind is FieldKind.SCALAR:
-        lines.append(f"1 1 : {f.comp(1)}")
-    elif f.kind is FieldKind.VECTOR:
-        lines.extend(f"{i} 1 : {f.comp(i)}" for i in range(1, 4))
-    else:
-        lines.extend(f"{i} {j} : {f.entry(i, j)}" for i in range(1, 4) for j in range(1, 4))
+    lines.extend(f"{i} {j} : {p}" for (i, j), p in zip(_text_indices(f.kind), f.components))
     return "\n".join(lines)
 
 
 def field_from_text(text: str) -> TypedField:
+    """Parse the text format; malformed input raises ValueError naming the line or component."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("kind:"):
         raise ValueError("missing kind header")
     kind = FieldKind(lines[0].split(":", 1)[1].strip())
+    indices = _text_indices(kind)
     entries: dict[tuple[int, int], Poly3] = {}
     for ln in lines[1:]:
         idx, _, poly = ln.partition(":")
-        i, j = (int(t) for t in idx.split())
-        entries[(i, j)] = Poly3.parse(poly.strip())
-    if kind is FieldKind.SCALAR:
-        return TypedField.scalar(entries[(1, 1)])
-    if kind is FieldKind.VECTOR:
-        return TypedField.vector([entries[(i, 1)] for i in range(1, 4)])
-    rows = [[entries[(i, j)] for j in range(1, 4)] for i in range(1, 4)]
-    return TypedField.matrix(rows, kind)
+        try:
+            i, j = (int(t) for t in idx.split())
+            p = Poly3.parse(poly.strip())
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"bad component line {ln!r}: {err}") from None
+        if (i, j) not in indices:
+            raise ValueError(f"component {i} {j} is out of range for a {kind.value} field: {ln!r}")
+        if (i, j) in entries:
+            raise ValueError(f"duplicate component {i} {j}: {ln!r}")
+        entries[(i, j)] = p
+    missing = [f"{i} {j}" for i, j in indices if (i, j) not in entries]
+    if missing:
+        raise ValueError(f"missing component {', '.join(missing)} of a {kind.value} field")
+    return TypedField(kind, tuple(entries[ij] for ij in indices))

@@ -1,8 +1,10 @@
 """Exact ball quadrature against a spherical-coordinates sympy oracle,
 moment spaces, and the duality-pairing identities."""
 
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 import sympy
 from hypothesis import given
@@ -23,11 +25,21 @@ from tensorcomplex.ball import (
     verify_ibp,
     verify_membership_steps,
 )
-from tensorcomplex.fields import E1, FieldKind, TypedField, X_FIELD
+from tensorcomplex import ball
+from tensorcomplex.fields import (
+    E1,
+    MATRIX_KINDS,
+    FieldKind,
+    KindError,
+    TypedField,
+    X_FIELD,
+    field_from_text,
+    pairing_product,
+)
 from tensorcomplex.operators import derived_rng, random_field
 from tensorcomplex.poly import P_ONE, X1, X2
 
-from conftest import polys
+from conftest import matrix_fields, polys, scalar_fields, vector_fields
 
 
 def spherical_oracle(a: int, b: int, c: int):
@@ -51,6 +63,25 @@ def test_monomial_integrals_match_spherical_oracle(mono):
     coeff = ball_monomial_integral(*mono)
     expected = spherical_oracle(*mono)
     assert sympy.Rational(coeff.numerator, coeff.denominator) * sympy.pi == sympy.nsimplify(expected)
+
+
+def _gamma_reference(a: int, b: int, c: int) -> Fraction:
+    """2 G(a') G(b') G(c') / ((S+3) G(a'+b'+c')) with x' = (x+1)/2, the sqrt(pi) powers cancelled."""
+
+    def gamma_half(m: int) -> Fraction:  # Gamma(m + 1/2) / sqrt(pi)
+        return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
+
+    if a % 2 or b % 2 or c % 2:
+        return Fraction(0)
+    num = gamma_half(a // 2) * gamma_half(b // 2) * gamma_half(c // 2)
+    return Fraction(2, a + b + c + 3) * num / gamma_half((a + b + c) // 2 + 1)
+
+
+def test_monomial_integrals_match_gamma_form_to_degree_16():
+    for a in range(17):
+        for b in range(17 - a):
+            for c in range(17 - a - b):
+                assert ball_monomial_integral(a, b, c) == _gamma_reference(a, b, c), (a, b, c)
 
 
 def test_unit_ball_volume():
@@ -180,3 +211,69 @@ def test_membership_steps():
     results = verify_membership_steps(samples=3, degree=2, seed=7)
     assert len(results) == 6
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+
+
+# -- the term-pair pairing against the product-then-integrate reference ----
+
+_PAIRED_KINDS = [(FieldKind.SCALAR, FieldKind.SCALAR), (FieldKind.VECTOR, FieldKind.VECTOR)] + [
+    (k1, k2) for k1 in MATRIX_KINDS for k2 in MATRIX_KINDS
+]
+
+
+def _reference_pair(a: TypedField, b: TypedField):
+    return integrate_ball(pairing_product(a, b))
+
+
+@st.composite
+def typed_fields(draw, kind: FieldKind):
+    if draw(st.integers(0, 5)) == 0:
+        return TypedField.zero(kind)
+    if kind is FieldKind.SCALAR:
+        f = draw(scalar_fields())
+    elif kind is FieldKind.VECTOR:
+        f = draw(vector_fields())
+    else:
+        m = draw(matrix_fields())
+        tagged = {FieldKind.SYMMETRIC: m.sym(), FieldKind.TRACEFREE: m.dev(), FieldKind.SKEW: m.skw()}
+        f = tagged.get(kind, m)
+    return f.mul_scalar_poly(bump(draw(st.integers(0, 2))))
+
+
+@st.composite
+def pairable_fields(draw):
+    k1, k2 = draw(st.sampled_from(_PAIRED_KINDS))
+    return draw(typed_fields(k1)), draw(typed_fields(k2))
+
+
+@given(pairable_fields())
+def test_l2_pair_matches_product_reference(fields):
+    a, b = fields
+    assert l2_pair(a, b) == _reference_pair(a, b)
+
+
+@pytest.mark.parametrize("kinds", _PAIRED_KINDS, ids=lambda k: f"{k[0].value}-{k[1].value}")
+def test_l2_pair_matches_reference_at_degree_seven(kinds):
+    rng = derived_rng(13, "pair", *kinds)
+    a = random_field(kinds[0], 3, rng).scale(Fraction(5, 7))
+    b = random_field(kinds[1], 3, rng).mul_scalar_poly(bump(2))
+    assert b.degree() == 7
+    value = l2_pair(a, b)
+    assert value.is_zero is (set(kinds) == {FieldKind.SYMMETRIC, FieldKind.SKEW})  # sym : skw = 0 pointwise
+    assert value == _reference_pair(a, b) == l2_pair(b, a)
+
+
+@pytest.mark.parametrize("kinds", [(FieldKind.SCALAR, FieldKind.VECTOR), (FieldKind.VECTOR, FieldKind.MATRIX)])
+def test_l2_pair_kind_mismatch_raises(kinds):
+    a, b = (TypedField.zero(k) for k in kinds)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(KindError):
+            l2_pair(x, y)
+        with pytest.raises(KindError):
+            pairing_product(x, y)
+
+
+def test_wrong_pairing_sign_is_caught(monkeypatch):
+    monkeypatch.setitem(ball._PAIRINGS["q-grad"], "factor", Fraction(1))
+    r = verify_ibp("q-grad", samples=2, degree=2, bump_order=1, seed=7)
+    assert not r.passed
+    assert field_from_text(r.witness).kind is FieldKind.VECTOR

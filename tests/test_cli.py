@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tensorcomplex.cli import main
 from tensorcomplex.suites import SuiteConfig, run_suite
 
@@ -133,3 +135,12 @@ def test_default_report_has_no_timing_fields(tmp_path):
     main(["run", "--suite", "identities", "--samples", "1", "--degree", "1", "--out", str(out)])
     rep = json.loads(out.read_text())
     assert all("duration_ms" not in c for c in rep["cases"])
+
+
+def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("TENSORCOMPLEX_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "identities", "--samples", "1", "--degree", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "TENSORCOMPLEX_SEED must be an integer, got 'abc'" in err

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,3 +146,27 @@ def test_text_round_trip_all_kinds():
         assert back.kind is f.kind
         assert components_equal(back, f)
         assert field_to_text(back) == text
+
+
+def test_text_missing_component_names_it():
+    text = "\n".join(field_to_text(X_FIELD).splitlines()[:-1])
+    with pytest.raises(ValueError, match="missing component 3 1"):
+        field_from_text(text)
+
+
+def test_text_duplicate_component_names_line():
+    text = field_to_text(X_FIELD) + "\n1 1 : 5 * x1^0 x2^0 x3^0"
+    with pytest.raises(ValueError, match="duplicate component 1 1: '1 1 : 5"):
+        field_from_text(text)
+
+
+def test_text_out_of_range_index_names_line():
+    text = field_to_text(ID_FIELD) + "\n7 7 : 1 * x1^0 x2^0 x3^0"
+    with pytest.raises(ValueError, match="component 7 7 is out of range for a symmetric field: '7 7 : 1"):
+        field_from_text(text)
+
+
+@pytest.mark.parametrize("line", ["1 : 0", "1 1 1 : 0", "a 1 : 0", "1 1 : 2 * y^1", "1 1 : 1/0 * x1^0 x2^0 x3^0"])
+def test_text_malformed_line_names_it(line):
+    with pytest.raises(ValueError, match=re.escape(f"bad component line {line!r}")):
+        field_from_text(f"kind: scalar\n{line}")
