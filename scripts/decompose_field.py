@@ -8,6 +8,9 @@ The input uses the plain-text field format, e.g.
     kind: symmetric
     1 1 : 1 * x1^2 x2^0 x3^0
     ...
+
+Malformed field text, or a field of a kind the decomposition does not take,
+is reported on one line with exit code 2.
 """
 
 import sys
@@ -16,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tensorcomplex.decompose import DECOMPOSITION_NAMES, decompose  # noqa: E402
-from tensorcomplex.fields import field_from_text  # noqa: E402
+from tensorcomplex.fields import KindError, field_from_text  # noqa: E402
 
 
 def main() -> int:
@@ -24,7 +27,16 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     text = Path(sys.argv[2]).read_text() if len(sys.argv) > 2 else sys.stdin.read()
-    dec = decompose(sys.argv[1], field_from_text(text))
+    try:
+        field = field_from_text(text)
+    except ValueError as err:
+        print(f"decompose_field.py: bad field text: {err}", file=sys.stderr)
+        return 2
+    try:
+        dec = decompose(sys.argv[1], field)
+    except KindError as err:
+        print(f"decompose_field.py: {err}, got a {field.kind.value} field", file=sys.stderr)
+        return 2
     print(dec.to_text())
     print(f"\nexact reconstruction: {dec.is_exact}")
     return 0 if dec.is_exact else 1

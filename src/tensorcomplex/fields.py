@@ -41,11 +41,6 @@ class KindError(TypeError):
     """Operation applied to a field of the wrong kind."""
 
 
-def levi_civita(i: int, j: int, k: int) -> int:
-    """epsilon_{ijk} on 1-based indices; total function returning -1, 0 or 1."""
-    return ((i - j) * (j - k) * (k - i)) // 2 if {i, j, k} == {1, 2, 3} else 0
-
-
 @dataclass(frozen=True)
 class TypedField:
     kind: FieldKind
@@ -56,7 +51,8 @@ class TypedField:
         if len(self.components) != n:
             raise KindError(f"{self.kind.value} field needs {n} components, got {len(self.components)}")
         if self.kind is FieldKind.SYMMETRIC:
-            if any(not (self.entry(i, j) - self.entry(j, i)).is_zero for i in range(1, 4) for j in range(i + 1, 4)):
+            # Poly3 is canonical (no zero coefficients), so equal term maps mean equal entries.
+            if any(self.entry(i, j).terms != self.entry(j, i).terms for i in range(1, 4) for j in range(i + 1, 4)):
                 raise KindError("components are not symmetric")
         elif self.kind is FieldKind.TRACEFREE:
             if not (self.entry(1, 1) + self.entry(2, 2) + self.entry(3, 3)).is_zero:
@@ -212,29 +208,20 @@ def mskw(v: TypedField) -> TypedField:
     """Skew matrix of a vector field: (mskw v)_ij = -epsilon_ijk v_k."""
     if v.kind is not FieldKind.VECTOR:
         raise KindError("mskw needs a vector field")
-    rows = [
-        [
-            sum((v.comp(k).scale(-levi_civita(i, j, k)) for k in range(1, 4)), P_ZERO)
-            for j in range(1, 4)
-        ]
-        for i in range(1, 4)
-    ]
-    return TypedField.matrix(rows, FieldKind.SKEW)
+    v1, v2, v3 = v.components
+    z = P_ZERO
+    return TypedField.matrix([[z, -v3, v2], [v3, z, -v1], [-v2, v1, z]], FieldKind.SKEW)
 
 
 def vskw(m: TypedField) -> TypedField:
     """Axial vector of the skew part: vskw = mskw^{-1} ∘ skw."""
     if not m.is_matrix_kind:
         raise KindError("vskw needs a matrix field")
-    s = m.skw()
-    comps = [
-        sum(
-            (s.entry(i, j).scale(Fraction(-levi_civita(i, j, k), 2)) for i in range(1, 4) for j in range(1, 4)),
-            P_ZERO,
-        )
-        for k in range(1, 4)
-    ]
-    return TypedField.vector(comps)
+    e = m.entry
+    half = Fraction(1, 2)
+    return TypedField.vector(
+        [(e(3, 2) - e(2, 3)).scale(half), (e(1, 3) - e(3, 1)).scale(half), (e(2, 1) - e(1, 2)).scale(half)]
+    )
 
 
 # -- products ----------------------------------------------------------
@@ -249,18 +236,9 @@ def dot(a: TypedField, b: TypedField) -> TypedField:
 def cross(a: TypedField, b: TypedField) -> TypedField:
     if a.kind is not FieldKind.VECTOR or b.kind is not FieldKind.VECTOR:
         raise KindError("cross needs two vector fields")
-    comps = [
-        sum(
-            (
-                (a.comp(j) * b.comp(k)).scale(levi_civita(i, j, k))
-                for j in range(1, 4)
-                for k in range(1, 4)
-            ),
-            P_ZERO,
-        )
-        for i in range(1, 4)
-    ]
-    return TypedField.vector(comps)
+    a1, a2, a3 = a.components
+    b1, b2, b3 = b.components
+    return TypedField.vector([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
 def frobenius(a: TypedField, b: TypedField) -> TypedField:
@@ -336,7 +314,11 @@ def field_from_text(text: str) -> TypedField:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("kind:"):
         raise ValueError("missing kind header")
-    kind = FieldKind(lines[0].split(":", 1)[1].strip())
+    try:
+        kind = FieldKind(lines[0].split(":", 1)[1].strip())
+    except ValueError:
+        kinds = ", ".join(k.value for k in FieldKind)
+        raise ValueError(f"bad kind header {lines[0]!r}; a kind is one of {kinds}") from None
     indices = _text_indices(kind)
     entries: dict[tuple[int, int], Poly3] = {}
     for ln in lines[1:]:

@@ -6,6 +6,9 @@ On a homogeneous degree-k component, with x the coordinate field:
     tc(q) = (q x x) / (k + 2)      potential for curl
     td(u) = (x u)   / (k + 3)      potential for div
 
+Each runs as one pass over the input terms: multiplying by x_i shifts an
+exponent, and each degree-k term takes its factor 1/(k+c) with c = 1, 2, 3.
+
 These satisfy, exactly and unconditionally on polynomials,
 
     tg(grad w)          = w - w(0)
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
-from .fields import FieldKind, KindError, TypedField, cross, field_to_text, vskw, X_FIELD
+from .fields import FieldKind, KindError, TypedField, field_to_text, vskw
 from .operators import (
     CheckResult,
     OPS,
@@ -67,41 +70,48 @@ class PreconditionError(ValueError):
 # -- the three homotopy operators -----------------------------------------
 
 
+def _shift_sum(pieces: Sequence[tuple[int, int, Poly3]], offset: int) -> Poly3:
+    """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset.
+
+    Multiplying by x_i only shifts an exponent, so the result is built term
+    by term; the Poly3 constructor drops the sums that cancelled to zero.
+    """
+    t = {}
+    for sign, i, p in pieces:
+        for (a, b, c), coeff in p.terms.items():
+            m = (a + (i == 1), b + (i == 2), c + (i == 3))
+            v = coeff / (sign * (a + b + c + offset))
+            old = t.get(m)
+            t[m] = v if old is None else old + v
+    return Poly3(t)
+
+
 def tg(v: TypedField) -> TypedField:
     """Scalar potential of a vector field: per degree k, (v . x)/(k+1)."""
     if v.kind is not FieldKind.VECTOR:
         raise KindError("tg needs a vector field")
-    out = P_ZERO
-    for i in range(1, 4):
-        for k, part in v.comp(i).homogeneous_parts().items():
-            out = out + (part * Poly3.variable(i)).scale(Fraction(1, k + 1))
-    return TypedField.scalar(out)
+    v1, v2, v3 = v.components
+    return TypedField.scalar(_shift_sum(((1, 1, v1), (1, 2, v2), (1, 3, v3)), 1))
 
 
 def tc(q: TypedField) -> TypedField:
     """Vector potential of a divergence-free field: per degree k, (q x x)/(k+2)."""
     if q.kind is not FieldKind.VECTOR:
         raise KindError("tc needs a vector field")
-    comps = [P_ZERO, P_ZERO, P_ZERO]
-    for i in range(1, 4):
-        for k, part in q.comp(i).homogeneous_parts().items():
-            piece = cross(
-                TypedField.vector([part if j == i else P_ZERO for j in range(1, 4)]), X_FIELD
-            )
-            for j in range(3):
-                comps[j] = comps[j] + piece.comp(j + 1).scale(Fraction(1, k + 2))
-    return TypedField.vector(comps)
+    q1, q2, q3 = q.components
+    return TypedField.vector([
+        _shift_sum(((1, 3, q2), (-1, 2, q3)), 2),  # q2 x3 - q3 x2
+        _shift_sum(((1, 1, q3), (-1, 3, q1)), 2),  # q3 x1 - q1 x3
+        _shift_sum(((1, 2, q1), (-1, 1, q2)), 2),  # q1 x2 - q2 x1
+    ])
 
 
 def td(u: TypedField) -> TypedField:
     """Vector potential of a scalar field: per degree k, (x u)/(k+3)."""
     if u.kind is not FieldKind.SCALAR:
         raise KindError("td needs a scalar field")
-    comps = [P_ZERO, P_ZERO, P_ZERO]
-    for k, part in u.comp(1).homogeneous_parts().items():
-        for j in range(1, 4):
-            comps[j - 1] = comps[j - 1] + (part * Poly3.variable(j)).scale(Fraction(1, k + 3))
-    return TypedField.vector(comps)
+    p = u.comp(1)
+    return TypedField.vector([_shift_sum(((1, j, p),), 3) for j in range(1, 4)])
 
 
 def tg_rows(m: TypedField) -> TypedField:
@@ -178,18 +188,13 @@ def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
 def constant_curl_correction(u: TypedField) -> TypedField:
     """Remove the rigid rotation behind a constant curl: u - (1/2) b x x.
 
-    Requires curl u to be a constant vector b; the output is curl-free and
-    has the same deformation (deff) as u.
+    Requires curl u to be a constant vector b, where (1/2) b x x is tc(b); the
+    output is curl-free and has the same deformation (deff) as u.
     """
-    cu = curl(u)
-    b = []
-    for i in range(1, 4):
-        p = cu.comp(i)
-        if p.degree() > 0:
-            raise PreconditionError("curl u is not constant", field_to_text(u))
-        b.append(p.constant_term())
-    bx = cross(TypedField.vector([Poly3.const(c) for c in b]), X_FIELD)
-    return u - bx.scale(Fraction(1, 2))
+    b = curl(u)
+    if b.degree() > 0:
+        raise PreconditionError("curl u is not constant", field_to_text(u))
+    return u - tc(b)
 
 
 # -- kernel sampling --------------------------------------------------------
@@ -283,14 +288,14 @@ def sample_kernel(op_names: Sequence[str] | str, kind: FieldKind, degree: int, s
     if not fields:
         raise ValueError(f"kernel is trivial at this degree: {op_names} on {kind.value}")
     rng = derived_rng(seed, "kernel", *op_names, kind.value, degree, index)
-    out = TypedField.zero(kind)
-    while out.is_zero:
-        out = TypedField.zero(kind)
+    comps = [P_ZERO] * len(fields[0].components)
+    while all(p.is_zero for p in comps):
+        comps = [P_ZERO] * len(comps)
         for f in fields:
             w = rng.randint(-9, 9)
             if w:
-                out = out + f.scale(w)
-    return out
+                comps = [p + q.scale(w) for p, q in zip(comps, f.components)]
+    return TypedField(kind, tuple(comps))
 
 
 # -- right-inverse chains -----------------------------------------------------

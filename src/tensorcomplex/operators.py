@@ -21,7 +21,6 @@ from .fields import (
     FieldKind,
     KindError,
     TypedField,
-    levi_civita,
     mskw,
     vskw,
 )
@@ -42,14 +41,7 @@ def grad(f: TypedField) -> TypedField:
 
 
 def _vector_curl(c1: Poly3, c2: Poly3, c3: Poly3) -> list[Poly3]:
-    comps = [c1, c2, c3]
-    return [
-        sum(
-            (comps[k - 1].partial(j).scale(levi_civita(i, j, k)) for j in range(1, 4) for k in range(1, 4)),
-            P_ZERO,
-        )
-        for i in range(1, 4)
-    ]
+    return [c3.partial(2) - c2.partial(3), c1.partial(3) - c3.partial(1), c2.partial(1) - c1.partial(2)]
 
 
 def curl(f: TypedField) -> TypedField:

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from tensorcomplex.decompose import (
     verify_all_decompositions,
     verify_decomposition,
 )
-from tensorcomplex.fields import FieldKind, KindError, TypedField, field_from_text
+from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
 from tensorcomplex.operators import (
     components_equal,
     deff,
@@ -158,3 +161,32 @@ def test_kind_preconditions():
 def test_wrong_kind_report():
     r = verify_decomposition("cc", samples=1, degree=1, seed=5)
     assert r.passed
+
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "decompose_field.py"
+
+
+def run_script(name, text):
+    return subprocess.run([sys.executable, str(_SCRIPT), name], input=text, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (field_to_text(X_FIELD), "regdec_cc needs a symmetric field, got a vector field"),
+        ("\n".join(field_to_text(X_FIELD).splitlines()[:-1]), "missing component 3 1 of a vector field"),
+        ("kind: bogus\n1 1 : 0", "bad kind header 'kind: bogus'; a kind is one of scalar, vector,"),
+    ],
+    ids=["wrong-kind", "missing-component", "unknown-kind"],
+)
+def test_script_reports_bad_input_on_one_line(text, message):
+    proc = run_script("cc", text)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_script_decomposes_good_input():
+    proc = run_script("cc", field_to_text(TypedField.identity_scaled(X1)))
+    assert proc.returncode == 0 and "exact reconstruction: True" in proc.stdout

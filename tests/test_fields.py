@@ -38,6 +38,9 @@ def test_symmetric_tag_rejects_asymmetric_components():
     rows = [[P_ZERO, X1, P_ZERO], [P_ZERO, P_ZERO, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]]
     with pytest.raises(KindError):
         TypedField.matrix(rows, FieldKind.SYMMETRIC)
+    rows[1][0] = X1.scale(Fraction(1, 2))  # same monomial, different coefficient
+    with pytest.raises(KindError):
+        TypedField.matrix(rows, FieldKind.SYMMETRIC)
 
 
 def test_tracefree_tag_rejects_nonzero_trace():
@@ -170,3 +173,9 @@ def test_text_out_of_range_index_names_line():
 def test_text_malformed_line_names_it(line):
     with pytest.raises(ValueError, match=re.escape(f"bad component line {line!r}")):
         field_from_text(f"kind: scalar\n{line}")
+
+
+def test_text_unknown_kind_names_header_and_valid_kinds():
+    msg = "bad kind header 'kind: bogus'; a kind is one of scalar, vector, matrix, symmetric, trace-free, skew"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        field_from_text("kind: bogus\n1 1 : 0")

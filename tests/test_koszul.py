@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+import sympy
+from hypothesis import given
 
+import tensorcomplex.koszul as koszul
 from tensorcomplex.fields import (
     E1,
     E3,
@@ -11,6 +15,7 @@ from tensorcomplex.fields import (
     TypedField,
     X_FIELD,
     cross,
+    field_from_text,
 )
 from tensorcomplex.koszul import (
     PreconditionError,
@@ -41,6 +46,50 @@ from tensorcomplex.operators import (
     random_field,
 )
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
+from tensorcomplex.suites import SuiteConfig, run_suite
+
+from conftest import polys, scalar_fields, vector_fields
+
+_X = sympy.Matrix(sympy.symbols("x1 x2 x3"))
+
+
+def _sympy_parts(comps):
+    """Homogeneous parts {k: sympy column of the degree-k parts} of a field's components."""
+    parts = {}
+    for i, p in enumerate(comps):
+        for (a, b, c), coeff in p.terms.items():
+            col = parts.setdefault(a + b + c, sympy.zeros(len(comps), 1))
+            col[i] += sympy.Rational(coeff.numerator, coeff.denominator) * _X[0] ** a * _X[1] ** b * _X[2] ** c
+    return parts
+
+
+def _assert_same(f, expected):
+    ours = sum(_sympy_parts(f.components).values(), sympy.zeros(len(f.components), 1))
+    assert sympy.expand(ours - expected) == sympy.zeros(len(f.components), 1)
+
+
+@st.composite
+def vector_fields_with_cancellation(draw):
+    """Vector fields whose shifted terms cancel, in tg or in one row of tc."""
+    p, r = draw(polys(max_degree=2)), draw(polys(max_degree=2))
+    if draw(st.booleans()):
+        return TypedField.vector([X2 * p, -(X1 * p), r])  # v . x loses every x1 x2 p term
+    return TypedField.vector([X1 * p, X2 * p, r])  # (q x x)_3 = q1 x2 - q2 x1 = 0
+
+
+@given(st.one_of(vector_fields(), vector_fields_with_cancellation()))
+def test_tg_tc_match_eq17_reference(v):
+    # Eq. (17) per homogeneous degree-k part: tg v = (v . x)/(k+1), tc q = (q x x)/(k+2)
+    parts = _sympy_parts(v.components)
+    _assert_same(tg(v), sympy.Matrix([sum((part.dot(_X) / (k + 1) for k, part in parts.items()), sympy.Integer(0))]))
+    _assert_same(tc(v), sum((part.cross(_X) / (k + 2) for k, part in parts.items()), sympy.zeros(3, 1)))
+
+
+@given(scalar_fields())
+def test_td_matches_eq17_reference(u):
+    # Eq. (17) per homogeneous degree-k part: td u = (x u)/(k+3)
+    parts = _sympy_parts(u.components)
+    _assert_same(td(u), sum((_X * part[0] / (k + 3) for k, part in parts.items()), sympy.zeros(3, 1)))
 
 
 def test_tg_recovers_potential():
@@ -242,3 +291,22 @@ def test_d_chain_degree_growth_is_two():
 def test_right_inverse_kind_check():
     with pytest.raises(Exception):
         right_inverse("Dcc", E1)  # vector where a symmetric field is needed
+
+
+def test_wrong_sign_in_tc_is_caught(monkeypatch):
+    true_tc = koszul.tc
+    monkeypatch.setattr(koszul, "tc", lambda q: -true_tc(q))
+    report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
+    cases = {c.name: c for c in report.cases}
+    checks = {
+        "curl(tc q) + td(div q) = q": lambda q: components_equal(curl(koszul.tc(q)) + td(div(q)), q),
+        "Rc_plain: (1/2) curl(Rc q) = q": lambda q: components_equal(
+            curl(right_inverse("Rc_plain", q)).scale(Fraction(1, 2)), q
+        ),
+    }
+    for name, holds in checks.items():
+        case = cases[name]
+        assert case.status != "pass" and case.witness is not None, name
+        witness = field_from_text(case.witness)
+        assert witness.kind is FieldKind.VECTOR
+        assert not holds(witness), name

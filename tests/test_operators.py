@@ -3,6 +3,7 @@ exact identity suite."""
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 import sympy
 from hypothesis import given
@@ -16,6 +17,7 @@ from tensorcomplex.fields import (
     X_FIELD,
     cross,
     mskw,
+    vskw,
 )
 from tensorcomplex.operators import (
     components_equal,
@@ -37,7 +39,7 @@ from tensorcomplex.operators import (
 )
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, X3
 
-from conftest import polys, vector_fields
+from conftest import matrix_fields, polys, vector_fields
 
 _SYMS = sympy.symbols("x1 x2 x3")
 
@@ -53,13 +55,23 @@ def sympy_grad_scalar(p):
     return [sympy.diff(to_sympy(p), s) for s in _SYMS]
 
 
-def sympy_curl(comps):
-    e = [to_sympy(c) for c in comps]
-    return [
-        sympy.diff(e[2], _SYMS[1]) - sympy.diff(e[1], _SYMS[2]),
-        sympy.diff(e[0], _SYMS[2]) - sympy.diff(e[2], _SYMS[0]),
-        sympy.diff(e[1], _SYMS[0]) - sympy.diff(e[0], _SYMS[1]),
-    ]
+def sympy_curl(f):
+    """Curl of a vector field, or row-wise curl of a matrix field, as sympy expressions."""
+    e = [to_sympy(c) for c in f.components]
+    out = []
+    for a, b, c in (e[r : r + 3] for r in range(0, len(e), 3)):
+        out += [
+            sympy.diff(c, _SYMS[1]) - sympy.diff(b, _SYMS[2]),
+            sympy.diff(a, _SYMS[2]) - sympy.diff(c, _SYMS[0]),
+            sympy.diff(b, _SYMS[0]) - sympy.diff(a, _SYMS[1]),
+        ]
+    return out
+
+
+def assert_matches(f, expected):
+    assert len(f.components) == len(expected)
+    for p, e in zip(f.components, expected):
+        assert sympy.expand(to_sympy(p) - e) == 0
 
 
 def test_grad_of_x1():
@@ -93,7 +105,7 @@ def test_curl_and_div_kind_errors_on_scalar():
 
 def test_curl_example_against_oracle():
     v = TypedField.vector([P_ZERO, X1, P_ZERO])
-    assert [to_sympy(c) for c in curl(v).components] == sympy_curl(v.components)
+    assert [to_sympy(c) for c in curl(v).components] == sympy_curl(v)
     assert components_equal(curl(v), E3)
 
 
@@ -250,7 +262,7 @@ def test_operator_oracle_cross_check():
     # full grad/curl/div agreement with sympy on a random vector field
     rng = derived_rng(23, "oracle")
     v = random_field(FieldKind.VECTOR, 3, rng)
-    assert [to_sympy(c) for c in curl(v).components] == sympy_curl(v.components)
+    assert [to_sympy(c) for c in curl(v).components] == sympy_curl(v)
     g = grad(v)
     for i in range(3):
         for j in range(3):
@@ -276,12 +288,34 @@ def test_matrix_div_and_curl_are_row_wise():
     for i in range(3):
         expected = sum(sympy.diff(rows[i][j], _SYMS[j]) for j in range(3))
         assert to_sympy(ours_div.comp(i + 1)) == sympy.expand(expected)
-    ours_curl = curl(m)
-    for i in range(3):
-        expected_row = [
-            sympy.diff(rows[i][2], _SYMS[1]) - sympy.diff(rows[i][1], _SYMS[2]),
-            sympy.diff(rows[i][0], _SYMS[2]) - sympy.diff(rows[i][2], _SYMS[0]),
-            sympy.diff(rows[i][1], _SYMS[0]) - sympy.diff(rows[i][0], _SYMS[1]),
-        ]
-        for j in range(3):
-            assert to_sympy(ours_curl.entry(i + 1, j + 1)) == sympy.expand(expected_row[j])
+    assert_matches(curl(m), sympy_curl(m))
+
+
+@given(st.one_of(vector_fields(), matrix_fields()))
+def test_curl_matches_oracle_on_random_fields(f):
+    assert_matches(curl(f), sympy_curl(f))
+
+
+_R = range(1, 4)
+
+
+@given(vector_fields(), vector_fields())
+def test_cross_matches_epsilon_sum(a, b):
+    ea, eb = [to_sympy(p) for p in a.components], [to_sympy(p) for p in b.components]
+    expected = [sum(sympy.LeviCivita(i, j, k) * ea[j - 1] * eb[k - 1] for j in _R for k in _R) for i in _R]
+    assert_matches(cross(a, b), expected)
+
+
+@given(vector_fields())
+def test_mskw_matches_epsilon_sum(v):
+    ev = [to_sympy(p) for p in v.components]
+    expected = [-sum(sympy.LeviCivita(i, j, k) * ev[k - 1] for k in _R) for i in _R for j in _R]
+    assert_matches(mskw(v), expected)
+
+
+@given(matrix_fields())
+def test_vskw_matches_epsilon_sum(m):
+    e = {(i, j): to_sympy(m.entry(i, j)) for i in _R for j in _R}
+    skw = {(i, j): (e[i, j] - e[j, i]) / 2 for i in _R for j in _R}
+    expected = [-sum(sympy.LeviCivita(i, j, k) * skw[i, j] for i in _R for j in _R) / 2 for k in _R]
+    assert_matches(vskw(m), expected)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from tensorcomplex.fields import TypedField
+from tensorcomplex.koszul import tc, td, tg
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2, X3, monomials_up_to
 
-from conftest import polys
+from conftest import fractions, polys
 
 
 def test_partial_power_rule():
@@ -27,6 +30,21 @@ def test_no_zero_coefficients_stored():
     assert p.is_zero and p.terms == {}
     q = Poly3({(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
     assert (1, 0, 0) not in q.terms
+
+
+@given(polys(), st.data())
+def test_results_never_store_a_zero_coefficient(p, data):
+    # TypedField's symmetry check compares term maps, which is exact only if no
+    # operation leaves a zero coefficient behind; q = -p and c = 0 force cancellation.
+    q = data.draw(st.one_of(polys(), st.just(-p), st.just(p.scale(3))))
+    c = data.draw(st.one_of(fractions(), st.just(Fraction(0))))
+    u, v, w = (data.draw(polys()) for _ in range(3))
+    results = [p + q, p - q, q - p.scale(3), p * q, (p + X1) * (p - X1), p.scale(c), p.partial(1), q.partial(3)]
+    results += tg(TypedField.vector([u, v, w])).components + tg(TypedField.vector([X2 * p, -(X1 * p), w])).components
+    results += tc(TypedField.vector([u, v, w])).components + tc(TypedField.vector([X1 * p, X2 * p, w])).components
+    results += td(TypedField.scalar(q)).components
+    for r in results:
+        assert all(coeff != 0 for coeff in r.terms.values())
 
 
 def test_negative_exponents_rejected():
