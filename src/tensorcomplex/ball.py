@@ -26,7 +26,7 @@ from .fields import (
     field_to_text,
     pairing_components,
 )
-from .operators import CheckResult, OPS, curl, derived_rng, div, grad, random_field
+from .operators import CheckResult, OPS, curl, derived_rng, div, grad, random_field, run_check
 from .poly import P_ONE, Poly3
 from .rational import PiScalar, RatMatrix
 
@@ -166,7 +166,6 @@ def _scalar(p: Poly3) -> TypedField:
 
 
 CONSTANTS_SCALAR = MomentSpace("constants", FieldKind.SCALAR, (_scalar(P_ONE),))
-CONSTANTS_VECTOR = MomentSpace("constants", FieldKind.VECTOR, (E1, E2, E3))
 P1_SPACE = MomentSpace(
     "P1",
     FieldKind.SCALAR,
@@ -178,14 +177,6 @@ ND_SPACE = MomentSpace(
     FieldKind.VECTOR,
     (E1, E2, E3, cross(E1, X_FIELD), cross(E2, X_FIELD), cross(E3, X_FIELD)),
 )
-
-MOMENT_SPACES = {
-    "constants-scalar": CONSTANTS_SCALAR,
-    "constants-vector": CONSTANTS_VECTOR,
-    "P1": P1_SPACE,
-    "RT": RT_SPACE,
-    "ND": ND_SPACE,
-}
 
 
 def moment_orthogonal(f: TypedField, space: MomentSpace) -> tuple[bool, TypedField | None, PiScalar | None]:
@@ -332,16 +323,17 @@ def verify_ibp(which: str, samples: int, degree: int, bump_order: int, seed: int
     op = OPS[spec["op"]]
     adj = OPS[spec["adj"]]
     factor: Fraction = spec["factor"]
-    for s in range(samples):
+
+    def draw(s: int) -> tuple[TypedField, TypedField]:
         rng = derived_rng(seed, "ibp", which, s)
         f = random_field(spec["field_kind"], degree, rng)
-        raw = random_field(spec["test_kind"], degree, rng)
-        phi = raw.mul_scalar_poly(w)
-        lhs = l2_pair(f, op(phi))
-        rhs = l2_pair(adj(f), phi) * factor
-        if not (lhs - rhs).is_zero:
-            return CheckResult(which, spec["anchor"], False, field_to_text(f))
-    return CheckResult(which, spec["anchor"], True)
+        return f, random_field(spec["test_kind"], degree, rng).mul_scalar_poly(w)
+
+    def holds(sample: tuple[TypedField, TypedField]) -> bool:
+        f, phi = sample
+        return (l2_pair(f, op(phi)) - l2_pair(adj(f), phi) * factor).is_zero
+
+    return run_check(which, spec["anchor"], samples, draw, holds, lambda sample: field_to_text(sample[0]))
 
 
 def verify_all_ibp(samples: int, degree: int, bump_order: int, seed: int) -> list[CheckResult]:
@@ -351,74 +343,69 @@ def verify_all_ibp(samples: int, degree: int, bump_order: int, seed: int) -> lis
 def verify_membership_steps(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Moment-membership steps: images of bump-weighted fields land in the
     annihilators of the expected test spaces, exactly."""
-    results = []
 
-    def run(name: str, anchor: str, produce, space: MomentSpace):
-        ok = True
-        witness = None
-        for s in range(samples):
-            rng = derived_rng(seed, "membership", name, s)
-            img = produce(rng)
-            good, bad_basis, pairing = moment_orthogonal(img, space)
-            if not good:
-                ok = False
-                witness = f"pairing with {field_to_text(bad_basis)} = {pairing}"
-                break
-        results.append(CheckResult(name, anchor, ok, witness))
+    def run(name: str, anchor: str, produce, space: MomentSpace) -> CheckResult:
+        return run_check(
+            name,
+            anchor,
+            samples,
+            lambda s: moment_orthogonal(produce(derived_rng(seed, "membership", name, s)), space),
+            lambda outcome: outcome[0],
+            lambda outcome: f"pairing with {field_to_text(outcome[1])} = {outcome[2]}",
+        )
 
     w1 = bump(1)
 
-    run(
-        "div of bumped trace-free field ⊥ RT",
-        "Thm 2.3 proof (τ : id vanishes)",
-        lambda rng: div(random_field(FieldKind.MATRIX, degree, rng).dev().mul_scalar_poly(w1)),
-        RT_SPACE,
-    )
-    run(
-        "div of bumped symmetric field ⊥ ND",
-        "Thm 2.3 proof (symmetry)",
-        lambda rng: div(random_field(FieldKind.MATRIX, degree, rng).sym().mul_scalar_poly(w1)),
-        ND_SPACE,
-    )
-    run(
-        "div of bumped ND-orthogonal vector ⊥ P1",
-        "Thm 2.3 proof (grad p ∈ ND)",
-        lambda rng: div(
-            project_moment_orthogonal(
-                random_field(FieldKind.VECTOR, degree, rng).mul_scalar_poly(w1), ND_SPACE
-            )
+    return [
+        run(
+            "div of bumped trace-free field ⊥ RT",
+            "Thm 2.3 proof (τ : id vanishes)",
+            lambda rng: div(random_field(FieldKind.MATRIX, degree, rng).dev().mul_scalar_poly(w1)),
+            RT_SPACE,
         ),
-        P1_SPACE,
-    )
-    run(
-        "curl of bumped RT-orthogonal vector ⊥ ND",
-        "Thm 2.3 proof (curl r = 2b)",
-        lambda rng: curl(
-            project_moment_orthogonal(
-                random_field(FieldKind.VECTOR, degree, rng).mul_scalar_poly(w1), RT_SPACE
-            )
+        run(
+            "div of bumped symmetric field ⊥ ND",
+            "Thm 2.3 proof (symmetry)",
+            lambda rng: div(random_field(FieldKind.MATRIX, degree, rng).sym().mul_scalar_poly(w1)),
+            ND_SPACE,
         ),
-        ND_SPACE,
-    )
-    run(
-        "grad of bumped mean-zero scalar ⊥ RT",
-        "Thm 2.3 proof (zero mean)",
-        lambda rng: grad(
-            project_moment_orthogonal(
-                random_field(FieldKind.SCALAR, degree, rng).mul_scalar_poly(w1), CONSTANTS_SCALAR
-            )
+        run(
+            "div of bumped ND-orthogonal vector ⊥ P1",
+            "Thm 2.3 proof (grad p ∈ ND)",
+            lambda rng: div(
+                project_moment_orthogonal(
+                    random_field(FieldKind.VECTOR, degree, rng).mul_scalar_poly(w1), ND_SPACE
+                )
+            ),
+            P1_SPACE,
         ),
-        RT_SPACE,
-    )
-
-    # negative control: a constant field is not orthogonal to a space containing it
-    good, bad_basis, pairing = moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE)
-    results.append(
-        CheckResult(
+        run(
+            "curl of bumped RT-orthogonal vector ⊥ ND",
+            "Thm 2.3 proof (curl r = 2b)",
+            lambda rng: curl(
+                project_moment_orthogonal(
+                    random_field(FieldKind.VECTOR, degree, rng).mul_scalar_poly(w1), RT_SPACE
+                )
+            ),
+            ND_SPACE,
+        ),
+        run(
+            "grad of bumped mean-zero scalar ⊥ RT",
+            "Thm 2.3 proof (zero mean)",
+            lambda rng: grad(
+                project_moment_orthogonal(
+                    random_field(FieldKind.SCALAR, degree, rng).mul_scalar_poly(w1), CONSTANTS_SCALAR
+                )
+            ),
+            RT_SPACE,
+        ),
+        # negative control: a constant field is not orthogonal to a space containing it
+        run_check(
             "negative control: constant vs P1 detected",
             "Thm 2.3 proof",
-            not good and not pairing.is_zero,
-            None if not good else "orthogonality unexpectedly held",
-        )
-    )
-    return results
+            1,
+            lambda s: moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE),
+            lambda outcome: not outcome[0] and not outcome[2].is_zero,
+            lambda outcome: "orthogonality unexpectedly held",
+        ),
+    ]

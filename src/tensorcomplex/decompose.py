@@ -20,12 +20,12 @@ from .operators import (
     OPS,
     components_equal,
     curl_div,
-    derived_rng,
     div,
     div_div,
+    field_draw,
     grad,
     inc,
-    random_field,
+    run_check,
     sym_curl,
     sym_curl_t,
     t_curl,
@@ -217,22 +217,25 @@ def decompose(name: str, f: TypedField) -> Decomposition:
     return _DECOMPOSERS[name][0](f)
 
 
+def _part_kinds(dec: Decomposition) -> tuple[FieldKind, ...]:
+    return tuple(p.potential.kind for p in dec.parts)
+
+
 def verify_decomposition(name: str, samples: int, degree: int, seed: int) -> CheckResult:
     fn, kind, anchor = _DECOMPOSERS[name]
     expected_kinds = _PART_KINDS[name]
-    for s in range(samples):
-        rng = derived_rng(seed, "decompose", name, s)
-        f = random_field(kind, degree, rng)
+
+    def holds(f: TypedField) -> bool:
         dec = fn(f)
-        kinds = tuple(p.potential.kind for p in dec.parts)
+        return _part_kinds(dec) == expected_kinds and dec.is_exact
+
+    def witness(f: TypedField) -> str:
+        kinds = _part_kinds(fn(f))
         if kinds != expected_kinds:
-            return CheckResult(
-                f"regdec {name}", anchor, False,
-                f"part kinds {tuple(k.value for k in kinds)} != expected {tuple(k.value for k in expected_kinds)}",
-            )
-        if not dec.is_exact:
-            return CheckResult(f"regdec {name}", anchor, False, field_to_text(f))
-    return CheckResult(f"regdec {name}", anchor, True)
+            return f"part kinds {tuple(k.value for k in kinds)} != expected {tuple(k.value for k in expected_kinds)}"
+        return field_to_text(f)
+
+    return run_check(f"regdec {name}", anchor, samples, field_draw(kind, degree, seed, "decompose", name), holds, witness)
 
 
 def verify_all_decompositions(samples: int, degree: int, seed: int) -> list[CheckResult]:

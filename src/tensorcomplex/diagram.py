@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldKind, TypedField
-from .operators import (
-    CheckResult,
-    OperatorId,
-    components_equal,
-    derived_rng,
-    random_field,
-)
+from .operators import CheckResult, OperatorId, components_equal, field_draw, run_check
 
 R = FieldKind.SCALAR
 V = FieldKind.VECTOR
@@ -127,9 +121,6 @@ class DiagramGraph:
     def edge(self, src: tuple[int, int], dst: tuple[int, int]) -> EdgeOp:
         return self._by_step[(src, dst)]
 
-    def first_order_edges(self) -> list[EdgeOp]:
-        return list(self.edges)
-
     def interior_cells(self) -> list[tuple[int, int]]:
         return [(r, c) for r in range(1, 4) for c in range(1, 4)]
 
@@ -233,25 +224,27 @@ def _coerce_to_node(f: TypedField, kind: FieldKind) -> TypedField:
     return f.retag(kind)
 
 
+def _through(edges: tuple[EdgeOp, ...], f: TypedField) -> TypedField:
+    """Apply the edge operators in order, without re-tagging to node kinds."""
+    for e in edges:
+        f = e.op.apply(f)
+    return f
+
+
 def check_cell(g: DiagramGraph, cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
     """down∘right == right∘down on the cell with top-left corner `cell`."""
     r, c = cell
     if not (1 <= r <= 3 and 1 <= c <= 3):
         raise ValueError("cell must index one of the 9 interior cells")
-    name = f"cell ({r},{c})"
-    kind = g.nodes[cell].kind
     right_then_down = (g.edge((r, c), (r, c + 1)), g.edge((r, c + 1), (r + 1, c + 1)))
     down_then_right = (g.edge((r, c), (r + 1, c)), g.edge((r + 1, c), (r + 1, c + 1)))
-    for s in range(samples):
-        rng = derived_rng(seed, "cell", r, c, s)
-        f = random_field(kind, degree, rng)
-        a = right_then_down[1].op.apply(right_then_down[0].op.apply(f))
-        b = down_then_right[1].op.apply(down_then_right[0].op.apply(f))
-        if not components_equal(a, b):
-            from .fields import field_to_text
-
-            return CheckResult(name, "Thm 2.3", False, field_to_text(f))
-    return CheckResult(name, "Thm 2.3", True)
+    return run_check(
+        f"cell ({r},{c})",
+        "Thm 2.3",
+        samples,
+        field_draw(g.nodes[cell].kind, degree, seed, "cell", r, c),
+        lambda f: components_equal(_through(right_then_down, f), _through(down_then_right, f)),
+    )
 
 
 def check_all_cells(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
@@ -260,22 +253,16 @@ def check_all_cells(g: DiagramGraph, samples: int, degree: int, seed: int) -> li
 
 def check_two_complex(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Every monotone length-3 path composes to the exact zero field."""
-    results = []
-    for idx, p in enumerate(enumerate_paths(g, 3)):
-        kind = g.nodes[p.start].kind
-        ok = True
-        witness = None
-        for s in range(samples):
-            rng = derived_rng(seed, "two-complex", idx, s)
-            f = random_field(kind, degree, rng)
-            out = apply_path(g, p, f)
-            if not out.is_zero:
-                from .fields import field_to_text
-
-                ok, witness = False, field_to_text(f)
-                break
-        results.append(CheckResult(f"path {p.label()}", "Thm 2.5", ok, witness))
-    return results
+    return [
+        run_check(
+            f"path {p.label()}",
+            "Thm 2.5",
+            samples,
+            field_draw(g.nodes[p.start].kind, degree, seed, "two-complex", idx),
+            lambda f: apply_path(g, p, f).is_zero,
+        )
+        for idx, p in enumerate(enumerate_paths(g, 3))
+    ]
 
 
 def check_diagonal_factorizations(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
@@ -283,24 +270,27 @@ def check_diagonal_factorizations(g: DiagramGraph, samples: int, degree: int, se
     results = []
     for d in g.diagonals:
         r, c = d.src
-        kind = g.nodes[d.src].kind
         top_right = (g.edge((r, c), (r, c + 1)), g.edge((r, c + 1), (r + 1, c + 1)))
         left_bottom = (g.edge((r, c), (r + 1, c)), g.edge((r + 1, c), (r + 1, c + 1)))
-        ok = True
-        witness = None
-        for s in range(samples):
-            rng = derived_rng(seed, "diagonal", r, c, s)
-            f = random_field(kind, degree, rng)
-            diag = d.op.apply(f)
-            via_tr = top_right[1].op.apply(top_right[0].op.apply(f))
-            via_lb = left_bottom[1].op.apply(left_bottom[0].op.apply(f))
-            if not (components_equal(diag, via_tr) and components_equal(diag, via_lb)):
-                from .fields import field_to_text
 
-                ok, witness = False, field_to_text(f)
-                break
-        results.append(CheckResult(f"diagonal {d.op.label()} at {d.src}", "Eq. (1) with 2nd-order edges", ok, witness))
+        def holds(f: TypedField) -> bool:
+            diag = d.op.apply(f)
+            return components_equal(diag, _through(top_right, f)) and components_equal(diag, _through(left_bottom, f))
+
+        results.append(
+            run_check(
+                f"diagonal {d.op.label()} at {d.src}",
+                "Eq. (1) with 2nd-order edges",
+                samples,
+                field_draw(g.nodes[d.src].kind, degree, seed, "diagonal", r, c),
+                holds,
+            )
+        )
     return results
+
+
+def _transpose_matrix(f: TypedField) -> TypedField:
+    return f.transpose() if f.is_matrix_kind else f
 
 
 def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, seed: int = 0) -> list[CheckResult]:
@@ -314,28 +304,23 @@ def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, s
     for e in g.edges:
         if e.orientation != "right":
             continue
-        (i, j), (_, j2) = e.src, e.dst
+        i, j = e.src
         mirror = g.edge((j, i), (j + 1, i))
         name = f"mirror of {e.src}->{e.dst} ({e.op.label()}) is ({mirror.op.label()})"
         if mirror.op.scale != e.op.scale:
             results.append(CheckResult(name, "Eq. (1) diagonal symmetry", False, "scale mismatch"))
             continue
-        kind = g.nodes[e.src].kind
-        ok = True
-        witness = None
-        for s in range(samples):
-            rng = derived_rng(seed, "symmetry", i, j, s)
-            f = random_field(kind, degree, rng)
-            ft = f.transpose() if f.is_matrix_kind else f
-            lhs = mirror.op.apply(ft)
-            rhs = e.op.apply(f)
-            rhs = rhs.transpose() if rhs.is_matrix_kind else rhs
-            if not components_equal(lhs, rhs):
-                from .fields import field_to_text
-
-                ok, witness = False, field_to_text(f)
-                break
-        results.append(CheckResult(name, "Eq. (1) diagonal symmetry", ok, witness))
+        results.append(
+            run_check(
+                name,
+                "Eq. (1) diagonal symmetry",
+                samples,
+                field_draw(g.nodes[e.src].kind, degree, seed, "symmetry", i, j),
+                lambda f: components_equal(
+                    mirror.op.apply(_transpose_matrix(f)), _transpose_matrix(e.op.apply(f))
+                ),
+            )
+        )
     return results
 
 
@@ -355,18 +340,13 @@ def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> li
     for stage, (first, kind, second) in enumerate(spec[:2]):
         op1 = OperatorId(first[0], Fraction(first[1]) if len(first) > 1 else Fraction(1))
         op2 = OperatorId(second[0])
-        ok = True
-        witness = None
-        for s in range(samples):
-            rng = derived_rng(seed, "derived", name, stage, s)
-            f = random_field(kind, degree, rng)
-            out = op2.apply(op1.apply(f))
-            if not out.is_zero:
-                from .fields import field_to_text
-
-                ok, witness = False, field_to_text(f)
-                break
         results.append(
-            CheckResult(f"{name}: {op2.label()} ∘ {op1.label()} = 0", anchor, ok, witness)
+            run_check(
+                f"{name}: {op2.label()} ∘ {op1.label()} = 0",
+                anchor,
+                samples,
+                field_draw(kind, degree, seed, "derived", name, stage),
+                lambda f: op2.apply(op1.apply(f)).is_zero,
+            )
         )
     return results

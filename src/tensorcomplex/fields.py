@@ -336,4 +336,7 @@ def field_from_text(text: str) -> TypedField:
     missing = [f"{i} {j}" for i, j in indices if (i, j) not in entries]
     if missing:
         raise ValueError(f"missing component {', '.join(missing)} of a {kind.value} field")
-    return TypedField(kind, tuple(entries[ij] for ij in indices))
+    try:
+        return TypedField(kind, tuple(entries[ij] for ij in indices))
+    except KindError as err:
+        raise ValueError(f"kind header says {kind.value}, but the {err}") from None

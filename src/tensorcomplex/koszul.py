@@ -35,6 +35,7 @@ from .fields import FieldKind, KindError, TypedField, field_to_text, vskw
 from .operators import (
     CheckResult,
     OPS,
+    PreconditionError,
     components_equal,
     curl,
     curl_deff,
@@ -45,11 +46,13 @@ from .operators import (
     div,
     div_div,
     div_t,
+    field_draw,
     grad,
     grad_div,
     hess,
     inc,
     random_field,
+    run_check,
     sym_curl,
     sym_curl_t,
     t_curl,
@@ -57,14 +60,6 @@ from .operators import (
 )
 from .poly import P_ZERO, Poly3, monomials_up_to
 from .rational import RatMatrix
-
-
-class PreconditionError(ValueError):
-    """A kernel or moment precondition failed; carries the witness field."""
-
-    def __init__(self, message: str, witness: str):
-        super().__init__(message)
-        self.witness = witness
 
 
 # -- the three homotopy operators -----------------------------------------
@@ -131,20 +126,6 @@ def td_component_rows(v: TypedField) -> TypedField:
     return TypedField.matrix([[p for p in td(TypedField.scalar(v.comp(i))).components] for i in range(1, 4)])
 
 
-KOSZUL_OPS = {"Tg": tg, "Tc": tc, "Td": td}
-
-
-def koszul_apply(which: str, f: TypedField) -> TypedField:
-    """Apply Tg / Tc / Td; matrix inputs are handled row-wise."""
-    if f.is_matrix_kind:
-        if which == "Tg":
-            return tg_rows(f)
-        if which == "Tc":
-            return tc_rows(f)
-        raise KindError("row-wise Td acts on vectors (one row per component)")
-    return KOSZUL_OPS[which](f)
-
-
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """The four exact homotopy identities on random fields."""
     checks = [
@@ -171,18 +152,10 @@ def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
             lambda u: components_equal(div(td(u)), u),
         ),
     ]
-    results = []
-    for name, kind, check in checks:
-        ok = True
-        witness = None
-        for s in range(samples):
-            rng = derived_rng(seed, "homotopy", name, s)
-            f = random_field(kind, degree, rng)
-            if not check(f):
-                ok, witness = False, field_to_text(f)
-                break
-        results.append(CheckResult(name, "Eq. (17) realization", ok, witness))
-    return results
+    return [
+        run_check(name, "Eq. (17) realization", samples, field_draw(kind, degree, seed, "homotopy", name), check)
+        for name, kind, check in checks
+    ]
 
 
 def constant_curl_correction(u: TypedField) -> TypedField:
@@ -594,13 +567,10 @@ def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) ->
 
 def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> CheckResult:
     spec = RIGHT_INVERSES[name]
-    label = f"{name}: {spec.statement}"
-    for s in range(samples):
-        f = sample_right_inverse_input(name, degree, seed, s)
-        try:
-            out = right_inverse(name, f, strict_preconditions)
-        except PreconditionError as err:
-            return CheckResult(label, spec.anchor, False, f"{err} | witness:\n{err.witness}", error=True)
-        if not spec.identity(f, out):
-            return CheckResult(label, spec.anchor, False, field_to_text(f))
-    return CheckResult(label, spec.anchor, True)
+    return run_check(
+        f"{name}: {spec.statement}",
+        spec.anchor,
+        samples,
+        lambda s: sample_right_inverse_input(name, degree, seed, s),
+        lambda f: spec.identity(f, right_inverse(name, f, strict_preconditions)),
+    )

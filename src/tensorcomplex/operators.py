@@ -15,12 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from time import perf_counter
+from typing import Any, Callable
 
 from .fields import (
     FieldKind,
     KindError,
     TypedField,
+    field_to_text,
     mskw,
     vskw,
 )
@@ -174,10 +176,6 @@ OPS: dict[str, Callable[[TypedField], TypedField]] = {
 }
 
 
-def apply_op(name: str, f: TypedField) -> TypedField:
-    return OPS[name](f)
-
-
 # -- seeded random fields ----------------------------------------------------
 
 
@@ -205,6 +203,11 @@ def random_field(kind: FieldKind, degree: int, rng: random.Random) -> TypedField
     if kind is FieldKind.SKEW:
         return m.skw()
     return m
+
+
+def field_draw(kind: FieldKind, degree: int, seed: int, *stream: object) -> Callable[[int], TypedField]:
+    """A `run_check` draw: sample s is a random field from the RNG stream (*stream, s)."""
+    return lambda s: random_field(kind, degree, derived_rng(seed, *stream, s))
 
 
 # -- identity suite -----------------------------------------------------------
@@ -333,11 +336,20 @@ def components_equal(a: TypedField, b: TypedField) -> bool:
     return all((x - y).is_zero for x, y in zip(a.components, b.components))
 
 
+class PreconditionError(ValueError):
+    """A kernel or moment precondition failed; carries the witness field."""
+
+    def __init__(self, message: str, witness: str):
+        super().__init__(message)
+        self.witness = witness
+
+
 @dataclass
 class CheckResult:
     """Outcome of one exact check; witness carries the offending input.
 
-    `error` marks precondition violations (as opposed to a nonzero residual).
+    `error` marks precondition violations (as opposed to a nonzero residual);
+    `duration_ms` is the case's own wall time, set by `run_check`.
     """
 
     name: str
@@ -345,23 +357,51 @@ class CheckResult:
     passed: bool
     witness: str | None = None
     error: bool = False
+    duration_ms: int = 0
 
     @property
     def status(self) -> str:
         return "pass" if self.passed else ("error" if self.error else "fail")
 
 
+def run_check(
+    name: str,
+    anchor: str,
+    samples: int,
+    draw: Callable[[int], Any],
+    holds: Callable[[Any], bool],
+    witness: Callable[[Any], str] = field_to_text,
+) -> CheckResult:
+    """Test `holds` on draw(0), draw(1), ... and stop at the first sample where it fails.
+
+    A failing sample is reported as witness(sample); a PreconditionError raised
+    by `holds` makes the case an error that carries the error's own witness.
+    The result records the wall time of this case alone.
+    """
+    t0 = perf_counter()
+    result = CheckResult(name, anchor, True)
+    for s in range(samples):
+        x = draw(s)
+        try:
+            ok = holds(x)
+        except PreconditionError as err:
+            result = CheckResult(name, anchor, False, f"{err} | witness:\n{err.witness}", error=True)
+            break
+        if not ok:
+            result = CheckResult(name, anchor, False, witness(x))
+            break
+    result.duration_ms = int((perf_counter() - t0) * 1000)
+    return result
+
+
 def verify_identity(name: str, samples: int, degree: int, seed: int) -> CheckResult:
     ident = IDENTITIES[name]
-    for s in range(samples):
-        rng = derived_rng(seed, "identity", name, s)
-        f = random_field(ident.input_kind, degree, rng)
-        values = [side(f) for side in ident.sides]
-        if any(not components_equal(values[0], other) for other in values[1:]):
-            from .fields import field_to_text
 
-            return CheckResult(name, ident.anchor, False, field_to_text(f))
-    return CheckResult(name, ident.anchor, True)
+    def holds(f: TypedField) -> bool:
+        first, *rest = [side(f) for side in ident.sides]
+        return all(components_equal(first, other) for other in rest)
+
+    return run_check(name, ident.anchor, samples, field_draw(ident.input_kind, degree, seed, "identity", name), holds)
 
 
 def verify_all_identities(samples: int, degree: int, seed: int) -> list[CheckResult]:

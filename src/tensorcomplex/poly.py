@@ -71,17 +71,8 @@ class Poly3:
     def coeff(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
 
-    def homogeneous_parts(self) -> dict[int, "Poly3"]:
-        parts: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(sum(m), {})[m] = c
-        return {k: Poly3(v) for k, v in parts.items()}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly3) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic ---------------------------------------------------
 

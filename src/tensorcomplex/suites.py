@@ -7,13 +7,12 @@ therefore excluded from reports unless explicitly requested.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import ball, decompose, diagram, koszul, operators
-from .fields import FieldKind, TypedField, field_to_text
-from .operators import CheckResult
+from .fields import FieldKind, TypedField
+from .operators import CheckResult, components_equal, run_check
 from .poly import P_ONE, Poly3
 
 SUITE_NAMES = (
@@ -39,19 +38,10 @@ class SuiteConfig:
 
 
 @dataclass
-class Case:
-    name: str
-    anchor: str
-    status: str
-    witness: str | None = None
-    duration_ms: int = 0
-
-
-@dataclass
 class Report:
     suite: str
     config: SuiteConfig
-    cases: list[Case] = field(default_factory=list)
+    cases: list[CheckResult] = field(default_factory=list)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -104,38 +94,29 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _timed(results_fn) -> list[Case]:
-    t0 = time.monotonic()
-    results: list[CheckResult] = results_fn()
-    dt = int((time.monotonic() - t0) * 1000 / max(len(results), 1))
-    return [Case(r.name, r.anchor, r.status, r.witness, dt) for r in results]
+def _suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
+    return operators.verify_all_identities(cfg.samples, cfg.degree, cfg.seed)
 
 
-def _suite_identities(cfg: SuiteConfig) -> list[Case]:
-    return _timed(lambda: operators.verify_all_identities(cfg.samples, cfg.degree, cfg.seed))
+def _suite_cells(cfg: SuiteConfig) -> list[CheckResult]:
+    return diagram.check_all_cells(diagram.build_diagram("with-bc"), cfg.samples, cfg.degree, cfg.seed)
 
 
-def _suite_cells(cfg: SuiteConfig) -> list[Case]:
-    g = diagram.build_diagram("with-bc")
-    return _timed(lambda: diagram.check_all_cells(g, cfg.samples, cfg.degree, cfg.seed))
+def _suite_two_complex(cfg: SuiteConfig) -> list[CheckResult]:
+    return diagram.check_two_complex(diagram.build_diagram("with-bc"), cfg.samples, cfg.degree, cfg.seed)
 
 
-def _suite_two_complex(cfg: SuiteConfig) -> list[Case]:
-    g = diagram.build_diagram("with-bc")
-    return _timed(lambda: diagram.check_two_complex(g, cfg.samples, cfg.degree, cfg.seed))
-
-
-def _suite_derived(cfg: SuiteConfig) -> list[Case]:
-    out: list[CheckResult] = []
-    for name in ("hessian", "elasticity", "divdiv"):
-        out.extend(diagram.check_derived_complex(name, cfg.samples, cfg.degree, cfg.seed))
-    return [Case(r.name, r.anchor, r.status, r.witness) for r in out]
+def _suite_derived(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        r
+        for name in ("hessian", "elasticity", "divdiv")
+        for r in diagram.check_derived_complex(name, cfg.samples, cfg.degree, cfg.seed)
+    ]
 
 
 def _ddd_unit_witness() -> CheckResult:
     """The closed-form check: Ddd(1) = x x^T / 12 with double divergence 1."""
     one = TypedField.scalar(P_ONE)
-    out = koszul.right_inverse("Ddd", one)
     expected = TypedField.matrix(
         [
             [(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)]
@@ -143,49 +124,44 @@ def _ddd_unit_witness() -> CheckResult:
         ],
         FieldKind.SYMMETRIC,
     )
-    ok = operators.components_equal(out, expected) and operators.components_equal(
-        operators.div_div(out), one
+    return run_check(
+        "Ddd(1) = x x^T / 12, div div = 1",
+        "Lemma 3.5",
+        1,
+        lambda s: koszul.right_inverse("Ddd", one),
+        lambda out: components_equal(out, expected) and components_equal(operators.div_div(out), one),
     )
-    return CheckResult("Ddd(1) = x x^T / 12, div div = 1", "Lemma 3.5", ok, None if ok else field_to_text(out))
 
 
-def _suite_right_inverses(cfg: SuiteConfig) -> list[Case]:
-    results: list[CheckResult] = koszul.homotopy_check(cfg.samples, cfg.degree, cfg.seed)
-    for name in koszul.RIGHT_INVERSE_NAMES:
-        results.append(
+def _suite_right_inverses(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        *koszul.homotopy_check(cfg.samples, cfg.degree, cfg.seed),
+        *(
             koszul.verify_right_inverse(name, cfg.samples, cfg.degree, cfg.seed, cfg.strict_preconditions)
-        )
-    results.append(_ddd_unit_witness())
-    return [Case(r.name, r.anchor, r.status, r.witness) for r in results]
+            for name in koszul.RIGHT_INVERSE_NAMES
+        ),
+        _ddd_unit_witness(),
+    ]
 
 
-def _suite_decompositions(cfg: SuiteConfig) -> list[Case]:
-    return _timed(lambda: decompose.verify_all_decompositions(cfg.samples, cfg.degree, cfg.seed))
+def _suite_decompositions(cfg: SuiteConfig) -> list[CheckResult]:
+    return decompose.verify_all_decompositions(cfg.samples, cfg.degree, cfg.seed)
 
 
-def _suite_pairings(cfg: SuiteConfig) -> list[Case]:
-    results: list[CheckResult] = []
-    vol = ball.integrate_ball(P_ONE)
-    results.append(
-        CheckResult(
-            "unit ball volume = 4/3*pi",
-            "quadrature closed form",
-            str(vol) == "4/3*pi",
-            None if str(vol) == "4/3*pi" else str(vol),
-        )
+def _ball_integral(name: str, p: Poly3, expected: str) -> CheckResult:
+    """The closed-form check: the ball integral of p prints as `expected`."""
+    return run_check(
+        name, "quadrature closed form", 1, lambda s: str(ball.integrate_ball(p)), lambda v: v == expected, str
     )
-    x1sq = ball.integrate_ball(Poly3.monomial((2, 0, 0)))
-    results.append(
-        CheckResult(
-            "integral of x1^2 = 4/15*pi",
-            "quadrature closed form",
-            str(x1sq) == "4/15*pi",
-            None if str(x1sq) == "4/15*pi" else str(x1sq),
-        )
-    )
-    results.extend(ball.verify_all_ibp(cfg.samples, cfg.degree, bump_order=2, seed=cfg.seed))
-    results.extend(ball.verify_membership_steps(cfg.samples, cfg.degree, cfg.seed))
-    return [Case(r.name, r.anchor, r.status, r.witness) for r in results]
+
+
+def _suite_pairings(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _ball_integral("unit ball volume = 4/3*pi", P_ONE, "4/3*pi"),
+        _ball_integral("integral of x1^2 = 4/15*pi", Poly3.monomial((2, 0, 0)), "4/15*pi"),
+        *ball.verify_all_ibp(cfg.samples, cfg.degree, bump_order=2, seed=cfg.seed),
+        *ball.verify_membership_steps(cfg.samples, cfg.degree, cfg.seed),
+    ]
 
 
 _SUITES = {

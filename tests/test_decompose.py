@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import tensorcomplex.decompose as decompose_module
 from tensorcomplex.decompose import (
     DECOMPOSITION_NAMES,
     decompose,
@@ -25,6 +26,7 @@ from tensorcomplex.operators import (
     t_dev_grad,
 )
 from tensorcomplex.poly import Poly3, X1, X2, X3
+from tensorcomplex.suites import SuiteConfig, run_suite
 
 
 def test_all_decompositions_reconstruct_exactly():
@@ -176,8 +178,12 @@ def run_script(name, text):
         (field_to_text(X_FIELD), "regdec_cc needs a symmetric field, got a vector field"),
         ("\n".join(field_to_text(X_FIELD).splitlines()[:-1]), "missing component 3 1 of a vector field"),
         ("kind: bogus\n1 1 : 0", "bad kind header 'kind: bogus'; a kind is one of scalar, vector,"),
+        (
+            field_to_text(TypedField.identity_scaled(X1)).replace("1 2 : 0", "1 2 : 1 * x1^0 x2^0 x3^0"),
+            "bad field text: kind header says symmetric, but the components are not symmetric",
+        ),
     ],
-    ids=["wrong-kind", "missing-component", "unknown-kind"],
+    ids=["wrong-kind", "missing-component", "unknown-kind", "asymmetric-symmetric"],
 )
 def test_script_reports_bad_input_on_one_line(text, message):
     proc = run_script("cc", text)
@@ -190,3 +196,16 @@ def test_script_reports_bad_input_on_one_line(text, message):
 def test_script_decomposes_good_input():
     proc = run_script("cc", field_to_text(TypedField.identity_scaled(X1)))
     assert proc.returncode == 0 and "exact reconstruction: True" in proc.stdout
+
+
+def test_perturbed_hessian_part_fails_decompositions(monkeypatch):
+    true_dgg = decompose_module._dgg
+    monkeypatch.setattr(decompose_module, "_dgg", lambda g: true_dgg(g) + TypedField.scalar(X1 * X2))
+    report = run_suite(SuiteConfig(suite="decompositions", seed=7, degree=2, samples=2))
+    failing = {c.name: c for c in report.cases if c.status == "fail"}
+    # the hess part S2 of cc is merged into S1~ by short-cc; no other decomposition uses it
+    assert sorted(failing) == ["regdec cc", "regdec short-cc"]
+    for name, case in failing.items():
+        f = field_from_text(case.witness)
+        assert f.kind is FieldKind.SYMMETRIC
+        assert not decompose(name.removeprefix("regdec "), f).is_exact, name

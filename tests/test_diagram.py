@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import tensorcomplex.diagram as diagram
+import tensorcomplex.operators as operators
 from tensorcomplex.diagram import (
     Path,
     apply_path,
@@ -15,8 +17,9 @@ from tensorcomplex.diagram import (
     check_two_complex,
     enumerate_paths,
 )
-from tensorcomplex.fields import E1, FieldKind, TypedField
-from tensorcomplex.operators import components_equal, curl, deff, hess, inc
+from tensorcomplex.fields import E1, FieldKind, TypedField, field_from_text
+from tensorcomplex.operators import OperatorId, components_equal, curl, deff, div, hess, inc
+from tensorcomplex.suites import SuiteConfig, run_suite
 from tensorcomplex.poly import P_ZERO, X1, X2, X3
 
 
@@ -225,3 +228,54 @@ def test_quotient_label_facts():
     for r in RT_SPACE.basis:  # div RT = constants, dev grad RT = 0
         assert div(r).degree() <= 0
         assert dev_grad(r).is_zero
+
+
+# -- mutation tests: a broken edge or operator must make its suite fail ---------
+
+
+def _failing_cases(suite, degree):
+    report = run_suite(SuiteConfig(suite=suite, seed=7, degree=degree, samples=2))
+    failing = [c for c in report.cases if c.status == "fail"]
+    assert failing and all(c.witness is not None for c in failing), suite
+    return failing
+
+
+def test_dropping_the_half_on_dev_grad_fails_cells(monkeypatch):
+    rows = [list(row) for row in diagram._ROW_EDGES]
+    rows[2][0] = ("dev_grad", 1)
+    monkeypatch.setattr(diagram, "_ROW_EDGES", rows)
+    g = build_diagram("with-bc")
+    failing = _failing_cases("cells", 2)
+    # the edge (3,1)->(3,2) is the bottom of cell (2,1) and the top of cell (3,1)
+    assert {c.name for c in failing} == {"cell (2,1)", "cell (3,1)"}
+    for case in failing:
+        r, c = (int(t) for t in case.name.strip("cell ()").split(","))
+        f = field_from_text(case.witness)
+        assert f.kind is g.nodes[(r, c)].kind
+        right_down = g.edge((r, c + 1), (r + 1, c + 1)).op.apply(g.edge((r, c), (r, c + 1)).op.apply(f))
+        down_right = g.edge((r + 1, c), (r + 1, c + 1)).op.apply(g.edge((r, c), (r + 1, c)).op.apply(f))
+        assert not components_equal(right_down, down_right), case.name
+
+
+def test_div_dropping_a_partial_fails_two_complex(monkeypatch):
+    def div_without_x3(f):
+        if f.is_matrix_kind:
+            return div(f)
+        return TypedField.scalar(f.comp(1).partial(1) + f.comp(2).partial(2))
+
+    monkeypatch.setitem(operators.OPS, "div", div_without_x3)
+    g = build_diagram("with-bc")
+    paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
+    failing = _failing_cases("two-complex", 3)
+    for case in failing:
+        path = paths[case.name]
+        assert not apply_path(g, path, field_from_text(case.witness)).is_zero, case.name
+
+
+def test_dropping_sym_from_sym_curl_fails_derived_complexes(monkeypatch):
+    monkeypatch.setitem(operators.OPS, "sym_curl", curl)
+    failing = _failing_cases("derived-complexes", 2)
+    assert [c.name for c in failing] == ["divdiv: sym_curl ∘ 1/2 dev_grad = 0"]
+    u = field_from_text(failing[0].witness)
+    assert u.kind is FieldKind.VECTOR
+    assert not OperatorId("sym_curl").apply(OperatorId("dev_grad", Fraction(1, 2)).apply(u)).is_zero

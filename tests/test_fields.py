@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -23,10 +24,10 @@ from tensorcomplex.fields import (
     mskw,
     vskw,
 )
-from tensorcomplex.operators import components_equal
+from tensorcomplex.operators import components_equal, derived_rng, random_field
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
 
-from conftest import matrix_fields, vector_fields
+from conftest import matrix_fields, polys, vector_fields
 
 
 def test_component_count_enforced():
@@ -179,3 +180,51 @@ def test_text_unknown_kind_names_header_and_valid_kinds():
     msg = "bad kind header 'kind: bogus'; a kind is one of scalar, vector, matrix, symmetric, trace-free, skew"
     with pytest.raises(ValueError, match=re.escape(msg)):
         field_from_text("kind: bogus\n1 1 : 0")
+
+
+@pytest.mark.parametrize(
+    "kind, entry, message",
+    [
+        ("symmetric", "1 2", "kind header says symmetric, but the components are not symmetric"),
+        ("trace-free", "1 1", "kind header says trace-free, but the components have nonzero trace"),
+        ("skew", "2 3", "kind header says skew, but the components are not skew"),
+    ],
+)
+def test_text_kind_predicate_failure_is_a_value_error(kind, entry, message):
+    lines = [f"kind: {kind}"] + [f"{i} {j} : 0" for i in range(1, 4) for j in range(1, 4)]
+    text = "\n".join(lines).replace(f"{entry} : 0", f"{entry} : 1 * x1^1 x2^0 x3^0")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        field_from_text(text)
+
+
+_FORMAT_CHARS = "0123456789 -+/*^:x\nkind"
+
+
+@st.composite
+def mutated_field_texts(draw):
+    """The text of a random field of any kind with one component replaced, then up to two spans edited."""
+    kind = draw(st.sampled_from(list(FieldKind)))
+    lines = field_to_text(random_field(kind, 2, derived_rng(draw(st.integers(0, 999)), "fuzz"))).splitlines()
+    k = draw(st.integers(1, len(lines) - 1))
+    lines[k] = f"{lines[k].partition(':')[0]}: {draw(polys(2))}"
+    text = "\n".join(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        insert = draw(st.one_of(st.text(alphabet=_FORMAT_CHARS, max_size=4), st.text(max_size=4)))
+        text = text[:i] + insert + text[j:]
+    return text
+
+
+@given(
+    st.one_of(
+        mutated_field_texts(),
+        st.text(),
+        st.text(alphabet=_FORMAT_CHARS).map(lambda body: "kind: vector\n" + body),
+    )
+)
+def test_field_text_fuzz_parses_or_raises_value_error(text):
+    try:
+        field_from_text(text)
+    except ValueError:
+        pass

@@ -24,7 +24,6 @@ from tensorcomplex.koszul import (
     constant_curl_correction,
     homotopy_check,
     kernel_basis,
-    koszul_apply,
     right_inverse,
     sample_kernel,
     sample_right_inverse_input,
@@ -148,15 +147,6 @@ def test_koszul_degree_shift():
     for f, arg in ((tg, v), (tc, v), (td, TypedField.scalar(v.comp(1)))):
         out = f(arg)
         assert out.degree() == arg.degree() + 1
-
-
-def test_koszul_apply_row_wise():
-    rng = derived_rng(37, "rows")
-    m = random_field(FieldKind.SYMMETRIC, 2, rng)
-    q = koszul_apply("Tg", m)
-    assert q.kind is FieldKind.VECTOR
-    out = koszul_apply("Tc", m.as_matrix())
-    assert out.kind is FieldKind.MATRIX
 
 
 def test_constant_curl_correction_removes_rotation():

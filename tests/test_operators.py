@@ -1,5 +1,5 @@
 """Differential operators against an independent sympy oracle, plus the
-exact identity suite."""
+exact identity suite and the sampled-check engine."""
 
 from fractions import Fraction
 
@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given
 
+import tensorcomplex.operators as operators
 from tensorcomplex.fields import (
     E1,
     E3,
@@ -20,6 +21,7 @@ from tensorcomplex.fields import (
     vskw,
 )
 from tensorcomplex.operators import (
+    PreconditionError,
     components_equal,
     curl,
     curl_deff,
@@ -33,11 +35,13 @@ from tensorcomplex.operators import (
     hess,
     inc,
     random_field,
+    run_check,
     t_curl,
     verify_all_identities,
     verify_identity,
 )
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, X3
+from tensorcomplex.suites import SuiteConfig, run_suite
 
 from conftest import matrix_fields, polys, vector_fields
 
@@ -319,3 +323,67 @@ def test_vskw_matches_epsilon_sum(m):
     skw = {(i, j): (e[i, j] - e[j, i]) / 2 for i in _R for j in _R}
     expected = [-sum(sympy.LeviCivita(i, j, k) * skw[i, j] for i in _R for j in _R) / 2 for k in _R]
     assert_matches(vskw(m), expected)
+
+
+# -- the sampled-check engine ------------------------------------------------
+
+
+def test_run_check_stops_at_first_failing_sample():
+    drawn = []
+
+    def draw(s):
+        drawn.append(s)
+        return s
+
+    r = run_check("c", "a", 10, draw, lambda x: x < 3, witness=lambda x: f"sample {x}")
+    assert drawn == [0, 1, 2, 3]
+    assert (r.name, r.anchor, r.status, r.witness) == ("c", "a", "fail", "sample 3")
+
+
+def test_run_check_pass_draws_every_sample_and_has_no_witness():
+    drawn = []
+    r = run_check("c", "a", 4, lambda s: drawn.append(s) or s, lambda x: True)
+    assert drawn == [0, 1, 2, 3]
+    assert r.status == "pass" and r.witness is None
+
+
+def test_run_check_precondition_error_is_an_error_case():
+    drawn = []
+
+    def holds(x):
+        raise PreconditionError("kernel constraint failed: div(input) is nonzero", "kind: scalar\n1 1 : 0")
+
+    r = run_check("c", "a", 5, lambda s: drawn.append(s) or s, holds)
+    assert drawn == [0]
+    assert r.status == "error" and r.error
+    assert r.witness == "kernel constraint failed: div(input) is nonzero | witness:\nkind: scalar\n1 1 : 0"
+
+
+def test_run_check_other_exceptions_propagate():
+    with pytest.raises(KindError):
+        run_check("c", "a", 2, lambda s: s, lambda x: grad(TypedField.zero(FieldKind.MATRIX)))
+
+
+def _square_clock(monkeypatch):
+    """Install a fake perf_counter returning 0, 1, 4, 9, ... seconds on successive calls."""
+    calls = iter(range(10**6))
+    monkeypatch.setattr(operators, "perf_counter", lambda: next(calls) ** 2)
+
+
+def test_run_check_records_its_own_duration(monkeypatch):
+    _square_clock(monkeypatch)
+    first = run_check("c", "a", 3, lambda s: s, lambda x: True)
+    second = run_check("c", "a", 3, lambda s: s, lambda x: x < 1, witness=str)
+    assert (first.duration_ms, second.duration_ms) == (1000, 5000)
+
+
+def test_timings_give_every_case_of_every_suite_its_own_duration(monkeypatch):
+    # Case k starts at clock reading (2k)^2 s and ends at (2k+1)^2 s, so it
+    # lasts 4k+1 s only if it is timed by itself from its own start to its end.
+    _square_clock(monkeypatch)
+    report = run_suite(SuiteConfig(suite="all", seed=7, degree=2, samples=1, timings=True))
+    assert report.all_passed and {c.name for c in report.cases} >= {"cell (1,1)", "regdec cc", "q-grad"}
+    durations = [c.duration_ms for c in report.cases]
+    assert durations == [1000 * (4 * k + 1) for k in range(len(durations))]
+    cases = report.to_dict()["cases"]
+    assert [c["duration_ms"] for c in cases] == durations
