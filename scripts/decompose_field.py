@@ -9,8 +9,8 @@ The input uses the plain-text field format, e.g.
     1 1 : 1 * x1^2 x2^0 x3^0
     ...
 
-Malformed field text, or a field of a kind the decomposition does not take,
-is reported on one line with exit code 2.
+An unreadable file, malformed field text, or a field of a kind the
+decomposition does not take is reported on one line with exit code 2.
 """
 
 import sys
@@ -26,7 +26,11 @@ def main() -> int:
     if len(sys.argv) < 2 or sys.argv[1] not in DECOMPOSITION_NAMES:
         print(__doc__, file=sys.stderr)
         return 2
-    text = Path(sys.argv[2]).read_text() if len(sys.argv) > 2 else sys.stdin.read()
+    try:
+        text = Path(sys.argv[2]).read_text() if len(sys.argv) > 2 else sys.stdin.read()
+    except OSError as err:
+        print(f"decompose_field.py: cannot read {sys.argv[2]}: {err.strerror}", file=sys.stderr)
+        return 2
     try:
         field = field_from_text(text)
     except ValueError as err:

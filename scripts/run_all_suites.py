@@ -2,6 +2,9 @@
 """Run every verification suite and write JSON + markdown reports.
 
 Usage: python scripts/run_all_suites.py [seed] [outdir]
+
+A seed that is not an integer, or an output directory that cannot be
+created, is reported on one line with exit code 2.
 """
 
 import sys
@@ -14,9 +17,17 @@ from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E4
 
 
 def main() -> int:
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
+    try:
+        seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
+    except ValueError:
+        print(f"run_all_suites.py: seed must be an integer, got {sys.argv[1]!r}", file=sys.stderr)
+        return 2
     outdir = Path(sys.argv[2]) if len(sys.argv) > 2 else Path("reports")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"run_all_suites.py: cannot create {outdir}: {err.strerror}", file=sys.stderr)
+        return 2
 
     failures = 0
     for suite in SUITE_NAMES:

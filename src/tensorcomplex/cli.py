@@ -1,6 +1,7 @@
 """Command-line runner for the verification suites.
 
-Exit codes: 0 all cases pass, 1 any case fails or errors, 2 bad usage/config.
+Exit codes: 0 all cases pass, 1 any case fails or errors, 2 bad usage/config
+or an unwritable --out path.
 The default seed comes from TENSORCOMPLEX_SEED when set.
 """
 
@@ -43,12 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None):
-    if out:
+def _emit(text: str, out: str | None) -> int:
+    """Write the text to `out` or stdout; an unwritable path is reported on one line with exit code 2."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        print(f"error: cannot write {out}: {err.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,10 +67,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             import json
 
-            _emit(json.dumps(g.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
-        else:
-            _emit(g.to_markdown() + "\n", args.out)
-        return 0
+            return _emit(json.dumps(g.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
+        return _emit(g.to_markdown() + "\n", args.out)
 
     if args.degree < 0 or args.samples < 1:
         parser.error("degree must be >= 0 and samples >= 1")
@@ -81,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _emit(report.to_json() if cfg.format == "json" else report.to_markdown(), args.out)
-    return 0 if report.all_passed else 1
+    text = report.to_json() if cfg.format == "json" else report.to_markdown()
+    return _emit(text, args.out) or (0 if report.all_passed else 1)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from .koszul import _dcc, _dcd, _ddd, _dgg, _rcc_tilde, _rgg_tilde, tc, td, tg, 
 from .operators import (
     CheckResult,
     OperatorId,
-    OPS,
     components_equal,
     curl_div,
+    deff,
     div,
     div_div,
     field_draw,
@@ -31,17 +31,17 @@ from .operators import (
     t_curl,
 )
 
+_IDENTITY = OperatorId("identity")  # reassembly that leaves the potential as is
+
+
 @dataclass(frozen=True)
 class DecompositionPart:
     label: str
     potential: TypedField
-    reassembly: OperatorId  # "identity" leaves the potential as is
+    reassembly: OperatorId
 
     def contribution(self) -> TypedField:
-        if self.reassembly.name == "identity":
-            return self.potential.scale(self.reassembly.scale)
-        out = OPS[self.reassembly.name](self.potential)
-        return out if self.reassembly.scale == 1 else out.scale(self.reassembly.scale)
+        return self.potential if self.reassembly == _IDENTITY else self.reassembly.apply(self.potential)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,8 @@ class Decomposition:
 
     @property
     def reassembled(self) -> TypedField:
-        out = None
-        for part in self.parts:
-            c = part.contribution()
-            if c.is_matrix_kind:
-                c = c.as_matrix()
-            out = c if out is None else out + c
-        return out
+        first, *rest = (part.contribution() for part in self.parts)
+        return sum(rest, first)
 
     @property
     def is_exact(self) -> bool:
@@ -70,23 +65,18 @@ class Decomposition:
         return "\n\n".join(blocks)
 
 
-def _ident(scale=1) -> OperatorId:
-    return OperatorId("identity", Fraction(scale))
-
-
 def regdec_cc(g: TypedField) -> Decomposition:
     """g = S0 + deff S1 + hess S2 for symmetric g."""
     if g.kind is not FieldKind.SYMMETRIC:
         raise KindError("regdec_cc needs a symmetric field")
     s0 = _dcc(inc(g))
-    r1 = (g.as_matrix() - s0.as_matrix()).retag(FieldKind.SYMMETRIC)
+    r1 = g - s0
     s1 = _rgg_tilde(r1)
-    r2 = (r1.as_matrix() - OPS["deff"](s1).as_matrix()).retag(FieldKind.SYMMETRIC)
-    s2 = _dgg(r2)
+    s2 = _dgg(r1 - deff(s1))
     return Decomposition(
         g,
         (
-            DecompositionPart("S0", s0, _ident()),
+            DecompositionPart("S0", s0, _IDENTITY),
             DecompositionPart("S1", s1, OperatorId("deff")),
             DecompositionPart("S2", s2, OperatorId("hess")),
         ),
@@ -98,14 +88,13 @@ def regdec_dd(sigma: TypedField) -> Decomposition:
     if sigma.kind is not FieldKind.SYMMETRIC:
         raise KindError("regdec_dd needs a symmetric field")
     s0 = _ddd(div_div(sigma))
-    r1 = (sigma.as_matrix() - s0.as_matrix()).retag(FieldKind.SYMMETRIC)
+    r1 = sigma - s0
     s1 = _rcc_tilde(r1)
-    r2 = (r1.as_matrix() - sym_curl(s1).as_matrix()).retag(FieldKind.SYMMETRIC)
-    s2 = _dcc(r2)
+    s2 = _dcc(r1 - sym_curl(s1))
     return Decomposition(
         sigma,
         (
-            DecompositionPart("S0", s0, _ident()),
+            DecompositionPart("S0", s0, _IDENTITY),
             DecompositionPart("S1", s1, OperatorId("sym_curl")),
             DecompositionPart("S2", s2, OperatorId("inc")),
         ),
@@ -121,8 +110,7 @@ def _cd_core(rho: TypedField) -> tuple[TypedField, TypedField, TypedField]:
     sigma = sym_curl_t(rho)                        # div sigma = 0 by the cell identity
     g = _dcc(sigma)                                # inc g = sigma
     half_w_id = TypedField.identity_scaled(w.scale(Fraction(1, 2)))
-    m = rho.transpose().as_matrix() - t_curl(g).as_matrix() + half_w_id.as_matrix()
-    q = tg_rows(m)                                 # grad q = T rho - T curl g + w/2 id
+    q = tg_rows(rho.transpose() - t_curl(g) + half_w_id)  # grad q = T rho - T curl g + w/2 id
     return g, q, w
 
 
@@ -131,14 +119,13 @@ def regdec_cd(tau: TypedField) -> Decomposition:
     if tau.kind is not FieldKind.TRACEFREE:
         raise KindError("regdec_cd needs a trace-free field")
     s0 = _dcd(curl_div(tau))
-    rho = (tau.as_matrix() - s0.as_matrix()).retag(FieldKind.TRACEFREE)
-    g, q, _w = _cd_core(rho)
+    g, q, _w = _cd_core(tau - s0)
     r = td(div(q))                                 # div r = div q, so q - r is div-free
     u = tc(q - r).scale(2)                         # q - r = 1/2 curl u
     return Decomposition(
         tau,
         (
-            DecompositionPart("S0", s0, _ident()),
+            DecompositionPart("S0", s0, _IDENTITY),
             DecompositionPart("S1", g, OperatorId("curl")),
             DecompositionPart("S2", r, OperatorId("t_dev_grad")),
             DecompositionPart("S3", u, OperatorId("curl_deff")),
@@ -160,18 +147,18 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
         return Decomposition(
             f,
             (
-                DecompositionPart("S0", s0, _ident()),
+                DecompositionPart("S0", s0, _IDENTITY),
                 DecompositionPart("S1~", merged, OperatorId("deff")),
             ),
         )
     if which == "dd":
         full = regdec_dd(f)
         s0, s1, s2 = (p.potential for p in full.parts)
-        merged = (s1.as_matrix() + t_curl(s2).as_matrix()).retag(FieldKind.TRACEFREE)
+        merged = s1 + t_curl(s2)
         return Decomposition(
             f,
             (
-                DecompositionPart("S0", s0, _ident()),
+                DecompositionPart("S0", s0, _IDENTITY),
                 DecompositionPart("S1~", merged, OperatorId("sym_curl")),
             ),
         )
@@ -179,12 +166,11 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
         if f.kind is not FieldKind.TRACEFREE:
             raise KindError("regdec_short('cd') needs a trace-free field")
         s0 = _dcd(curl_div(f))
-        rho = (f.as_matrix() - s0.as_matrix()).retag(FieldKind.TRACEFREE)
-        g, q, _w = _cd_core(rho)
+        g, q, _w = _cd_core(f - s0)
         return Decomposition(
             f,
             (
-                DecompositionPart("S0", s0, _ident()),
+                DecompositionPart("S0", s0, _IDENTITY),
                 DecompositionPart("S1", g, OperatorId("curl")),
                 DecompositionPart("S2~", q, OperatorId("t_dev_grad")),
             ),

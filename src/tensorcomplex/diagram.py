@@ -212,16 +212,8 @@ def apply_path(g: DiagramGraph, p: Path, f: TypedField) -> TypedField:
         raise TypeError(f"field kind {f.kind.value} does not match path start {start_kind.value}")
     out = f
     for e in p.edges:
-        out = e.op.apply(out)
-        out = _coerce_to_node(out, g.nodes[e.dst].kind)
+        out = e.op.apply(out).retag(g.nodes[e.dst].kind)  # the node's kind predicate is checked
     return out
-
-
-def _coerce_to_node(f: TypedField, kind: FieldKind) -> TypedField:
-    """Re-tag an operator output with the target node's kind (predicate-checked)."""
-    if f.kind is kind:
-        return f
-    return f.retag(kind)
 
 
 def _through(edges: tuple[EdgeOp, ...], f: TypedField) -> TypedField:
@@ -325,28 +317,23 @@ def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, s
 
 
 _DERIVED_COMPLEXES = {
-    # name -> ((first op, input kind), (second op, input kind), anchor)
-    "hessian": ((("hess",), R, ("curl",)), (("curl",), S, ("div",)), "Cor. 2.6 (1)"),
-    "elasticity": ((("deff",), V, ("inc",)), (("inc",), S, ("div",)), "Cor. 2.6 (2)"),
-    "divdiv": ((("dev_grad", _HALF), V, ("sym_curl",)), (("sym_curl",), T, ("div_div",)), "Cor. 2.6 (3)"),
+    # name -> (anchor, three consecutive operators, input kinds of the first two)
+    "hessian": ("Cor. 2.6 (1)", (OperatorId("hess"), OperatorId("curl"), OperatorId("div")), (R, S)),
+    "elasticity": ("Cor. 2.6 (2)", (OperatorId("deff"), OperatorId("inc"), OperatorId("div")), (V, S)),
+    "divdiv": ("Cor. 2.6 (3)", (OperatorId("dev_grad", _HALF), OperatorId("sym_curl"), OperatorId("div_div")), (V, T)),
 }
 
 
 def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Consecutive compositions of the named derived complex vanish exactly."""
-    spec = _DERIVED_COMPLEXES[name]
-    anchor = spec[2]
-    results = []
-    for stage, (first, kind, second) in enumerate(spec[:2]):
-        op1 = OperatorId(first[0], Fraction(first[1]) if len(first) > 1 else Fraction(1))
-        op2 = OperatorId(second[0])
-        results.append(
-            run_check(
-                f"{name}: {op2.label()} ∘ {op1.label()} = 0",
-                anchor,
-                samples,
-                field_draw(kind, degree, seed, "derived", name, stage),
-                lambda f: op2.apply(op1.apply(f)).is_zero,
-            )
+    anchor, ops, kinds = _DERIVED_COMPLEXES[name]
+    return [
+        run_check(
+            f"{name}: {op2.label()} ∘ {op1.label()} = 0",
+            anchor,
+            samples,
+            field_draw(kind, degree, seed, "derived", name, stage),
+            lambda f: op2.apply(op1.apply(f)).is_zero,
         )
-    return results
+        for stage, (op1, op2, kind) in enumerate(zip(ops, ops[1:], kinds))
+    ]

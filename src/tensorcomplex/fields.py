@@ -3,7 +3,8 @@
 Matrix fields are stored row-major; the Jacobian convention is that
 grad u has (i, j) entry d(u_i)/d(x_j).  Kind tags (symmetric, trace-free,
 skew) are validated on construction, so a tagged field always satisfies its
-predicate identically as polynomials.
+predicate identically as polynomials.  A sum or difference of two matrix
+fields keeps their shared tag and is a plain matrix field otherwise.
 """
 
 from __future__ import annotations
@@ -114,17 +115,19 @@ class TypedField:
 
     # -- linear structure ----------------------------------------------
 
-    def _require_same_kind(self, other: "TypedField"):
-        if self.kind is not other.kind:
-            raise KindError(f"kind mismatch: {self.kind.value} vs {other.kind.value}")
+    def _sum_kind(self, other: "TypedField") -> FieldKind:
+        """Kind of self ± other: a shared tag is kept, two different matrix tags give MATRIX."""
+        if self.kind is other.kind:
+            return self.kind
+        if self.is_matrix_kind and other.is_matrix_kind:
+            return FieldKind.MATRIX
+        raise KindError(f"kind mismatch: {self.kind.value} vs {other.kind.value}")
 
     def __add__(self, other: "TypedField") -> "TypedField":
-        self._require_same_kind(other)
-        return TypedField(self.kind, tuple(a + b for a, b in zip(self.components, other.components)))
+        return TypedField(self._sum_kind(other), tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "TypedField") -> "TypedField":
-        self._require_same_kind(other)
-        return TypedField(self.kind, tuple(a - b for a, b in zip(self.components, other.components)))
+        return TypedField(self._sum_kind(other), tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "TypedField":
         return TypedField(self.kind, tuple(-p for p in self.components))
@@ -136,14 +139,10 @@ class TypedField:
         """Pointwise multiplication by a scalar polynomial; keeps the tag."""
         return TypedField(self.kind, tuple(p * w for p in self.components))
 
-    def as_matrix(self) -> "TypedField":
-        """Forget a special matrix tag (symmetric / trace-free / skew)."""
-        if not self.is_matrix_kind:
-            raise KindError("not a matrix field")
-        return TypedField(FieldKind.MATRIX, self.components)
-
     def retag(self, kind: FieldKind) -> "TypedField":
-        """Re-tag with `kind`; the kind predicate is re-validated."""
+        """Re-tag with `kind`; the kind predicate is re-validated (self when the kind is unchanged)."""
+        if kind is self.kind:
+            return self
         if _COMPONENT_COUNT[kind] != len(self.components):
             raise KindError(f"cannot retag {self.kind.value} as {kind.value}")
         return TypedField(kind, self.components)

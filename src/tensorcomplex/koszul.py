@@ -267,7 +267,7 @@ def sample_kernel(op_names: Sequence[str] | str, kind: FieldKind, degree: int, s
         for f in fields:
             w = rng.randint(-9, 9)
             if w:
-                comps = [p + q.scale(w) for p, q in zip(comps, f.components)]
+                comps = [p + q.scale(w) if q.terms else p for p, q in zip(comps, f.components)]
     return TypedField(kind, tuple(comps))
 
 
@@ -344,7 +344,7 @@ def _rgc_tilde_dgc_tilde(tau: TypedField) -> tuple[TypedField, TypedField]:
 
 def _rgc(tau: TypedField) -> TypedField:
     g, u = _rgc_tilde_dgc_tilde(tau)
-    return (g.as_matrix() + deff(u).as_matrix()).retag(FieldKind.SYMMETRIC)
+    return g + deff(u)
 
 
 def _dgc(tau: TypedField) -> TypedField:
@@ -363,8 +363,7 @@ def _dgd(v: TypedField) -> TypedField:
 def _rgg(g: TypedField) -> TypedField:
     """Vector with deff of it = g, for symmetric g with inc g = 0."""
     u = _rgg_tilde(g)                # curl(g - deff u) = 0
-    rest = (g.as_matrix() - deff(u).as_matrix())
-    v = tg_rows(rest)                # grad v = g - deff u
+    v = tg_rows(g - deff(u))         # grad v = g - deff u
     _check_zero(curl(v), "curl of the gradient potential inside the chain", g)
     return u + v
 
@@ -374,17 +373,14 @@ def _rgd(v: TypedField) -> TypedField:
     tau = td_component_rows(v)       # div tau = v
     t = tau.trace()
     q = td(t)                        # div q = tr tau
-    return (tau.dev().as_matrix() + t_dev_grad(q).scale(Fraction(1, 2)).as_matrix()).retag(
-        FieldKind.TRACEFREE
-    )
+    return tau.dev() + t_dev_grad(q).scale(Fraction(1, 2))
 
 
 def _rgcT(tau: TypedField) -> TypedField:
     """Vector q with (1/2) dev grad q = tau, for trace-free tau with sym curl tau = 0."""
     w = tg(div_t(tau)).comp(1)       # grad w = div T tau
     half_w_id = TypedField.identity_scaled(w.scale(Fraction(1, 2)))
-    m = (tau.as_matrix() + half_w_id.as_matrix())
-    q = tg_rows(m).scale(2)          # tau + w/2 id = 1/2 grad q
+    q = tg_rows(tau + half_w_id).scale(2)  # tau + w/2 id = 1/2 grad q
     residual = div(q) - TypedField.scalar(w.scale(3))
     _check_zero(residual, "div q - 3w inside the chain", tau)
     return q
@@ -393,9 +389,8 @@ def _rgcT(tau: TypedField) -> TypedField:
 def _rcc(sigma: TypedField) -> TypedField:
     """Trace-free field whose sym curl is sigma, for div div sigma = 0."""
     s1 = _rcc_tilde(sigma)
-    rest = (sigma.as_matrix() - sym_curl(s1).as_matrix())
-    rho = tc_rows(rest)              # curl rho = sigma - sym curl s1
-    return (s1.as_matrix() + rho.dev().as_matrix()).retag(FieldKind.TRACEFREE)
+    rho = tc_rows(sigma - sym_curl(s1))  # curl rho = sigma - sym curl s1
+    return s1 + rho.dev()
 
 
 def _rcd(q: TypedField) -> TypedField:
@@ -403,7 +398,7 @@ def _rcd(q: TypedField) -> TypedField:
     gamma = td_component_rows(q)     # div gamma = q
     u = vskw(gamma)
     tau = td_component_rows(u.scale(-2))  # div tau = -2u
-    return (gamma.sym().as_matrix() + sym_curl_t(tau.dev()).as_matrix()).retag(FieldKind.SYMMETRIC)
+    return gamma.sym() + sym_curl_t(tau.dev())
 
 
 def _rg(v: TypedField) -> TypedField:
@@ -437,98 +432,90 @@ class RightInverseSpec:
     statement: str
 
 
-def _eq(a: TypedField, b: TypedField) -> bool:
-    return components_equal(a, b)
-
-
 RIGHT_INVERSES: dict[str, RightInverseSpec] = {
     spec.name: spec
     for spec in [
         RightInverseSpec(
             "Dcc", "Lemma 3.1", FieldKind.SYMMETRIC, ("div",), None, _dcc, FieldKind.SYMMETRIC,
-            lambda f, out: _eq(inc(out), f), "inc(Dcc s) = s",
+            lambda f, out: components_equal(inc(out), f), "inc(Dcc s) = s",
         ),
         RightInverseSpec(
             "Rgg_tilde", "Lemma 3.2", FieldKind.SYMMETRIC, ("inc",), None, _rgg_tilde, FieldKind.VECTOR,
-            lambda f, out: _eq(curl_deff(out), curl(f)), "curl deff(R~gg g) = curl g",
+            lambda f, out: components_equal(curl_deff(out), curl(f)), "curl deff(R~gg g) = curl g",
         ),
         RightInverseSpec(
             "Dgg", "Lemma 3.3", FieldKind.SYMMETRIC, ("curl",), None, _dgg, FieldKind.SCALAR,
-            lambda f, out: _eq(hess(out), f), "hess(Dgg g) = g",
+            lambda f, out: components_equal(hess(out), f), "hess(Dgg g) = g",
         ),
         RightInverseSpec(
             "Ddd", "Lemma 3.5", FieldKind.SCALAR, (), P1_SPACE, _ddd, FieldKind.SYMMETRIC,
-            lambda f, out: _eq(div_div(out), f), "div div(Ddd w) = w",
+            lambda f, out: components_equal(div_div(out), f), "div div(Ddd w) = w",
         ),
         RightInverseSpec(
             "Rcc_tilde", "Lemma 3.6", FieldKind.SYMMETRIC, ("div_div",), None, _rcc_tilde, FieldKind.TRACEFREE,
-            lambda f, out: _eq(div(sym_curl(out)), div(f)), "div sym curl(R~cc s) = div s",
+            lambda f, out: components_equal(div(sym_curl(out)), div(f)), "div sym curl(R~cc s) = div s",
         ),
         RightInverseSpec(
             "Dcd", "Lemma 3.9", FieldKind.VECTOR, ("div",), ND_SPACE, _dcd, FieldKind.TRACEFREE,
-            lambda f, out: _eq(curl_div(out), f), "curl div(Dcd v) = v",
+            lambda f, out: components_equal(curl_div(out), f), "curl div(Dcd v) = v",
         ),
         RightInverseSpec(
             # paired with Dgc_tilde below: the two halves of one construction,
             # verified through the same joint identity
             "Rgc_tilde", "Lemma 3.11", FieldKind.TRACEFREE, ("div",), None,
             lambda tau: _rgc_tilde_dgc_tilde(tau)[0], FieldKind.SYMMETRIC,
-            lambda f, out: _eq(
-                curl(out.as_matrix() + deff(_rgc_tilde_dgc_tilde(f)[1]).as_matrix()), f
-            ),
+            lambda f, out: components_equal(curl(out + deff(_rgc_tilde_dgc_tilde(f)[1])), f),
             "tau = curl(R~gc tau + deff D~gc tau)",
         ),
         RightInverseSpec(
             "Dgc_tilde", "Lemma 3.11", FieldKind.TRACEFREE, ("div",), None,
             lambda tau: _rgc_tilde_dgc_tilde(tau)[1], FieldKind.VECTOR,
-            lambda f, out: _eq(
-                curl(_rgc_tilde_dgc_tilde(f)[0].as_matrix() + deff(out).as_matrix()), f
-            ),
+            lambda f, out: components_equal(curl(_rgc_tilde_dgc_tilde(f)[0] + deff(out)), f),
             "tau = curl(R~gc tau + deff D~gc tau)",
         ),
         RightInverseSpec(
             "Rgc", "Lemma 3.12", FieldKind.TRACEFREE, ("div",), None, _rgc, FieldKind.SYMMETRIC,
-            lambda f, out: _eq(curl(out), f), "curl(Rgc tau) = tau",
+            lambda f, out: components_equal(curl(out), f), "curl(Rgc tau) = tau",
         ),
         RightInverseSpec(
             "Dgc", "Lemma 3.13", FieldKind.TRACEFREE, ("div", "sym_curl_t"), None, _dgc, FieldKind.VECTOR,
-            lambda f, out: _eq(curl_deff(out), f), "curl deff(Dgc tau) = tau",
+            lambda f, out: components_equal(curl_deff(out), f), "curl deff(Dgc tau) = tau",
         ),
         RightInverseSpec(
             "Dgd", "Lemma 3.14", FieldKind.VECTOR, ("curl",), RT_SPACE, _dgd, FieldKind.VECTOR,
-            lambda f, out: _eq(grad_div(out).scale(Fraction(1, 3)), f), "(1/3) grad div(Dgd v) = v",
+            lambda f, out: components_equal(grad_div(out).scale(Fraction(1, 3)), f), "(1/3) grad div(Dgd v) = v",
         ),
         RightInverseSpec(
             "Rgg", "Lemma 3.15", FieldKind.SYMMETRIC, ("inc",), None, _rgg, FieldKind.VECTOR,
-            lambda f, out: _eq(deff(out), f), "deff(Rgg g) = g",
+            lambda f, out: components_equal(deff(out), f), "deff(Rgg g) = g",
         ),
         RightInverseSpec(
             "Rgd", "Lemma 3.16", FieldKind.VECTOR, (), RT_SPACE, _rgd, FieldKind.TRACEFREE,
-            lambda f, out: _eq(div(out), f), "div(Rgd v) = v",
+            lambda f, out: components_equal(div(out), f), "div(Rgd v) = v",
         ),
         RightInverseSpec(
             "RgcT", "Lemma 3.17", FieldKind.TRACEFREE, ("sym_curl",), None, _rgcT, FieldKind.VECTOR,
-            lambda f, out: _eq(dev_grad(out).scale(Fraction(1, 2)), f), "(1/2) dev grad(RgcT tau) = tau",
+            lambda f, out: components_equal(dev_grad(out).scale(Fraction(1, 2)), f), "(1/2) dev grad(RgcT tau) = tau",
         ),
         RightInverseSpec(
             "Rcc", "Lemma 3.18", FieldKind.SYMMETRIC, ("div_div",), None, _rcc, FieldKind.TRACEFREE,
-            lambda f, out: _eq(sym_curl(out), f), "sym curl(Rcc s) = s",
+            lambda f, out: components_equal(sym_curl(out), f), "sym curl(Rcc s) = s",
         ),
         RightInverseSpec(
             "Rcd", "Lemma 3.19", FieldKind.VECTOR, (), ND_SPACE, _rcd, FieldKind.SYMMETRIC,
-            lambda f, out: _eq(div(out), f), "div(Rcd q) = q",
+            lambda f, out: components_equal(div(out), f), "div(Rcd q) = q",
         ),
         RightInverseSpec(
             "Rg", "Lemma 3.20", FieldKind.VECTOR, ("curl",), RT_SPACE, _rg, FieldKind.SCALAR,
-            lambda f, out: _eq(grad(out).scale(Fraction(1, 3)), f), "(1/3) grad(Rg v) = v",
+            lambda f, out: components_equal(grad(out).scale(Fraction(1, 3)), f), "(1/3) grad(Rg v) = v",
         ),
         RightInverseSpec(
             "Rc_plain", "Lemma 3.20", FieldKind.VECTOR, ("div",), ND_SPACE, _rc_plain, FieldKind.VECTOR,
-            lambda f, out: _eq(curl(out).scale(Fraction(1, 2)), f), "(1/2) curl(Rc q) = q",
+            lambda f, out: components_equal(curl(out).scale(Fraction(1, 2)), f), "(1/2) curl(Rc q) = q",
         ),
         RightInverseSpec(
             "Rd_plain", "Lemma 3.20", FieldKind.SCALAR, (), P1_SPACE, _rd_plain, FieldKind.VECTOR,
-            lambda f, out: _eq(div(out), f), "div(Rd w) = w",
+            lambda f, out: components_equal(div(out), f), "div(Rd w) = w",
         ),
     ]
 }
@@ -549,10 +536,7 @@ def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) 
             )
     if strict_preconditions and spec.moment_space is not None:
         _check_moment(f, spec.moment_space, f)
-    result = spec.chain(f)
-    if spec.output_kind in (FieldKind.SYMMETRIC, FieldKind.TRACEFREE):
-        result = result.retag(spec.output_kind) if result.kind is not spec.output_kind else result
-    return result
+    return spec.chain(f)
 
 
 def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) -> TypedField:

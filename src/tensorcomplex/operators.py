@@ -102,7 +102,7 @@ def div_t(f: TypedField) -> TypedField:
 def hess(w: TypedField) -> TypedField:
     if w.kind is not FieldKind.SCALAR:
         raise KindError("hess needs a scalar field")
-    return deff(grad(w)).retag(FieldKind.SYMMETRIC)
+    return deff(grad(w))
 
 
 def inc(g: TypedField) -> TypedField:
@@ -125,7 +125,7 @@ def div_div(f: TypedField) -> TypedField:
 
 
 def curl_deff(u: TypedField) -> TypedField:
-    return curl(deff(u)).retag(FieldKind.TRACEFREE)
+    return curl(deff(u))
 
 
 def t_curl_deff(u: TypedField) -> TypedField:

@@ -8,7 +8,7 @@ empty term map.  All operations are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Monomial = tuple[int, int, int]
 
@@ -183,7 +183,3 @@ def monomials_up_to(degree: int) -> list[Monomial]:
         for b in range(d - a, -1, -1)
     ]
     return out
-
-
-def poly_from_coeffs(monos: Iterable[Monomial], coeffs: Iterable) -> Poly3:
-    return Poly3({m: Fraction(c) for m, c in zip(monos, coeffs)})

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)
 
 
 @dataclass(frozen=True)

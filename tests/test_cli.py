@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +145,31 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "TENSORCOMPLEX_SEED must be an integer, got 'abc'" in err
+
+
+def test_unwritable_out_path_is_one_line_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["run", "--suite", "identities", "--samples", "1", "--degree", "1", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""
+
+
+_RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
+
+
+def test_run_all_suites_bad_seed_is_one_line_exit_two(tmp_path):
+    r = subprocess.run([sys.executable, str(_RUN_ALL), "abc", str(tmp_path)], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stderr == "run_all_suites.py: seed must be an integer, got 'abc'\n"
+    assert r.stdout == "" and not any(tmp_path.iterdir())
+
+
+def test_run_all_suites_bad_outdir_is_one_line_exit_two(tmp_path):
+    outdir = tmp_path / "a-file" / "reports"
+    outdir.parent.write_text("")
+    r = subprocess.run([sys.executable, str(_RUN_ALL), "7", str(outdir)], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stderr == f"run_all_suites.py: cannot create {outdir}: Not a directory\n"
+    assert r.stdout == ""

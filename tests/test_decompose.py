@@ -193,6 +193,14 @@ def test_script_reports_bad_input_on_one_line(text, message):
     assert proc.stdout == ""
 
 
+def test_script_reports_a_missing_file_on_one_line(tmp_path):
+    missing = tmp_path / "missing.txt"
+    proc = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(missing)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"decompose_field.py: cannot read {missing}: No such file or directory\n"
+    assert proc.stdout == ""
+
+
 def test_script_decomposes_good_input():
     proc = run_script("cc", field_to_text(TypedField.identity_scaled(X1)))
     assert proc.returncode == 0 and "exact reconstruction: True" in proc.stdout

@@ -1,3 +1,4 @@
+import operator
 import re
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from tensorcomplex.fields import (
     FieldKind,
     ID_FIELD,
     KindError,
+    MATRIX_KINDS,
     TypedField,
     X_FIELD,
     cross,
@@ -49,6 +51,34 @@ def test_tracefree_tag_rejects_nonzero_trace():
         ID_FIELD.retag(FieldKind.TRACEFREE)
 
 
+_KIND_PAIRS = [(a, b) for a in FieldKind for b in FieldKind]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+@pytest.mark.parametrize("a, b", _KIND_PAIRS, ids=[f"{a.value}-{b.value}" for a, b in _KIND_PAIRS])
+def test_kind_of_a_sum(a, b, op):
+    """A shared tag is kept, two different matrix tags give MATRIX, and any other pair is a KindError."""
+    f = random_field(a, 2, derived_rng(1, "sum", a.value))
+    g = random_field(b, 2, derived_rng(2, "sum", b.value))
+    if a is b:
+        expected = a
+    elif a in MATRIX_KINDS and b in MATRIX_KINDS:
+        expected = FieldKind.MATRIX
+    else:
+        with pytest.raises(KindError, match=f"kind mismatch: {a.value} vs {b.value}"):
+            op(f, g)
+        return
+    out = op(f, g)
+    assert out.kind is expected
+    assert out.components == tuple(op(p, q) for p, q in zip(f.components, g.components))
+
+
+def test_retag_to_the_same_kind_is_the_field_itself():
+    for kind in FieldKind:
+        f = random_field(kind, 1, derived_rng(3, "retag", kind.value))
+        assert f.retag(kind) is f
+
+
 def test_sym_example():
     rows = [[P_ZERO, X1, P_ZERO], [P_ZERO, P_ZERO, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]]
     m = TypedField.matrix(rows).sym()
@@ -59,13 +89,13 @@ def test_sym_example():
 
 @given(matrix_fields())
 def test_sym_plus_skw(m):
-    assert components_equal(m.sym().as_matrix() + m.skw().as_matrix(), m)
+    assert components_equal(m.sym() + m.skw(), m)
 
 
 @given(matrix_fields())
 def test_dev_plus_trace_part(m):
     t = m.trace().comp(1).scale(Fraction(1, 3))
-    assert components_equal(m.dev().as_matrix() + TypedField.identity_scaled(t).as_matrix(), m)
+    assert components_equal(m.dev() + TypedField.identity_scaled(t), m)
 
 
 @given(matrix_fields())
@@ -100,7 +130,7 @@ def test_vskw_inverts_mskw(v):
 @given(vector_fields(), vector_fields())
 def test_mskw_is_linear(u, v):
     lhs = mskw(u.scale(Fraction(3, 2)) + v)
-    rhs = mskw(u).scale(Fraction(3, 2)).as_matrix() + mskw(v).as_matrix()
+    rhs = mskw(u).scale(Fraction(3, 2)) + mskw(v)
     assert components_equal(lhs, rhs)
 
 
@@ -126,7 +156,7 @@ def test_dot_example():
 
 def test_matvec_and_matmul():
     assert components_equal(matvec(ID_FIELD, X_FIELD), X_FIELD)
-    assert components_equal(matmul(ID_FIELD, ID_FIELD), ID_FIELD.as_matrix())
+    assert components_equal(matmul(ID_FIELD, ID_FIELD), ID_FIELD)
 
 
 @given(matrix_fields())
