@@ -71,15 +71,15 @@ def ball_monomial_integral(a: int, b: int, c: int) -> Fraction:
 def _buckets(p: Poly3, den: int, base: int) -> dict[int, list[tuple[int, int]]]:
     """Terms of p as (monomial code, integer numerator over den), keyed by exponent parity."""
     out: dict[int, list[tuple[int, int]]] = {}
-    for (a, b, c), coeff in p.terms.items():
+    for (a, b, c), num in p.numerators(den):
         parity = (a & 1) << 2 | (b & 1) << 1 | (c & 1)
         code = (a * base + b) * base + c
-        out.setdefault(parity, []).append((code, coeff.numerator * (den // coeff.denominator)))
+        out.setdefault(parity, []).append((code, num))
     return out
 
 
 def _common_denominator(polys) -> int:
-    return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return math.lcm(*(p.denominator for p in polys))
 
 
 def _pair_integral(pairs: list[tuple[Poly3, Poly3]]) -> PiScalar:
@@ -91,7 +91,7 @@ def _pair_integral(pairs: list[tuple[Poly3, Poly3]]) -> PiScalar:
     integrates to zero.  The sum runs in Python ints; one Fraction is built
     at the end.
     """
-    pairs = [(p, q) for p, q in pairs if p.terms and q.terms]
+    pairs = [(p, q) for p, q in pairs if not (p.is_zero or q.is_zero)]
     if not pairs:
         return PiScalar(Fraction(0))
     den_left = _common_denominator(p for p, _ in pairs)

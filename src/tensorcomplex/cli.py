@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import AbstractContextManager, nullcontext
+from typing import TextIO
 
 from .diagram import build_diagram
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -44,18 +46,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Write the text to `out` or stdout; an unwritable path is reported on one line with exit code 2."""
+def _open_out(out: str | None) -> AbstractContextManager[TextIO] | None:
+    """The stream to write to: `out`, opened before any work, or stdout.
+
+    An unwritable path is reported on one line and gives None.
+    """
     if not out:
-        sys.stdout.write(text)
-        return 0
+        return nullcontext(sys.stdout)
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return open(out, "w", encoding="utf-8")
     except OSError as err:
         print(f"error: cannot write {out}: {err.strerror}", file=sys.stderr)
-        return 2
-    return 0
+        return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,12 +65,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "dump-diagram":
+        stream = _open_out(args.out)
+        if stream is None:
+            return 2
         g = build_diagram(args.flavor)
-        if args.format == "json":
-            import json
+        with stream as fh:
+            if args.format == "json":
+                import json
 
-            return _emit(json.dumps(g.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
-        return _emit(g.to_markdown() + "\n", args.out)
+                fh.write(json.dumps(g.to_dict(), indent=2, sort_keys=True) + "\n")
+            else:
+                fh.write(g.to_markdown() + "\n")
+        return 0
 
     if args.degree < 0 or args.samples < 1:
         parser.error("degree must be >= 0 and samples >= 1")
@@ -81,13 +89,17 @@ def main(argv: list[str] | None = None) -> int:
         strict_preconditions=args.strict_preconditions,
         timings=args.timings,
     )
-    try:
-        report = run_suite(cfg)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    stream = _open_out(args.out)
+    if stream is None:
         return 2
-    text = report.to_json() if cfg.format == "json" else report.to_markdown()
-    return _emit(text, args.out) or (0 if report.all_passed else 1)
+    with stream as fh:
+        try:
+            report = run_suite(cfg)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        fh.write(report.to_json() if cfg.format == "json" else report.to_markdown())
+    return 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -52,8 +52,7 @@ class TypedField:
         if len(self.components) != n:
             raise KindError(f"{self.kind.value} field needs {n} components, got {len(self.components)}")
         if self.kind is FieldKind.SYMMETRIC:
-            # Poly3 is canonical (no zero coefficients), so equal term maps mean equal entries.
-            if any(self.entry(i, j).terms != self.entry(j, i).terms for i in range(1, 4) for j in range(i + 1, 4)):
+            if any(self.entry(i, j) != self.entry(j, i) for i in range(1, 4) for j in range(i + 1, 4)):
                 raise KindError("components are not symmetric")
         elif self.kind is FieldKind.TRACEFREE:
             if not (self.entry(1, 1) + self.entry(2, 2) + self.entry(3, 3)).is_zero:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
 from .fields import FieldKind, KindError, TypedField, field_to_text, vskw
@@ -59,26 +59,10 @@ from .operators import (
     t_dev_grad,
 )
 from .poly import P_ZERO, Poly3, monomials_up_to
-from .rational import RatMatrix
+from .rational import ZERO, RatMatrix
 
 
 # -- the three homotopy operators -----------------------------------------
-
-
-def _shift_sum(pieces: Sequence[tuple[int, int, Poly3]], offset: int) -> Poly3:
-    """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset.
-
-    Multiplying by x_i only shifts an exponent, so the result is built term
-    by term; the Poly3 constructor drops the sums that cancelled to zero.
-    """
-    t = {}
-    for sign, i, p in pieces:
-        for (a, b, c), coeff in p.terms.items():
-            m = (a + (i == 1), b + (i == 2), c + (i == 3))
-            v = coeff / (sign * (a + b + c + offset))
-            old = t.get(m)
-            t[m] = v if old is None else old + v
-    return Poly3(t)
 
 
 def tg(v: TypedField) -> TypedField:
@@ -86,7 +70,7 @@ def tg(v: TypedField) -> TypedField:
     if v.kind is not FieldKind.VECTOR:
         raise KindError("tg needs a vector field")
     v1, v2, v3 = v.components
-    return TypedField.scalar(_shift_sum(((1, 1, v1), (1, 2, v2), (1, 3, v3)), 1))
+    return TypedField.scalar(Poly3.shift_sum(((1, 1, v1), (1, 2, v2), (1, 3, v3)), 1))
 
 
 def tc(q: TypedField) -> TypedField:
@@ -95,9 +79,9 @@ def tc(q: TypedField) -> TypedField:
         raise KindError("tc needs a vector field")
     q1, q2, q3 = q.components
     return TypedField.vector([
-        _shift_sum(((1, 3, q2), (-1, 2, q3)), 2),  # q2 x3 - q3 x2
-        _shift_sum(((1, 1, q3), (-1, 3, q1)), 2),  # q3 x1 - q1 x3
-        _shift_sum(((1, 2, q1), (-1, 1, q2)), 2),  # q1 x2 - q2 x1
+        Poly3.shift_sum(((1, 3, q2), (-1, 2, q3)), 2),  # q2 x3 - q3 x2
+        Poly3.shift_sum(((1, 1, q3), (-1, 3, q1)), 2),  # q3 x1 - q1 x3
+        Poly3.shift_sum(((1, 2, q1), (-1, 1, q2)), 2),  # q1 x2 - q2 x1
     ])
 
 
@@ -106,7 +90,7 @@ def td(u: TypedField) -> TypedField:
     if u.kind is not FieldKind.SCALAR:
         raise KindError("td needs a scalar field")
     p = u.comp(1)
-    return TypedField.vector([_shift_sum(((1, j, p),), 3) for j in range(1, 4)])
+    return TypedField.vector([Poly3.shift_sum(((1, j, p),), 3) for j in range(1, 4)])
 
 
 def tg_rows(m: TypedField) -> TypedField:
@@ -212,9 +196,9 @@ def kind_basis(kind: FieldKind, degree: int) -> list[TypedField]:
 def _field_coords(f: TypedField, degree: int) -> list[Fraction]:
     monos = monomials_up_to(degree)
     index = {m: i for i, m in enumerate(monos)}
-    coords = [Fraction(0)] * (len(monos) * len(f.components))
+    coords = [ZERO] * (len(monos) * len(f.components))
     for ci, p in enumerate(f.components):
-        for m, c in p.terms.items():
+        for m, c in p.coefficients().items():
             coords[ci * len(monos) + index[m]] = c
     return coords
 
@@ -267,7 +251,7 @@ def sample_kernel(op_names: Sequence[str] | str, kind: FieldKind, degree: int, s
         for f in fields:
             w = rng.randint(-9, 9)
             if w:
-                comps = [p + q.scale(w) if q.terms else p for p, q in zip(comps, f.components)]
+                comps = [p if q.is_zero else p + q.scale(w) for p, q in zip(comps, f.components)]
     return TypedField(kind, tuple(comps))
 
 
@@ -340,6 +324,11 @@ def _rgc_tilde_dgc_tilde(tau: TypedField) -> tuple[TypedField, TypedField]:
     _check_zero(div(v), "div vskw gamma (= tr tau / 2) inside the chain", tau)
     u = tc(v).scale(-2)              # v = -1/2 curl u
     return g, u
+
+
+def _rgc_tilde_dgc_tilde_identity(tau: TypedField, gu: tuple[TypedField, TypedField]) -> bool:
+    g, u = gu
+    return components_equal(curl(g + deff(u)), tau)
 
 
 def _rgc(tau: TypedField) -> TypedField:
@@ -426,10 +415,11 @@ class RightInverseSpec:
     input_kind: FieldKind
     kernel_ops: tuple[str, ...]             # exact kernel constraints on the input
     moment_space: MomentSpace | None        # enforced only in strict mode
-    chain: Callable[[TypedField], TypedField]
+    chain: Callable[[TypedField], Any]      # the construction, with its full output
     output_kind: FieldKind
-    identity: Callable[[TypedField, TypedField], bool]  # (input, output) -> holds?
+    identity: Callable[[TypedField, Any], bool]  # (input, full chain output) -> holds?
     statement: str
+    half: int | None = None                 # the chain builds a pair; this operator is pair[half]
 
 
 RIGHT_INVERSES: dict[str, RightInverseSpec] = {
@@ -462,16 +452,12 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
         RightInverseSpec(
             # paired with Dgc_tilde below: the two halves of one construction,
             # verified through the same joint identity
-            "Rgc_tilde", "Lemma 3.11", FieldKind.TRACEFREE, ("div",), None,
-            lambda tau: _rgc_tilde_dgc_tilde(tau)[0], FieldKind.SYMMETRIC,
-            lambda f, out: components_equal(curl(out + deff(_rgc_tilde_dgc_tilde(f)[1])), f),
-            "tau = curl(R~gc tau + deff D~gc tau)",
+            "Rgc_tilde", "Lemma 3.11", FieldKind.TRACEFREE, ("div",), None, _rgc_tilde_dgc_tilde,
+            FieldKind.SYMMETRIC, _rgc_tilde_dgc_tilde_identity, "tau = curl(R~gc tau + deff D~gc tau)", half=0,
         ),
         RightInverseSpec(
-            "Dgc_tilde", "Lemma 3.11", FieldKind.TRACEFREE, ("div",), None,
-            lambda tau: _rgc_tilde_dgc_tilde(tau)[1], FieldKind.VECTOR,
-            lambda f, out: components_equal(curl(_rgc_tilde_dgc_tilde(f)[0] + deff(out)), f),
-            "tau = curl(R~gc tau + deff D~gc tau)",
+            "Dgc_tilde", "Lemma 3.11", FieldKind.TRACEFREE, ("div",), None, _rgc_tilde_dgc_tilde,
+            FieldKind.VECTOR, _rgc_tilde_dgc_tilde_identity, "tau = curl(R~gc tau + deff D~gc tau)", half=1,
         ),
         RightInverseSpec(
             "Rgc", "Lemma 3.12", FieldKind.TRACEFREE, ("div",), None, _rgc, FieldKind.SYMMETRIC,
@@ -526,6 +512,13 @@ RIGHT_INVERSE_NAMES = tuple(RIGHT_INVERSES)
 def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) -> TypedField:
     """Run the named chain after verifying its preconditions exactly."""
     spec = RIGHT_INVERSES[name]
+    out = _construct(spec, f, strict_preconditions)
+    return out if spec.half is None else out[spec.half]
+
+
+def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool):
+    """The chain's full output on f, after its preconditions are verified exactly."""
+    name = spec.name
     if f.kind is not spec.input_kind:
         raise KindError(f"{name} needs a {spec.input_kind.value} field, got {f.kind.value}")
     for op_name in spec.kernel_ops:
@@ -556,5 +549,5 @@ def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict
         spec.anchor,
         samples,
         lambda s: sample_right_inverse_input(name, degree, seed, s),
-        lambda f: spec.identity(f, right_inverse(name, f, strict_preconditions)),
+        lambda f: spec.identity(f, _construct(spec, f, strict_preconditions)),
     )

@@ -187,7 +187,7 @@ def derived_rng(seed: int, *stream: object) -> random.Random:
 
 def random_poly(rng: random.Random, degree: int) -> Poly3:
     """Uniform integer coefficients in [-9, 9] over all monomials of degree <= degree."""
-    return Poly3({m: Fraction(rng.randint(-9, 9)) for m in monomials_up_to(degree)})
+    return Poly3.from_numerators({m: rng.randint(-9, 9) for m in monomials_up_to(degree)})
 
 
 def random_field(kind: FieldKind, degree: int, rng: random.Random) -> TypedField:

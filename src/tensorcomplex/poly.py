@@ -1,14 +1,24 @@
 """Sparse trivariate polynomials over exact rationals.
 
 A monomial is an exponent triple (a, b, c) meaning x1^a x2^b x3^c.  A Poly3
-maps monomials to nonzero Fraction coefficients; the zero polynomial has an
-empty term map.  All operations are exact.
+stores integer numerators over one shared positive denominator, the layout
+of FLINT's fmpq_poly: `terms` maps monomials to nonzero ints and `den` is
+the denominator.  The form is canonical, so equal polynomials have equal
+(terms, den):
+
+    gcd(den, every numerator) = 1,  no zero numerator,  zero has den = 1.
+
+Arithmetic runs on Python ints with one gcd normalisation per result; a
+`Fraction` is built only where a single coefficient is read (`coeff`,
+`coefficients`, the text form).  All operations are exact.  Only this
+module reads `terms` and `den`; other modules go through the methods.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping
 
 Monomial = tuple[int, int, int]
 
@@ -19,11 +29,32 @@ def _term_key(m: Monomial) -> tuple:
     return (sum(m), m)
 
 
+def _new(terms: dict[Monomial, int], den: int) -> "Poly3":
+    """A Poly3 from numerators and denominator that are already in canonical form."""
+    out = object.__new__(Poly3)
+    out.terms = terms
+    out.den = den
+    return out
+
+
+def _make(terms: dict[Monomial, int], den: int) -> "Poly3":
+    """A Poly3 from nonzero numerators over a positive den, reduced to canonical form."""
+    if den != 1:
+        if not terms:
+            den = 1
+        else:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: n // g for m, n in terms.items()}
+                den //= g
+    return _new(terms, den)
+
+
 class Poly3:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        t: dict[Monomial, Fraction] = {}
+        coeffs: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 c = Fraction(c)
@@ -31,8 +62,11 @@ class Poly3:
                     a, b, cc = m
                     if a < 0 or b < 0 or cc < 0:
                         raise ValueError(f"negative exponent in monomial {m}")
-                    t[(a, b, cc)] = c
-        self.terms = t
+                    coeffs[(a, b, cc)] = c
+        # Over the lcm of reduced denominators the numerators are already coprime to it.
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
@@ -55,81 +89,149 @@ class Poly3:
     def monomial(cls, exponents: Monomial, coeff=1) -> "Poly3":
         return cls({exponents: Fraction(coeff)})
 
+    @staticmethod
+    def from_numerators(numerators: Mapping[Monomial, int], den: int = 1) -> "Poly3":
+        """The polynomial sum of n/den * m over the (monomial, int) pairs; zero entries are dropped."""
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        return _make({m: n for m, n in numerators.items() if n}, den)
+
+    @staticmethod
+    def shift_sum(pieces: Iterable[tuple[int, int, "Poly3"]], offset: int) -> "Poly3":
+        """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset.
+
+        Multiplying by x_i only shifts an exponent, so the result is built term
+        by term, as integer numerators over lcm(den of each p) * lcm(k + offset).
+        """
+        pieces = [piece for piece in pieces if piece[2].terms]
+        den = lcm(*(p.den for _, _, p in pieces))
+        degrees = {k for _, _, p in pieces for k in map(sum, p.terms)}
+        shift_den = lcm(*(k + offset for k in degrees))
+        factor = {k: shift_den // (k + offset) for k in degrees}
+        t: dict[Monomial, int] = {}
+        for sign, i, p in pieces:
+            w = sign * (den // p.den)
+            da, db, dc = int(i == 1), int(i == 2), int(i == 3)
+            for (a, b, c), n in p.terms.items():
+                m = (a + da, b + db, c + dc)
+                t[m] = t.get(m, 0) + n * w * factor[a + b + c]
+        if not all(t.values()):
+            t = {m: n for m, n in t.items() if n}
+        return _make(t, den * shift_den)
+
     # -- predicates / inspection --------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def denominator(self) -> int:
+        """The shared positive denominator of the canonical form."""
+        return self.den
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_MONO_ZERO, Fraction(0))
+        return self.coeff(_MONO_ZERO)
 
     def coeff(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+        n = self.terms.get(m)
+        return Fraction(n, self.den) if n else Fraction(0)
+
+    def coefficients(self) -> dict[Monomial, Fraction]:
+        """Each nonzero coefficient as its own reduced Fraction."""
+        den = self.den
+        return {m: Fraction(n, den) for m, n in self.terms.items()}
+
+    def numerators(self, den: int) -> Iterable[tuple[Monomial, int]]:
+        """(monomial, numerator) pairs with every coefficient written over den, a multiple of `denominator`."""
+        f, r = divmod(den, self.den)
+        if r:
+            raise ValueError(f"{den} is not a multiple of the denominator {self.den}")
+        items = self.terms.items()
+        return items if f == 1 else ((m, n * f) for m, n in items)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly3) and self.terms == other.terms
+        return isinstance(other, Poly3) and self.den == other.den and self.terms == other.terms
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly3") -> "Poly3":
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
-            if s == 0:
-                t.pop(m, None)
-            else:
-                t[m] = s
-        out = Poly3.__new__(Poly3)
-        out.terms = t
-        return out
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        den, db = self.den, other.den
+        items = other.terms.items()
+        if den == db:
+            t = self.terms.copy()
+        else:
+            g = gcd(den, db)
+            fa, fb = db // g, den // g
+            t = {m: n * fa for m, n in self.terms.items()}
+            items = [(m, n * fb) for m, n in items]
+            den *= fa
+        get = t.get
+        for m, n in items:
+            t[m] = get(m, 0) + n
+        if not all(t.values()):
+            t = {m: n for m, n in t.items() if n}
+        return _make(t, den)
 
     def __neg__(self) -> "Poly3":
-        out = Poly3.__new__(Poly3)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _new({m: -n for m, n in self.terms.items()}, self.den)
 
     def __sub__(self, other: "Poly3") -> "Poly3":
         return self + (-other)
 
     def __mul__(self, other: "Poly3") -> "Poly3":
-        t: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = t.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    t.pop(m, None)
-                else:
-                    t[m] = s
-        out = Poly3.__new__(Poly3)
-        out.terms = t
-        return out
+        t: dict[Monomial, int] = {}
+        get = t.get
+        right = other.terms.items()
+        for (a1, b1, c1), n1 in self.terms.items():
+            for (a2, b2, c2), n2 in right:
+                m = (a1 + a2, b1 + b2, c1 + c2)
+                t[m] = get(m, 0) + n1 * n2
+        if not all(t.values()):
+            t = {m: n for m, n in t.items() if n}
+        return _make(t, self.den * other.den)
 
     def scale(self, c) -> "Poly3":
-        c = Fraction(c)
-        out = Poly3.__new__(Poly3)
-        out.terms = {} if c == 0 else {m: c * v for m, v in self.terms.items()}
-        return out
+        if type(c) is int:
+            cn, cd = c, 1
+        else:
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            cn, cd = c.numerator, c.denominator
+        if not cn or not self.terms:
+            return _new({}, 1)
+        # self is canonical and cn/cd is reduced, so cancelling cn against den
+        # and cd against the content of the numerators leaves a canonical result.
+        den = self.den
+        g = gcd(cn, den)
+        cn, den = cn // g, den // g
+        g = gcd(cd, *self.terms.values()) if cd != 1 else 1
+        cd //= g
+        if g == 1 and cn == 1:
+            t = self.terms
+        else:
+            t = {m: n // g * cn for m, n in self.terms.items()}
+        return _new(t, den * cd)
 
     def partial(self, i: int) -> "Poly3":
         """Formal derivative with respect to x_i, i in {1, 2, 3}."""
-        k = i - 1
-        t: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[k]
-            if e == 0:
-                continue
-            n = list(m)
-            n[k] = e - 1
-            t[tuple(n)] = c * e
-        out = Poly3.__new__(Poly3)
-        out.terms = t
-        return out
+        items = self.terms.items()
+        if i == 1:
+            t = {(a - 1, b, c): n * a for (a, b, c), n in items if a}
+        elif i == 2:
+            t = {(a, b - 1, c): n * b for (a, b, c), n in items if b}
+        elif i == 3:
+            t = {(a, b, c - 1): n * c for (a, b, c), n in items if c}
+        else:
+            raise ValueError(f"no variable x{i}")
+        return _make(t, self.den)
 
     # -- text form ----------------------------------------------------
 
@@ -138,8 +240,10 @@ class Poly3:
             return "0"
         parts = []
         for m in sorted(self.terms, key=_term_key):
-            c = self.terms[m]
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            n = self.terms[m]
+            g = gcd(n, self.den)
+            n, d = n // g, self.den // g
+            cs = str(n) if d == 1 else f"{n}/{d}"
             parts.append(f"{cs} * x1^{m[0]} x2^{m[1]} x3^{m[2]}")
         return " + ".join(parts)
 

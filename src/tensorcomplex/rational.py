@@ -1,9 +1,11 @@
 """Exact arithmetic foundations: rationals, pi-multiples, rational matrices.
 
-The coefficient field everywhere is `fractions.Fraction` (arbitrary-precision,
-always stored in lowest terms with positive denominator).  Long operator
-chains multiply denominators like (k+1)(k+2)(k+3), so fixed-width rationals
-are not an option.
+Single rationals (matrix entries, pi coefficients, pairing values) are
+`fractions.Fraction`: arbitrary precision, lowest terms, positive denominator.
+Polynomials do not store a Fraction per term; `poly.Poly3` keeps integer
+numerators over one shared denominator and builds Fractions only when a
+coefficient is read.  Long operator chains multiply denominators like
+(k+1)(k+2)(k+3), so fixed-width rationals are not an option.
 """
 
 from __future__ import annotations
@@ -58,14 +60,13 @@ class RatMatrix:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self.entries = [Fraction(e) for e in entries]
+        self.entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat = [Fraction(x) for row in rows for x in row]
-        return cls(r, c, flat)
+        return cls(r, c, [x for row in rows for x in row])
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tensorcomplex import cli
 from tensorcomplex.cli import main
 from tensorcomplex.suites import SuiteConfig, run_suite
 
@@ -154,6 +155,24 @@ def test_unwritable_out_path_is_one_line_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write {out}: No such file or directory\n"
     assert captured.out == ""
+
+
+def test_unwritable_out_path_is_found_before_any_case_runs(tmp_path, monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("run_suite was called")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["run", "--suite", "all", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""
+
+
+def test_unwritable_dump_diagram_out_path_is_one_line_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "d.json"
+    assert main(["dump-diagram", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
 
 _RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"

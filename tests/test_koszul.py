@@ -1,5 +1,6 @@
 """Homotopy operators, kernel sampling, and all right-inverse chains."""
 
+import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -56,7 +57,7 @@ def _sympy_parts(comps):
     """Homogeneous parts {k: sympy column of the degree-k parts} of a field's components."""
     parts = {}
     for i, p in enumerate(comps):
-        for (a, b, c), coeff in p.terms.items():
+        for (a, b, c), coeff in p.coefficients().items():
             col = parts.setdefault(a + b + c, sympy.zeros(len(comps), 1))
             col[i] += sympy.Rational(coeff.numerator, coeff.denominator) * _X[0] ** a * _X[1] ** b * _X[2] ** c
     return parts
@@ -300,3 +301,28 @@ def test_wrong_sign_in_tc_is_caught(monkeypatch):
         witness = field_from_text(case.witness)
         assert witness.kind is FieldKind.VECTOR
         assert not holds(witness), name
+
+
+def test_paired_construction_runs_once_per_case_and_sample(monkeypatch):
+    # Rgc_tilde and Dgc_tilde are two halves of one construction, which Rgc and
+    # Dgc also build: each of the four cases must build it once per sample.
+    original = koszul._rgc_tilde_dgc_tilde
+    calls = []
+
+    def counted(tau):
+        calls.append(tau)
+        return original(tau)
+
+    monkeypatch.setattr(koszul, "_rgc_tilde_dgc_tilde", counted)
+    for name, spec in koszul.RIGHT_INVERSES.items():
+        if spec.chain is original:
+            monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, chain=counted))
+    report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
+    assert report.all_passed
+    assert len(calls) == 4 * 2
+
+
+@pytest.mark.parametrize("name, half", [("Rgc_tilde", 0), ("Dgc_tilde", 1)])
+def test_paired_right_inverse_returns_its_half(name, half):
+    f = sample_right_inverse_input(name, 2, 13, 0)
+    assert components_equal(right_inverse(name, f), koszul._rgc_tilde_dgc_tilde(f)[half])

@@ -50,7 +50,7 @@ _SYMS = sympy.symbols("x1 x2 x3")
 
 def to_sympy(p: Poly3):
     expr = sympy.Integer(0)
-    for (a, b, c), coeff in p.terms.items():
+    for (a, b, c), coeff in p.coefficients().items():
         expr += sympy.Rational(coeff.numerator, coeff.denominator) * _SYMS[0] ** a * _SYMS[1] ** b * _SYMS[2] ** c
     return sympy.expand(expr)
 

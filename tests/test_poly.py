@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -34,7 +36,7 @@ def test_no_zero_coefficients_stored():
 
 @given(polys(), st.data())
 def test_results_never_store_a_zero_coefficient(p, data):
-    # TypedField's symmetry check compares term maps, which is exact only if no
+    # Poly3 equality compares numerators and denominator, which is exact only if no
     # operation leaves a zero coefficient behind; q = -p and c = 0 force cancellation.
     q = data.draw(st.one_of(polys(), st.just(-p), st.just(p.scale(3))))
     c = data.draw(st.one_of(fractions(), st.just(Fraction(0))))
@@ -88,3 +90,20 @@ def test_monomials_up_to_counts():
     assert len(monomials_up_to(0)) == 1
     assert len(monomials_up_to(3)) == 20
     assert len(monomials_up_to(4)) == 35
+
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensorcomplex"
+
+
+def test_only_poly_reads_the_representation():
+    # Poly3's numerators and shared denominator are private to poly.py; every
+    # other module goes through ==, is_zero, coefficients(), numerators(den) and
+    # the other Poly3 methods, so the representation can change in one place.
+    readers = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(_PACKAGE.rglob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("terms", "den")
+    ]
+    assert readers == []
