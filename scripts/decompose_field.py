@@ -9,8 +9,9 @@ The input uses the plain-text field format, e.g.
     1 1 : 1 * x1^2 x2^0 x3^0
     ...
 
-An unreadable file, malformed field text, or a field of a kind the
-decomposition does not take is reported on one line with exit code 2.
+The input must be UTF-8.  An unreadable or undecodable file or stdin,
+malformed field text, or a field of a kind the decomposition does not take
+is reported on one line with exit code 2.
 """
 
 import sys
@@ -26,10 +27,18 @@ def main() -> int:
     if len(sys.argv) < 2 or sys.argv[1] not in DECOMPOSITION_NAMES:
         print(__doc__, file=sys.stderr)
         return 2
+    source = sys.argv[2] if len(sys.argv) > 2 else "stdin"
     try:
-        text = Path(sys.argv[2]).read_text() if len(sys.argv) > 2 else sys.stdin.read()
+        if len(sys.argv) > 2:
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            sys.stdin.reconfigure(encoding="utf-8")  # strict, whatever the locale
+            text = sys.stdin.read()
     except OSError as err:
-        print(f"decompose_field.py: cannot read {sys.argv[2]}: {err.strerror}", file=sys.stderr)
+        print(f"decompose_field.py: cannot read {source}: {err.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as err:
+        print(f"decompose_field.py: cannot read {source}: not UTF-8 text (byte {err.start})", file=sys.stderr)
         return 2
     try:
         field = field_from_text(text)

@@ -7,14 +7,11 @@ decomposition and duality pairing is checked with zero tolerance.
 
 from .fields import FieldKind, TypedField, field_from_text, field_to_text
 from .poly import Poly3
-from .rational import PiScalar, RatMatrix
 
 __all__ = [
     "FieldKind",
     "TypedField",
     "Poly3",
-    "PiScalar",
-    "RatMatrix",
     "field_from_text",
     "field_to_text",
 ]

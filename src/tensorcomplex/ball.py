@@ -62,12 +62,6 @@ def _odd_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2))
 
 
-def ball_monomial_integral(a: int, b: int, c: int) -> Fraction:
-    """Coefficient q in  integral over the unit ball of x1^a x2^b x3^c = q*pi."""
-    scale, base, table = _moments((a + b + c + 1) // 2)
-    return Fraction(table.get((a * base + b) * base + c, 0), scale)
-
-
 def _buckets(p: Poly3, den: int, base: int) -> dict[int, list[tuple[int, int]]]:
     """Terms of p as (monomial code, integer numerator over den), keyed by exponent parity."""
     out: dict[int, list[tuple[int, int]]] = {}
@@ -135,24 +129,6 @@ def bump(k: int) -> Poly3:
 
 
 @dataclass(frozen=True)
-class BumpWeight:
-    """(1 - |x|^2)^k, vanishing to order k on the unit sphere."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("bump order must be >= 0")
-
-    @property
-    def polynomial(self) -> Poly3:
-        return bump(self.order)
-
-    def weight(self, f: TypedField) -> TypedField:
-        return f.mul_scalar_poly(self.polynomial)
-
-
-@dataclass(frozen=True)
 class MomentSpace:
     """A finite-dimensional test space with an explicit polynomial basis."""
 
@@ -161,15 +137,11 @@ class MomentSpace:
     basis: tuple[TypedField, ...]
 
 
-def _scalar(p: Poly3) -> TypedField:
-    return TypedField.scalar(p)
-
-
-CONSTANTS_SCALAR = MomentSpace("constants", FieldKind.SCALAR, (_scalar(P_ONE),))
+CONSTANTS_SCALAR = MomentSpace("constants", FieldKind.SCALAR, (TypedField.scalar(P_ONE),))
 P1_SPACE = MomentSpace(
     "P1",
     FieldKind.SCALAR,
-    (_scalar(P_ONE), _scalar(Poly3.variable(1)), _scalar(Poly3.variable(2)), _scalar(Poly3.variable(3))),
+    tuple(TypedField.scalar(p) for p in (P_ONE, Poly3.variable(1), Poly3.variable(2), Poly3.variable(3))),
 )
 RT_SPACE = MomentSpace("RT", FieldKind.VECTOR, (E1, E2, E3, X_FIELD))
 ND_SPACE = MomentSpace(

@@ -13,7 +13,7 @@ import sys
 from contextlib import AbstractContextManager, nullcontext
 from typing import TextIO
 
-from .diagram import build_diagram
+from .diagram import DiagramGraph
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         stream = _open_out(args.out)
         if stream is None:
             return 2
-        g = build_diagram(args.flavor)
+        g = DiagramGraph(args.flavor)
         with stream as fh:
             if args.format == "json":
                 import json

@@ -80,7 +80,6 @@ class SpaceNode:
     row: int
     col: int
     kind: FieldKind
-    flavor: str
     label: str
 
 
@@ -100,9 +99,7 @@ class DiagramGraph:
         self.nodes: dict[tuple[int, int], SpaceNode] = {}
         for r in range(1, 5):
             for c in range(1, 5):
-                self.nodes[(r, c)] = SpaceNode(
-                    r, c, _KIND_GRID[r - 1][c - 1], flavor, _LABELS[flavor][r - 1][c - 1]
-                )
+                self.nodes[(r, c)] = SpaceNode(r, c, _KIND_GRID[r - 1][c - 1], _LABELS[flavor][r - 1][c - 1])
         self.edges: list[EdgeOp] = []
         for r in range(1, 5):
             for c in range(1, 4):
@@ -180,10 +177,6 @@ class Path:
         return f"{steps} [{ops}]"
 
 
-def build_diagram(flavor: str = "with-bc") -> DiagramGraph:
-    return DiagramGraph(flavor)
-
-
 def enumerate_paths(g: DiagramGraph, length: int) -> list[Path]:
     """All monotone paths of exactly `length` edges, lexicographic order."""
     if length < 1:
@@ -257,65 +250,6 @@ def check_two_complex(g: DiagramGraph, samples: int, degree: int, seed: int) -> 
     ]
 
 
-def check_diagonal_factorizations(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
-    """Each diagonal second-order edge equals both adjacent factorizations."""
-    results = []
-    for d in g.diagonals:
-        r, c = d.src
-        top_right = (g.edge((r, c), (r, c + 1)), g.edge((r, c + 1), (r + 1, c + 1)))
-        left_bottom = (g.edge((r, c), (r + 1, c)), g.edge((r + 1, c), (r + 1, c + 1)))
-
-        def holds(f: TypedField) -> bool:
-            diag = d.op.apply(f)
-            return components_equal(diag, _through(top_right, f)) and components_equal(diag, _through(left_bottom, f))
-
-        results.append(
-            run_check(
-                f"diagonal {d.op.label()} at {d.src}",
-                "Eq. (1) with 2nd-order edges",
-                samples,
-                field_draw(g.nodes[d.src].kind, degree, seed, "diagonal", r, c),
-                holds,
-            )
-        )
-    return results
-
-
-def _transpose_matrix(f: TypedField) -> TypedField:
-    return f.transpose() if f.is_matrix_kind else f
-
-
-def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, seed: int = 0) -> list[CheckResult]:
-    """Mirror symmetry about the main diagonal.
-
-    The right edge (i,j)->(i,j+1) with operator f mirrors the down edge
-    (j,i)->(j+1,i) with operator h, where h(T x) = T(f x) and T transposes
-    matrix kinds (identity on scalars and vectors).  Scales must agree.
-    """
-    results = []
-    for e in g.edges:
-        if e.orientation != "right":
-            continue
-        i, j = e.src
-        mirror = g.edge((j, i), (j + 1, i))
-        name = f"mirror of {e.src}->{e.dst} ({e.op.label()}) is ({mirror.op.label()})"
-        if mirror.op.scale != e.op.scale:
-            results.append(CheckResult(name, "Eq. (1) diagonal symmetry", False, "scale mismatch"))
-            continue
-        results.append(
-            run_check(
-                name,
-                "Eq. (1) diagonal symmetry",
-                samples,
-                field_draw(g.nodes[e.src].kind, degree, seed, "symmetry", i, j),
-                lambda f: components_equal(
-                    mirror.op.apply(_transpose_matrix(f)), _transpose_matrix(e.op.apply(f))
-                ),
-            )
-        )
-    return results
-
-
 _DERIVED_COMPLEXES = {
     # name -> (anchor, three consecutive operators, input kinds of the first two)
     "hessian": ("Cor. 2.6 (1)", (OperatorId("hess"), OperatorId("curl"), OperatorId("div")), (R, S)),
@@ -337,3 +271,7 @@ def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> li
         )
         for stage, (op1, op2, kind) in enumerate(zip(ops, ops[1:], kinds))
     ]
+
+
+def check_all_derived_complexes(samples: int, degree: int, seed: int) -> list[CheckResult]:
+    return [r for name in _DERIVED_COMPLEXES for r in check_derived_complex(name, samples, degree, seed)]

@@ -99,9 +99,6 @@ class TypedField:
         """1-based (i, j) entry of a matrix field."""
         return self.components[3 * (i - 1) + (j - 1)]
 
-    def rows(self) -> list[list[Poly3]]:
-        return [[self.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
-
     def row(self, i: int) -> "TypedField":
         return TypedField.vector([self.entry(i, j) for j in range(1, 4)])
 
@@ -183,13 +180,6 @@ class TypedField:
         rows = [[tt.entry(i, j) - t if i == j else tt.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
         return TypedField.matrix(rows, _s_result_kind(self.kind))
 
-    def s_inv(self) -> "TypedField":
-        """tau -> tau^T - (1/2) tr(tau) id; inverse of s_op."""
-        t = self.trace().comp(1).scale(Fraction(1, 2))
-        tt = self.transpose()
-        rows = [[tt.entry(i, j) - t if i == j else tt.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows, _s_result_kind(self.kind))
-
 
 def _s_result_kind(kind: FieldKind) -> FieldKind:
     # S preserves symmetry (S g = g - tr(g) id), trace-freeness and skewness
@@ -225,41 +215,12 @@ def vskw(m: TypedField) -> TypedField:
 # -- products ----------------------------------------------------------
 
 
-def dot(a: TypedField, b: TypedField) -> TypedField:
-    if a.kind is not FieldKind.VECTOR or b.kind is not FieldKind.VECTOR:
-        raise KindError("dot needs two vector fields")
-    return TypedField.scalar(sum((a.comp(i) * b.comp(i) for i in range(1, 4)), P_ZERO))
-
-
 def cross(a: TypedField, b: TypedField) -> TypedField:
     if a.kind is not FieldKind.VECTOR or b.kind is not FieldKind.VECTOR:
         raise KindError("cross needs two vector fields")
     a1, a2, a3 = a.components
     b1, b2, b3 = b.components
     return TypedField.vector([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
-
-
-def frobenius(a: TypedField, b: TypedField) -> TypedField:
-    if not (a.is_matrix_kind and b.is_matrix_kind):
-        raise KindError("frobenius needs two matrix fields")
-    return TypedField.scalar(sum((x * y for x, y in zip(a.components, b.components)), P_ZERO))
-
-
-def matvec(m: TypedField, v: TypedField) -> TypedField:
-    if not m.is_matrix_kind or v.kind is not FieldKind.VECTOR:
-        raise KindError("matvec needs a matrix and a vector field")
-    comps = [sum((m.entry(i, j) * v.comp(j) for j in range(1, 4)), P_ZERO) for i in range(1, 4)]
-    return TypedField.vector(comps)
-
-
-def matmul(a: TypedField, b: TypedField) -> TypedField:
-    if not (a.is_matrix_kind and b.is_matrix_kind):
-        raise KindError("matmul needs two matrix fields")
-    rows = [
-        [sum((a.entry(i, k) * b.entry(k, j) for k in range(1, 4)), P_ZERO) for j in range(1, 4)]
-        for i in range(1, 4)
-    ]
-    return TypedField.matrix(rows)
 
 
 def pairing_components(a: TypedField, b: TypedField) -> list[tuple[Poly3, Poly3]]:

@@ -222,25 +222,18 @@ def kernel_basis(op_names: Sequence[str], kind: FieldKind, degree: int) -> list[
             col.extend(_field_coords(OPS[name](b), out_degree))
         columns.append(col)
     m = RatMatrix.from_rows([[columns[j][i] for j in range(len(columns))] for i in range(len(columns[0]))])
-    vectors = m.nullspace()
     fields = []
-    for v in vectors:
-        f = None
-        for c, b in zip(v, basis):
-            if c == 0:
-                continue
-            t = b.scale(c)
-            f = t if f is None else f + t
-        fields.append(f if f is not None else TypedField.zero(kind))
+    for v in m.nullspace():
+        # each vector has a 1 at its free column, so `terms` is never empty
+        terms = [b.scale(c) for c, b in zip(v, basis) if c != 0]
+        fields.append(sum(terms[1:], terms[0]))
     _KERNEL_CACHE[key] = fields
     return fields
 
 
-def sample_kernel(op_names: Sequence[str] | str, kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
+def sample_kernel(op_names: Sequence[str], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
     """A random exact kernel element: a rational combination of nullspace
     basis vectors with integer weights in [-9, 9]."""
-    if isinstance(op_names, str):
-        op_names = (op_names,)
     fields = kernel_basis(op_names, kind, degree)
     if not fields:
         raise ValueError(f"kernel is trivial at this degree: {op_names} on {kind.value}")
@@ -263,7 +256,7 @@ def _check_zero(f: TypedField, what: str, original: TypedField):
         raise PreconditionError(f"kernel constraint failed: {what} is nonzero", field_to_text(original))
 
 
-def _check_moment(f: TypedField, space: MomentSpace, original: TypedField):
+def _check_moment(f: TypedField, space: MomentSpace):
     ok, basis, pairing = moment_orthogonal(f, space)
     if not ok:
         raise PreconditionError(
@@ -528,7 +521,7 @@ def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool
                 f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out)
             )
     if strict_preconditions and spec.moment_space is not None:
-        _check_moment(f, spec.moment_space, f)
+        _check_moment(f, spec.moment_space)
     return spec.chain(f)
 
 

@@ -68,16 +68,8 @@ class RatMatrix:
         c = len(rows[0]) if r else 0
         return cls(r, c, [x for row in rows for x in row])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list[Fraction]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((self.entry(i, j) * v[j] for j in range(self.cols)), ZERO) for i in range(self.rows)]
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column indices)."""
@@ -100,9 +92,6 @@ class RatMatrix:
             if r == self.rows:
                 break
         return m, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the kernel, one vector per free column.

@@ -15,17 +15,6 @@ from .fields import FieldKind, TypedField
 from .operators import CheckResult, components_equal, run_check
 from .poly import P_ONE, Poly3
 
-SUITE_NAMES = (
-    "identities",
-    "cells",
-    "two-complex",
-    "derived-complexes",
-    "right-inverses",
-    "decompositions",
-    "pairings",
-)
-
-
 @dataclass
 class SuiteConfig:
     suite: str = "all"
@@ -99,19 +88,15 @@ def _suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _suite_cells(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_all_cells(diagram.build_diagram("with-bc"), cfg.samples, cfg.degree, cfg.seed)
+    return diagram.check_all_cells(diagram.DiagramGraph("with-bc"), cfg.samples, cfg.degree, cfg.seed)
 
 
 def _suite_two_complex(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_two_complex(diagram.build_diagram("with-bc"), cfg.samples, cfg.degree, cfg.seed)
+    return diagram.check_two_complex(diagram.DiagramGraph("with-bc"), cfg.samples, cfg.degree, cfg.seed)
 
 
 def _suite_derived(cfg: SuiteConfig) -> list[CheckResult]:
-    return [
-        r
-        for name in ("hessian", "elasticity", "divdiv")
-        for r in diagram.check_derived_complex(name, cfg.samples, cfg.degree, cfg.seed)
-    ]
+    return diagram.check_all_derived_complexes(cfg.samples, cfg.degree, cfg.seed)
 
 
 def _ddd_unit_witness() -> CheckResult:
@@ -173,6 +158,8 @@ _SUITES = {
     "decompositions": _suite_decompositions,
     "pairings": _suite_pairings,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:

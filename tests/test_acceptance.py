@@ -26,7 +26,7 @@ def test_criterion_1_identity_suite():
 
 
 def test_criterion_2_commutativity_of_all_cells():
-    g = diagram.build_diagram("with-bc")
+    g = diagram.DiagramGraph("with-bc")
     results = diagram.check_all_cells(g, samples=10, degree=3, seed=7)
     scaled = {
         ((1, 3), (2, 3)): Fraction(1, 2),
@@ -42,7 +42,7 @@ def test_criterion_2_commutativity_of_all_cells():
 
 
 def test_criterion_3_two_complex_all_length3_paths():
-    g = diagram.build_diagram("with-bc")
+    g = diagram.DiagramGraph("with-bc")
     t0 = time.monotonic()
     paths = diagram.enumerate_paths(g, 3)
     results = diagram.check_two_complex(g, samples=5, degree=3, seed=7)

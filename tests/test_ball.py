@@ -15,7 +15,6 @@ from tensorcomplex.ball import (
     P1_SPACE,
     PAIRING_NAMES,
     RT_SPACE,
-    ball_monomial_integral,
     bump,
     integrate_ball,
     l2_pair,
@@ -37,7 +36,7 @@ from tensorcomplex.fields import (
     pairing_product,
 )
 from tensorcomplex.operators import derived_rng, random_field
-from tensorcomplex.poly import P_ONE, X1, X2
+from tensorcomplex.poly import P_ONE, Poly3, X1, X2
 
 from conftest import matrix_fields, polys, scalar_fields, vector_fields
 
@@ -60,7 +59,7 @@ def spherical_oracle(a: int, b: int, c: int):
     [(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 0), (2, 2, 0), (4, 0, 0), (2, 2, 2), (1, 0, 0), (3, 1, 2)],
 )
 def test_monomial_integrals_match_spherical_oracle(mono):
-    coeff = ball_monomial_integral(*mono)
+    coeff = integrate_ball(Poly3.monomial(mono)).coeff
     expected = spherical_oracle(*mono)
     assert sympy.Rational(coeff.numerator, coeff.denominator) * sympy.pi == sympy.nsimplify(expected)
 
@@ -81,7 +80,7 @@ def test_monomial_integrals_match_gamma_form_to_degree_16():
     for a in range(17):
         for b in range(17 - a):
             for c in range(17 - a - b):
-                assert ball_monomial_integral(a, b, c) == _gamma_reference(a, b, c), (a, b, c)
+                assert integrate_ball(Poly3.monomial((a, b, c))).coeff == _gamma_reference(a, b, c), (a, b, c)
 
 
 def test_unit_ball_volume():
@@ -127,16 +126,6 @@ def test_bump_orders():
     assert bump(2) == b1 * b1
     with pytest.raises(ValueError):
         bump(-1)
-
-
-def test_bump_weight_record():
-    from tensorcomplex.ball import BumpWeight
-
-    w = BumpWeight(2)
-    assert w.polynomial == bump(2)
-    assert w.weight(TypedField.scalar(X1)).comp(1) == bump(2) * X1
-    with pytest.raises(ValueError):
-        BumpWeight(-1)
 
 
 def test_moment_space_dimensions():

@@ -201,6 +201,17 @@ def test_script_reports_a_missing_file_on_one_line(tmp_path):
     assert proc.stdout == ""
 
 
+def test_script_reports_undecodable_input_on_one_line(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    from_file = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(bad)], capture_output=True)
+    from_stdin = subprocess.run([sys.executable, str(_SCRIPT), "cc"], input=b"\xff\xfe", capture_output=True)
+    for proc, source in ((from_file, str(bad)), (from_stdin, "stdin")):
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"decompose_field.py: cannot read {source}: not UTF-8 text (byte 0)\n"
+        assert proc.stdout == b""
+
+
 def test_script_decomposes_good_input():
     proc = run_script("cc", field_to_text(TypedField.identity_scaled(X1)))
     assert proc.returncode == 0 and "exact reconstruction: True" in proc.stdout

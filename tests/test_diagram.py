@@ -6,26 +6,36 @@ import pytest
 import tensorcomplex.diagram as diagram
 import tensorcomplex.operators as operators
 from tensorcomplex.diagram import (
+    DiagramGraph,
     Path,
     apply_path,
-    build_diagram,
     check_all_cells,
+    check_all_derived_complexes,
     check_cell,
     check_derived_complex,
-    check_diagonal_factorizations,
-    check_diagram_symmetry,
     check_two_complex,
     enumerate_paths,
 )
 from tensorcomplex.fields import E1, FieldKind, TypedField, field_from_text
-from tensorcomplex.operators import OperatorId, components_equal, curl, deff, div, hess, inc
+from tensorcomplex.operators import (
+    CheckResult,
+    OperatorId,
+    components_equal,
+    curl,
+    deff,
+    div,
+    field_draw,
+    hess,
+    inc,
+    run_check,
+)
 from tensorcomplex.suites import SuiteConfig, run_suite
 from tensorcomplex.poly import P_ZERO, X1, X2, X3
 
 
 @pytest.fixture(scope="module")
 def g():
-    return build_diagram("with-bc")
+    return DiagramGraph("with-bc")
 
 
 def test_node_kinds_follow_rvst_pattern(g):
@@ -155,6 +165,71 @@ def test_two_complex_seed_independent_at_degree_four(g, seed):
     assert all(r.passed for r in results)
 
 
+def _through(edges, f: TypedField) -> TypedField:
+    for e in edges:
+        f = e.op.apply(f)
+    return f
+
+
+def check_diagonal_factorizations(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
+    """Each diagonal second-order edge equals both adjacent factorizations."""
+    results = []
+    for d in g.diagonals:
+        r, c = d.src
+        top_right = (g.edge((r, c), (r, c + 1)), g.edge((r, c + 1), (r + 1, c + 1)))
+        left_bottom = (g.edge((r, c), (r + 1, c)), g.edge((r + 1, c), (r + 1, c + 1)))
+
+        def holds(f: TypedField) -> bool:
+            diag = d.op.apply(f)
+            return components_equal(diag, _through(top_right, f)) and components_equal(diag, _through(left_bottom, f))
+
+        results.append(
+            run_check(
+                f"diagonal {d.op.label()} at {d.src}",
+                "Eq. (1) with 2nd-order edges",
+                samples,
+                field_draw(g.nodes[d.src].kind, degree, seed, "diagonal", r, c),
+                holds,
+            )
+        )
+    return results
+
+
+def _transpose_matrix(f: TypedField) -> TypedField:
+    return f.transpose() if f.is_matrix_kind else f
+
+
+def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, seed: int = 0) -> list[CheckResult]:
+    """Mirror symmetry about the main diagonal.
+
+    The right edge (i,j)->(i,j+1) with operator f mirrors the down edge
+    (j,i)->(j+1,i) with operator h, where h(T x) = T(f x) and T transposes
+    matrix kinds (identity on scalars and vectors).  Scales must agree.
+    """
+    results = []
+    for e in g.edges:
+        if e.orientation != "right":
+            continue
+        i, j = e.src
+        mirror = g.edge((j, i), (j + 1, i))
+        name = f"mirror of {e.src}->{e.dst} ({e.op.label()}) is ({mirror.op.label()})"
+        if mirror.op.scale != e.op.scale:
+            results.append(CheckResult(name, "Eq. (1) diagonal symmetry", False, "scale mismatch"))
+            continue
+        results.append(
+            run_check(
+                name,
+                "Eq. (1) diagonal symmetry",
+                samples,
+                field_draw(g.nodes[e.src].kind, degree, seed, "symmetry", i, j),
+                lambda f: components_equal(
+                    mirror.op.apply(_transpose_matrix(f)), _transpose_matrix(e.op.apply(f))
+                ),
+            )
+        )
+    return results
+
+
 def test_diagonal_factorizations(g):
     results = check_diagonal_factorizations(g, samples=3, degree=2, seed=7)
     assert len(results) == 9
@@ -177,6 +252,14 @@ def test_derived_complexes():
         results = check_derived_complex(name, samples=4, degree=2, seed=7)
         assert len(results) == 2
         assert all(r.passed for r in results), name
+
+
+def test_all_derived_complexes_run_in_published_order():
+    results = check_all_derived_complexes(samples=1, degree=2, seed=7)
+    expected = [
+        r for name in ("hessian", "elasticity", "divdiv") for r in check_derived_complex(name, samples=1, degree=2, seed=7)
+    ]
+    assert [(r.name, r.passed, r.witness) for r in results] == [(r.name, r.passed, r.witness) for r in expected]
 
 
 def test_divdiv_first_stage_mechanism():
@@ -202,7 +285,7 @@ def test_dump_schema_and_flavors(g):
     assert sum(1 for e in d["edges"] if e["orientation"] != "diagonal") == 24
     json.dumps(d)  # serializable
 
-    nb = build_diagram("no-bc")
+    nb = DiagramGraph("no-bc")
     dn = nb.to_dict()
     assert [e["op"] for e in dn["edges"]] == [e["op"] for e in d["edges"]]
     assert dn["nodes"][0]["label"] == "H1/P1"
@@ -211,7 +294,7 @@ def test_dump_schema_and_flavors(g):
 
 def test_unknown_flavor_rejected():
     with pytest.raises(ValueError):
-        build_diagram("sideways")
+        DiagramGraph("sideways")
 
 
 def test_quotient_label_facts():
@@ -244,7 +327,7 @@ def test_dropping_the_half_on_dev_grad_fails_cells(monkeypatch):
     rows = [list(row) for row in diagram._ROW_EDGES]
     rows[2][0] = ("dev_grad", 1)
     monkeypatch.setattr(diagram, "_ROW_EDGES", rows)
-    g = build_diagram("with-bc")
+    g = DiagramGraph("with-bc")
     failing = _failing_cases("cells", 2)
     # the edge (3,1)->(3,2) is the bottom of cell (2,1) and the top of cell (3,1)
     assert {c.name for c in failing} == {"cell (2,1)", "cell (3,1)"}
@@ -264,7 +347,7 @@ def test_div_dropping_a_partial_fails_two_complex(monkeypatch):
         return TypedField.scalar(f.comp(1).partial(1) + f.comp(2).partial(2))
 
     monkeypatch.setitem(operators.OPS, "div", div_without_x3)
-    g = build_diagram("with-bc")
+    g = DiagramGraph("with-bc")
     paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
     failing = _failing_cases("two-complex", 3)
     for case in failing:

@@ -17,13 +17,10 @@ from tensorcomplex.fields import (
     TypedField,
     X_FIELD,
     cross,
-    dot,
     field_from_text,
     field_to_text,
-    frobenius,
-    matmul,
-    matvec,
     mskw,
+    pairing_product,
     vskw,
 )
 from tensorcomplex.operators import components_equal, derived_rng, random_field
@@ -98,9 +95,15 @@ def test_dev_plus_trace_part(m):
     assert components_equal(m.dev() + TypedField.identity_scaled(t), m)
 
 
+def _s_inv(m: TypedField) -> TypedField:
+    """tau -> tau^T - (1/2) tr(tau) id, the closed-form inverse of s_op."""
+    t = TypedField.identity_scaled(m.trace().comp(1).scale(Fraction(1, 2)))
+    return m.transpose() - t
+
+
 @given(matrix_fields())
 def test_s_inv_of_s(m):
-    assert components_equal(m.s_op().s_inv(), m)
+    assert components_equal(_s_inv(m.s_op()), m)
 
 
 def test_s_of_identity():
@@ -145,18 +148,13 @@ def test_cross_right_handed():
 
 def test_frobenius_id_against_tracefree():
     tau = TypedField.matrix([[X1, X2, P_ZERO], [P_ZERO, X1.scale(-1), P_ZERO], [P_ONE, P_ZERO, P_ZERO]]).dev()
-    assert frobenius(ID_FIELD, tau).comp(1).is_zero
+    assert pairing_product(ID_FIELD, tau).is_zero
 
 
 def test_dot_example():
     a = TypedField.vector([X1, P_ZERO, P_ZERO])
     b = TypedField.vector([X1, X2, P_ZERO])
-    assert dot(a, b).comp(1) == X1 * X1
-
-
-def test_matvec_and_matmul():
-    assert components_equal(matvec(ID_FIELD, X_FIELD), X_FIELD)
-    assert components_equal(matmul(ID_FIELD, ID_FIELD), ID_FIELD)
+    assert pairing_product(a, b) == X1 * X1
 
 
 @given(matrix_fields())

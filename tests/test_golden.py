@@ -5,9 +5,21 @@ from pathlib import Path
 from tensorcomplex.decompose import regdec_dd
 from tensorcomplex.fields import FieldKind
 from tensorcomplex.operators import derived_rng, random_field
-from tensorcomplex.suites import SuiteConfig, run_suite
+from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 DATA = Path(__file__).parent / "data"
+
+
+def test_suite_all_runs_the_suites_in_published_order():
+    assert SUITE_NAMES == (
+        "identities",
+        "cells",
+        "two-complex",
+        "derived-complexes",
+        "right-inverses",
+        "decompositions",
+        "pairings",
+    )
 
 
 def test_report_json_matches_golden():

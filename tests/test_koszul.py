@@ -1,6 +1,7 @@
 """Homotopy operators, kernel sampling, and all right-inverse chains."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -174,17 +175,17 @@ def test_constant_curl_correction_rejects_nonconstant_curl():
 
 
 def test_sample_kernel_curl_free_vector():
-    v = sample_kernel("curl", FieldKind.VECTOR, 2, 3)
+    v = sample_kernel(("curl",), FieldKind.VECTOR, 2, 3)
     assert curl(v).is_zero and not v.is_zero
 
 
 def test_sample_kernel_div_div():
-    s = sample_kernel("div_div", FieldKind.SYMMETRIC, 2, 5)
+    s = sample_kernel(("div_div",), FieldKind.SYMMETRIC, 2, 5)
     assert div_div(s).is_zero and s.kind is FieldKind.SYMMETRIC
 
 
 def test_sample_kernel_degree_zero_div():
-    v = sample_kernel("div", FieldKind.VECTOR, 0, 1)
+    v = sample_kernel(("div",), FieldKind.VECTOR, 0, 1)
     assert v.degree() == 0 and div(v).is_zero  # constants
 
 
@@ -195,7 +196,7 @@ def test_sample_kernel_trivial_kernel_error(monkeypatch):
 
     monkeypatch.setattr(k, "kernel_basis", lambda *a, **kw: [])
     with pytest.raises(ValueError, match="kernel is trivial"):
-        k.sample_kernel("curl", FieldKind.VECTOR, 1, 0)
+        k.sample_kernel(("curl",), FieldKind.VECTOR, 1, 0)
 
 
 def test_kernel_dimension_matches_rank_nullity():
@@ -210,6 +211,42 @@ def test_kernel_dimension_matches_rank_nullity():
     m = sympy.Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
     expected_nullity = len(basis) - m.rank()
     assert len(kernel_basis(("curl",), FieldKind.VECTOR, degree)) == expected_nullity
+
+
+def _p(k: int) -> int:
+    """Dimension of the scalar polynomials of degree <= k in three variables."""
+    return math.comb(k + 3, 3) if k >= 0 else 0
+
+
+# Nullities of every kernel the right inverses sample from, in closed form.
+# The complexes are exact on polynomials (the Koszul homotopies of Eq. (17)),
+# so each kernel is the image of the previous operator, and its dimension is
+# that operator's domain dimension minus the dimension of its own kernel
+# (or, for the div kernels, the domain minus the surjective image).
+_S, _T, _V = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR
+_KERNEL_DIMENSIONS = {
+    (("curl",), _S): lambda d: _p(d + 2) - 4,  # hess P_{d+2}, kernel P1
+    (("inc",), _S): lambda d: 3 * _p(d + 1) - 6,  # deff of vectors, kernel the 6 rigid motions
+    (("sym_curl",), _T): lambda d: 3 * _p(d + 1) - 4,  # dev grad of vectors, kernel RT
+    (("div_div",), _S): lambda d: 6 * _p(d) - _p(d - 2),  # div div onto P_{d-2}
+    (("div",), _S): lambda d: 6 * _p(d) - 3 * _p(d - 1),  # div onto vector P_{d-1}
+    (("div",), _T): lambda d: 8 * _p(d) - 3 * _p(d - 1),  # div onto vector P_{d-1}
+    (("curl",), _V): lambda d: _p(d + 1) - 1,  # grad P_{d+1}, kernel the constants
+    (("div",), _V): lambda d: 3 * _p(d) - _p(d - 1),  # div onto P_{d-1}
+    # curl deff of vectors P_{d+2}, kernel grad P_{d+3} plus the 3 rotations
+    (("div", "sym_curl_t"), _T): lambda d: 3 * _p(d + 2) - _p(d + 3) - 2,
+}
+
+
+def test_closed_form_kernel_dimensions_cover_every_sampled_kernel():
+    sampled = {(spec.kernel_ops, spec.input_kind) for spec in RIGHT_INVERSES.values() if spec.kernel_ops}
+    assert sampled == set(_KERNEL_DIMENSIONS)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_kernel_dimensions_match_closed_form(degree):
+    got = {key: len(kernel_basis(*key, degree)) for key in _KERNEL_DIMENSIONS}
+    assert got == {key: dim(degree) for key, dim in _KERNEL_DIMENSIONS.items()}
 
 
 @pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
@@ -267,7 +304,7 @@ def test_dgg_recovers_cubic_potential():
 
 
 def test_dcc_on_kernel_sample():
-    sigma = sample_kernel("div", FieldKind.SYMMETRIC, 2, 3)
+    sigma = sample_kernel(("div",), FieldKind.SYMMETRIC, 2, 3)
     g = right_inverse("Dcc", sigma)
     assert components_equal(inc(g), sigma)
 

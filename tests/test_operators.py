@@ -154,7 +154,7 @@ def test_lowest_order_fields_in_kernel_of_dev_grad():
 def test_sym_curl_of_curl_free_symmetric_field():
     from tensorcomplex.koszul import sample_kernel
 
-    g = sample_kernel("curl", FieldKind.SYMMETRIC, 2, 11)
+    g = sample_kernel(("curl",), FieldKind.SYMMETRIC, 2, 11)
     assert curl(g).is_zero and g.kind is FieldKind.SYMMETRIC
 
 

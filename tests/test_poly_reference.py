@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from tensorcomplex.ball import _pair_integral, ball_monomial_integral
+from tensorcomplex.ball import _pair_integral, integrate_ball
 from tensorcomplex.fields import FieldKind, KindError, TypedField
 from tensorcomplex.koszul import tc, td, tg
 from tensorcomplex.poly import Poly3
@@ -144,7 +144,7 @@ def test_koszul_operators_match_fraction_reference(refs, w):
 def test_pair_integral_matches_fraction_reference(pairs):
     # Reference: integrate each product polynomial monomial by monomial.
     expected = sum(
-        (c * ball_monomial_integral(*m) for r, s in pairs for m, c in (r * s).terms.items()),
+        (c * integrate_ball(Poly3.monomial(m)).coeff for r, s in pairs for m, c in (r * s).terms.items()),
         Fraction(0),
     )
     assert _pair_integral([(fast(r), fast(s)) for r, s in pairs]).coeff == expected

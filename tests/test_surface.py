@@ -1,0 +1,47 @@
+import ast
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = _ROOT / "src" / "tensorcomplex"
+
+
+def _production_files() -> list[Path]:
+    """The library, the scripts and the benchmark harness; test files excluded."""
+    bench = [p for p in sorted((_ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    return sorted(_PACKAGE.glob("*.py")) + sorted((_ROOT / "scripts").glob("*.py")) + bench
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each module-level function or class and
+    each non-dunder method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{node.name}.{m.name}", m.name)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+            )
+    return out
+
+
+def test_every_library_definition_is_reached_outside_the_tests():
+    # A definition whose name appears nowhere in production code but in its own
+    # `def` / `class` line is surface that only tests keep alive: move it into
+    # the test that needs it, or delete it.  The match is by bare name, so a
+    # name shared with something that is used is never flagged.
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in _production_files()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for qualified, name in _definitions(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if name not in used
+    ]
+    assert unused == []
