@@ -165,35 +165,27 @@ def moment_orthogonal(f: TypedField, space: MomentSpace) -> tuple[bool, TypedFie
     return True, None, None
 
 
-def project_moment_orthogonal(f: TypedField, space: MomentSpace, weight_order: int = 1) -> TypedField:
+def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
     """Subtract a bump-weighted combination of basis fields to kill all moments.
 
-    Returns f - sum_i c_i * bump(weight_order) * b_i with the c_i solved from
-    the exact Gram system, so the result is orthogonal to the whole space.
+    Returns f - sum_i c_i * bump(1) * b_i, so the result is orthogonal to the
+    whole space.  The c_i solve the exact Gram system G c = r; G is
+    invertible for a basis, so (c, 1) is the one kernel vector of [G | -r].
     """
-    w = bump(weight_order)
+    w = bump(1)
     weighted = [b.mul_scalar_poly(w) for b in space.basis]
-    n = len(space.basis)
-    gram = RatMatrix.from_rows(
-        [[l2_pair(weighted[j], space.basis[i]).coeff for j in range(n)] for i in range(n)]
+    n = len(weighted)
+    system = RatMatrix(
+        n + 1,
+        [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} | {n: -l2_pair(f, b).coeff} for b in space.basis],
     )
-    rhs = [l2_pair(f, b).coeff for b in space.basis]
-    coeffs = _solve(gram, rhs)
+    kernel = system.nullspace()
+    if len(kernel) != 1 or kernel[0][n] != 1:
+        raise ValueError(f"the Gram matrix of {space.name} is singular")
     out = f
-    for c, wb in zip(coeffs, weighted):
+    for c, wb in zip(kernel[0], weighted):
         out = out - wb.scale(c)
     return out
-
-
-def _solve(m: RatMatrix, rhs: list[Fraction]) -> list[Fraction]:
-    aug = RatMatrix.from_rows([m.row(i) + [rhs[i]] for i in range(m.rows)])
-    rows, pivots = aug.rref()
-    if any(p == m.cols for p in pivots):
-        raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        sol[p] = rows[r][m.cols]
-    return sol
 
 
 # -- pairing identities --------------------------------------------------

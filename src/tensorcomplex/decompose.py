@@ -178,25 +178,19 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
     raise ValueError(f"unknown short decomposition {which!r}")
 
 
+_S, _T, _V = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR
+
+# name -> (decomposition, input kind, anchor, kinds of its parts in order)
 _DECOMPOSERS = {
-    "cc": (regdec_cc, FieldKind.SYMMETRIC, "Thm 3.4"),
-    "dd": (regdec_dd, FieldKind.SYMMETRIC, "Thm 3.7"),
-    "cd": (regdec_cd, FieldKind.TRACEFREE, "Thm 3.10"),
-    "short-cc": (lambda f: regdec_short(f, "cc"), FieldKind.SYMMETRIC, "Sec. 4 Thm (cc)"),
-    "short-dd": (lambda f: regdec_short(f, "dd"), FieldKind.SYMMETRIC, "Sec. 4 Thm (dd)"),
-    "short-cd": (lambda f: regdec_short(f, "cd"), FieldKind.TRACEFREE, "Sec. 4 Thm (cd)"),
+    "cc": (regdec_cc, _S, "Thm 3.4", (_S, _V, FieldKind.SCALAR)),
+    "dd": (regdec_dd, _S, "Thm 3.7", (_S, _T, _S)),
+    "cd": (regdec_cd, _T, "Thm 3.10", (_T, _S, _V, _V)),
+    "short-cc": (lambda f: regdec_short(f, "cc"), _S, "Sec. 4 Thm (cc)", (_S, _V)),
+    "short-dd": (lambda f: regdec_short(f, "dd"), _S, "Sec. 4 Thm (dd)", (_S, _T)),
+    "short-cd": (lambda f: regdec_short(f, "cd"), _T, "Sec. 4 Thm (cd)", (_T, _S, _V)),
 }
 
 DECOMPOSITION_NAMES = tuple(_DECOMPOSERS)
-
-_PART_KINDS = {
-    "cc": (FieldKind.SYMMETRIC, FieldKind.VECTOR, FieldKind.SCALAR),
-    "dd": (FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.SYMMETRIC),
-    "cd": (FieldKind.TRACEFREE, FieldKind.SYMMETRIC, FieldKind.VECTOR, FieldKind.VECTOR),
-    "short-cc": (FieldKind.SYMMETRIC, FieldKind.VECTOR),
-    "short-dd": (FieldKind.SYMMETRIC, FieldKind.TRACEFREE),
-    "short-cd": (FieldKind.TRACEFREE, FieldKind.SYMMETRIC, FieldKind.VECTOR),
-}
 
 
 def decompose(name: str, f: TypedField) -> Decomposition:
@@ -208,8 +202,7 @@ def _part_kinds(dec: Decomposition) -> tuple[FieldKind, ...]:
 
 
 def verify_decomposition(name: str, samples: int, degree: int, seed: int) -> CheckResult:
-    fn, kind, anchor = _DECOMPOSERS[name]
-    expected_kinds = _PART_KINDS[name]
+    fn, kind, anchor, expected_kinds = _DECOMPOSERS[name]
 
     def holds(f: TypedField) -> bool:
         dec = fn(f)

@@ -76,10 +76,6 @@ class TypedField:
         return cls(kind, tuple(p for row in rows for p in row))
 
     @classmethod
-    def zero(cls, kind: FieldKind) -> "TypedField":
-        return cls(kind, (P_ZERO,) * _COMPONENT_COUNT[kind])
-
-    @classmethod
     def identity_scaled(cls, p: Poly3) -> "TypedField":
         """p * id, tagged symmetric."""
         z = P_ZERO

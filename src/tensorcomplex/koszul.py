@@ -59,7 +59,7 @@ from .operators import (
     t_dev_grad,
 )
 from .poly import P_ZERO, Poly3, monomials_up_to
-from .rational import ZERO, RatMatrix
+from .rational import RatMatrix
 
 
 # -- the three homotopy operators -----------------------------------------
@@ -193,37 +193,26 @@ def kind_basis(kind: FieldKind, degree: int) -> list[TypedField]:
     return out
 
 
-def _field_coords(f: TypedField, degree: int) -> list[Fraction]:
-    monos = monomials_up_to(degree)
-    index = {m: i for i, m in enumerate(monos)}
-    coords = [ZERO] * (len(monos) * len(f.components))
-    for ci, p in enumerate(f.components):
-        for m, c in p.coefficients().items():
-            coords[ci * len(monos) + index[m]] = c
-    return coords
-
-
 _KERNEL_CACHE: dict[tuple, list] = {}
 
 
 def kernel_basis(op_names: Sequence[str], kind: FieldKind, degree: int) -> list[TypedField]:
     """Exact basis of the joint kernel of the named operators on the
     kind-constrained degree-bounded space, via nullspace of the stacked
-    coefficient matrix."""
+    coefficient matrix: one column per basis field, one sparse row per
+    (operator, image component, monomial) that some image reaches."""
     key = (tuple(op_names), kind, degree)
     if key in _KERNEL_CACHE:
         return _KERNEL_CACHE[key]
     basis = kind_basis(kind, degree)
-    out_degree = degree  # differential operators never raise polynomial degree
-    columns = []
-    for b in basis:
-        col: list[Fraction] = []
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for j, b in enumerate(basis):
         for name in op_names:
-            col.extend(_field_coords(OPS[name](b), out_degree))
-        columns.append(col)
-    m = RatMatrix.from_rows([[columns[j][i] for j in range(len(columns))] for i in range(len(columns[0]))])
+            for ci, p in enumerate(OPS[name](b).components):
+                for m, c in p.coefficients().items():
+                    rows.setdefault((name, ci, m), {})[j] = c
     fields = []
-    for v in m.nullspace():
+    for v in RatMatrix(len(basis), rows.values()).nullspace():
         # each vector has a 1 at its free column, so `terms` is never empty
         terms = [b.scale(c) for c, b in zip(v, basis) if c != 0]
         fields.append(sum(terms[1:], terms[0]))

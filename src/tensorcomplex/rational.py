@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,60 +53,50 @@ class PiScalar:
 
 
 class RatMatrix:
-    """Dense exact-rational matrix, row-major."""
+    """Sparse exact-rational matrix: `cols` columns, each row a map from a
+    column index to its nonzero entry."""
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
-        if len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
+    def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction]]):
         self.cols = cols
-        self.entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, [x for row in rows for x in row])
-
-    def row(self, i: int) -> list[Fraction]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
-        m = [self.row(i) for i in range(self.rows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+        self.rows = [{c: Fraction(x) for c, x in row.items() if x} for row in rows]
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the kernel, one vector per free column.
 
-        Vectors come out in ascending free-column order (reduced-echelon
-        pivot order), so results are deterministic.
+        Each row is reduced against the pivot rows found so far, which are
+        kept fully reduced, so only nonzero entries are ever touched and the
+        pivot rows end as the reduced row echelon form.  Vectors come out in
+        ascending free-column order, the same whatever the row order.
         """
-        m, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-        return basis
+        pivots: dict[int, dict[int, Fraction]] = {}
+        for row in self.rows:
+            row = dict(row)
+            for p in [c for c in row if c in pivots]:
+                _subtract(row, row[p], pivots[p])
+            if not row:
+                continue
+            p = min(row)
+            inv = ONE / row[p]
+            row = {c: x * inv for c, x in row.items()}
+            for other in pivots.values():
+                if p in other:
+                    _subtract(other, other[p], row)
+            pivots[p] = row
+        basis = {
+            fc: [ONE if c == fc else ZERO for c in range(self.cols)] for fc in range(self.cols) if fc not in pivots
+        }
+        for p, row in pivots.items():
+            for c, x in row.items():
+                if c != p:
+                    basis[c][p] = -x
+        return list(basis.values())
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fraction]) -> None:
+    """row -= f * pivot_row in place, dropping entries that cancel."""
+    for c, x in pivot_row.items():
+        y = row.get(c, ZERO) - f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]

@@ -2,11 +2,16 @@ import hypothesis
 import hypothesis.strategies as st
 from fractions import Fraction
 
-from tensorcomplex.fields import TypedField
-from tensorcomplex.poly import Poly3
+from tensorcomplex.fields import _COMPONENT_COUNT, FieldKind, TypedField
+from tensorcomplex.poly import P_ZERO, Poly3
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("default")
+
+
+def zero_field(kind: FieldKind) -> TypedField:
+    """The zero field of the given kind."""
+    return TypedField(kind, (P_ZERO,) * _COMPONENT_COUNT[kind])
 
 
 @st.composite

@@ -11,6 +11,7 @@ from hypothesis import given
 
 from tensorcomplex.ball import (
     CONSTANTS_SCALAR,
+    MomentSpace,
     ND_SPACE,
     P1_SPACE,
     PAIRING_NAMES,
@@ -27,6 +28,7 @@ from tensorcomplex.ball import (
 from tensorcomplex import ball
 from tensorcomplex.fields import (
     E1,
+    E2,
     MATRIX_KINDS,
     FieldKind,
     KindError,
@@ -38,7 +40,7 @@ from tensorcomplex.fields import (
 from tensorcomplex.operators import derived_rng, random_field
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2
 
-from conftest import matrix_fields, polys, scalar_fields, vector_fields
+from conftest import matrix_fields, polys, scalar_fields, vector_fields, zero_field
 
 
 def spherical_oracle(a: int, b: int, c: int):
@@ -160,6 +162,14 @@ def test_projection_kills_all_moments():
     assert ok
 
 
+def test_projection_rejects_a_space_with_a_repeated_basis_field():
+    # the Gram matrix of (E1, E1, E2) is singular, so no unique projection exists
+    repeated = MomentSpace("repeated", FieldKind.VECTOR, (E1, E1, E2))
+    v = random_field(FieldKind.VECTOR, 2, derived_rng(5, "proj")).mul_scalar_poly(bump(1))
+    with pytest.raises(ValueError, match="singular"):
+        project_moment_orthogonal(v, repeated)
+
+
 @pytest.mark.parametrize("name", PAIRING_NAMES)
 def test_pairing_identities(name):
     r = verify_ibp(name, samples=4, degree=2, bump_order=2, seed=7)
@@ -216,7 +226,7 @@ def _reference_pair(a: TypedField, b: TypedField):
 @st.composite
 def typed_fields(draw, kind: FieldKind):
     if draw(st.integers(0, 5)) == 0:
-        return TypedField.zero(kind)
+        return zero_field(kind)
     if kind is FieldKind.SCALAR:
         f = draw(scalar_fields())
     elif kind is FieldKind.VECTOR:
@@ -253,7 +263,7 @@ def test_l2_pair_matches_reference_at_degree_seven(kinds):
 
 @pytest.mark.parametrize("kinds", [(FieldKind.SCALAR, FieldKind.VECTOR), (FieldKind.VECTOR, FieldKind.MATRIX)])
 def test_l2_pair_kind_mismatch_raises(kinds):
-    a, b = (TypedField.zero(k) for k in kinds)
+    a, b = (zero_field(k) for k in kinds)
     for x, y in ((a, b), (b, a)):
         with pytest.raises(KindError):
             l2_pair(x, y)

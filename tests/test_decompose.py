@@ -28,6 +28,8 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
+from conftest import zero_field
+
 
 def test_all_decompositions_reconstruct_exactly():
     results = verify_all_decompositions(samples=4, degree=2, seed=7)
@@ -43,7 +45,7 @@ def test_cc_on_hessian_field():
 
 
 def test_cc_on_zero():
-    dec = regdec_cc(TypedField.zero(FieldKind.SYMMETRIC))
+    dec = regdec_cc(zero_field(FieldKind.SYMMETRIC))
     assert all(p.potential.is_zero for p in dec.parts)
 
 
@@ -115,7 +117,7 @@ def test_short_dd_on_sym_curl_image():
 
 
 def test_short_cd_zero_input():
-    dec = regdec_short(TypedField.zero(FieldKind.TRACEFREE), "cd")
+    dec = regdec_short(zero_field(FieldKind.TRACEFREE), "cd")
     assert all(p.potential.is_zero for p in dec.parts)
 
 
@@ -153,11 +155,11 @@ def test_serialization_round_trips_parts():
 
 def test_kind_preconditions():
     with pytest.raises(KindError):
-        regdec_cc(TypedField.zero(FieldKind.TRACEFREE))
+        regdec_cc(zero_field(FieldKind.TRACEFREE))
     with pytest.raises(KindError):
-        decompose("cd", TypedField.zero(FieldKind.SYMMETRIC))
+        decompose("cd", zero_field(FieldKind.SYMMETRIC))
     with pytest.raises(ValueError):
-        regdec_short(TypedField.zero(FieldKind.SYMMETRIC), "nope")
+        regdec_short(zero_field(FieldKind.SYMMETRIC), "nope")
 
 
 def test_wrong_kind_report():

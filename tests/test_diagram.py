@@ -32,6 +32,8 @@ from tensorcomplex.operators import (
 from tensorcomplex.suites import SuiteConfig, run_suite
 from tensorcomplex.poly import P_ZERO, X1, X2, X3
 
+from conftest import zero_field
+
 
 @pytest.fixture(scope="module")
 def g():
@@ -128,7 +130,7 @@ def test_cell_1_2_on_spec_sample(g):
 
 
 def test_cell_2_2_on_constant(g):
-    gfield = TypedField.zero(FieldKind.SYMMETRIC)
+    gfield = zero_field(FieldKind.SYMMETRIC)
     r = check_cell(g, (2, 2), samples=1, degree=0, seed=0)
     assert r.passed
     assert gfield.is_zero

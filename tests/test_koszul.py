@@ -26,6 +26,7 @@ from tensorcomplex.koszul import (
     constant_curl_correction,
     homotopy_check,
     kernel_basis,
+    kind_basis,
     right_inverse,
     sample_kernel,
     sample_right_inverse_input,
@@ -35,6 +36,7 @@ from tensorcomplex.koszul import (
     verify_right_inverse,
 )
 from tensorcomplex.operators import (
+    OPS,
     components_equal,
     curl,
     deff,
@@ -199,20 +201,6 @@ def test_sample_kernel_trivial_kernel_error(monkeypatch):
         k.sample_kernel(("curl",), FieldKind.VECTOR, 1, 0)
 
 
-def test_kernel_dimension_matches_rank_nullity():
-    import sympy
-
-    from tensorcomplex.koszul import _field_coords, kind_basis
-    from tensorcomplex.operators import OPS
-
-    degree = 2
-    basis = kind_basis(FieldKind.VECTOR, degree)
-    cols = [_field_coords(OPS["curl"](b), degree + 2) for b in basis]
-    m = sympy.Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-    expected_nullity = len(basis) - m.rank()
-    assert len(kernel_basis(("curl",), FieldKind.VECTOR, degree)) == expected_nullity
-
-
 def _p(k: int) -> int:
     """Dimension of the scalar polynomials of degree <= k in three variables."""
     return math.comb(k + 3, 3) if k >= 0 else 0
@@ -247,6 +235,27 @@ def test_closed_form_kernel_dimensions_cover_every_sampled_kernel():
 def test_kernel_dimensions_match_closed_form(degree):
     got = {key: len(kernel_basis(*key, degree)) for key in _KERNEL_DIMENSIONS}
     assert got == {key: dim(degree) for key, dim in _KERNEL_DIMENSIONS.items()}
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_kernel_basis_equals_sympy_nullspace(degree):
+    # The basis vectors decide every sampled right-inverse input, so pin them:
+    # sympy's reduced-echelon nullspace of the stacked coefficient matrix
+    # (one column per kind_basis field, one row per image coefficient).
+    for ops, kind in _KERNEL_DIMENSIONS:
+        basis = kind_basis(kind, degree)
+        images = [
+            {(name, ci, m): c for name in ops for ci, p in enumerate(OPS[name](b).components)
+             for m, c in p.coefficients().items()}
+            for b in basis
+        ]
+        keys = sorted(set().union(*images), key=repr)
+        matrix = sympy.Matrix([[sympy.Rational(str(image.get(k, 0))) for image in images] for k in keys])
+        expected = []
+        for v in matrix.nullspace():
+            terms = [b.scale(Fraction(int(c.p), int(c.q))) for c, b in zip(v, basis) if c != 0]
+            expected.append(sum(terms[1:], terms[0]))
+        assert kernel_basis(ops, kind, degree) == expected, (ops, kind)
 
 
 @pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)

@@ -43,7 +43,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import matrix_fields, polys, vector_fields
+from conftest import matrix_fields, polys, vector_fields, zero_field
 
 _SYMS = sympy.symbols("x1 x2 x3")
 
@@ -361,7 +361,7 @@ def test_run_check_precondition_error_is_an_error_case():
 
 def test_run_check_other_exceptions_propagate():
     with pytest.raises(KindError):
-        run_check("c", "a", 2, lambda s: s, lambda x: grad(TypedField.zero(FieldKind.MATRIX)))
+        run_check("c", "a", 2, lambda s: s, lambda x: grad(zero_field(FieldKind.MATRIX)))
 
 
 def _square_clock(monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from tensorcomplex.rational import PiScalar, RatMatrix
@@ -49,8 +49,12 @@ def test_pi_scalar_product_rejected():
         PiScalar(Fraction(1)) * PiScalar(Fraction(1))
 
 
+def _dense(rows) -> RatMatrix:
+    return RatMatrix(len(rows[0]), [dict(enumerate(row)) for row in rows])
+
+
 def test_nullspace_rank_one_row():
-    m = RatMatrix.from_rows([[1, 1, 0]])
+    m = _dense([[1, 1, 0]])
     basis = m.nullspace()
     assert basis == [
         [Fraction(-1), Fraction(1), Fraction(0)],
@@ -59,28 +63,31 @@ def test_nullspace_rank_one_row():
 
 
 def test_nullspace_identity_is_trivial():
-    m = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = _dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.nullspace() == []
 
 
 def test_nullspace_dependent_rows():
     # hand row reduction: [[1,2],[2,4]] ~ [[1,2],[0,0]], kernel spanned by (-2,1)
-    m = RatMatrix.from_rows([[1, 2], [2, 4]])
+    m = _dense([[1, 2], [2, 4]])
     assert m.nullspace() == [[Fraction(-2), Fraction(1)]]
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-5, 5), min_size=4, max_size=4),
-        min_size=2,
-        max_size=5,
-    )
-)
-def test_nullspace_vectors_are_exact_kernel_elements(rows):
-    m = RatMatrix.from_rows(rows)
-    basis = m.nullspace()
-    for v in basis:
-        assert sympy.Matrix(rows) * sympy.Matrix(v) == sympy.zeros(len(rows), 1)
-    # rank-nullity, with the rank computed by an independent implementation
-    sym_rank = sympy.Matrix(rows).rank()
-    assert len(basis) + sym_rank == m.cols
+@st.composite
+def sparse_matrices(draw):
+    """(cols, rows): up to six rows, some of them empty, of mostly-zero rational entries."""
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions(max_num=6, max_den=4))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    return cols, [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+@settings(max_examples=300)
+@given(sparse_matrices())
+@example((3, []))
+@example((2, [{}, {0: Fraction(1, 2)}, {}]))
+def test_nullspace_equals_sympy_nullspace(matrix):
+    cols, rows = matrix
+    dense = sympy.Matrix(len(rows), cols, lambda i, j: sympy.Rational(str(rows[i].get(j, 0))))
+    expected = [[sympy.Rational(str(x)) for x in v] for v in dense.nullspace()]
+    assert [[sympy.Rational(str(x)) for x in v] for v in RatMatrix(cols, rows).nullspace()] == expected

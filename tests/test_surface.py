@@ -45,3 +45,39 @@ def test_every_library_definition_is_reached_outside_the_tests():
         if name not in used
     ]
     assert unused == []
+
+
+def _is_class_or_static(method: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod") for d in method.decorator_list)
+
+
+def _calls_through(tree: ast.AST, owners: tuple[str, ...]) -> set[str]:
+    """Attribute names read off a name or attribute in `owners`, anywhere in tree."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and ((isinstance(node.value, ast.Name) and node.value.id in owners)
+             or (isinstance(node.value, ast.Attribute) and node.value.attr in owners))
+    }
+
+
+def test_every_class_or_static_method_is_reached_through_its_class():
+    # The bare-name scan above cannot tell `TypedField.zero` from a used
+    # `Poly3.zero`.  A classmethod or staticmethod must be read in production
+    # code as `ClassName.method`, or as `cls.method` / `self.method` inside
+    # its own class.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in _production_files()]
+    unused = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            reached = set().union(*(_calls_through(tree, (cls.name,)) for tree in trees))
+            reached |= _calls_through(cls, ("cls", "self"))
+            unused += [
+                f"{path.stem}.{cls.name}.{m.name}"
+                for m in cls.body
+                if isinstance(m, ast.FunctionDef) and _is_class_or_static(m) and m.name not in reached
+            ]
+    assert unused == []
