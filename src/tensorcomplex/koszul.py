@@ -46,6 +46,7 @@ from .operators import (
     div,
     div_div,
     div_t,
+    draw_ints,
     field_draw,
     grad,
     grad_div,
@@ -213,28 +214,29 @@ def kernel_basis(op_names: Sequence[str], kind: FieldKind, degree: int) -> list[
                     rows.setdefault((name, ci, m), {})[j] = c
     fields = []
     for v in RatMatrix(len(basis), rows.values()).nullspace():
-        # each vector has a 1 at its free column, so `terms` is never empty
-        terms = [b.scale(c) for c, b in zip(v, basis) if c != 0]
-        fields.append(sum(terms[1:], terms[0]))
+        used = [j for j, c in enumerate(v) if c]
+        fields.append(_weighted_sum(kind, [v[j] for j in used], [basis[j] for j in used]))
     _KERNEL_CACHE[key] = fields
     return fields
 
 
+def _weighted_sum(kind: FieldKind, weights: Sequence[int | Fraction], fields: Sequence[TypedField]) -> TypedField:
+    """The sum of w * f over the weights and fields, tagged `kind`: one combination per component."""
+    columns = zip(*(f.components for f in fields))
+    return TypedField(kind, tuple(Poly3.combination(zip(weights, col)) for col in columns))
+
+
 def sample_kernel(op_names: Sequence[str], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
-    """A random exact kernel element: a rational combination of nullspace
+    """A random exact kernel element: a nonzero combination of nullspace
     basis vectors with integer weights in [-9, 9]."""
     fields = kernel_basis(op_names, kind, degree)
     if not fields:
         raise ValueError(f"kernel is trivial at this degree: {op_names} on {kind.value}")
     rng = derived_rng(seed, "kernel", *op_names, kind.value, degree, index)
-    comps = [P_ZERO] * len(fields[0].components)
-    while all(p.is_zero for p in comps):
-        comps = [P_ZERO] * len(comps)
-        for f in fields:
-            w = rng.randint(-9, 9)
-            if w:
-                comps = [p if q.is_zero else p + q.scale(w) for p, q in zip(comps, f.components)]
-    return TypedField(kind, tuple(comps))
+    weights = draw_ints(rng, len(fields))
+    while not any(weights):  # the basis is independent, so only all-zero weights give zero
+        weights = draw_ints(rng, len(fields))
+    return _weighted_sum(kind, weights, fields)
 
 
 # -- right-inverse chains -----------------------------------------------------

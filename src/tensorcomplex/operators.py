@@ -13,12 +13,14 @@ point samples; a pass means the two sides agree exactly.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 from typing import Any, Callable
 
 from .fields import (
+    _COMPONENT_COUNT,
     FieldKind,
     KindError,
     TypedField,
@@ -180,29 +182,55 @@ OPS: dict[str, Callable[[TypedField], TypedField]] = {
 
 
 def derived_rng(seed: int, *stream: object) -> random.Random:
-    """Deterministic per-sample RNG; parallel and serial runs agree."""
+    """Deterministic RNG for one sample: the same (seed, *stream) always gives the same draws."""
     tag = ":".join(str(s) for s in stream)
     return random.Random(f"{seed}:{tag}")
 
 
-def random_poly(rng: random.Random, degree: int) -> Poly3:
-    """Uniform integer coefficients in [-9, 9] over all monomials of degree <= degree."""
-    return Poly3.from_numerators({m: rng.randint(-9, 9) for m in monomials_up_to(degree)})
+# Each top byte read as a signed byte is its randint(-9, 9) value; bytes from 152 = 19 << 3 up are rejected.
+_DRAW_VALUE = bytes(((b >> 3) - 9) & 0xFF for b in range(256))
+_DRAW_REJECT = bytes(range(152, 256))
+# Component 3i + j of a matrix field is entry (i, j); its transpose entry is component 3j + i.
+_TRANSPOSED = [3 * j + i for i in range(3) for j in range(3)]
+
+
+def draw_ints(rng: random.Random, n: int) -> list[int]:
+    """The values of n calls to rng.randint(-9, 9), leaving rng in the same state.
+
+    Each randint(-9, 9) try takes one 32-bit word, keeps its top 5 bits and
+    rejects values of 19 or more.  getrandbits(32 k) packs the next k words
+    little-endian, so every fourth byte is the top byte of one word, in order:
+    the word is accepted when that byte is below 152, with value
+    (byte >> 3) - 9.  Each round takes exactly as many words as values are
+    still missing, so no word past the n-th accepted one is consumed.
+    """
+    out: list[int] = []
+    while len(out) < n:
+        k = n - len(out)
+        top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+        out += array("b", top.translate(_DRAW_VALUE, _DRAW_REJECT))
+    return out
 
 
 def random_field(kind: FieldKind, degree: int, rng: random.Random) -> TypedField:
-    if kind is FieldKind.SCALAR:
-        return TypedField.scalar(random_poly(rng, degree))
-    if kind is FieldKind.VECTOR:
-        return TypedField.vector([random_poly(rng, degree) for _ in range(3)])
-    m = TypedField.matrix([[random_poly(rng, degree) for _ in range(3)] for _ in range(3)])
-    if kind is FieldKind.SYMMETRIC:
-        return m.sym()
-    if kind is FieldKind.TRACEFREE:
-        return m.dev()
-    if kind is FieldKind.SKEW:
-        return m.skw()
-    return m
+    """Integer coefficients in [-9, 9] over all monomials of degree <= degree,
+    component by component; a symmetric, trace-free or skew field is the
+    projection of such a matrix field, built directly as numerators."""
+    monos = monomials_up_to(degree)
+    size = len(monos)
+    count = _COMPONENT_COUNT[kind]
+    values = draw_ints(rng, count * size)
+    a = [values[c * size:(c + 1) * size] for c in range(count)]
+    if kind is FieldKind.SYMMETRIC:  # (a_ij + a_ji) / 2
+        entries = [([x + y for x, y in zip(row, a[t])], 2) for row, t in zip(a, _TRANSPOSED)]
+    elif kind is FieldKind.SKEW:  # (a_ij - a_ji) / 2
+        entries = [([x - y for x, y in zip(row, a[t])], 2) for row, t in zip(a, _TRANSPOSED)]
+    elif kind is FieldKind.TRACEFREE:  # a_ij off the diagonal, (3 a_ii - tr) / 3 on it
+        tr = [x + y + z for x, y, z in zip(a[0], a[4], a[8])]
+        entries = [([3 * x - t for x, t in zip(row, tr)], 3) if c % 4 == 0 else (row, 1) for c, row in enumerate(a)]
+    else:
+        entries = [(row, 1) for row in a]
+    return TypedField(kind, tuple(Poly3.from_numerators(dict(zip(monos, row)), den) for row, den in entries))
 
 
 def field_draw(kind: FieldKind, degree: int, seed: int, *stream: object) -> Callable[[int], TypedField]:

@@ -17,6 +17,7 @@ module reads `terms` and `den`; other modules go through the methods.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -48,6 +49,33 @@ def _make(terms: dict[Monomial, int], den: int) -> "Poly3":
                 terms = {m: n // g for m, n in terms.items()}
                 den //= g
     return _new(terms, den)
+
+
+def _signed_sum(a: "Poly3", b: "Poly3", sign: int) -> "Poly3":
+    """a + sign * b for sign 1 or -1, in one pass over the terms of b."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b if sign == 1 else -b
+    den, db = a.den, b.den
+    if den == db:
+        t = a.terms.copy()
+        fb = sign
+    else:
+        g = gcd(den, db)
+        fa, fb = db // g, sign * (den // g)
+        t = {m: n * fa for m, n in a.terms.items()}
+        den *= fa
+    get = t.get
+    if fb == 1:
+        for m, n in b.terms.items():
+            t[m] = get(m, 0) + n
+    else:
+        for m, n in b.terms.items():
+            t[m] = get(m, 0) + n * fb
+    if not all(t.values()):
+        t = {m: n for m, n in t.items() if n}
+    return _make(t, den)
 
 
 class Poly3:
@@ -160,32 +188,13 @@ class Poly3:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly3") -> "Poly3":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        den, db = self.den, other.den
-        items = other.terms.items()
-        if den == db:
-            t = self.terms.copy()
-        else:
-            g = gcd(den, db)
-            fa, fb = db // g, den // g
-            t = {m: n * fa for m, n in self.terms.items()}
-            items = [(m, n * fb) for m, n in items]
-            den *= fa
-        get = t.get
-        for m, n in items:
-            t[m] = get(m, 0) + n
-        if not all(t.values()):
-            t = {m: n for m, n in t.items() if n}
-        return _make(t, den)
+        return _signed_sum(self, other, 1)
 
     def __neg__(self) -> "Poly3":
         return _new({m: -n for m, n in self.terms.items()}, self.den)
 
     def __sub__(self, other: "Poly3") -> "Poly3":
-        return self + (-other)
+        return _signed_sum(self, other, -1)
 
     def __mul__(self, other: "Poly3") -> "Poly3":
         t: dict[Monomial, int] = {}
@@ -219,6 +228,25 @@ class Poly3:
         else:
             t = {m: n // g * cn for m, n in self.terms.items()}
         return _new(t, den * cd)
+
+    @staticmethod
+    def combination(pairs: Iterable[tuple[int | Fraction, "Poly3"]]) -> "Poly3":
+        """Sum of w * p over the (weight, polynomial) pairs, with int or Fraction weights.
+
+        The weighted numerators are summed over the lcm of the denominators
+        den(p) * den(w) in one pass, and the result is normalised once.
+        """
+        scaled = [(w.numerator, w.denominator * p.den, p.terms) for w, p in pairs if w and p.terms]
+        den = lcm(*(d for _, d, _ in scaled))
+        t: dict[Monomial, int] = {}
+        get = t.get
+        for n, d, terms in scaled:
+            f = n * (den // d)
+            for m, c in terms.items():
+                t[m] = get(m, 0) + c * f
+        if not all(t.values()):
+            t = {m: n for m, n in t.items() if n}
+        return _make(t, den)
 
     def partial(self, i: int) -> "Poly3":
         """Formal derivative with respect to x_i, i in {1, 2, 3}."""
@@ -278,12 +306,12 @@ X2 = Poly3.variable(2)
 X3 = Poly3.variable(3)
 
 
-def monomials_up_to(degree: int) -> list[Monomial]:
+@cache
+def monomials_up_to(degree: int) -> tuple[Monomial, ...]:
     """All exponent triples of total degree <= degree, graded-lex order."""
-    out = [
+    return tuple(
         (a, b, d - a - b)
         for d in range(degree + 1)
         for a in range(d, -1, -1)
         for b in range(d - a, -1, -1)
-    ]
-    return out
+    )

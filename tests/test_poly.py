@@ -92,6 +92,12 @@ def test_monomials_up_to_counts():
     assert len(monomials_up_to(4)) == 35
 
 
+def test_monomials_up_to_is_one_shared_immutable_tuple():
+    # cached: every draw of a field reads the same tuple, which no caller can mutate
+    assert type(monomials_up_to(2)) is tuple
+    assert monomials_up_to(2) is monomials_up_to(2)
+
+
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensorcomplex"
 
 

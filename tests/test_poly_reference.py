@@ -94,6 +94,31 @@ def test_arithmetic_matches_fraction_reference(pair, c, i):
     assert p.degree() == r.degree()
 
 
+@st.composite
+def weighted_refs(draw):
+    """(weight, reference poly) pairs; some lists repeat every pair with the opposite weight, so the sum cancels."""
+    pairs = draw(st.lists(st.tuples(scalars(), ref_polys()), max_size=5))
+    if draw(st.booleans()):
+        pairs += [(-w, r) for w, r in pairs]
+    return pairs
+
+
+@settings(max_examples=200)
+@given(weighted_refs())
+def test_combination_matches_fraction_reference(pairs):
+    expected = sum((r.scale(w) for w, r in pairs), FractionPoly3())
+    assert_same(Poly3.combination((w, fast(r)) for w, r in pairs), expected)
+
+
+def test_combination_of_nothing_zero_weights_and_cancelling_terms_is_zero():
+    p = Poly3.parse("1/2 * x1^1 x2^0 x3^0 + -3/4 * x1^0 x2^2 x3^0")
+    for pairs in ([], [(0, p)], [(Fraction(0), p), (3, Poly3.zero())], [(2, p), (Fraction(-4, 2), p)]):
+        result = Poly3.combination(pairs)
+        assert_canonical(result)
+        assert result.is_zero
+    assert Poly3.combination([(Fraction(6, 1), p), (-4, p)]) == p.scale(2)
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(monomials(), fractions(max_num=40, max_den=60)), min_size=1, max_size=6), st.booleans())
 def test_parse_and_print_match_fraction_reference(chunks, cancel):
@@ -162,6 +187,7 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
         Poly3.from_numerators({m: n for m, n in p.numerators(p.denominator * den)}, p.denominator * den),
         Poly3.from_numerators({(0, 0, 0): 0, (1, 0, 0): den}, den),
         Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
+        Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),
     ]
     v = TypedField.vector([p, q, p * q])
     results += tg(v).components + tc(v).components + td(TypedField.scalar(q)).components
