@@ -180,11 +180,12 @@ def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
         [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} | {n: -l2_pair(f, b).coeff} for b in space.basis],
     )
     kernel = system.nullspace()
-    if len(kernel) != 1 or kernel[0][n] != 1:
+    if len(kernel) != 1 or kernel[0].get(n) != 1:
         raise ValueError(f"the Gram matrix of {space.name} is singular")
     out = f
-    for c, wb in zip(kernel[0], weighted):
-        out = out - wb.scale(c)
+    for j, c in kernel[0].items():
+        if j != n:
+            out = out - weighted[j].scale(c)
     return out
 
 

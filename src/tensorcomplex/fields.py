@@ -38,6 +38,9 @@ _COMPONENT_COUNT = {
 }
 
 
+_HALF = Fraction(1, 2)
+
+
 class KindError(TypeError):
     """Operation applied to a field of the wrong kind."""
 
@@ -150,13 +153,15 @@ class TypedField:
     def sym(self) -> "TypedField":
         if not self.is_matrix_kind:
             raise KindError("sym needs a matrix field")
-        rows = [[(self.entry(i, j) + self.entry(j, i)).scale(Fraction(1, 2)) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows, FieldKind.SYMMETRIC)
+        # One (e_ij + e_ji) / 2 per off-diagonal pair fills both of its slots.
+        c = self.components
+        s12, s13, s23 = (Poly3.combination(((_HALF, c[k]), (_HALF, c[t]))) for k, t in ((1, 3), (2, 6), (5, 7)))
+        return TypedField(FieldKind.SYMMETRIC, (c[0], s12, s13, s12, c[4], s23, s13, s23, c[8]))
 
     def skw(self) -> "TypedField":
         if not self.is_matrix_kind:
             raise KindError("skw needs a matrix field")
-        rows = [[(self.entry(i, j) - self.entry(j, i)).scale(Fraction(1, 2)) for j in range(1, 4)] for i in range(1, 4)]
+        rows = [[(self.entry(i, j) - self.entry(j, i)).scale(_HALF) for j in range(1, 4)] for i in range(1, 4)]
         return TypedField.matrix(rows, FieldKind.SKEW)
 
     def trace(self) -> "TypedField":
@@ -165,12 +170,16 @@ class TypedField:
         return TypedField.scalar(self.entry(1, 1) + self.entry(2, 2) + self.entry(3, 3))
 
     def dev(self) -> "TypedField":
+        if not self.is_matrix_kind:
+            raise KindError("dev needs a matrix field")
         t = self.trace().comp(1).scale(Fraction(1, 3))
         rows = [[self.entry(i, j) - t if i == j else self.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
         return TypedField.matrix(rows, FieldKind.TRACEFREE)
 
     def s_op(self) -> "TypedField":
         """tau -> tau^T - tr(tau) id."""
+        if not self.is_matrix_kind:
+            raise KindError("S needs a matrix field")
         t = self.trace().comp(1)
         tt = self.transpose()
         rows = [[tt.entry(i, j) - t if i == j else tt.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
@@ -202,9 +211,8 @@ def vskw(m: TypedField) -> TypedField:
     if not m.is_matrix_kind:
         raise KindError("vskw needs a matrix field")
     e = m.entry
-    half = Fraction(1, 2)
     return TypedField.vector(
-        [(e(3, 2) - e(2, 3)).scale(half), (e(1, 3) - e(3, 1)).scale(half), (e(2, 1) - e(1, 2)).scale(half)]
+        [(e(3, 2) - e(2, 3)).scale(_HALF), (e(1, 3) - e(3, 1)).scale(_HALF), (e(2, 1) - e(1, 2)).scale(_HALF)]
     )
 
 

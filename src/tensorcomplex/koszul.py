@@ -212,10 +212,10 @@ def kernel_basis(op_names: Sequence[str], kind: FieldKind, degree: int) -> list[
             for ci, p in enumerate(OPS[name](b).components):
                 for m, c in p.coefficients().items():
                     rows.setdefault((name, ci, m), {})[j] = c
-    fields = []
-    for v in RatMatrix(len(basis), rows.values()).nullspace():
-        used = [j for j, c in enumerate(v) if c]
-        fields.append(_weighted_sum(kind, [v[j] for j in used], [basis[j] for j in used]))
+    fields = [
+        _weighted_sum(kind, list(v.values()), [basis[j] for j in v])
+        for v in RatMatrix(len(basis), rows.values()).nullspace()
+    ]
     _KERNEL_CACHE[key] = fields
     return fields
 

@@ -4,7 +4,9 @@ Conventions, fixed once here:
   * grad u of a vector field is the Jacobian, (i, j) entry d(u_i)/d(x_j);
   * div and curl act row-wise on matrix fields;
   * an operator name of the form "a_b" composes right to left, so
-    t_curl(f) = transpose(curl(f)) and div_t(f) = div(transpose(f)).
+    t_curl(f) = transpose(curl(f)) and div_t(f) = div(transpose(f));
+  * curl and div build each entry in one pass, as one `Poly3.partial_sum`
+    of its signed first derivatives.
 
 The identity suite at the bottom compares canonical polynomial forms, never
 point samples; a pass means the two sides agree exactly.
@@ -28,7 +30,7 @@ from .fields import (
     mskw,
     vskw,
 )
-from .poly import P_ZERO, Poly3, monomials_up_to
+from .poly import Poly3, monomials_up_to
 
 
 # -- first-order operators ----------------------------------------------
@@ -45,7 +47,11 @@ def grad(f: TypedField) -> TypedField:
 
 
 def _vector_curl(c1: Poly3, c2: Poly3, c3: Poly3) -> list[Poly3]:
-    return [c3.partial(2) - c2.partial(3), c1.partial(3) - c3.partial(1), c2.partial(1) - c1.partial(2)]
+    return [
+        Poly3.partial_sum(((1, 2, c3), (-1, 3, c2))),
+        Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
+        Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
+    ]
 
 
 def curl(f: TypedField) -> TypedField:
@@ -59,13 +65,15 @@ def curl(f: TypedField) -> TypedField:
     raise KindError("curl needs a vector or matrix field")
 
 
+def _vector_div(c: tuple[Poly3, ...]) -> Poly3:
+    return Poly3.partial_sum(((1, 1, c[0]), (1, 2, c[1]), (1, 3, c[2])))
+
+
 def div(f: TypedField) -> TypedField:
     if f.kind is FieldKind.VECTOR:
-        return TypedField.scalar(sum((f.comp(i).partial(i) for i in range(1, 4)), P_ZERO))
+        return TypedField.scalar(_vector_div(f.components))
     if f.is_matrix_kind:
-        return TypedField.vector(
-            [sum((f.entry(i, j).partial(j) for j in range(1, 4)), P_ZERO) for i in range(1, 4)]
-        )
+        return TypedField.vector([_vector_div(f.components[r : r + 3]) for r in (0, 3, 6)])
     raise KindError("div needs a vector or matrix field")
 
 
@@ -359,9 +367,8 @@ IDENTITIES: dict[str, Identity] = {
 
 def components_equal(a: TypedField, b: TypedField) -> bool:
     """Exact equality of component polynomials, ignoring the kind tags."""
-    if len(a.components) != len(b.components):
-        return False
-    return all((x - y).is_zero for x, y in zip(a.components, b.components))
+    # Poly3 is canonical, so x == y exactly when x - y is zero.
+    return len(a.components) == len(b.components) and a.components == b.components
 
 
 class PreconditionError(ValueError):

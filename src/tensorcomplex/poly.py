@@ -10,8 +10,12 @@ the denominator.  The form is canonical, so equal polynomials have equal
 
 Arithmetic runs on Python ints with one gcd normalisation per result; a
 `Fraction` is built only where a single coefficient is read (`coeff`,
-`coefficients`, the text form).  All operations are exact.  Only this
-module reads `terms` and `den`; other modules go through the methods.
+`coefficients`, the text form).  The many-term sums are int operations
+too, each one pass and one normalisation: `partial_sum` (signed first
+derivatives, for curl and div), `shift_sum` (signed x_i shifts, for the
+Koszul operators) and `combination` (weighted sums).  All operations are
+exact.  Only this module reads `terms` and `den`; other modules go through
+the methods.
 """
 
 from __future__ import annotations
@@ -260,6 +264,42 @@ class Poly3:
         else:
             raise ValueError(f"no variable x{i}")
         return _make(t, self.den)
+
+    @staticmethod
+    def partial_sum(pieces: Iterable[tuple[int, int, "Poly3"]]) -> "Poly3":
+        """Sum of sign * dp/dx_i over (sign, i, p), i in {1, 2, 3}.
+
+        The derivative twin of `shift_sum`: every term is differentiated and
+        added as an integer numerator over lcm(den of each p), and the result
+        is normalised once.
+        """
+        pieces = [piece for piece in pieces if piece[2].terms]
+        den = lcm(*(p.den for _, _, p in pieces))
+        t: dict[Monomial, int] = {}
+        get = t.get
+        for sign, i, p in pieces:
+            w = sign * (den // p.den)
+            items = p.terms.items()
+            if i == 1:
+                for (a, b, c), n in items:
+                    if a:
+                        m = (a - 1, b, c)
+                        t[m] = get(m, 0) + n * a * w
+            elif i == 2:
+                for (a, b, c), n in items:
+                    if b:
+                        m = (a, b - 1, c)
+                        t[m] = get(m, 0) + n * b * w
+            elif i == 3:
+                for (a, b, c), n in items:
+                    if c:
+                        m = (a, b, c - 1)
+                        t[m] = get(m, 0) + n * c * w
+            else:
+                raise ValueError(f"no variable x{i}")
+        if not all(t.values()):
+            t = {m: n for m, n in t.items() if n}
+        return _make(t, den)
 
     # -- text form ----------------------------------------------------
 

@@ -60,13 +60,14 @@ class RatMatrix:
         self.cols = cols
         self.rows = [{c: Fraction(x) for c, x in row.items() if x} for row in rows]
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the kernel, one vector per free column.
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """Basis of the kernel, one sparse vector per free column.
 
         Each row is reduced against the pivot rows found so far, which are
         kept fully reduced, so only nonzero entries are ever touched and the
         pivot rows end as the reduced row echelon form.  Vectors come out in
-        ascending free-column order, the same whatever the row order.
+        ascending free-column order, the same whatever the row order; each
+        maps its nonzero entries' columns, in ascending order, to the entries.
         """
         pivots: dict[int, dict[int, Fraction]] = {}
         for row in self.rows:
@@ -82,14 +83,12 @@ class RatMatrix:
                 if p in other:
                     _subtract(other, other[p], row)
             pivots[p] = row
-        basis = {
-            fc: [ONE if c == fc else ZERO for c in range(self.cols)] for fc in range(self.cols) if fc not in pivots
-        }
+        basis = {fc: {fc: ONE} for fc in range(self.cols) if fc not in pivots}
         for p, row in pivots.items():
             for c, x in row.items():
                 if c != p:
                     basis[c][p] = -x
-        return list(basis.values())
+        return [dict(sorted(v.items())) for v in basis.values()]
 
 
 def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fraction]) -> None:

@@ -169,6 +169,14 @@ class FractionPoly3:
         return cls(terms)
 
 
+def partial_sum(pieces) -> FractionPoly3:
+    """Sum of sign * dp/dx_i over (sign, i, p), one reference partial and sum at a time."""
+    out = FractionPoly3()
+    for sign, i, p in pieces:
+        d = p.partial(i)
+        out = out + d if sign == 1 else out - d
+    return out
+
 
 def shift_sum(pieces, offset: int) -> FractionPoly3:
     """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset."""

@@ -30,7 +30,7 @@ from tensorcomplex.operators import (
     run_check,
 )
 from tensorcomplex.suites import SuiteConfig, run_suite
-from tensorcomplex.poly import P_ZERO, X1, X2, X3
+from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
 from conftest import zero_field
 
@@ -334,12 +334,17 @@ def test_dropping_the_half_on_dev_grad_fails_cells(monkeypatch):
     # the edge (3,1)->(3,2) is the bottom of cell (2,1) and the top of cell (3,1)
     assert {c.name for c in failing} == {"cell (2,1)", "cell (3,1)"}
     for case in failing:
-        r, c = (int(t) for t in case.name.strip("cell ()").split(","))
-        f = field_from_text(case.witness)
-        assert f.kind is g.nodes[(r, c)].kind
-        right_down = g.edge((r, c + 1), (r + 1, c + 1)).op.apply(g.edge((r, c), (r, c + 1)).op.apply(f))
-        down_right = g.edge((r + 1, c), (r + 1, c + 1)).op.apply(g.edge((r, c), (r + 1, c)).op.apply(f))
-        assert not components_equal(right_down, down_right), case.name
+        assert not _witness_commutes(g, case), case.name
+
+
+def _witness_commutes(g, case):
+    """Whether the failing cell case's witness, read back from its text, makes the cell commute."""
+    r, c = (int(t) for t in case.name.strip("cell ()").split(","))
+    f = field_from_text(case.witness)
+    assert f.kind is g.nodes[(r, c)].kind
+    right_down = g.edge((r, c + 1), (r + 1, c + 1)).op.apply(g.edge((r, c), (r, c + 1)).op.apply(f))
+    down_right = g.edge((r + 1, c), (r + 1, c + 1)).op.apply(g.edge((r, c), (r + 1, c)).op.apply(f))
+    return components_equal(right_down, down_right)
 
 
 def test_div_dropping_a_partial_fails_two_complex(monkeypatch):
@@ -364,3 +369,32 @@ def test_dropping_sym_from_sym_curl_fails_derived_complexes(monkeypatch):
     u = field_from_text(failing[0].witness)
     assert u.kind is FieldKind.VECTOR
     assert not OperatorId("sym_curl").apply(OperatorId("dev_grad", Fraction(1, 2)).apply(u)).is_zero
+
+
+def _partial_sum_without_exponent_factor(pieces):
+    """Poly3.partial_sum with d/dx_i x_i^k taken as x_i^(k-1): the exponent factor k is dropped."""
+    total = {}
+    for sign, i, p in pieces:
+        for m, c in p.coefficients().items():
+            if m[i - 1]:
+                lowered = tuple(e - (k == i - 1) for k, e in enumerate(m))
+                total[lowered] = total.get(lowered, 0) + sign * c
+    return Poly3(total)
+
+
+def test_partial_sum_without_exponent_factor_fails_identities_cells_and_two_complex(monkeypatch):
+    # curl and div go through the broken kernel while grad keeps Poly3.partial,
+    # so every suite that mixes them must fail, and each witness must fail again
+    monkeypatch.setattr(Poly3, "partial_sum", staticmethod(_partial_sum_without_exponent_factor))
+    for case in _failing_cases("identities", 2):
+        ident = operators.IDENTITIES[case.name]
+        f = field_from_text(case.witness)
+        assert f.kind is ident.input_kind
+        first, *rest = [side(f) for side in ident.sides]
+        assert not all(components_equal(first, other) for other in rest), case.name
+    g = DiagramGraph("with-bc")
+    for case in _failing_cases("cells", 2):
+        assert not _witness_commutes(g, case), case.name
+    paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
+    for case in _failing_cases("two-complex", 3):
+        assert not apply_path(g, paths[case.name], field_from_text(case.witness)).is_zero, case.name

@@ -57,7 +57,7 @@ def reference_kernel_basis(op_names, kind: FieldKind, degree: int) -> list[Typed
                     rows.setdefault((name, ci, m), {})[j] = c
     fields = []
     for v in RatMatrix(len(basis), rows.values()).nullspace():
-        terms = [b.scale(c) for c, b in zip(v, basis) if c != 0]
+        terms = [basis[j].scale(c) for j, c in v.items()]
         fields.append(sum(terms[1:], terms[0]))
     return fields
 

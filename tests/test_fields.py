@@ -95,6 +95,56 @@ def test_dev_plus_trace_part(m):
     assert components_equal(m.dev() + TypedField.identity_scaled(t), m)
 
 
+# Entrywise reference formulas for the pointwise projections, written out one
+# entry at a time, as sums, differences and scales of single entries.
+_R = range(1, 4)
+
+
+def _ref_trace(m):
+    return m.entry(1, 1) + m.entry(2, 2) + m.entry(3, 3)
+
+
+_REFERENCE_PROJECTIONS = {
+    "sym": lambda m: [(m.entry(i, j) + m.entry(j, i)).scale(Fraction(1, 2)) for i in _R for j in _R],
+    "skw": lambda m: [(m.entry(i, j) - m.entry(j, i)).scale(Fraction(1, 2)) for i in _R for j in _R],
+    "dev": lambda m: [
+        m.entry(i, j) - _ref_trace(m).scale(Fraction(1, 3)) if i == j else m.entry(i, j) for i in _R for j in _R
+    ],
+    "s_op": lambda m: [m.entry(j, i) - _ref_trace(m) if i == j else m.entry(j, i) for i in _R for j in _R],
+    "vskw": lambda m: [
+        (m.entry(3, 2) - m.entry(2, 3)).scale(Fraction(1, 2)),
+        (m.entry(1, 3) - m.entry(3, 1)).scale(Fraction(1, 2)),
+        (m.entry(2, 1) - m.entry(1, 2)).scale(Fraction(1, 2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_PROJECTIONS))
+@pytest.mark.parametrize("kind", MATRIX_KINDS, ids=[k.value for k in MATRIX_KINDS])
+@pytest.mark.parametrize("degree", range(5))
+def test_projections_match_entrywise_formulas(name, kind, degree):
+    op = vskw if name == "vskw" else getattr(TypedField, name)
+    for sample in range(3):
+        m = random_field(kind, degree, derived_rng(5, "projection", name, kind.value, degree, sample))
+        assert list(op(m).components) == _REFERENCE_PROJECTIONS[name](m)
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (TypedField.sym, "sym needs"),
+        (TypedField.skw, "skw needs"),
+        (TypedField.dev, "dev needs"),
+        (TypedField.s_op, "S needs"),
+        (TypedField.trace, "tr needs"),
+        (vskw, "vskw needs"),
+    ],
+)
+def test_matrix_operations_on_a_vector_name_themselves(op, message):
+    with pytest.raises(KindError, match=f"^{message} a matrix field$"):
+        op(E1)
+
+
 def _s_inv(m: TypedField) -> TypedField:
     """tau -> tau^T - (1/2) tr(tau) id, the closed-form inverse of s_op."""
     t = TypedField.identity_scaled(m.trace().comp(1).scale(Fraction(1, 2)))

@@ -14,6 +14,7 @@ from tensorcomplex.fields import (
     E3,
     FieldKind,
     KindError,
+    MATRIX_KINDS,
     TypedField,
     X_FIELD,
     cross,
@@ -70,6 +71,12 @@ def sympy_curl(f):
             sympy.diff(b, _SYMS[0]) - sympy.diff(a, _SYMS[1]),
         ]
     return out
+
+
+def sympy_div(f):
+    """Divergence of a vector field, or row-wise divergence of a matrix field, as sympy expressions."""
+    e = [to_sympy(c) for c in f.components]
+    return [sum(sympy.diff(e[r + j], _SYMS[j]) for j in range(3)) for r in range(0, len(e), 3)]
 
 
 def assert_matches(f, expected):
@@ -298,6 +305,25 @@ def test_matrix_div_and_curl_are_row_wise():
 @given(st.one_of(vector_fields(), matrix_fields()))
 def test_curl_matches_oracle_on_random_fields(f):
     assert_matches(curl(f), sympy_curl(f))
+
+
+_DIV_KINDS = [FieldKind.VECTOR, *MATRIX_KINDS]
+
+
+@pytest.mark.parametrize("kind", _DIV_KINDS, ids=[k.value for k in _DIV_KINDS])
+def test_div_matches_oracle_on_every_kind(kind):
+    for sample in range(3):
+        f = random_field(kind, 3, derived_rng(47, "div-oracle", kind.value, sample))
+        assert_matches(div(f), sympy_div(f))
+
+
+@pytest.mark.parametrize("kind", [FieldKind.SYMMETRIC, FieldKind.TRACEFREE], ids=["symmetric", "trace-free"])
+def test_curl_matches_oracle_on_symmetric_and_tracefree_fields(kind):
+    # the projected entries carry denominators 2 (symmetric) and 3 (trace-free diagonal)
+    for sample in range(3):
+        f = random_field(kind, 3, derived_rng(53, "curl-oracle", kind.value, sample))
+        assert any(p.denominator > 1 for p in f.components)
+        assert_matches(curl(f), sympy_curl(f))
 
 
 _R = range(1, 4)

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from tensorcomplex.ball import _pair_integral, integrate_ball
 from tensorcomplex.fields import FieldKind, KindError, TypedField
 from tensorcomplex.koszul import tc, td, tg
+from tensorcomplex.operators import components_equal
 from tensorcomplex.poly import Poly3
 
 from conftest import fractions, monomials
-from reference_poly import FractionPoly3, shift_sum
+from reference_poly import FractionPoly3, partial_sum, shift_sum
 
 _X = [FractionPoly3.variable(i) for i in (1, 2, 3)]
 
@@ -119,6 +120,57 @@ def test_combination_of_nothing_zero_weights_and_cancelling_terms_is_zero():
     assert Poly3.combination([(Fraction(6, 1), p), (-4, p)]) == p.scale(2)
 
 
+@st.composite
+def derivative_pieces(draw):
+    """0-4 (sign, i, reference poly) pieces; some polys are zero and some lists cancel to zero."""
+    poly = st.one_of(ref_polys(max_degree=4), st.just(FractionPoly3()))
+    pieces = draw(st.lists(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, 2, 3]), poly), max_size=4))
+    mode = draw(st.sampled_from(["random", "negated", "mixed"]))
+    if mode == "negated":  # each piece again with the opposite sign
+        pieces = pieces[:2] + [(-sign, i, r) for sign, i, r in pieces[:2]]
+    elif mode == "mixed":  # d_i d_j u - d_j d_i u, as in curl grad u = 0
+        u = draw(ref_polys(max_degree=4))
+        i, j, _ = draw(st.permutations([1, 2, 3]))
+        pieces = pieces[:2] + [(1, i, u.partial(j)), (-1, j, u.partial(i))]
+    return pieces
+
+
+@settings(max_examples=300)
+@given(derivative_pieces())
+def test_partial_sum_matches_fraction_reference(pieces):
+    assert_same(Poly3.partial_sum((sign, i, fast(r)) for sign, i, r in pieces), partial_sum(pieces))
+
+
+def test_partial_sum_of_nothing_and_cancelling_pieces_is_zero():
+    p = Poly3.parse("1/2 * x1^2 x2^0 x3^0 + -3/4 * x1^0 x2^2 x3^1")
+    for pieces in ([], [(1, 2, Poly3.zero())], [(1, 1, p), (-1, 1, p)], [(1, 1, Poly3.const(5))]):
+        result = Poly3.partial_sum(pieces)
+        assert_canonical(result)
+        assert result.is_zero
+    assert Poly3.partial_sum([(1, 3, p), (1, 3, p)]) == p.partial(3).scale(2)
+    with pytest.raises(ValueError):
+        Poly3.partial_sum([(1, 4, p)])
+
+
+@settings(max_examples=200)
+@given(ref_pairs(), scalars())
+def test_components_equal_agrees_with_a_zero_difference(pair, c):
+    r, s = pair
+    p, q = fast(r), fast(s)
+    a = TypedField.vector([p, q, p.scale(c)])
+    others = [
+        TypedField.vector([p + q - q, (q - p) + p, p.scale(Fraction(1, 3)).scale(3 * c)]),  # equal, built otherwise
+        TypedField.vector([q, p, p.scale(c)]),
+        TypedField.vector([p, q, q.scale(c)]),
+        TypedField.vector([p, q.scale(Fraction(1, 2)) + q.scale(Fraction(1, 2)), p + q]),
+    ]
+    for b in others:
+        expected = all((x - y).is_zero for x, y in zip(a.components, b.components))
+        assert components_equal(a, b) == expected == components_equal(b, a)
+    assert components_equal(a, others[0])
+    assert not components_equal(a, TypedField.scalar(p))
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(monomials(), fractions(max_num=40, max_den=60)), min_size=1, max_size=6), st.booleans())
 def test_parse_and_print_match_fraction_reference(chunks, cancel):
@@ -188,6 +240,7 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
         Poly3.from_numerators({(0, 0, 0): 0, (1, 0, 0): den}, den),
         Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
         Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),
+        Poly3.partial_sum(((1, i, p), (-1, 4 - i, q), (1, i, p * q), (-1, i, p))),
     ]
     v = TypedField.vector([p, q, p * q])
     results += tg(v).components + tc(v).components + td(TypedField.scalar(q)).components

@@ -57,8 +57,8 @@ def test_nullspace_rank_one_row():
     m = _dense([[1, 1, 0]])
     basis = m.nullspace()
     assert basis == [
-        [Fraction(-1), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
+        {0: Fraction(-1), 1: Fraction(1)},
+        {2: Fraction(1)},
     ]
 
 
@@ -70,7 +70,7 @@ def test_nullspace_identity_is_trivial():
 def test_nullspace_dependent_rows():
     # hand row reduction: [[1,2],[2,4]] ~ [[1,2],[0,0]], kernel spanned by (-2,1)
     m = _dense([[1, 2], [2, 4]])
-    assert m.nullspace() == [[Fraction(-2), Fraction(1)]]
+    assert m.nullspace() == [{0: Fraction(-2), 1: Fraction(1)}]
 
 
 @st.composite
@@ -90,4 +90,7 @@ def test_nullspace_equals_sympy_nullspace(matrix):
     cols, rows = matrix
     dense = sympy.Matrix(len(rows), cols, lambda i, j: sympy.Rational(str(rows[i].get(j, 0))))
     expected = [[sympy.Rational(str(x)) for x in v] for v in dense.nullspace()]
-    assert [[sympy.Rational(str(x)) for x in v] for v in RatMatrix(cols, rows).nullspace()] == expected
+    basis = RatMatrix(cols, rows).nullspace()
+    # each sparse vector lists only its nonzero entries, by ascending column
+    assert all(list(v) == sorted(v) and all(v.values()) for v in basis)
+    assert [[sympy.Rational(str(v.get(c, 0))) for c in range(cols)] for v in basis] == expected
