@@ -10,8 +10,9 @@ The input uses the plain-text field format, e.g.
     ...
 
 The input must be UTF-8.  An unreadable or undecodable file or stdin,
-malformed field text, or a field of a kind the decomposition does not take
-is reported on one line with exit code 2.
+malformed field text (an exponent past 255 included), a field of a kind the
+decomposition does not take, or one whose decomposition would need an
+exponent past 255 is reported on one line with exit code 2.
 """
 
 import sys
@@ -21,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tensorcomplex.decompose import DECOMPOSITION_NAMES, decompose  # noqa: E402
 from tensorcomplex.fields import KindError, field_from_text  # noqa: E402
+from tensorcomplex.poly import ExponentLimitError  # noqa: E402
 
 
 def main() -> int:
@@ -49,6 +51,9 @@ def main() -> int:
         dec = decompose(sys.argv[1], field)
     except KindError as err:
         print(f"decompose_field.py: {err}, got a {field.kind.value} field", file=sys.stderr)
+        return 2
+    except ExponentLimitError as err:
+        print(f"decompose_field.py: cannot decompose this field: {err}", file=sys.stderr)
         return 2
     print(dec.to_text())
     print(f"\nexact reconstruction: {dec.is_exact}")

@@ -27,49 +27,39 @@ from .fields import (
     pairing_components,
 )
 from .operators import CheckResult, OPS, curl, derived_rng, div, grad, random_field, run_check
-from .poly import P_ONE, Poly3
+from .poly import MAX_EXPONENT, P_ONE, Poly3, check_product, monomial_code
 from .rational import PiScalar, RatMatrix
 
 
 @functools.cache
-def _moments(half: int) -> tuple[int, int, dict[int, int]]:
-    """Integer ball moments for exponent sums up to 2*half, as (scale, base, table).
+def _moments(half: int) -> tuple[int, dict[int, int]]:
+    """Integer ball moments for exponent sums up to 2*half, as (scale, table).
 
     For even a, b, c with S = a + b + c the closed form is
         integral over the unit ball of x1^a x2^b x3^c
             = 4*pi (a-1)!! (b-1)!! (c-1)!! / (S+3)!!
     (the unit-sphere moment divided by S + 3).  The table stores that
     coefficient of pi times scale = (2*half + 3)!!, an integer because
-    (S+3)!! divides it, keyed by the monomial code (a*base + b)*base + c with
-    base = 2*half + 1; the code of a product is the sum of the codes of its
-    factors.  Monomials with an odd exponent integrate to zero and are absent.
-    The cached table is shared: callers must not mutate it.
+    (S+3)!! divides it, keyed by `monomial_code`, so the key of a product
+    monomial is the sum of the codes of its factors.  Monomials with an odd
+    exponent integrate to zero and are absent, as are those with an exponent
+    past MAX_EXPONENT, which no code names.  The cached table is shared:
+    callers must not mutate it.
     """
     top = 2 * half
-    base = top + 1
     scale = _odd_factorial(top + 3)
     table = {}
-    for a in range(0, top + 1, 2):
-        for b in range(0, top + 1 - a, 2):
-            for c in range(0, top + 1 - a - b, 2):
+    for a in range(0, min(top, MAX_EXPONENT) + 1, 2):
+        for b in range(0, min(top - a, MAX_EXPONENT) + 1, 2):
+            for c in range(0, min(top - a - b, MAX_EXPONENT) + 1, 2):
                 moment = 4 * _odd_factorial(a - 1) * _odd_factorial(b - 1) * _odd_factorial(c - 1)
-                table[(a * base + b) * base + c] = moment * (scale // _odd_factorial(a + b + c + 3))
-    return scale, base, table
+                table[monomial_code((a, b, c))] = moment * (scale // _odd_factorial(a + b + c + 3))
+    return scale, table
 
 
 def _odd_factorial(n: int) -> int:
     """n!! for odd n >= -1."""
     return math.prod(range(n, 0, -2))
-
-
-def _buckets(p: Poly3, den: int, base: int) -> dict[int, list[tuple[int, int]]]:
-    """Terms of p as (monomial code, integer numerator over den), keyed by exponent parity."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for (a, b, c), num in p.numerators(den):
-        parity = (a & 1) << 2 | (b & 1) << 1 | (c & 1)
-        code = (a * base + b) * base + c
-        out.setdefault(parity, []).append((code, num))
-    return out
 
 
 def _common_denominator(polys) -> int:
@@ -79,11 +69,14 @@ def _common_denominator(polys) -> int:
 def _pair_integral(pairs: list[tuple[Poly3, Poly3]]) -> PiScalar:
     """Integral over the unit ball of sum p*q over the pairs, from the term pairs.
 
-    The product polynomials are never formed.  Each side is written as integer
-    numerators over one common denominator, and only terms of equal exponent
-    parity are paired, because any other pair has an odd exponent sum and
-    integrates to zero.  The sum runs in Python ints; one Fraction is built
-    at the end.
+    The product polynomials are never formed.  Only terms in the same parity
+    class (`Poly3.parity_classes`) are paired, because any other pair has an
+    odd exponent and integrates to zero; the moment of a pair is read at the
+    sum of the two monomial codes.  So no exponent of a product may pass
+    MAX_EXPONENT (ExponentLimitError, as for `Poly3.__mul__`); total degree
+    is not limited.  Each pair's integer sum is scaled once to the common
+    denominators of the left and right sides.  The sum runs in Python ints;
+    one Fraction is built at the end.
     """
     pairs = [(p, q) for p, q in pairs if not (p.is_zero or q.is_zero)]
     if not pairs:
@@ -91,13 +84,18 @@ def _pair_integral(pairs: list[tuple[Poly3, Poly3]]) -> PiScalar:
     den_left = _common_denominator(p for p, _ in pairs)
     den_right = _common_denominator(q for _, q in pairs)
     top = max(p.degree() + q.degree() for p, q in pairs)
-    scale, base, table = _moments((top + 1) // 2)
+    if top > MAX_EXPONENT:  # a code sum must not carry from one exponent into the next
+        for p, q in pairs:
+            check_product(p, q)
+    scale, table = _moments(top // 2)  # an even-exponent product has an even degree
     total = 0
     for p, q in pairs:
-        left = _buckets(p, den_left, base)
-        for parity, right in _buckets(q, den_right, base).items():
+        left = p.parity_classes()
+        pair_total = 0
+        for parity, right in q.parity_classes().items():
             for code, num in left.get(parity, ()):
-                total += num * sum(n * table[code + k] for k, n in right)
+                pair_total += num * sum(n * table[code + k] for k, n in right)
+        total += pair_total * (den_left // p.denominator * (den_right // q.denominator))
     return PiScalar(Fraction(total, den_left * den_right * scale))
 
 

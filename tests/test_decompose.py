@@ -184,8 +184,18 @@ def run_script(name, text):
             field_to_text(TypedField.identity_scaled(X1)).replace("1 2 : 0", "1 2 : 1 * x1^0 x2^0 x3^0"),
             "bad field text: kind header says symmetric, but the components are not symmetric",
         ),
+        (
+            field_to_text(TypedField.identity_scaled(X1)).replace("x1^1", "x1^256"),
+            "bad field text: bad component line '1 1 : 1 * x1^256 x2^0 x3^0': exponent past 255 in monomial",
+        ),
+        (
+            # accepted, but the Koszul operators of cc would raise x1^255 to x1^256
+            field_to_text(TypedField.identity_scaled(X1)).replace("x1^1", "x1^255"),
+            "cannot decompose this field: x1 * p has an exponent of x1 past 255",
+        ),
     ],
-    ids=["wrong-kind", "missing-component", "unknown-kind", "asymmetric-symmetric"],
+    ids=["wrong-kind", "missing-component", "unknown-kind", "asymmetric-symmetric", "exponent-past-limit",
+         "decomposition-past-limit"],
 )
 def test_script_reports_bad_input_on_one_line(text, message):
     proc = run_script("cc", text)

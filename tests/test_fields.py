@@ -248,10 +248,20 @@ def test_text_out_of_range_index_names_line():
         field_from_text(text)
 
 
-@pytest.mark.parametrize("line", ["1 : 0", "1 1 1 : 0", "a 1 : 0", "1 1 : 2 * y^1", "1 1 : 1/0 * x1^0 x2^0 x3^0"])
+@pytest.mark.parametrize(
+    "line",
+    ["1 : 0", "1 1 1 : 0", "a 1 : 0", "1 1 : 2 * y^1", "1 1 : 1/0 * x1^0 x2^0 x3^0", "1 1 : 1 * x1^0 x2^256 x3^0"],
+)
 def test_text_malformed_line_names_it(line):
     with pytest.raises(ValueError, match=re.escape(f"bad component line {line!r}")):
         field_from_text(f"kind: scalar\n{line}")
+
+
+def test_text_exponent_past_the_limit_names_line_and_monomial():
+    line = "2 1 : 1 * x1^1 x2^0 x3^0 + 3 * x1^300 x2^0 x3^0"
+    msg = f"bad component line {line!r}: exponent past 255 in monomial (300, 0, 0)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        field_from_text(f"kind: vector\n1 1 : 0\n{line}\n3 1 : 0")
 
 
 def test_text_unknown_kind_names_header_and_valid_kinds():

@@ -8,7 +8,9 @@ from hypothesis import given
 
 from tensorcomplex.fields import TypedField
 from tensorcomplex.koszul import tc, td, tg
-from tensorcomplex.poly import P_ONE, Poly3, X1, X2, X3, monomials_up_to
+from tensorcomplex import ball
+from tensorcomplex.ball import _odd_factorial, _pair_integral, integrate_ball
+from tensorcomplex.poly import MAX_EXPONENT, P_ONE, ExponentLimitError, Poly3, X1, X2, X3, monomial_code, monomials_up_to
 
 from conftest import fractions, polys
 
@@ -29,9 +31,10 @@ def test_difference_of_squares():
 
 def test_no_zero_coefficients_stored():
     p = X1 - X1
-    assert p.is_zero and p.terms == {}
+    assert p.is_zero and p.coefficients() == {}
     q = Poly3({(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
-    assert (1, 0, 0) not in q.terms
+    assert q.coeff((1, 0, 0)) == 0
+    assert q.coefficients() == {(0, 1, 0): Fraction(2)}
 
 
 @given(polys(), st.data())
@@ -46,12 +49,69 @@ def test_results_never_store_a_zero_coefficient(p, data):
     results += tc(TypedField.vector([u, v, w])).components + tc(TypedField.vector([X1 * p, X2 * p, w])).components
     results += td(TypedField.scalar(q)).components
     for r in results:
-        assert all(coeff != 0 for coeff in r.terms.values())
+        assert all(coeff != 0 for coeff in r.coefficients().values())
 
 
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         Poly3({(-1, 0, 0): Fraction(1)})
+
+
+def test_exponents_past_the_limit_raise_and_never_wrap():
+    top = Poly3.monomial((MAX_EXPONENT, 0, 0), Fraction(1, 2))
+    assert top.degree() == 255 and str(top) == "1/2 * x1^255 x2^0 x3^0"
+    assert Poly3.parse(str(top)) == top
+    assert (top * X2).coefficients() == {(255, 1, 0): Fraction(1, 2)}
+    assert top.partial(1).coefficients() == {(254, 0, 0): Fraction(255, 2)}
+    with pytest.raises(ExponentLimitError, match="^a product has exponent 256 of x1, past 255$"):
+        top * X1
+    with pytest.raises(ExponentLimitError, match="^a product has exponent 510 of x1, past 255$"):
+        top * top
+    assert Poly3.shift_sum([(1, 2, top)], 1) == (top * X2).scale(Fraction(1, 256))
+    with pytest.raises(ExponentLimitError, match="^x1 \\* p has an exponent of x1 past 255$"):
+        Poly3.shift_sum([(1, 2, top), (1, 1, top)], 1)
+    with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
+        Poly3.parse("1 * x1^0 x2^256 x3^0")
+    with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
+        Poly3.monomial((0, 0, 256))
+    assert top.coeff((256, 0, 0)) == 0 and top.coeff((-1, 0, 0)) == 0
+    # Only single exponents are limited: total degree may pass 255.
+    wide = Poly3.monomial((200, 0, 0)) * Poly3.monomial((0, 200, 200))
+    assert wide.degree() == 600 and wide.coefficients() == {(200, 200, 200): Fraction(1)}
+    assert wide.partial(3).coefficients() == {(200, 200, 199): Fraction(200)}
+
+
+def _ball_moment(m):
+    """The closed form 4 (a-1)!! (b-1)!! (c-1)!! / (a+b+c+3)!! of the ball integral of x^m / pi, m even."""
+    a, b, c = m
+    return Fraction(4 * _odd_factorial(a - 1) * _odd_factorial(b - 1) * _odd_factorial(c - 1), _odd_factorial(a + b + c + 3))
+
+
+def test_ball_integrals_near_the_exponent_limit(monkeypatch):
+    # The real moment table past degree 250 holds over 300,000 entries (seconds and 100 MB to
+    # build), so serve only the moments of the monomials these pairings form.  A code sum that
+    # carried into the next exponent would miss the table and raise KeyError.
+    formed = [(254, 0, 0), (128, 0, 0), (128, 128, 0), (128, 128, 2)]
+    asked = []
+
+    def moments(half):
+        asked.append(half)
+        scale = _odd_factorial(2 * half + 3)
+        return scale, {monomial_code(m): int(_ball_moment(m) * scale) for m in formed}
+
+    monkeypatch.setattr(ball, "_moments", moments)
+    assert integrate_ball(Poly3.monomial((MAX_EXPONENT, 0, 0))).is_zero
+    assert integrate_ball(Poly3.monomial((254, 0, 0))).coeff == Fraction(4, 255 * 257)
+    pairs = [(Poly3.monomial((127, 0, 0)), Poly3.monomial((127, 0, 1)) + X1.scale(3))]
+    assert _pair_integral(pairs).coeff == 3 * Fraction(4, 129 * 131)
+    # Only single exponents are limited: a product of degree 258 pairs.
+    pairs = [(Poly3.monomial((128, 128, 0)), P_ONE + Poly3.monomial((0, 0, 2), 3))]
+    assert _pair_integral(pairs).coeff == _ball_moment((128, 128, 0)) + 3 * _ball_moment((128, 128, 2))
+    assert asked == [127, 127, 127, 129]
+    pairs = [(X2, X2), (Poly3.monomial((128, 0, 0)), Poly3.monomial((128, 0, 2)))]
+    with pytest.raises(ExponentLimitError, match="^a product has exponent 256 of x1, past 255$"):
+        _pair_integral(pairs)
+    assert len(asked) == 4
 
 
 def test_degree_and_homogeneous_parts():
@@ -102,14 +162,16 @@ _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensorcomplex"
 
 
 def test_only_poly_reads_the_representation():
-    # Poly3's numerators and shared denominator are private to poly.py; every
-    # other module goes through ==, is_zero, coefficients(), numerators(den) and
-    # the other Poly3 methods, so the representation can change in one place.
+    # Poly3's packed monomial codes, numerators and shared denominator are
+    # private to poly.py; every other module goes through ==, is_zero,
+    # coefficients(), parity_classes() and the other Poly3 methods, so the
+    # representation can change in one place.  `terms` is a decoded view of
+    # the packed dict and is private too.
     readers = [
         f"{path.name}:{node.lineno} .{node.attr}"
         for path in sorted(_PACKAGE.rglob("*.py"))
         if path.name != "poly.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in ("terms", "den")
+        if isinstance(node, ast.Attribute) and node.attr in ("_codes", "terms", "den")
     ]
     assert readers == []

@@ -17,7 +17,7 @@ from tensorcomplex.ball import _pair_integral, integrate_ball
 from tensorcomplex.fields import FieldKind, KindError, TypedField
 from tensorcomplex.koszul import tc, td, tg
 from tensorcomplex.operators import components_equal
-from tensorcomplex.poly import Poly3
+from tensorcomplex.poly import MAX_EXPONENT, ExponentLimitError, Poly3, monomial_code
 
 from conftest import fractions, monomials
 from reference_poly import FractionPoly3, partial_sum, shift_sum
@@ -60,7 +60,11 @@ def fast(ref: FractionPoly3) -> Poly3:
 
 
 def assert_canonical(p: Poly3):
-    nums = list(p.terms.values())
+    # Reads the packed layout: every key must be S << 24 | a << 16 | b << 8 | c with S = a + b + c.
+    for k in p._codes:
+        a, b, c = k >> 16 & 255, k >> 8 & 255, k & 255
+        assert k == monomial_code((a, b, c))
+    nums = list(p._codes.values())
     assert type(p.den) is int and p.den >= 1
     assert all(type(n) is int and n != 0 for n in nums)
     assert math.gcd(p.den, *nums) == 1
@@ -236,7 +240,7 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
     results = [
         Poly3(), Poly3.zero(), Poly3.const(c), Poly3.monomial((1, 2, 0), c), Poly3.variable(i),
         p, p + q, p - q, p * q, -p, p.scale(c), p.partial(i), Poly3.parse(str(p)),
-        Poly3.from_numerators({m: n for m, n in p.numerators(p.denominator * den)}, p.denominator * den),
+        Poly3.from_numerators({m: int(c * p.denominator * den) for m, c in p.coefficients().items()}, p.denominator * den),
         Poly3.from_numerators({(0, 0, 0): 0, (1, 0, 0): den}, den),
         Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
         Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),
@@ -249,20 +253,24 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
 
 
 @given(ref_polys(), st.integers(1, 60))
-def test_numerators_over_a_multiple_of_the_denominator(r, k):
+def test_from_numerators_over_a_multiple_of_the_denominator(r, k):
     p = fast(r)
     den = p.denominator * k
-    nums = dict(p.numerators(den))
-    assert {m: Fraction(n, den) for m, n in nums.items()} == r.terms
-    assert Poly3.from_numerators(nums, den) == p
+    nums = {m: c * den for m, c in r.terms.items()}
+    assert all(n.denominator == 1 for n in nums.values())
+    assert Poly3.from_numerators({m: int(n) for m, n in nums.items()}, den) == p
 
 
-def test_numerators_and_from_numerators_reject_bad_denominators():
-    p = Poly3({(1, 0, 0): Fraction(1, 6)})
-    with pytest.raises(ValueError):
-        p.numerators(4)
-    with pytest.raises(ValueError):
+def test_from_numerators_rejects_bad_denominators_and_exponents():
+    with pytest.raises(ValueError, match="denominator must be positive"):
         Poly3.from_numerators({(1, 0, 0): 1}, 0)
+    for _ in range(2):  # a rejected monomial is rejected again: codes are memoised only when valid
+        with pytest.raises(ValueError, match="negative exponent"):
+            Poly3.from_numerators({(1, -1, 0): 1})
+        with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
+            Poly3.from_numerators({(1, 0, 0): 1, (0, 0, 256): 1})
+    top = Poly3.from_numerators({(0, 0, MAX_EXPONENT): 3, (0, 0, 0): 0}, 6)
+    assert top.coefficients() == {(0, 0, MAX_EXPONENT): Fraction(1, 2)}
 
 
 def test_text_keeps_each_coefficient_reduced():
@@ -280,3 +288,75 @@ def test_symmetry_needs_equal_polynomials_not_equal_numerators():
     z = Poly3.zero()
     with pytest.raises(KindError):
         TypedField.matrix([[z, x1, z], [half, z, z], [z, z, z]], FieldKind.SYMMETRIC)
+
+
+def _top_exponent(r: FractionPoly3, j: int) -> int:
+    return max((m[j - 1] for m in r.terms), default=0)
+
+
+@st.composite
+def ref_pairs_near_the_limit(draw):
+    """Two reference polys with exponents near MAX_EXPONENT.  In half the draws
+    the top exponents of the second complement the first's, so their product
+    lands exactly at the limit in every variable; otherwise it may pass it."""
+    exponent = st.one_of(st.integers(0, 2), st.integers(125, 130), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+    coeff = fractions(max_num=40, max_den=60).filter(bool)
+    r = FractionPoly3(draw(st.dictionaries(st.tuples(exponent, exponent, exponent), coeff, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        return r, FractionPoly3(draw(st.dictionaries(st.tuples(exponent, exponent, exponent), coeff, max_size=4)))
+    caps = tuple(MAX_EXPONENT - _top_exponent(r, j) for j in (1, 2, 3))
+    below = st.tuples(*(st.integers(max(0, cap - 2), cap) for cap in caps))
+    terms = draw(st.dictionaries(below, coeff, max_size=3))
+    terms[caps] = draw(coeff)
+    return r, FractionPoly3(terms)
+
+
+@settings(max_examples=300)
+@given(ref_pairs_near_the_limit(), st.sampled_from([1, 2, 3]), st.integers(1, 3))
+def test_exponents_near_the_limit_match_fraction_reference(pair, i, offset):
+    r, s = pair
+    p, q = fast(r), fast(s)
+    assert_same(p, r)
+    assert p.degree() == r.degree()
+    # The leading terms in x_j order multiply to a nonzero term, so the product
+    # reaches the sum of the top exponents of x_j exactly.
+    if s.terms and any(_top_exponent(r, j) + _top_exponent(s, j) > MAX_EXPONENT for j in (1, 2, 3)):
+        with pytest.raises(ExponentLimitError, match="past 255"):
+            p * q
+    else:
+        assert_same(p * q, r * s)
+        assert (p * q).degree() == (r * s).degree()
+    pieces = [(1, i, r), (-1, 4 - i, s), (1, i, s)]
+    if any(_top_exponent(ref, j) == MAX_EXPONENT for _, j, ref in pieces):
+        with pytest.raises(ExponentLimitError, match="past 255"):
+            Poly3.shift_sum(((sign, j, fast(ref)) for sign, j, ref in pieces), offset)
+    else:
+        assert_same(Poly3.shift_sum(((sign, j, fast(ref)) for sign, j, ref in pieces), offset), shift_sum(pieces, offset))
+    assert_same(Poly3.partial_sum((sign, j, fast(ref)) for sign, j, ref in pieces), partial_sum(pieces))
+
+
+@given(ref_polys())
+def test_parity_classes_partition_the_terms_by_exponent_parity(r):
+    p = fast(r)
+    monomial_of = {monomial_code(m): m for m in r.terms}
+    pairs = [(parity, k, n) for parity, members in p.parity_classes().items() for k, n in members]
+    assert {monomial_of[k]: Fraction(n, p.denominator) for _, k, n in pairs} == r.terms
+    assert len(pairs) == len(r.terms)
+    for parity1, k1, _ in pairs:
+        for parity2, k2, _ in pairs:
+            m = tuple(x + y for x, y in zip(monomial_of[k1], monomial_of[k2]))
+            assert (parity1 == parity2) == all(e % 2 == 0 for e in m)
+            assert monomial_code(m) == k1 + k2
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_shift_sum_and_partial_sum_reject_a_missing_variable(i):
+    # Every piece's index is checked, also on a zero piece and after a good piece.
+    x1 = Poly3.variable(1)
+    for pieces in ([(1, i, x1)], [(1, i, Poly3.zero())], [(1, 1, x1), (-1, i, Poly3.zero())]):
+        with pytest.raises(ValueError, match=f"^no variable x{i}$"):
+            Poly3.shift_sum(pieces, 1)
+        with pytest.raises(ValueError, match=f"^no variable x{i}$"):
+            Poly3.partial_sum(pieces)
+    with pytest.raises(ValueError, match=f"^no variable x{i}$"):
+        x1.partial(i)
