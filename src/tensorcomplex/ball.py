@@ -134,6 +134,12 @@ class MomentSpace:
     kind: FieldKind
     basis: tuple[TypedField, ...]
 
+    @functools.cached_property
+    def weighted_gram(self) -> tuple[list[TypedField], list[dict[int, Fraction]]]:
+        """Each basis field b_i times bump(1), and Gram row i, {j: (b_j bump(1), b_i)}; built once."""
+        weighted = [b.mul_scalar_poly(bump(1)) for b in self.basis]
+        return weighted, [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} for b in self.basis]
+
 
 CONSTANTS_SCALAR = MomentSpace("constants", FieldKind.SCALAR, (TypedField.scalar(P_ONE),))
 P1_SPACE = MomentSpace(
@@ -170,13 +176,9 @@ def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
     whole space.  The c_i solve the exact Gram system G c = r; G is
     invertible for a basis, so (c, 1) is the one kernel vector of [G | -r].
     """
-    w = bump(1)
-    weighted = [b.mul_scalar_poly(w) for b in space.basis]
+    weighted, gram = space.weighted_gram
     n = len(weighted)
-    system = RatMatrix(
-        n + 1,
-        [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} | {n: -l2_pair(f, b).coeff} for b in space.basis],
-    )
+    system = RatMatrix(n + 1, [row | {n: -l2_pair(f, b).coeff} for row, b in zip(gram, space.basis)])
     kernel = system.nullspace()
     if len(kernel) != 1 or kernel[0].get(n) != 1:
         raise ValueError(f"the Gram matrix of {space.name} is singular")

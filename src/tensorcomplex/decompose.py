@@ -1,6 +1,27 @@
 """Regular decompositions: split a field into potentials of higher-order
 operators so that the reassembled sum reproduces the input exactly.
 
+Every decomposition is one residual cascade (`_cascade`).  Each part is a
+right-inverse chain of `koszul.py` applied, after an optional operator `pre`,
+to the residual that the earlier parts leave; its contribution, the part
+reassembled by its operator, is taken off before the next part:
+
+    decomposition    part   <- chain . pre              reassembly
+    cc (Thm 3.4)     S0     <- _dcc . inc               identity
+                     S1     <- _rgg_tilde               deff
+                     S2     <- _dgg                     hess
+    dd (Thm 3.7)     S0     <- _ddd . div_div           identity
+                     S1     <- _rcc_tilde               sym_curl
+                     S2     <- _dcc                     inc
+    short-cd         S0     <- _dcd . curl_div          identity
+                     S1     <- _dcc . sym_curl_t        curl
+                     S2~    <- 1/2 _rgcT . transpose    t_dev_grad
+    cd (Thm 3.10)    S0, S1 of short-cd, then S2~ = q splits into
+                     S2     =  td(div q)                t_dev_grad
+                     S3     =  2 tc(q - S2)             curl_deff
+    short-cc         S0 of cc, S1~ = S1 + grad S2       deff
+    short-dd         S0 of dd, S1~ = S1 + T curl S2     sym_curl
+
 Each decomposition is a deterministic function of its input (no randomness
 inside the chains), so results are reproducible byte for byte.  Only the
 algebraic reconstruction identities are asserted; norm continuity of the
@@ -13,25 +34,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldKind, KindError, TypedField, field_to_text
-from .koszul import _dcc, _dcd, _ddd, _dgg, _rcc_tilde, _rgg_tilde, tc, td, tg, tg_rows
+# tg and tg_rows are not called here, but perfbench/test_perfbench.py checks that the tracer rebinds them here.
+from .koszul import _dcc, _dcd, _ddd, _dgg, _rcc_tilde, _rgcT, _rgg_tilde, tc, td, tg, tg_rows
 from .operators import (
     CheckResult,
     OperatorId,
     components_equal,
     curl_div,
-    deff,
     div,
     div_div,
     field_draw,
     grad,
     inc,
     run_check,
-    sym_curl,
     sym_curl_t,
     t_curl,
 )
 
 _IDENTITY = OperatorId("identity")  # reassembly that leaves the potential as is
+_S, _T, _V = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR
 
 
 @dataclass(frozen=True)
@@ -65,72 +86,50 @@ class Decomposition:
         return "\n\n".join(blocks)
 
 
+def _cascade(f: TypedField, kind: FieldKind, what: str, steps) -> Decomposition:
+    """One part per step (label, pre, chain, reassembly name): its potential
+    is chain(pre(residual)), or chain(residual) without pre.  The residual
+    starts at f and loses each part's contribution before the next step."""
+    if f.kind is not kind:
+        raise KindError(f"{what} needs a {kind.value} field")
+    residual, parts = f, []
+    for label, pre, chain, reassembly in steps:
+        if parts:
+            residual = residual - parts[-1].contribution()
+        potential = chain(residual if pre is None else pre(residual))
+        parts.append(DecompositionPart(label, potential, OperatorId(reassembly)))
+    return Decomposition(f, tuple(parts))
+
+
 def regdec_cc(g: TypedField) -> Decomposition:
     """g = S0 + deff S1 + hess S2 for symmetric g."""
-    if g.kind is not FieldKind.SYMMETRIC:
-        raise KindError("regdec_cc needs a symmetric field")
-    s0 = _dcc(inc(g))
-    r1 = g - s0
-    s1 = _rgg_tilde(r1)
-    s2 = _dgg(r1 - deff(s1))
-    return Decomposition(
-        g,
-        (
-            DecompositionPart("S0", s0, _IDENTITY),
-            DecompositionPart("S1", s1, OperatorId("deff")),
-            DecompositionPart("S2", s2, OperatorId("hess")),
-        ),
-    )
+    steps = (("S0", inc, _dcc, "identity"), ("S1", None, _rgg_tilde, "deff"), ("S2", None, _dgg, "hess"))
+    return _cascade(g, _S, "regdec_cc", steps)
 
 
 def regdec_dd(sigma: TypedField) -> Decomposition:
     """sigma = S0 + sym curl S1 + inc S2 for symmetric sigma."""
-    if sigma.kind is not FieldKind.SYMMETRIC:
-        raise KindError("regdec_dd needs a symmetric field")
-    s0 = _ddd(div_div(sigma))
-    r1 = sigma - s0
-    s1 = _rcc_tilde(r1)
-    s2 = _dcc(r1 - sym_curl(s1))
-    return Decomposition(
-        sigma,
-        (
-            DecompositionPart("S0", s0, _IDENTITY),
-            DecompositionPart("S1", s1, OperatorId("sym_curl")),
-            DecompositionPart("S2", s2, OperatorId("inc")),
-        ),
+    steps = (("S0", div_div, _ddd, "identity"), ("S1", None, _rcc_tilde, "sym_curl"), ("S2", None, _dcc, "inc"))
+    return _cascade(sigma, _S, "regdec_dd", steps)
+
+
+def _cd_steps():
+    """tau = S0 + curl S1 + T dev grad S2~ for trace-free tau.  The residual
+    left for S2~ has the div of tau - S0, as div of a row-wise curl is 0."""
+    return (
+        ("S0", curl_div, _dcd, "identity"),
+        ("S1", sym_curl_t, _dcc, "curl"),
+        ("S2~", None, lambda rho: _rgcT(rho.transpose()).scale(Fraction(1, 2)), "t_dev_grad"),
     )
-
-
-def _cd_core(rho: TypedField) -> tuple[TypedField, TypedField, TypedField]:
-    """For trace-free rho with curl div rho = 0, produce (g, q, w) with
-
-        rho = curl g + (dev grad q)^T,  3w = div q,  g symmetric.
-    """
-    w = tg(div(rho)).comp(1)                       # grad w = div rho
-    sigma = sym_curl_t(rho)                        # div sigma = 0 by the cell identity
-    g = _dcc(sigma)                                # inc g = sigma
-    half_w_id = TypedField.identity_scaled(w.scale(Fraction(1, 2)))
-    q = tg_rows(rho.transpose() - t_curl(g) + half_w_id)  # grad q = T rho - T curl g + w/2 id
-    return g, q, w
 
 
 def regdec_cd(tau: TypedField) -> Decomposition:
     """tau = S0 + curl S1 + T dev grad S2 + curl deff S3 for trace-free tau."""
-    if tau.kind is not FieldKind.TRACEFREE:
-        raise KindError("regdec_cd needs a trace-free field")
-    s0 = _dcd(curl_div(tau))
-    g, q, _w = _cd_core(tau - s0)
-    r = td(div(q))                                 # div r = div q, so q - r is div-free
-    u = tc(q - r).scale(2)                         # q - r = 1/2 curl u
-    return Decomposition(
-        tau,
-        (
-            DecompositionPart("S0", s0, _IDENTITY),
-            DecompositionPart("S1", g, OperatorId("curl")),
-            DecompositionPart("S2", r, OperatorId("t_dev_grad")),
-            DecompositionPart("S3", u, OperatorId("curl_deff")),
-        ),
-    )
+    s0, s1, s2_tilde = _cascade(tau, _T, "regdec_cd", _cd_steps()).parts
+    r = td(div(s2_tilde.potential))                # div r = div S2~, so S2~ - r is div-free
+    u = tc(s2_tilde.potential - r).scale(2)        # S2~ - r = 1/2 curl u
+    split = (DecompositionPart("S2", r, OperatorId("t_dev_grad")), DecompositionPart("S3", u, OperatorId("curl_deff")))
+    return Decomposition(tau, (s0, s1, *split))
 
 
 def regdec_short(f: TypedField, which: str) -> Decomposition:
@@ -140,45 +139,14 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
         dd: sigma = S0 + sym curl(S1 + T curl S2)
         cd: tau   = S0 + curl S1 + T dev grad S2   (the two-term tail)
     """
-    if which == "cc":
-        full = regdec_cc(f)
-        s0, s1, s2 = (p.potential for p in full.parts)
-        merged = s1 + grad(s2)
-        return Decomposition(
-            f,
-            (
-                DecompositionPart("S0", s0, _IDENTITY),
-                DecompositionPart("S1~", merged, OperatorId("deff")),
-            ),
-        )
-    if which == "dd":
-        full = regdec_dd(f)
-        s0, s1, s2 = (p.potential for p in full.parts)
-        merged = s1 + t_curl(s2)
-        return Decomposition(
-            f,
-            (
-                DecompositionPart("S0", s0, _IDENTITY),
-                DecompositionPart("S1~", merged, OperatorId("sym_curl")),
-            ),
-        )
     if which == "cd":
-        if f.kind is not FieldKind.TRACEFREE:
-            raise KindError("regdec_short('cd') needs a trace-free field")
-        s0 = _dcd(curl_div(f))
-        g, q, _w = _cd_core(f - s0)
-        return Decomposition(
-            f,
-            (
-                DecompositionPart("S0", s0, _IDENTITY),
-                DecompositionPart("S1", g, OperatorId("curl")),
-                DecompositionPart("S2~", q, OperatorId("t_dev_grad")),
-            ),
-        )
-    raise ValueError(f"unknown short decomposition {which!r}")
+        return _cascade(f, _T, "regdec_short('cd')", _cd_steps())
+    if which not in ("cc", "dd"):
+        raise ValueError(f"unknown short decomposition {which!r}")
+    full, inner = (regdec_cc, grad) if which == "cc" else (regdec_dd, t_curl)
+    s0, s1, s2 = full(f).parts
+    return Decomposition(f, (s0, DecompositionPart("S1~", s1.potential + inner(s2.potential), s1.reassembly)))
 
-
-_S, _T, _V = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR
 
 # name -> (decomposition, input kind, anchor, kinds of its parts in order)
 _DECOMPOSERS = {

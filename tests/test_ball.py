@@ -37,7 +37,7 @@ from tensorcomplex.fields import (
     field_from_text,
     pairing_product,
 )
-from tensorcomplex.operators import derived_rng, random_field
+from tensorcomplex.operators import components_equal, derived_rng, random_field
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2
 
 from conftest import matrix_fields, polys, scalar_fields, vector_fields, zero_field
@@ -168,6 +168,24 @@ def test_projection_rejects_a_space_with_a_repeated_basis_field():
     v = random_field(FieldKind.VECTOR, 2, derived_rng(5, "proj")).mul_scalar_poly(bump(1))
     with pytest.raises(ValueError, match="singular"):
         project_moment_orthogonal(v, repeated)
+
+
+def test_projection_builds_the_gram_rows_once_per_space(monkeypatch):
+    space = MomentSpace("ND copy", FieldKind.VECTOR, ND_SPACE.basis)
+    v, w = (random_field(FieldKind.VECTOR, 2, derived_rng(5, "proj", i)).mul_scalar_poly(bump(1)) for i in range(2))
+    first = project_moment_orthogonal(v, space)
+    calls = []
+    true_pair = ball.l2_pair
+    monkeypatch.setattr(ball, "l2_pair", lambda a, b: calls.append(b) or true_pair(a, b))
+    second = project_moment_orthogonal(w, space)
+    assert calls == list(space.basis)  # only the moments of w are paired again
+    fresh = MomentSpace("ND copy", FieldKind.VECTOR, ND_SPACE.basis)
+    assert components_equal(second, project_moment_orthogonal(w, fresh))  # cached rows give the same result
+    assert moment_orthogonal(first, space)[0] and moment_orthogonal(second, space)[0]
+    repeated = MomentSpace("repeated", FieldKind.VECTOR, (E1, E1, E2))
+    for f in (v, w):  # a cached singular Gram matrix is still rejected
+        with pytest.raises(ValueError, match="singular"):
+            project_moment_orthogonal(f, repeated)
 
 
 @pytest.mark.parametrize("name", PAIRING_NAMES)

@@ -18,14 +18,17 @@ from tensorcomplex.decompose import (
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
 from tensorcomplex.operators import (
     components_equal,
+    curl,
     deff,
+    grad,
     derived_rng,
     hess,
     random_field,
     sym_curl,
+    t_curl,
     t_dev_grad,
 )
-from tensorcomplex.poly import Poly3, X1, X2, X3
+from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
 from conftest import zero_field
@@ -240,3 +243,38 @@ def test_perturbed_hessian_part_fails_decompositions(monkeypatch):
         f = field_from_text(case.witness)
         assert f.kind is FieldKind.SYMMETRIC
         assert not decompose(name.removeprefix("regdec "), f).is_exact, name
+
+
+def test_perturbed_rgcT_fails_exactly_the_cd_decompositions(monkeypatch):
+    true_rgcT = decompose_module._rgcT
+    kick = TypedField.vector([X1 * X2, P_ZERO, P_ZERO])  # not a conformal Killing field: T dev grad kick != 0
+    monkeypatch.setattr(decompose_module, "_rgcT", lambda tau: true_rgcT(tau) + kick)
+    report = run_suite(SuiteConfig(suite="decompositions", seed=7, degree=2, samples=2))
+    failing = {c.name: c for c in report.cases if c.status == "fail"}
+    # cd splits the S2~ part of short-cd into S2 and S3; no other decomposition uses the RgcT chain
+    assert sorted(failing) == ["regdec cd", "regdec short-cd"]
+    for name, case in failing.items():
+        f = field_from_text(case.witness)
+        assert f.kind is FieldKind.TRACEFREE
+        assert not decompose(name.removeprefix("regdec "), f).is_exact, name
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cascade_relations_between_the_decompositions(degree):
+    # cd and short-cd share S0 and S1, cd splits S2~ into S2 + 1/2 curl S3, and
+    # short-cc / short-dd merge the last two parts of cc / dd
+    def potentials(name, f):
+        return [p.potential for p in decompose(name, f).parts]
+
+    for seed in range(3):
+        tau = random_field(FieldKind.TRACEFREE, degree, derived_rng(seed, "relations", "cd"))
+        s0, s1, s2, s3 = potentials("cd", tau)
+        short_s0, short_s1, s2_tilde = potentials("short-cd", tau)
+        assert components_equal(s0, short_s0) and components_equal(s1, short_s1)
+        assert components_equal(s2 + curl(s3).scale(Fraction(1, 2)), s2_tilde)
+        g = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "relations", "cc"))
+        s0, s1, s2 = potentials("cc", g)
+        assert components_equal(potentials("short-cc", g)[1], s1 + grad(s2))
+        sigma = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "relations", "dd"))
+        s0, s1, s2 = potentials("dd", sigma)
+        assert components_equal(potentials("short-dd", sigma)[1], s1 + t_curl(s2))

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from tensorcomplex.decompose import regdec_dd
+from tensorcomplex.decompose import _DECOMPOSERS, DECOMPOSITION_NAMES, decompose, regdec_dd
 from tensorcomplex.fields import FieldKind, field_to_text
 from tensorcomplex.koszul import RIGHT_INVERSES, sample_kernel
 from tensorcomplex.operators import derived_rng, random_field
@@ -31,6 +31,22 @@ def test_report_json_matches_golden():
 def test_decomposition_text_matches_golden():
     dec = regdec_dd(random_field(FieldKind.SYMMETRIC, 1, derived_rng(7, "golden")))
     assert dec.to_text() + "\n" == (DATA / "golden_decomposition.txt").read_text()
+
+
+def golden_decompositions_text() -> str:
+    """Every decomposition of a seeded field of its input kind, at degree 1
+    (where every leading part S0 vanishes) and at degree 2 (where S0 is
+    nonzero except for dd)."""
+    blocks = []
+    for degree in (1, 2):
+        for name in DECOMPOSITION_NAMES:
+            f = random_field(_DECOMPOSERS[name][1], degree, derived_rng(7, "golden", name))
+            blocks.append(f"decompose {name} degree {degree}\n{decompose(name, f).to_text()}")
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_decompositions_match_golden():
+    assert golden_decompositions_text() == (DATA / "golden_decompositions.txt").read_text()
 
 
 def golden_draws_text() -> str:
