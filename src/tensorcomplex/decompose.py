@@ -89,7 +89,11 @@ class Decomposition:
 def _cascade(f: TypedField, kind: FieldKind, what: str, steps) -> Decomposition:
     """One part per step (label, pre, chain, reassembly name): its potential
     is chain(pre(residual)), or chain(residual) without pre.  The residual
-    starts at f and loses each part's contribution before the next step."""
+    starts at f and loses each part's contribution before the next step.
+
+    Invariant: the third chain of cc, dd and cd (_dgg, _dcc, _rgcT of the
+    transpose) sends S0 to exactly 0, so S2 / S2~ would be the same with S0
+    left in the residual; the loop takes it off anyway, as it does every part."""
     if f.kind is not kind:
         raise KindError(f"{what} needs a {kind.value} field")
     residual, parts = f, []

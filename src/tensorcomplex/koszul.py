@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Sequence
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
@@ -158,17 +159,19 @@ def constant_curl_correction(u: TypedField) -> TypedField:
 # -- kernel sampling --------------------------------------------------------
 
 
-def kind_basis(kind: FieldKind, degree: int) -> list[TypedField]:
-    """Monomial basis of the kind-constrained polynomial space of degree <= degree."""
+@cache
+def kind_basis(kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
+    """Monomial basis of the kind-constrained polynomial space of degree <= degree,
+    built once per (kind, degree) as a tuple that no caller can change."""
     monos = monomials_up_to(degree)
     if kind is FieldKind.SCALAR:
-        return [TypedField.scalar(Poly3.monomial(m)) for m in monos]
+        return tuple(TypedField.scalar(Poly3.monomial(m)) for m in monos)
     if kind is FieldKind.VECTOR:
-        return [
+        return tuple(
             TypedField.vector([Poly3.monomial(m) if i == j else P_ZERO for j in range(3)])
             for i in range(3)
             for m in monos
-        ]
+        )
     if kind is FieldKind.MATRIX:
         slots = [(i, j) for i in range(1, 4) for j in range(1, 4)]
     elif kind is FieldKind.SYMMETRIC:
@@ -191,7 +194,7 @@ def kind_basis(kind: FieldKind, degree: int) -> list[TypedField]:
             elif kind is FieldKind.TRACEFREE and i == j:
                 rows[2][2] = -p
             out.append(TypedField.matrix(rows, kind))
-    return out
+    return tuple(out)
 
 
 _KERNEL_CACHE: dict[tuple, list] = {}

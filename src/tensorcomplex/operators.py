@@ -18,6 +18,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from time import perf_counter
 from typing import Any, Callable
 
@@ -30,7 +31,7 @@ from .fields import (
     mskw,
     vskw,
 )
-from .poly import Poly3, monomials_up_to
+from .poly import P_ZERO, Poly3, monomials_up_to
 
 
 # -- first-order operators ----------------------------------------------
@@ -198,8 +199,8 @@ def derived_rng(seed: int, *stream: object) -> random.Random:
 # Each top byte read as a signed byte is its randint(-9, 9) value; bytes from 152 = 19 << 3 up are rejected.
 _DRAW_VALUE = bytes(((b >> 3) - 9) & 0xFF for b in range(256))
 _DRAW_REJECT = bytes(range(152, 256))
-# Component 3i + j of a matrix field is entry (i, j); its transpose entry is component 3j + i.
-_TRANSPOSED = [3 * j + i for i in range(3) for j in range(3)]
+# Components of the entries (i, j) and (j, i), i < j.
+_PAIRS = ((1, 3), (2, 6), (5, 7))
 
 
 def draw_ints(rng: random.Random, n: int) -> list[int]:
@@ -222,23 +223,27 @@ def draw_ints(rng: random.Random, n: int) -> list[int]:
 
 def random_field(kind: FieldKind, degree: int, rng: random.Random) -> TypedField:
     """Integer coefficients in [-9, 9] over all monomials of degree <= degree,
-    component by component; a symmetric, trace-free or skew field is the
-    projection of such a matrix field, built directly as numerators."""
-    monos = monomials_up_to(degree)
-    size = len(monos)
+    each component one row of the draws; a symmetric, trace-free or skew
+    field is the projection of such a matrix field a, with each off-diagonal
+    pair (a_ij +- a_ji) / 2 built once."""
+    size = len(monomials_up_to(degree))
     count = _COMPONENT_COUNT[kind]
     values = draw_ints(rng, count * size)
     a = [values[c * size:(c + 1) * size] for c in range(count)]
-    if kind is FieldKind.SYMMETRIC:  # (a_ij + a_ji) / 2
-        entries = [([x + y for x, y in zip(row, a[t])], 2) for row, t in zip(a, _TRANSPOSED)]
-    elif kind is FieldKind.SKEW:  # (a_ij - a_ji) / 2
-        entries = [([x - y for x, y in zip(row, a[t])], 2) for row, t in zip(a, _TRANSPOSED)]
+    if kind is FieldKind.SYMMETRIC:
+        s12, s13, s23 = (Poly3.from_row(degree, map(add, a[k], a[t]), 2) for k, t in _PAIRS)
+        d1, d2, d3 = (Poly3.from_row(degree, row) for row in a[::4])
+        comps = (d1, s12, s13, s12, d2, s23, s13, s23, d3)
+    elif kind is FieldKind.SKEW:
+        s12, s13, s23 = (Poly3.from_row(degree, map(sub, a[k], a[t]), 2) for k, t in _PAIRS)
+        comps = (P_ZERO, s12, s13, -s12, P_ZERO, s23, -s13, -s23, P_ZERO)
     elif kind is FieldKind.TRACEFREE:  # a_ij off the diagonal, (3 a_ii - tr) / 3 on it
         tr = [x + y + z for x, y, z in zip(a[0], a[4], a[8])]
-        entries = [([3 * x - t for x, t in zip(row, tr)], 3) if c % 4 == 0 else (row, 1) for c, row in enumerate(a)]
+        rows = [([3 * x - t for x, t in zip(row, tr)], 3) if c % 4 == 0 else (row, 1) for c, row in enumerate(a)]
+        comps = tuple(Poly3.from_row(degree, row, den) for row, den in rows)
     else:
-        entries = [(row, 1) for row in a]
-    return TypedField(kind, tuple(Poly3.from_numerators(dict(zip(monos, row)), den) for row, den in entries))
+        comps = tuple(Poly3.from_row(degree, row) for row in a)
+    return TypedField(kind, comps)
 
 
 def field_draw(kind: FieldKind, degree: int, seed: int, *stream: object) -> Callable[[int], TypedField]:
@@ -366,9 +371,8 @@ IDENTITIES: dict[str, Identity] = {
 
 
 def components_equal(a: TypedField, b: TypedField) -> bool:
-    """Exact equality of component polynomials, ignoring the kind tags."""
-    # Poly3 is canonical, so x == y exactly when x - y is zero.
-    return len(a.components) == len(b.components) and a.components == b.components
+    """Exact equality of component polynomials (canonical forms), ignoring the kind tags."""
+    return a.components == b.components
 
 
 class PreconditionError(ValueError):

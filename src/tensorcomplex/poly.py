@@ -62,10 +62,6 @@ def monomial_code(m: Monomial) -> int:
     return (a + b + c) << 24 | a << 16 | b << 8 | c
 
 
-# Seeded fields repeat the few monomials up to their degree, so `from_numerators` packs each once.
-_cached_code = cache(monomial_code)
-
-
 def _decode(k: int) -> Monomial:
     return k >> 16 & 255, k >> 8 & 255, k & 255
 
@@ -165,20 +161,18 @@ class Poly3:
     @classmethod
     def variable(cls, i: int) -> "Poly3":
         """x_i for i in {1, 2, 3}."""
-        e = [0, 0, 0]
-        e[i - 1] = 1
-        return cls({tuple(e): Fraction(1)})
+        return _new({_variable(i)[0]: 1}, 1)
 
     @classmethod
     def monomial(cls, exponents: Monomial, coeff=1) -> "Poly3":
         return cls({exponents: Fraction(coeff)})
 
     @staticmethod
-    def from_numerators(numerators: Mapping[Monomial, int], den: int = 1) -> "Poly3":
-        """The polynomial sum of n/den * m over the (monomial, int) pairs; zero entries are dropped."""
+    def from_row(degree: int, numerators: Iterable[int], den: int = 1) -> "Poly3":
+        """Sum of n/den * m over the int row n and the monomials m of `monomials_up_to(degree)`."""
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
-        return _make({_cached_code(m): n for m, n in numerators.items() if n}, den)
+        return _make({k: n for k, n in zip(_row_codes(degree), numerators, strict=True) if n}, den)
 
     @staticmethod
     def shift_sum(pieces: Iterable[tuple[int, int, "Poly3"]], offset: int) -> "Poly3":
@@ -221,11 +215,7 @@ class Poly3:
 
     @property
     def terms(self) -> "_Terms":
-        """A read-only view of the terms as {exponent triple: numerator over `denominator`}.
-
-        For the layer tracer in perfbench/tracing.py, which counts terms
-        through it; nothing in the package reads it.
-        """
+        """A read-only {exponent triple: numerator over `denominator`} view, for perfbench/tracing.py only."""
         return _Terms(self._codes)
 
     def degree(self) -> int:
@@ -412,13 +402,20 @@ X3 = Poly3.variable(3)
 
 @cache
 def monomials_up_to(degree: int) -> tuple[Monomial, ...]:
-    """All exponent triples of total degree <= degree, graded-lex order."""
+    """All exponent triples of total degree <= degree, graded-lex order; ExponentLimitError past MAX_EXPONENT."""
+    if degree > MAX_EXPONENT:
+        raise ExponentLimitError(f"degree {degree} is past {MAX_EXPONENT}")
     return tuple(
         (a, b, d - a - b)
         for d in range(degree + 1)
         for a in range(d, -1, -1)
         for b in range(d - a, -1, -1)
     )
+
+
+@cache
+def _row_codes(degree: int) -> tuple[int, ...]:
+    return tuple(map(monomial_code, monomials_up_to(degree)))
 
 
 class _Terms:
@@ -434,6 +431,3 @@ class _Terms:
 
     def __iter__(self):
         return map(_decode, self._codes)
-
-    def items(self):
-        return zip(self, self._codes.values())

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import ball, decompose, diagram, koszul, operators
 from .fields import FieldKind, TypedField
 from .operators import CheckResult, components_equal, run_check
-from .poly import P_ONE, Poly3
+from .poly import MAX_EXPONENT, P_ONE, Poly3
 
 @dataclass
 class SuiteConfig:
@@ -165,6 +165,8 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(cfg: SuiteConfig) -> Report:
     if cfg.suite != "all" and cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    if cfg.degree > MAX_EXPONENT:  # refused before any monomial table or draw is built
+        raise ValueError(f"degree {cfg.degree} is past {MAX_EXPONENT}, the largest exponent a monomial can hold")
     report = Report(cfg.suite, cfg)
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     for name in names:

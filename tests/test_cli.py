@@ -7,6 +7,7 @@ import pytest
 
 from tensorcomplex import cli
 from tensorcomplex.cli import main
+from tensorcomplex.poly import monomials_up_to
 from tensorcomplex.suites import SuiteConfig, run_suite
 
 
@@ -30,6 +31,18 @@ def test_trivial_degree_zero_identities():
     cfg = SuiteConfig(suite="identities", seed=0, degree=0, samples=1)
     rep = run_suite(cfg)
     assert rep.all_passed
+
+
+def test_degree_past_the_exponent_limit_is_one_line_exit_two(capsys):
+    tables = monomials_up_to.cache_info()
+    assert main(["run", "--suite", "all", "--samples", "1", "--degree", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: degree 256 is past 255, the largest exponent a monomial can hold\n"
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="degree 256 is past 255"):
+        run_suite(SuiteConfig(suite="identities", degree=256))
+    # No monomial table was asked for, let alone built.
+    assert monomials_up_to.cache_info() == tables
 
 
 def test_two_complex_suite_has_44_cases(tmp_path):

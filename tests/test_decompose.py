@@ -16,6 +16,7 @@ from tensorcomplex.decompose import (
     verify_decomposition,
 )
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
+from tensorcomplex.koszul import _dcc, _dgg, _rgcT
 from tensorcomplex.operators import (
     components_equal,
     curl,
@@ -278,3 +279,21 @@ def test_cascade_relations_between_the_decompositions(degree):
         sigma = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "relations", "dd"))
         s0, s1, s2 = potentials("dd", sigma)
         assert components_equal(potentials("short-dd", sigma)[1], s1 + t_curl(s2))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_third_chain_sends_the_leading_part_to_zero(degree):
+    # The invariant stated in `_cascade`: the chain of the third step (_dgg for
+    # cc, _dcc for dd, _rgcT of the transpose for cd) maps S0 to exactly 0, so
+    # S2 / S2~ is the same whether or not S0 is still in the residual.
+    leading = []
+    for seed in range(4):
+        g = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "leading", "cc"))
+        sigma = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "leading", "dd"))
+        tau = random_field(FieldKind.TRACEFREE, degree, derived_rng(seed, "leading", "cd"))
+        for name, f, third in (("cc", g, _dgg), ("dd", sigma, _dcc), ("cd", tau, lambda s0: _rgcT(s0.transpose()))):
+            s0 = decompose(name, f).parts[0].potential
+            assert third(s0).is_zero, (name, seed)
+            leading.append(s0)
+    if degree > 1:  # the leading parts are nonzero, so the check has content
+        assert not any(s0.is_zero for s0 in leading)

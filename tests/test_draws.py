@@ -30,7 +30,7 @@ def reference_random_field(kind: FieldKind, degree: int, rng: random.Random) -> 
     """One randint per coefficient, a matrix field projected by sym / dev / skw."""
 
     def poly():
-        return Poly3.from_numerators({m: rng.randint(-9, 9) for m in monomials_up_to(degree)})
+        return Poly3({m: rng.randint(-9, 9) for m in monomials_up_to(degree)})
 
     if kind is FieldKind.SCALAR:
         return TypedField.scalar(poly())

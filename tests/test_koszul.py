@@ -237,6 +237,14 @@ def test_kernel_dimensions_match_closed_form(degree):
     assert got == {key: dim(degree) for key, dim in _KERNEL_DIMENSIONS.items()}
 
 
+def test_kind_basis_is_built_once_per_kind_and_degree():
+    for kind in FieldKind:
+        basis = kind_basis(kind, 2)
+        assert type(basis) is tuple  # a shared cached basis that no caller can change
+        assert kind_basis(kind, 2) is basis
+        assert all(f.kind is kind for f in basis)
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_kernel_basis_equals_sympy_nullspace(degree):
     # The basis vectors decide every sampled right-inverse input, so pin them:

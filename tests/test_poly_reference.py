@@ -17,7 +17,7 @@ from tensorcomplex.ball import _pair_integral, integrate_ball
 from tensorcomplex.fields import FieldKind, KindError, TypedField
 from tensorcomplex.koszul import tc, td, tg
 from tensorcomplex.operators import components_equal
-from tensorcomplex.poly import MAX_EXPONENT, ExponentLimitError, Poly3, monomial_code
+from tensorcomplex.poly import MAX_EXPONENT, ExponentLimitError, Poly3, _row_codes, monomial_code, monomials_up_to
 
 from conftest import fractions, monomials
 from reference_poly import FractionPoly3, partial_sum, shift_sum
@@ -240,8 +240,8 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
     results = [
         Poly3(), Poly3.zero(), Poly3.const(c), Poly3.monomial((1, 2, 0), c), Poly3.variable(i),
         p, p + q, p - q, p * q, -p, p.scale(c), p.partial(i), Poly3.parse(str(p)),
-        Poly3.from_numerators({m: int(c * p.denominator * den) for m, c in p.coefficients().items()}, p.denominator * den),
-        Poly3.from_numerators({(0, 0, 0): 0, (1, 0, 0): den}, den),
+        Poly3.from_row(3, [int(p.coeff(m) * p.denominator * den) for m in monomials_up_to(3)], p.denominator * den),
+        Poly3.from_row(1, [0, den, 0, 0], den),
         Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
         Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),
         Poly3.partial_sum(((1, i, p), (-1, 4 - i, q), (1, i, p * q), (-1, i, p))),
@@ -253,23 +253,60 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
 
 
 @given(ref_polys(), st.integers(1, 60))
-def test_from_numerators_over_a_multiple_of_the_denominator(r, k):
+def test_from_row_over_a_multiple_of_the_denominator(r, k):
     p = fast(r)
     den = p.denominator * k
-    nums = {m: c * den for m, c in r.terms.items()}
-    assert all(n.denominator == 1 for n in nums.values())
-    assert Poly3.from_numerators({m: int(n) for m, n in nums.items()}, den) == p
+    nums = [r.coeff(m) * den for m in monomials_up_to(3)]
+    assert all(n.denominator == 1 for n in nums)
+    assert Poly3.from_row(3, [int(n) for n in nums], den) == p
 
 
-def test_from_numerators_rejects_bad_denominators_and_exponents():
-    with pytest.raises(ValueError, match="denominator must be positive"):
-        Poly3.from_numerators({(1, 0, 0): 1}, 0)
-    for _ in range(2):  # a rejected monomial is rejected again: codes are memoised only when valid
+@st.composite
+def numerator_rows(draw):
+    """(degree, row, den): all-zero rows, rows whose entries share a factor with den, and mixed rows."""
+    degree, den = draw(st.integers(0, 6)), draw(st.integers(1, 12))
+    size = len(monomials_up_to(degree))
+    mode = draw(st.sampled_from(["zero", "shared", "mixed"]))
+    if mode == "zero":
+        return degree, [0] * size, den
+    factor = draw(st.sampled_from([d for d in range(1, den + 1) if den % d == 0])) if mode == "shared" else 1
+    entries = st.one_of(st.just(0), st.integers(-40, 40))
+    return degree, [n * factor for n in draw(st.lists(entries, min_size=size, max_size=size))], den
+
+
+@settings(max_examples=300)
+@given(numerator_rows())
+def test_from_row_matches_fraction_reference(case):
+    degree, row, den = case
+    ref = FractionPoly3({m: Fraction(n, den) for m, n in zip(monomials_up_to(degree), row)})
+    assert_same(Poly3.from_row(degree, row, den), ref)
+    assert_same(Poly3.from_row(degree, iter(row), den), ref)  # any iterable row
+
+
+def test_from_row_rejects_bad_denominators_lengths_and_degrees():
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Poly3.from_row(1, [0, 1, 0, 0], den)
+    for row in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError):
+            Poly3.from_row(1, row)
+    tables = monomials_up_to.cache_info().currsize, _row_codes.cache_info().currsize
+    for _ in range(2):  # a rejected degree is rejected again: nothing is memoised for it
+        with pytest.raises(ExponentLimitError, match="degree 256 is past 255"):
+            Poly3.from_row(MAX_EXPONENT + 1, iter(()))
+        with pytest.raises(ExponentLimitError, match="degree 256 is past 255"):
+            monomials_up_to(MAX_EXPONENT + 1)
+    # No table of the 2.9 million monomials of degree <= 256 was built or kept.
+    assert (monomials_up_to.cache_info().currsize, _row_codes.cache_info().currsize) == tables
+
+
+def test_term_maps_reject_bad_exponents():
+    for _ in range(2):  # a rejected monomial is rejected again
         with pytest.raises(ValueError, match="negative exponent"):
-            Poly3.from_numerators({(1, -1, 0): 1})
+            Poly3({(1, -1, 0): 1})
         with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
-            Poly3.from_numerators({(1, 0, 0): 1, (0, 0, 256): 1})
-    top = Poly3.from_numerators({(0, 0, MAX_EXPONENT): 3, (0, 0, 0): 0}, 6)
+            Poly3({(1, 0, 0): 1, (0, 0, 256): 1})
+    top = Poly3({(0, 0, MAX_EXPONENT): Fraction(3, 6), (0, 0, 0): 0})
     assert top.coefficients() == {(0, 0, MAX_EXPONENT): Fraction(1, 2)}
 
 
@@ -360,3 +397,5 @@ def test_shift_sum_and_partial_sum_reject_a_missing_variable(i):
             Poly3.partial_sum(pieces)
     with pytest.raises(ValueError, match=f"^no variable x{i}$"):
         x1.partial(i)
+    with pytest.raises(ValueError, match=f"^no variable x{i}$"):
+        Poly3.variable(i)  # not x3 for i = 0, as indexing from the end would give
