@@ -14,7 +14,7 @@ from contextlib import AbstractContextManager, nullcontext
 from typing import TextIO
 
 from .diagram import DiagramGraph
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, check_config, run_suite
 
 
 def _default_seed(parser: argparse.ArgumentParser) -> int:
@@ -89,15 +89,16 @@ def main(argv: list[str] | None = None) -> int:
         strict_preconditions=args.strict_preconditions,
         timings=args.timings,
     )
+    try:
+        check_config(cfg)  # before --out is opened, so a bad config leaves no file behind
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     stream = _open_out(args.out)
     if stream is None:
         return 2
     with stream as fh:
-        try:
-            report = run_suite(cfg)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        report = run_suite(cfg)
         fh.write(report.to_json() if cfg.format == "json" else report.to_markdown())
     return 0 if report.all_passed else 1
 

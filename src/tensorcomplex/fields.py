@@ -1,10 +1,15 @@
 """Kind-tagged scalar / vector / matrix polynomial fields.
 
-Matrix fields are stored row-major; the Jacobian convention is that
-grad u has (i, j) entry d(u_i)/d(x_j).  Kind tags (symmetric, trace-free,
-skew) are validated on construction, so a tagged field always satisfies its
-predicate identically as polynomials.  A sum or difference of two matrix
-fields keeps their shared tag and is a plain matrix field otherwise.
+A matrix field is a row-major 9-tuple: entry (i, j), counted from 0, is
+component 3 i + j, and row i is the slice components[ROWS[i]].  The tables
+ROWS, DIAGONAL, OFF_DIAGONAL and TRANSPOSE below, and the builders
+TypedField.symmetric and TypedField.skew, state that layout once; every
+other module reads matrix entries through them.  The Jacobian convention is
+that grad u has (i, j) entry d(u_i)/d(x_j).  Kind tags (symmetric,
+trace-free, skew) are validated on construction, so a tagged field always
+satisfies its predicate identically as polynomials.  A sum or difference of
+two matrix fields keeps their shared tag and is a plain matrix field
+otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .poly import P_ONE, P_ZERO, Poly3
 
@@ -28,21 +33,42 @@ class FieldKind(Enum):
 
 MATRIX_KINDS = (FieldKind.MATRIX, FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.SKEW)
 
-_COMPONENT_COUNT = {
-    FieldKind.SCALAR: 1,
-    FieldKind.VECTOR: 3,
-    FieldKind.MATRIX: 9,
-    FieldKind.SYMMETRIC: 9,
-    FieldKind.TRACEFREE: 9,
-    FieldKind.SKEW: 9,
-}
+_COMPONENT_COUNT = {FieldKind.SCALAR: 1, FieldKind.VECTOR: 3, **dict.fromkeys(MATRIX_KINDS, 9)}
 
+# -- the row-major layout of a matrix field -------------------------------
+
+ROWS = (slice(0, 3), slice(3, 6), slice(6, 9))
+DIAGONAL = (0, 4, 8)
+# The components of (i, j) and (j, i) for (i, j) = (0, 1), (0, 2), (1, 2).
+OFF_DIAGONAL = ((1, 3), (2, 6), (5, 7))
+# Component k of the transpose is component TRANSPOSE[k].
+TRANSPOSE = (0, 3, 6, 1, 4, 7, 2, 5, 8)
 
 _HALF = Fraction(1, 2)
 
 
 class KindError(TypeError):
     """Operation applied to a field of the wrong kind."""
+
+
+def _trace(c: Sequence[Poly3]) -> Poly3:
+    d0, d1, d2 = (c[k] for k in DIAGONAL)
+    return d0 + d1 + d2
+
+
+def _minus_on_diagonal(c: Sequence[Poly3], t: Poly3) -> tuple[Poly3, ...]:
+    """The components c with t subtracted from each diagonal entry."""
+    return tuple(p - t if k in DIAGONAL else p for k, p in enumerate(c))
+
+
+def _pair_halves(c: Sequence[Poly3], sign: int) -> list[Poly3]:
+    """(c_ij + sign * c_ji) / 2 for each off-diagonal pair, i < j."""
+    return [Poly3.combination(((_HALF, c[k]), (sign * _HALF, c[t]))) for k, t in OFF_DIAGONAL]
+
+
+def _axial(u: Sequence[Poly3]) -> list[Poly3]:
+    """Vector v <-> entries (0, 1), (0, 2), (1, 2) of mskw v; the map is its own inverse."""
+    return [-u[2], u[1], -u[0]]
 
 
 @dataclass(frozen=True)
@@ -52,16 +78,17 @@ class TypedField:
 
     def __post_init__(self):
         n = _COMPONENT_COUNT[self.kind]
-        if len(self.components) != n:
-            raise KindError(f"{self.kind.value} field needs {n} components, got {len(self.components)}")
+        c = self.components
+        if len(c) != n:
+            raise KindError(f"{self.kind.value} field needs {n} components, got {len(c)}")
         if self.kind is FieldKind.SYMMETRIC:
-            if any(self.entry(i, j) != self.entry(j, i) for i in range(1, 4) for j in range(i + 1, 4)):
+            if any(c[k] != c[t] for k, t in OFF_DIAGONAL):
                 raise KindError("components are not symmetric")
         elif self.kind is FieldKind.TRACEFREE:
-            if not (self.entry(1, 1) + self.entry(2, 2) + self.entry(3, 3)).is_zero:
+            if not _trace(c).is_zero:
                 raise KindError("components have nonzero trace")
         elif self.kind is FieldKind.SKEW:
-            if any(not (self.entry(i, j) + self.entry(j, i)).is_zero for i in range(1, 4) for j in range(i, 4)):
+            if any(not c[k].is_zero for k in DIAGONAL) or any(not (c[k] + c[t]).is_zero for k, t in OFF_DIAGONAL):
                 raise KindError("components are not skew")
 
     # -- constructors -------------------------------------------------
@@ -75,14 +102,22 @@ class TypedField:
         return cls(FieldKind.VECTOR, tuple(ps))
 
     @classmethod
-    def matrix(cls, rows: Sequence[Sequence[Poly3]], kind: FieldKind = FieldKind.MATRIX) -> "TypedField":
-        return cls(kind, tuple(p for row in rows for p in row))
+    def symmetric(cls, diagonal: Iterable[Poly3], upper: Iterable[Poly3]) -> "TypedField":
+        """The symmetric field with the given diagonal and the entries (0, 1), (0, 2), (1, 2) above it."""
+        (d0, d1, d2), (s01, s02, s12) = diagonal, upper
+        return cls(FieldKind.SYMMETRIC, (d0, s01, s02, s01, d1, s12, s02, s12, d2))
+
+    @classmethod
+    def skew(cls, upper: Iterable[Poly3]) -> "TypedField":
+        """The skew field with the entries (0, 1), (0, 2), (1, 2) above its zero diagonal."""
+        s01, s02, s12 = upper
+        z = P_ZERO
+        return cls(FieldKind.SKEW, (z, s01, s02, -s01, z, s12, -s02, -s12, z))
 
     @classmethod
     def identity_scaled(cls, p: Poly3) -> "TypedField":
         """p * id, tagged symmetric."""
-        z = P_ZERO
-        return cls.matrix([[p, z, z], [z, p, z], [z, z, p]], FieldKind.SYMMETRIC)
+        return cls.symmetric((p, p, p), (P_ZERO, P_ZERO, P_ZERO))
 
     # -- access -------------------------------------------------------
 
@@ -93,13 +128,6 @@ class TypedField:
     def comp(self, i: int) -> Poly3:
         """1-based component of a scalar (i=1) or vector field."""
         return self.components[i - 1]
-
-    def entry(self, i: int, j: int) -> Poly3:
-        """1-based (i, j) entry of a matrix field."""
-        return self.components[3 * (i - 1) + (j - 1)]
-
-    def row(self, i: int) -> "TypedField":
-        return TypedField.vector([self.entry(i, j) for j in range(1, 4)])
 
     @property
     def is_zero(self) -> bool:
@@ -144,46 +172,35 @@ class TypedField:
 
     # -- pointwise algebra ---------------------------------------------
 
-    def transpose(self) -> "TypedField":
+    def _matrix_components(self, what: str) -> tuple[Poly3, ...]:
+        """The components of a matrix field; a KindError naming the operation `what` otherwise."""
         if not self.is_matrix_kind:
-            raise KindError("transpose needs a matrix field")
-        rows = [[self.entry(j, i) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows, self.kind)
+            raise KindError(f"{what} needs a matrix field")
+        return self.components
+
+    def transpose(self) -> "TypedField":
+        c = self._matrix_components("transpose")
+        return TypedField(self.kind, tuple(c[k] for k in TRANSPOSE))
 
     def sym(self) -> "TypedField":
-        if not self.is_matrix_kind:
-            raise KindError("sym needs a matrix field")
         # One (e_ij + e_ji) / 2 per off-diagonal pair fills both of its slots.
-        c = self.components
-        s12, s13, s23 = (Poly3.combination(((_HALF, c[k]), (_HALF, c[t]))) for k, t in ((1, 3), (2, 6), (5, 7)))
-        return TypedField(FieldKind.SYMMETRIC, (c[0], s12, s13, s12, c[4], s23, s13, s23, c[8]))
+        c = self._matrix_components("sym")
+        return TypedField.symmetric((c[k] for k in DIAGONAL), _pair_halves(c, 1))
 
     def skw(self) -> "TypedField":
-        if not self.is_matrix_kind:
-            raise KindError("skw needs a matrix field")
-        rows = [[(self.entry(i, j) - self.entry(j, i)).scale(_HALF) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows, FieldKind.SKEW)
+        return TypedField.skew(_pair_halves(self._matrix_components("skw"), -1))
 
     def trace(self) -> "TypedField":
-        if not self.is_matrix_kind:
-            raise KindError("tr needs a matrix field")
-        return TypedField.scalar(self.entry(1, 1) + self.entry(2, 2) + self.entry(3, 3))
+        return TypedField.scalar(_trace(self._matrix_components("tr")))
 
     def dev(self) -> "TypedField":
-        if not self.is_matrix_kind:
-            raise KindError("dev needs a matrix field")
-        t = self.trace().comp(1).scale(Fraction(1, 3))
-        rows = [[self.entry(i, j) - t if i == j else self.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows, FieldKind.TRACEFREE)
+        c = self._matrix_components("dev")
+        return TypedField(FieldKind.TRACEFREE, _minus_on_diagonal(c, _trace(c).scale(Fraction(1, 3))))
 
     def s_op(self) -> "TypedField":
         """tau -> tau^T - tr(tau) id."""
-        if not self.is_matrix_kind:
-            raise KindError("S needs a matrix field")
-        t = self.trace().comp(1)
-        tt = self.transpose()
-        rows = [[tt.entry(i, j) - t if i == j else tt.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows, _s_result_kind(self.kind))
+        c = self._matrix_components("S")
+        return TypedField(_s_result_kind(self.kind), _minus_on_diagonal([c[k] for k in TRANSPOSE], _trace(c)))
 
 
 def _s_result_kind(kind: FieldKind) -> FieldKind:
@@ -201,19 +218,12 @@ def mskw(v: TypedField) -> TypedField:
     """Skew matrix of a vector field: (mskw v)_ij = -epsilon_ijk v_k."""
     if v.kind is not FieldKind.VECTOR:
         raise KindError("mskw needs a vector field")
-    v1, v2, v3 = v.components
-    z = P_ZERO
-    return TypedField.matrix([[z, -v3, v2], [v3, z, -v1], [-v2, v1, z]], FieldKind.SKEW)
+    return TypedField.skew(_axial(v.components))
 
 
 def vskw(m: TypedField) -> TypedField:
     """Axial vector of the skew part: vskw = mskw^{-1} ∘ skw."""
-    if not m.is_matrix_kind:
-        raise KindError("vskw needs a matrix field")
-    e = m.entry
-    return TypedField.vector(
-        [(e(3, 2) - e(2, 3)).scale(_HALF), (e(1, 3) - e(3, 1)).scale(_HALF), (e(2, 1) - e(1, 2)).scale(_HALF)]
-    )
+    return TypedField.vector(_axial(_pair_halves(m._matrix_components("vskw"), -1)))
 
 
 # -- products ----------------------------------------------------------

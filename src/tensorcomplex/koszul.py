@@ -32,7 +32,9 @@ from functools import cache
 from typing import Any, Callable, Sequence
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
-from .fields import FieldKind, KindError, TypedField, field_to_text, vskw
+from .fields import (
+    _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, FieldKind, KindError, TypedField, field_to_text, vskw
+)
 from .operators import (
     CheckResult,
     OPS,
@@ -67,49 +69,58 @@ from .rational import RatMatrix
 # -- the three homotopy operators -----------------------------------------
 
 
+def _vector_tg(v1: Poly3, v2: Poly3, v3: Poly3) -> Poly3:
+    return Poly3.shift_sum(((1, 1, v1), (1, 2, v2), (1, 3, v3)), 1)
+
+
+def _vector_tc(q1: Poly3, q2: Poly3, q3: Poly3) -> list[Poly3]:
+    return [
+        Poly3.shift_sum(((1, 3, q2), (-1, 2, q3)), 2),  # q2 x3 - q3 x2
+        Poly3.shift_sum(((1, 1, q3), (-1, 3, q1)), 2),  # q3 x1 - q1 x3
+        Poly3.shift_sum(((1, 2, q1), (-1, 1, q2)), 2),  # q1 x2 - q2 x1
+    ]
+
+
+def _scalar_td(p: Poly3) -> list[Poly3]:
+    return [Poly3.shift_sum(((1, j, p),), 3) for j in (1, 2, 3)]
+
+
 def tg(v: TypedField) -> TypedField:
     """Scalar potential of a vector field: per degree k, (v . x)/(k+1)."""
     if v.kind is not FieldKind.VECTOR:
         raise KindError("tg needs a vector field")
-    v1, v2, v3 = v.components
-    return TypedField.scalar(Poly3.shift_sum(((1, 1, v1), (1, 2, v2), (1, 3, v3)), 1))
+    return TypedField.scalar(_vector_tg(*v.components))
 
 
 def tc(q: TypedField) -> TypedField:
     """Vector potential of a divergence-free field: per degree k, (q x x)/(k+2)."""
     if q.kind is not FieldKind.VECTOR:
         raise KindError("tc needs a vector field")
-    q1, q2, q3 = q.components
-    return TypedField.vector([
-        Poly3.shift_sum(((1, 3, q2), (-1, 2, q3)), 2),  # q2 x3 - q3 x2
-        Poly3.shift_sum(((1, 1, q3), (-1, 3, q1)), 2),  # q3 x1 - q1 x3
-        Poly3.shift_sum(((1, 2, q1), (-1, 1, q2)), 2),  # q1 x2 - q2 x1
-    ])
+    return TypedField.vector(_vector_tc(*q.components))
 
 
 def td(u: TypedField) -> TypedField:
     """Vector potential of a scalar field: per degree k, (x u)/(k+3)."""
     if u.kind is not FieldKind.SCALAR:
         raise KindError("td needs a scalar field")
-    p = u.comp(1)
-    return TypedField.vector([Poly3.shift_sum(((1, j, p),), 3) for j in range(1, 4)])
+    return TypedField.vector(_scalar_td(u.components[0]))
 
 
 def tg_rows(m: TypedField) -> TypedField:
     """Apply tg to each row of a matrix field; grad of the result is m when
     every row is curl-free."""
-    return TypedField.vector([tg(m.row(i)).comp(1) for i in range(1, 4)])
+    return TypedField.vector([_vector_tg(*m.components[r]) for r in ROWS])
 
 
 def tc_rows(m: TypedField) -> TypedField:
     """Apply tc to each row; row-wise curl of the result is m when every row
     is divergence-free."""
-    return TypedField.matrix([[p for p in tc(m.row(i)).components] for i in range(1, 4)])
+    return TypedField(FieldKind.MATRIX, tuple(p for r in ROWS for p in _vector_tc(*m.components[r])))
 
 
 def td_component_rows(v: TypedField) -> TypedField:
     """Matrix whose row i is td(v_i); its row-wise divergence is v."""
-    return TypedField.matrix([[p for p in td(TypedField.scalar(v.comp(i))).components] for i in range(1, 4)])
+    return TypedField(FieldKind.MATRIX, tuple(p for c in v.components for p in _scalar_td(c)))
 
 
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
@@ -162,52 +173,36 @@ def constant_curl_correction(u: TypedField) -> TypedField:
 @cache
 def kind_basis(kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Monomial basis of the kind-constrained polynomial space of degree <= degree,
-    built once per (kind, degree) as a tuple that no caller can change."""
-    monos = monomials_up_to(degree)
-    if kind is FieldKind.SCALAR:
-        return tuple(TypedField.scalar(Poly3.monomial(m)) for m in monos)
-    if kind is FieldKind.VECTOR:
-        return tuple(
-            TypedField.vector([Poly3.monomial(m) if i == j else P_ZERO for j in range(3)])
-            for i in range(3)
-            for m in monos
-        )
-    if kind is FieldKind.MATRIX:
-        slots = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    elif kind is FieldKind.SYMMETRIC:
-        slots = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+    built once per (kind, degree) as a tuple that no caller can change.
+
+    Each free slot of the kind is a {component: sign} map; slot by slot,
+    each monomial p gives the field with sign * p on those components."""
+    n = _COMPONENT_COUNT[kind]
+    if kind is FieldKind.SYMMETRIC:  # the upper triangle, row by row
+        slots = sorted([{k: 1} for k in DIAGONAL] + [{k: 1, t: 1} for k, t in OFF_DIAGONAL], key=min)
     elif kind is FieldKind.SKEW:
-        slots = [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]
-    else:  # trace-free: off-diagonal entries plus two traceless diagonal modes
-        slots = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j] + [(1, 1), (2, 2)]
+        slots = [{k: 1, t: -1} for k, t in OFF_DIAGONAL]
+    elif kind is FieldKind.TRACEFREE:  # off-diagonal entries plus two traceless diagonal modes
+        d0, d1, d2 = DIAGONAL
+        slots = [{k: 1} for k in range(n) if k not in DIAGONAL] + [{d0: 1, d2: -1}, {d1: 1, d2: -1}]
+    else:
+        slots = [{k: 1} for k in range(n)]
     out = []
     for slot in slots:
-        for m in monos:
+        for m in monomials_up_to(degree):
             p = Poly3.monomial(m)
-            rows = [[P_ZERO, P_ZERO, P_ZERO] for _ in range(3)]
-            i, j = slot
-            rows[i - 1][j - 1] = p
-            if kind is FieldKind.SYMMETRIC and i != j:
-                rows[j - 1][i - 1] = p
-            elif kind is FieldKind.SKEW:
-                rows[j - 1][i - 1] = -p
-            elif kind is FieldKind.TRACEFREE and i == j:
-                rows[2][2] = -p
-            out.append(TypedField.matrix(rows, kind))
+            signed = {0: P_ZERO, 1: p, -1: -p}
+            out.append(TypedField(kind, tuple(signed[slot.get(k, 0)] for k in range(n))))
     return tuple(out)
 
 
-_KERNEL_CACHE: dict[tuple, list] = {}
-
-
-def kernel_basis(op_names: Sequence[str], kind: FieldKind, degree: int) -> list[TypedField]:
+@cache
+def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Exact basis of the joint kernel of the named operators on the
     kind-constrained degree-bounded space, via nullspace of the stacked
     coefficient matrix: one column per basis field, one sparse row per
-    (operator, image component, monomial) that some image reaches."""
-    key = (tuple(op_names), kind, degree)
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
+    (operator, image component, monomial) that some image reaches.  Built
+    once per (op_names, kind, degree) as a tuple that no caller can change."""
     basis = kind_basis(kind, degree)
     rows: dict[tuple, dict[int, Fraction]] = {}
     for j, b in enumerate(basis):
@@ -215,12 +210,10 @@ def kernel_basis(op_names: Sequence[str], kind: FieldKind, degree: int) -> list[
             for ci, p in enumerate(OPS[name](b).components):
                 for m, c in p.coefficients().items():
                     rows.setdefault((name, ci, m), {})[j] = c
-    fields = [
+    return tuple(
         _weighted_sum(kind, list(v.values()), [basis[j] for j in v])
         for v in RatMatrix(len(basis), rows.values()).nullspace()
-    ]
-    _KERNEL_CACHE[key] = fields
-    return fields
+    )
 
 
 def _weighted_sum(kind: FieldKind, weights: Sequence[int | Fraction], fields: Sequence[TypedField]) -> TypedField:
@@ -229,7 +222,7 @@ def _weighted_sum(kind: FieldKind, weights: Sequence[int | Fraction], fields: Se
     return TypedField(kind, tuple(Poly3.combination(zip(weights, col)) for col in columns))
 
 
-def sample_kernel(op_names: Sequence[str], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
+def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
     """A random exact kernel element: a nonzero combination of nullspace
     basis vectors with integer weights in [-9, 9]."""
     fields = kernel_basis(op_names, kind, degree)

@@ -24,6 +24,9 @@ from typing import Any, Callable
 
 from .fields import (
     _COMPONENT_COUNT,
+    DIAGONAL,
+    OFF_DIAGONAL,
+    ROWS,
     FieldKind,
     KindError,
     TypedField,
@@ -31,7 +34,7 @@ from .fields import (
     mskw,
     vskw,
 )
-from .poly import P_ZERO, Poly3, monomials_up_to
+from .poly import Poly3, monomials_up_to
 
 
 # -- first-order operators ----------------------------------------------
@@ -41,9 +44,8 @@ def grad(f: TypedField) -> TypedField:
     if f.kind is FieldKind.SCALAR:
         p = f.comp(1)
         return TypedField.vector([p.partial(1), p.partial(2), p.partial(3)])
-    if f.kind is FieldKind.VECTOR:
-        rows = [[f.comp(i).partial(j) for j in range(1, 4)] for i in range(1, 4)]
-        return TypedField.matrix(rows)
+    if f.kind is FieldKind.VECTOR:  # row i is grad u_i
+        return TypedField(FieldKind.MATRIX, tuple(p.partial(j) for p in f.components for j in (1, 2, 3)))
     raise KindError("grad needs a scalar or vector field")
 
 
@@ -59,10 +61,9 @@ def curl(f: TypedField) -> TypedField:
     if f.kind is FieldKind.VECTOR:
         return TypedField.vector(_vector_curl(f.comp(1), f.comp(2), f.comp(3)))
     if f.is_matrix_kind:
-        rows = [_vector_curl(*[f.entry(i, j) for j in range(1, 4)]) for i in range(1, 4)]
         # tr(curl tau) = 2 div vskw tau, so curl of a symmetric field is trace-free.
         kind = FieldKind.TRACEFREE if f.kind is FieldKind.SYMMETRIC else FieldKind.MATRIX
-        return TypedField.matrix(rows, kind)
+        return TypedField(kind, tuple(p for r in ROWS for p in _vector_curl(*f.components[r])))
     raise KindError("curl needs a vector or matrix field")
 
 
@@ -74,7 +75,7 @@ def div(f: TypedField) -> TypedField:
     if f.kind is FieldKind.VECTOR:
         return TypedField.scalar(_vector_div(f.components))
     if f.is_matrix_kind:
-        return TypedField.vector([_vector_div(f.components[r : r + 3]) for r in (0, 3, 6)])
+        return TypedField.vector([_vector_div(f.components[r]) for r in ROWS])
     raise KindError("div needs a vector or matrix field")
 
 
@@ -199,8 +200,6 @@ def derived_rng(seed: int, *stream: object) -> random.Random:
 # Each top byte read as a signed byte is its randint(-9, 9) value; bytes from 152 = 19 << 3 up are rejected.
 _DRAW_VALUE = bytes(((b >> 3) - 9) & 0xFF for b in range(256))
 _DRAW_REJECT = bytes(range(152, 256))
-# Components of the entries (i, j) and (j, i), i < j.
-_PAIRS = ((1, 3), (2, 6), (5, 7))
 
 
 def draw_ints(rng: random.Random, n: int) -> list[int]:
@@ -216,7 +215,7 @@ def draw_ints(rng: random.Random, n: int) -> list[int]:
     out: list[int] = []
     while len(out) < n:
         k = n - len(out)
-        top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+        top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3 : 4 * k : 4]
         out += array("b", top.translate(_DRAW_VALUE, _DRAW_REJECT))
     return out
 
@@ -231,19 +230,15 @@ def random_field(kind: FieldKind, degree: int, rng: random.Random) -> TypedField
     values = draw_ints(rng, count * size)
     a = [values[c * size:(c + 1) * size] for c in range(count)]
     if kind is FieldKind.SYMMETRIC:
-        s12, s13, s23 = (Poly3.from_row(degree, map(add, a[k], a[t]), 2) for k, t in _PAIRS)
-        d1, d2, d3 = (Poly3.from_row(degree, row) for row in a[::4])
-        comps = (d1, s12, s13, s12, d2, s23, s13, s23, d3)
-    elif kind is FieldKind.SKEW:
-        s12, s13, s23 = (Poly3.from_row(degree, map(sub, a[k], a[t]), 2) for k, t in _PAIRS)
-        comps = (P_ZERO, s12, s13, -s12, P_ZERO, s23, -s13, -s23, P_ZERO)
-    elif kind is FieldKind.TRACEFREE:  # a_ij off the diagonal, (3 a_ii - tr) / 3 on it
-        tr = [x + y + z for x, y, z in zip(a[0], a[4], a[8])]
-        rows = [([3 * x - t for x, t in zip(row, tr)], 3) if c % 4 == 0 else (row, 1) for c, row in enumerate(a)]
-        comps = tuple(Poly3.from_row(degree, row, den) for row, den in rows)
-    else:
-        comps = tuple(Poly3.from_row(degree, row) for row in a)
-    return TypedField(kind, comps)
+        upper = (Poly3.from_row(degree, map(add, a[k], a[t]), 2) for k, t in OFF_DIAGONAL)
+        return TypedField.symmetric((Poly3.from_row(degree, a[k]) for k in DIAGONAL), upper)
+    if kind is FieldKind.SKEW:
+        return TypedField.skew(Poly3.from_row(degree, map(sub, a[k], a[t]), 2) for k, t in OFF_DIAGONAL)
+    if kind is FieldKind.TRACEFREE:  # a_ij off the diagonal, (3 a_ii - tr) / 3 on it
+        tr = [x + y + z for x, y, z in zip(*(a[k] for k in DIAGONAL))]
+        rows = [([3 * x - t for x, t in zip(row, tr)], 3) if k in DIAGONAL else (row, 1) for k, row in enumerate(a)]
+        return TypedField(kind, tuple(Poly3.from_row(degree, row, den) for row, den in rows))
+    return TypedField(kind, tuple(Poly3.from_row(degree, row) for row in a))
 
 
 def field_draw(kind: FieldKind, degree: int, seed: int, *stream: object) -> Callable[[int], TypedField]:

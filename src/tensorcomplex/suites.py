@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import ball, decompose, diagram, koszul, operators
-from .fields import FieldKind, TypedField
+from .fields import X_FIELD, FieldKind, TypedField
 from .operators import CheckResult, components_equal, run_check
 from .poly import MAX_EXPONENT, P_ONE, Poly3
 
@@ -102,13 +102,8 @@ def _suite_derived(cfg: SuiteConfig) -> list[CheckResult]:
 def _ddd_unit_witness() -> CheckResult:
     """The closed-form check: Ddd(1) = x x^T / 12 with double divergence 1."""
     one = TypedField.scalar(P_ONE)
-    expected = TypedField.matrix(
-        [
-            [(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)]
-            for i in range(1, 4)
-        ],
-        FieldKind.SYMMETRIC,
-    )
+    x = X_FIELD.components
+    expected = TypedField(FieldKind.SYMMETRIC, tuple((a * b).scale(Fraction(1, 12)) for a in x for b in x))
     return run_check(
         "Ddd(1) = x x^T / 12, div div = 1",
         "Lemma 3.5",
@@ -162,11 +157,16 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(cfg: SuiteConfig) -> Report:
+def check_config(cfg: SuiteConfig) -> None:
+    """ValueError for an unknown suite or a degree past the exponent limit, before any work is done."""
     if cfg.suite != "all" and cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
     if cfg.degree > MAX_EXPONENT:  # refused before any monomial table or draw is built
         raise ValueError(f"degree {cfg.degree} is past {MAX_EXPONENT}, the largest exponent a monomial can hold")
+
+
+def run_suite(cfg: SuiteConfig) -> Report:
+    check_config(cfg)
     report = Report(cfg.suite, cfg)
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     for name in names:

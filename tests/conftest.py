@@ -14,6 +14,21 @@ def zero_field(kind: FieldKind) -> TypedField:
     return TypedField(kind, (P_ZERO,) * _COMPONENT_COUNT[kind])
 
 
+def coeff(p: Poly3, m) -> Fraction:
+    """The coefficient of the monomial m in p; 0 when m is absent."""
+    return p.coefficients().get(m, Fraction(0))
+
+
+def matrix(rows, kind: FieldKind = FieldKind.MATRIX) -> TypedField:
+    """The matrix field with the given three rows of three entries."""
+    return TypedField(kind, tuple(p for row in rows for p in row))
+
+
+def entry(m: TypedField, i: int, j: int) -> Poly3:
+    """The 1-based (i, j) entry of a matrix field."""
+    return m.components[3 * (i - 1) + (j - 1)]
+
+
 @st.composite
 def fractions(draw, max_num=30, max_den=12):
     n = draw(st.integers(-max_num, max_num))
@@ -44,7 +59,7 @@ def vector_fields(draw, max_degree=3):
 
 @st.composite
 def matrix_fields(draw, max_degree=3):
-    return TypedField.matrix([[draw(polys(max_degree)) for _ in range(3)] for _ in range(3)])
+    return matrix([[draw(polys(max_degree)) for _ in range(3)] for _ in range(3)])
 
 
 @st.composite

@@ -10,6 +10,8 @@ from tensorcomplex.fields import FieldKind, TypedField
 from tensorcomplex.poly import P_ONE, Poly3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
+from conftest import matrix
+
 
 def _report(criterion: str, passed: bool):
     print(f"\nacceptance [{criterion}]: {'PASS' if passed else 'FAIL'}")
@@ -76,7 +78,7 @@ def test_criterion_6_right_inverses():
     ]
     distinct_identities = {koszul.RIGHT_INVERSES[n].statement for n in koszul.RIGHT_INVERSE_NAMES}
     witness = koszul.right_inverse("Ddd", TypedField.scalar(P_ONE))
-    expected = TypedField.matrix(
+    expected = matrix(
         [[(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)] for i in range(1, 4)],
         FieldKind.SYMMETRIC,
     )

@@ -8,7 +8,7 @@ import pytest
 from tensorcomplex import cli
 from tensorcomplex.cli import main
 from tensorcomplex.poly import monomials_up_to
-from tensorcomplex.suites import SuiteConfig, run_suite
+from tensorcomplex.suites import SuiteConfig, check_config, run_suite
 
 
 def run_cli(*args, env=None):
@@ -43,6 +43,30 @@ def test_degree_past_the_exponent_limit_is_one_line_exit_two(capsys):
         run_suite(SuiteConfig(suite="identities", degree=256))
     # No monomial table was asked for, let alone built.
     assert monomials_up_to.cache_info() == tables
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects its own choices
+        return exc.code
+
+
+@pytest.mark.parametrize("bad", [["--degree", "256"], ["--suite", "nope"]], ids=["degree-256", "unknown-suite"])
+def test_bad_config_leaves_the_out_path_as_it_was(tmp_path, bad):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_bytes(b"12345678")
+    for out in (new, old):
+        assert _exit_code(["run", "--suite", "identities", "--samples", "1", *bad, "--out", str(out)]) == 2
+    assert not new.exists()
+    assert old.read_bytes() == b"12345678"
+
+
+def test_config_checks_share_one_message():
+    cfg = SuiteConfig(suite="nope")
+    for check in (check_config, run_suite):
+        with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from identities, .* or all$"):
+            check(cfg)
 
 
 def test_two_complex_suite_has_44_cases(tmp_path):

@@ -32,7 +32,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import zero_field
+from conftest import matrix, zero_field
 
 
 def test_all_decompositions_reconstruct_exactly():
@@ -54,7 +54,7 @@ def test_cc_on_zero():
 
 
 def test_dd_leading_projector_on_unit_witness():
-    sigma = TypedField.matrix(
+    sigma = matrix(
         [[(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)] for i in range(1, 4)],
         FieldKind.SYMMETRIC,
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import tensorcomplex.diagram as diagram
+import tensorcomplex.fields as fields
 import tensorcomplex.operators as operators
 from tensorcomplex.diagram import (
     DiagramGraph,
@@ -382,19 +383,45 @@ def _partial_sum_without_exponent_factor(pieces):
     return Poly3(total)
 
 
+def _witness_holds(g, suite, case):
+    """Whether the failing case's witness, read back from its text, passes the case's check:
+    an identity of the identities suite, a cell, or a path of the two-complex."""
+    f = field_from_text(case.witness)
+    if suite == "identities":
+        ident = operators.IDENTITIES[case.name]
+        assert f.kind is ident.input_kind
+        first, *rest = [side(f) for side in ident.sides]
+        return all(components_equal(first, other) for other in rest)
+    if suite == "cells":
+        return _witness_commutes(g, case)
+    paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
+    return apply_path(g, paths[case.name], f).is_zero
+
+
 def test_partial_sum_without_exponent_factor_fails_identities_cells_and_two_complex(monkeypatch):
     # curl and div go through the broken kernel while grad keeps Poly3.partial,
     # so every suite that mixes them must fail, and each witness must fail again
     monkeypatch.setattr(Poly3, "partial_sum", staticmethod(_partial_sum_without_exponent_factor))
-    for case in _failing_cases("identities", 2):
-        ident = operators.IDENTITIES[case.name]
-        f = field_from_text(case.witness)
-        assert f.kind is ident.input_kind
-        first, *rest = [side(f) for side in ident.sides]
-        assert not all(components_equal(first, other) for other in rest), case.name
     g = DiagramGraph("with-bc")
-    for case in _failing_cases("cells", 2):
-        assert not _witness_commutes(g, case), case.name
-    paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
-    for case in _failing_cases("two-complex", 3):
-        assert not apply_path(g, paths[case.name], field_from_text(case.witness)).is_zero, case.name
+    for suite, degree in (("identities", 2), ("cells", 2), ("two-complex", 3)):
+        for case in _failing_cases(suite, degree):
+            assert not _witness_holds(g, suite, case), case.name
+
+
+def test_swapped_transpose_table_fails_a_suite(monkeypatch):
+    # Entries (0, 1) and (1, 0) of the transpose stay in place: a symmetric or
+    # skew field keeps its kind, but a general matrix field is transposed
+    # wrongly, so some suite must fail, and each witness must fail again.
+    table = list(fields.TRANSPOSE)
+    table[1], table[3] = table[3], table[1]
+    monkeypatch.setattr(fields, "TRANSPOSE", tuple(table))
+    g = DiagramGraph("with-bc")
+    reports = {
+        suite: run_suite(SuiteConfig(suite=suite, seed=7, degree=degree, samples=2))
+        for suite, degree in (("identities", 2), ("cells", 2), ("two-complex", 3))
+    }
+    failing = {suite: [c for c in r.cases if c.status != "pass"] for suite, r in reports.items()}
+    assert any(failing.values())
+    for suite, cases in failing.items():
+        for case in cases:
+            assert case.status == "fail" and not _witness_holds(g, suite, case), case.name

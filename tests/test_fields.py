@@ -26,7 +26,7 @@ from tensorcomplex.fields import (
 from tensorcomplex.operators import components_equal, derived_rng, random_field
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
 
-from conftest import matrix_fields, polys, vector_fields
+from conftest import entry, matrix, matrix_fields, polys, vector_fields
 
 
 def test_component_count_enforced():
@@ -37,10 +37,10 @@ def test_component_count_enforced():
 def test_symmetric_tag_rejects_asymmetric_components():
     rows = [[P_ZERO, X1, P_ZERO], [P_ZERO, P_ZERO, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]]
     with pytest.raises(KindError):
-        TypedField.matrix(rows, FieldKind.SYMMETRIC)
+        matrix(rows, FieldKind.SYMMETRIC)
     rows[1][0] = X1.scale(Fraction(1, 2))  # same monomial, different coefficient
     with pytest.raises(KindError):
-        TypedField.matrix(rows, FieldKind.SYMMETRIC)
+        matrix(rows, FieldKind.SYMMETRIC)
 
 
 def test_tracefree_tag_rejects_nonzero_trace():
@@ -78,9 +78,9 @@ def test_retag_to_the_same_kind_is_the_field_itself():
 
 def test_sym_example():
     rows = [[P_ZERO, X1, P_ZERO], [P_ZERO, P_ZERO, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]]
-    m = TypedField.matrix(rows).sym()
-    assert m.entry(1, 2) == X1.scale(Fraction(1, 2))
-    assert m.entry(2, 1) == X1.scale(Fraction(1, 2))
+    m = matrix(rows).sym()
+    assert entry(m, 1, 2) == X1.scale(Fraction(1, 2))
+    assert entry(m, 2, 1) == X1.scale(Fraction(1, 2))
     assert m.kind is FieldKind.SYMMETRIC
 
 
@@ -96,25 +96,28 @@ def test_dev_plus_trace_part(m):
 
 
 # Entrywise reference formulas for the pointwise projections, written out one
-# entry at a time, as sums, differences and scales of single entries.
+# entry at a time, as sums, differences and scales of single entries read
+# through the 1-based accessor `entry`.
 _R = range(1, 4)
 
 
 def _ref_trace(m):
-    return m.entry(1, 1) + m.entry(2, 2) + m.entry(3, 3)
+    return entry(m, 1, 1) + entry(m, 2, 2) + entry(m, 3, 3)
 
 
 _REFERENCE_PROJECTIONS = {
-    "sym": lambda m: [(m.entry(i, j) + m.entry(j, i)).scale(Fraction(1, 2)) for i in _R for j in _R],
-    "skw": lambda m: [(m.entry(i, j) - m.entry(j, i)).scale(Fraction(1, 2)) for i in _R for j in _R],
+    "sym": lambda m: [(entry(m, i, j) + entry(m, j, i)).scale(Fraction(1, 2)) for i in _R for j in _R],
+    "skw": lambda m: [(entry(m, i, j) - entry(m, j, i)).scale(Fraction(1, 2)) for i in _R for j in _R],
     "dev": lambda m: [
-        m.entry(i, j) - _ref_trace(m).scale(Fraction(1, 3)) if i == j else m.entry(i, j) for i in _R for j in _R
+        entry(m, i, j) - _ref_trace(m).scale(Fraction(1, 3)) if i == j else entry(m, i, j) for i in _R for j in _R
     ],
-    "s_op": lambda m: [m.entry(j, i) - _ref_trace(m) if i == j else m.entry(j, i) for i in _R for j in _R],
+    "s_op": lambda m: [entry(m, j, i) - _ref_trace(m) if i == j else entry(m, j, i) for i in _R for j in _R],
+    "trace": lambda m: [_ref_trace(m)],
+    "transpose": lambda m: [entry(m, j, i) for i in _R for j in _R],
     "vskw": lambda m: [
-        (m.entry(3, 2) - m.entry(2, 3)).scale(Fraction(1, 2)),
-        (m.entry(1, 3) - m.entry(3, 1)).scale(Fraction(1, 2)),
-        (m.entry(2, 1) - m.entry(1, 2)).scale(Fraction(1, 2)),
+        (entry(m, 3, 2) - entry(m, 2, 3)).scale(Fraction(1, 2)),
+        (entry(m, 1, 3) - entry(m, 3, 1)).scale(Fraction(1, 2)),
+        (entry(m, 2, 1) - entry(m, 1, 2)).scale(Fraction(1, 2)),
     ],
 }
 
@@ -137,6 +140,7 @@ def test_projections_match_entrywise_formulas(name, kind, degree):
         (TypedField.dev, "dev needs"),
         (TypedField.s_op, "S needs"),
         (TypedField.trace, "tr needs"),
+        (TypedField.transpose, "transpose needs"),
         (vskw, "vskw needs"),
     ],
 )
@@ -167,10 +171,10 @@ def test_dev_of_identity_vanishes():
 
 def test_mskw_of_e3():
     m = mskw(E3)
-    assert m.entry(1, 2) == Poly3.const(-1)
-    assert m.entry(2, 1) == P_ONE
+    assert entry(m, 1, 2) == Poly3.const(-1)
+    assert entry(m, 2, 1) == P_ONE
     assert all(
-        m.entry(i, j).is_zero for i in range(1, 4) for j in range(1, 4) if (i, j) not in ((1, 2), (2, 1))
+        entry(m, i, j).is_zero for i in range(1, 4) for j in range(1, 4) if (i, j) not in ((1, 2), (2, 1))
     )
     assert m.kind is FieldKind.SKEW
 
@@ -188,7 +192,7 @@ def test_mskw_is_linear(u, v):
 
 
 def test_vskw_of_symmetric_vanishes():
-    sym = TypedField.matrix([[X1, X2, P_ZERO], [X2, P_ONE, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]], FieldKind.SYMMETRIC)
+    sym = matrix([[X1, X2, P_ZERO], [X2, P_ONE, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]], FieldKind.SYMMETRIC)
     assert vskw(sym).is_zero
 
 
@@ -197,7 +201,7 @@ def test_cross_right_handed():
 
 
 def test_frobenius_id_against_tracefree():
-    tau = TypedField.matrix([[X1, X2, P_ZERO], [P_ZERO, X1.scale(-1), P_ZERO], [P_ONE, P_ZERO, P_ZERO]]).dev()
+    tau = matrix([[X1, X2, P_ZERO], [P_ZERO, X1.scale(-1), P_ZERO], [P_ONE, P_ZERO, P_ZERO]]).dev()
     assert pairing_product(ID_FIELD, tau).is_zero
 
 
@@ -276,6 +280,7 @@ def test_text_unknown_kind_names_header_and_valid_kinds():
         ("symmetric", "1 2", "kind header says symmetric, but the components are not symmetric"),
         ("trace-free", "1 1", "kind header says trace-free, but the components have nonzero trace"),
         ("skew", "2 3", "kind header says skew, but the components are not skew"),
+        ("skew", "1 1", "kind header says skew, but the components are not skew"),
     ],
 )
 def test_text_kind_predicate_failure_is_a_value_error(kind, entry, message):

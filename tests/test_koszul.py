@@ -51,7 +51,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import polys, scalar_fields, vector_fields
+from conftest import matrix, polys, scalar_fields, vector_fields
 
 _X = sympy.Matrix(sympy.symbols("x1 x2 x3"))
 
@@ -245,6 +245,14 @@ def test_kind_basis_is_built_once_per_kind_and_degree():
         assert all(f.kind is kind for f in basis)
 
 
+def test_kernel_basis_is_built_once_per_operators_kind_and_degree():
+    for ops, kind in _KERNEL_DIMENSIONS:
+        basis = kernel_basis(ops, kind, 2)
+        assert type(basis) is tuple  # a shared cached basis that no caller can change
+        assert kernel_basis(ops, kind, 2) is basis
+        assert kernel_basis(op_names=ops, kind=kind, degree=2) == basis
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_kernel_basis_equals_sympy_nullspace(degree):
     # The basis vectors decide every sampled right-inverse input, so pin them:
@@ -263,7 +271,7 @@ def test_kernel_basis_equals_sympy_nullspace(degree):
         for v in matrix.nullspace():
             terms = [b.scale(Fraction(int(c.p), int(c.q))) for c, b in zip(v, basis) if c != 0]
             expected.append(sum(terms[1:], terms[0]))
-        assert kernel_basis(ops, kind, degree) == expected, (ops, kind)
+        assert list(kernel_basis(ops, kind, degree)) == expected, (ops, kind)
 
 
 @pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
@@ -304,7 +312,7 @@ def test_strict_moment_precondition():
 
 def test_ddd_unit_closed_form():
     out = right_inverse("Ddd", TypedField.scalar(P_ONE))
-    expected = TypedField.matrix(
+    expected = matrix(
         [[(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)] for i in range(1, 4)],
         FieldKind.SYMMETRIC,
     )

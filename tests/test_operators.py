@@ -44,7 +44,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import matrix_fields, polys, vector_fields, zero_field
+from conftest import entry, matrix, matrix_fields, polys, vector_fields, zero_field
 
 _SYMS = sympy.symbols("x1 x2 x3")
 
@@ -167,14 +167,14 @@ def test_sym_curl_of_curl_free_symmetric_field():
 
 def test_hess_against_oracle():
     h = hess(TypedField.scalar(X1 * X2))
-    assert h.entry(1, 2) == P_ONE and h.entry(2, 1) == P_ONE
-    assert all(h.entry(i, j).is_zero for i in range(1, 4) for j in range(1, 4) if {i, j} != {1, 2})
+    assert entry(h, 1, 2) == P_ONE and entry(h, 2, 1) == P_ONE
+    assert all(entry(h, i, j).is_zero for i in range(1, 4) for j in range(1, 4) if {i, j} != {1, 2})
     # second derivatives from the oracle
     w = X1 * X1 * X3 + X2 * X3
     ours = hess(TypedField.scalar(w))
     for i in range(3):
         for j in range(3):
-            assert to_sympy(ours.entry(i + 1, j + 1)) == sympy.diff(to_sympy(w), _SYMS[i], _SYMS[j])
+            assert to_sympy(entry(ours, i + 1, j + 1)) == sympy.diff(to_sympy(w), _SYMS[i], _SYMS[j])
 
 
 def test_inc_of_hessian_vanishes():
@@ -183,7 +183,7 @@ def test_inc_of_hessian_vanishes():
 
 
 def test_div_div_unit_witness():
-    sigma = TypedField.matrix(
+    sigma = matrix(
         [[(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)] for i in range(1, 4)],
         FieldKind.SYMMETRIC,
     )
@@ -277,7 +277,7 @@ def test_operator_oracle_cross_check():
     g = grad(v)
     for i in range(3):
         for j in range(3):
-            assert to_sympy(g.entry(i + 1, j + 1)) == sympy.diff(to_sympy(v.comp(i + 1)), _SYMS[j])
+            assert to_sympy(entry(g, i + 1, j + 1)) == sympy.diff(to_sympy(v.comp(i + 1)), _SYMS[j])
     assert to_sympy(div(v).comp(1)) == sum(
         sympy.diff(to_sympy(v.comp(i + 1)), _SYMS[i]) for i in range(3)
     )
@@ -294,7 +294,7 @@ def test_matrix_div_and_curl_are_row_wise():
     # is the vector curl of row i -- checked entry by entry against sympy
     rng = derived_rng(43, "roworacle")
     m = random_field(FieldKind.MATRIX, 3, rng)
-    rows = [[to_sympy(m.entry(i, j)) for j in range(1, 4)] for i in range(1, 4)]
+    rows = [[to_sympy(entry(m, i, j)) for j in range(1, 4)] for i in range(1, 4)]
     ours_div = div(m)
     for i in range(3):
         expected = sum(sympy.diff(rows[i][j], _SYMS[j]) for j in range(3))
@@ -345,7 +345,7 @@ def test_mskw_matches_epsilon_sum(v):
 
 @given(matrix_fields())
 def test_vskw_matches_epsilon_sum(m):
-    e = {(i, j): to_sympy(m.entry(i, j)) for i in _R for j in _R}
+    e = {(i, j): to_sympy(entry(m, i, j)) for i in _R for j in _R}
     skw = {(i, j): (e[i, j] - e[j, i]) / 2 for i in _R for j in _R}
     expected = [-sum(sympy.LeviCivita(i, j, k) * skw[i, j] for i in _R for j in _R) / 2 for k in _R]
     assert_matches(vskw(m), expected)
