@@ -199,10 +199,10 @@ def kind_basis(kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
 @cache
 def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Exact basis of the joint kernel of the named operators on the
-    kind-constrained degree-bounded space, via nullspace of the stacked
-    coefficient matrix: one column per basis field, one sparse row per
-    (operator, image component, monomial) that some image reaches.  Built
-    once per (op_names, kind, degree) as a tuple that no caller can change."""
+    kind-constrained degree-bounded space: nullspace of the stacked coefficient
+    matrix, one column per basis field, one sparse row per reached (operator,
+    image component, monomial).  Built once per (op_names, kind, degree) as a
+    tuple no caller can change; op_names is a cache key, so it must be a tuple."""
     basis = kind_basis(kind, degree)
     rows: dict[tuple, dict[int, Fraction]] = {}
     for j, b in enumerate(basis):

@@ -215,7 +215,7 @@ def draw_ints(rng: random.Random, n: int) -> list[int]:
     out: list[int] = []
     while len(out) < n:
         k = n - len(out)
-        top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3 : 4 * k : 4]
+        top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
         out += array("b", top.translate(_DRAW_VALUE, _DRAW_REJECT))
     return out
 

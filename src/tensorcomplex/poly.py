@@ -225,6 +225,10 @@ class Poly3:
     def constant_term(self) -> Fraction:
         return Fraction(self._codes.get(0, 0), self.den)
 
+    def coeff(self, m: Monomial) -> Fraction:
+        n = self._codes.get(monomial_code(m)) if 0 <= min(m) and max(m) <= MAX_EXPONENT else None
+        return Fraction(n, self.den) if n else Fraction(0)
+
     def coefficients(self) -> dict[Monomial, Fraction]:
         """Each nonzero coefficient as its own reduced Fraction."""
         den = self.den

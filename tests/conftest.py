@@ -14,11 +14,6 @@ def zero_field(kind: FieldKind) -> TypedField:
     return TypedField(kind, (P_ZERO,) * _COMPONENT_COUNT[kind])
 
 
-def coeff(p: Poly3, m) -> Fraction:
-    """The coefficient of the monomial m in p; 0 when m is absent."""
-    return p.coefficients().get(m, Fraction(0))
-
-
 def matrix(rows, kind: FieldKind = FieldKind.MATRIX) -> TypedField:
     """The matrix field with the given three rows of three entries."""
     return TypedField(kind, tuple(p for row in rows for p in row))

@@ -40,7 +40,7 @@ from tensorcomplex.fields import (
 from tensorcomplex.operators import components_equal, derived_rng, random_field
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2
 
-from conftest import coeff, matrix_fields, polys, scalar_fields, vector_fields, zero_field
+from conftest import matrix_fields, polys, scalar_fields, vector_fields, zero_field
 
 
 def spherical_oracle(a: int, b: int, c: int):
@@ -124,7 +124,7 @@ def test_l2_pair_examples():
 def test_bump_orders():
     assert bump(0) == P_ONE
     b1 = bump(1)
-    assert coeff(b1, (0, 0, 0)) == 1 and coeff(b1, (2, 0, 0)) == -1
+    assert b1.coeff((0, 0, 0)) == 1 and b1.coeff((2, 0, 0)) == -1
     assert bump(2) == b1 * b1
     with pytest.raises(ValueError):
         bump(-1)

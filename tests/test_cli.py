@@ -45,19 +45,11 @@ def test_degree_past_the_exponent_limit_is_one_line_exit_two(capsys):
     assert monomials_up_to.cache_info() == tables
 
 
-def _exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse rejects its own choices
-        return exc.code
-
-
-@pytest.mark.parametrize("bad", [["--degree", "256"], ["--suite", "nope"]], ids=["degree-256", "unknown-suite"])
-def test_bad_config_leaves_the_out_path_as_it_was(tmp_path, bad):
+def test_bad_config_leaves_the_out_path_as_it_was(tmp_path):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     old.write_bytes(b"12345678")
     for out in (new, old):
-        assert _exit_code(["run", "--suite", "identities", "--samples", "1", *bad, "--out", str(out)]) == 2
+        assert main(["run", "--suite", "identities", "--samples", "1", "--degree", "256", "--out", str(out)]) == 2
     assert not new.exists()
     assert old.read_bytes() == b"12345678"
 

@@ -251,6 +251,11 @@ def test_kernel_basis_is_built_once_per_operators_kind_and_degree():
         assert type(basis) is tuple  # a shared cached basis that no caller can change
         assert kernel_basis(ops, kind, 2) is basis
         assert kernel_basis(op_names=ops, kind=kind, degree=2) == basis
+    # The operator names are part of the cache key, so they must be a tuple.
+    ops, kind = next(iter(_KERNEL_DIMENSIONS))
+    for call in (lambda: kernel_basis(list(ops), kind, 2), lambda: sample_kernel(list(ops), kind, 2, 7)):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            call()
 
 
 @pytest.mark.parametrize("degree", [2, 3])

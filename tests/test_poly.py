@@ -12,7 +12,7 @@ from tensorcomplex import ball
 from tensorcomplex.ball import _odd_factorial, _pair_integral, integrate_ball
 from tensorcomplex.poly import MAX_EXPONENT, P_ONE, ExponentLimitError, Poly3, X1, X2, X3, monomial_code, monomials_up_to
 
-from conftest import coeff, fractions, polys
+from conftest import fractions, polys
 
 
 def test_partial_power_rule():
@@ -33,7 +33,7 @@ def test_no_zero_coefficients_stored():
     p = X1 - X1
     assert p.is_zero and p.coefficients() == {}
     q = Poly3({(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
-    assert coeff(q, (1, 0, 0)) == 0
+    assert q.coeff((1, 0, 0)) == 0
     assert q.coefficients() == {(0, 1, 0): Fraction(2)}
 
 
@@ -74,6 +74,7 @@ def test_exponents_past_the_limit_raise_and_never_wrap():
         Poly3.parse("1 * x1^0 x2^256 x3^0")
     with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
         Poly3.monomial((0, 0, 256))
+    assert top.coeff((256, 0, 0)) == 0 and top.coeff((-1, 0, 0)) == 0
     # Only single exponents are limited: total degree may pass 255.
     wide = Poly3.monomial((200, 0, 0)) * Poly3.monomial((0, 200, 200))
     assert wide.degree() == 600 and wide.coefficients() == {(200, 200, 200): Fraction(1)}

@@ -19,7 +19,7 @@ from tensorcomplex.koszul import tc, td, tg
 from tensorcomplex.operators import components_equal
 from tensorcomplex.poly import MAX_EXPONENT, ExponentLimitError, Poly3, _row_codes, monomial_code, monomials_up_to
 
-from conftest import coeff, fractions, matrix, monomials
+from conftest import fractions, matrix, monomials
 from reference_poly import FractionPoly3, partial_sum, shift_sum
 
 _X = [FractionPoly3.variable(i) for i in (1, 2, 3)]
@@ -94,7 +94,7 @@ def test_arithmetic_matches_fraction_reference(pair, c, i):
     assert_same((p * q).partial(i), (r * s).partial(i))
     assert (p == q) == (r == s)
     for m in list(r.terms) + [(0, 0, 0), (9, 0, 0)]:
-        assert coeff(p, m) == r.coeff(m)
+        assert p.coeff(m) == r.coeff(m)
     assert p.constant_term() == r.constant_term()
     assert p.degree() == r.degree()
 
@@ -240,7 +240,7 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
     results = [
         Poly3(), Poly3.zero(), Poly3.const(c), Poly3.monomial((1, 2, 0), c), Poly3.variable(i),
         p, p + q, p - q, p * q, -p, p.scale(c), p.partial(i), Poly3.parse(str(p)),
-        Poly3.from_row(3, [int(coeff(p, m) * p.denominator * den) for m in monomials_up_to(3)], p.denominator * den),
+        Poly3.from_row(3, [int(p.coeff(m) * p.denominator * den) for m in monomials_up_to(3)], p.denominator * den),
         Poly3.from_row(1, [0, den, 0, 0], den),
         Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
         Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),

@@ -83,26 +83,19 @@ def test_every_class_or_static_method_is_reached_through_its_class():
     assert unused == []
 
 
-def _is_property(method: ast.FunctionDef) -> bool:
-    return any(
-        (isinstance(d, ast.Name) and d.id == "property") or (isinstance(d, ast.Attribute) and d.attr == "cached_property")
-        for d in method.decorator_list
-    )
-
 
 def test_every_instance_method_is_reached_as_an_attribute():
-    # The bare-name scan above also counts local variables and data
-    # attributes of the same name: `row` is a loop variable in rational.py and
-    # a node attribute (`n.row`) in diagram.py, so a leftover `TypedField.row`
-    # would pass it.  An instance method must be called as `x.method(...)`, and
-    # a property read as `x.name`, somewhere in production code.
-    called, read = set(), set()
-    for path in _production_files():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                called.add(node.func.attr)
+    # The bare-name scan above also counts local variables: `row` is a loop
+    # variable in rational.py.  A non-dunder instance method must be read as
+    # an attribute, `x.method`, somewhere in production code.  The match is by
+    # attribute name, so a data attribute of the same name (`n.row` on a
+    # diagram node) still counts.
+    read = {
+        node.attr
+        for path in _production_files()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute)
+    }
     unused = [
         f"{path.stem}.{cls.name}.{m.name}"
         for path in sorted(_PACKAGE.glob("*.py"))
@@ -112,6 +105,6 @@ def test_every_instance_method_is_reached_as_an_attribute():
         if isinstance(m, ast.FunctionDef)
         and not (m.name.startswith("__") and m.name.endswith("__"))
         and not _is_class_or_static(m)
-        and m.name not in (read if _is_property(m) else called)
+        and m.name not in read
     ]
     assert unused == []
