@@ -1,7 +1,11 @@
-"""Golden files pin the report JSON schema, the decomposition text format and the seeded draws."""
+"""Golden files pin the report JSON schema, the decomposition text format, the seeded draws
+and the pairings the pairings suite computes."""
 
 from pathlib import Path
 
+import pytest
+
+from tensorcomplex import ball
 from tensorcomplex.decompose import _DECOMPOSERS, DECOMPOSITION_NAMES, decompose, regdec_dd
 from tensorcomplex.fields import FieldKind, field_to_text
 from tensorcomplex.koszul import RIGHT_INVERSES, sample_kernel
@@ -67,3 +71,30 @@ def test_seeded_draws_match_golden():
     # Every suite case passes, so no report shows a sampled field: this file
     # is what pins the sampled inputs themselves, byte for byte.
     assert golden_draws_text() == (DATA / "golden_draws.txt").read_text()
+
+
+def golden_pairings_text() -> str:
+    """str() of every `ball.l2_pair` value, one a line, in call order, while the
+    pairings suite runs at seed 7, degree 2, 2 samples.  The Gram rows of the
+    moment spaces are built once and cached, so they are read first: the record
+    then does not depend on what ran before it."""
+    for space in (ball.CONSTANTS_SCALAR, ball.P1_SPACE, ball.RT_SPACE, ball.ND_SPACE):
+        space.weighted_gram
+    values = []
+    true_pair = ball.l2_pair
+
+    def recording_pair(a, b):
+        value = true_pair(a, b)
+        values.append(str(value))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ball, "l2_pair", recording_pair)
+        assert run_suite(SuiteConfig(suite="pairings", seed=7, degree=2, samples=2)).all_passed
+    return "\n".join(values) + "\n"
+
+
+def test_pairings_match_golden():
+    # Passing reports show no sampled field, so this file pins the work of the
+    # pairings suite itself: each pairing of a sampled field, in order.
+    assert golden_pairings_text() == (DATA / "golden_pairings.txt").read_text()
