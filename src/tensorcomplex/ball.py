@@ -26,7 +26,7 @@ from .fields import (
     field_to_text,
     pairing_components,
 )
-from .operators import CheckResult, OPS, curl, derived_rng, div, grad, random_field, run_check
+from .operators import CheckResult, OPS, derived_rng, random_field, run_check
 from .poly import MAX_EXPONENT, P_ONE, Poly3, check_product, monomial_code
 from .rational import PiScalar, RatMatrix
 
@@ -190,187 +190,109 @@ def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
 
 
 # -- pairing identities --------------------------------------------------
-#
-# Each entry verifies one extension identity: with phi a bump-weighted test
-# field, the pairing of `field` against op(phi) equals the stated multiple of
-# the pairing of adj_op(field) against phi.  Requirements on the bump order
-# guarantee the boundary terms vanish identically.
 
-_PAIRINGS: dict[str, dict] = {
-    "q-grad": dict(
-        field_kind=FieldKind.VECTOR,
-        test_kind=FieldKind.SCALAR,
-        op="grad",
-        adj="div",
-        factor=Fraction(-1),
-        min_bump=1,
-        anchor="Sec. 6 extension lemma (q∘grad)",
-    ),
-    "sigma-deff": dict(
-        field_kind=FieldKind.SYMMETRIC,
-        test_kind=FieldKind.VECTOR,
-        op="deff",
-        adj="div",
-        factor=Fraction(-1),
-        min_bump=1,
-        anchor="Sec. 6 extension lemma (σ∘deff)",
-    ),
-    "sigma-hess": dict(
-        field_kind=FieldKind.SYMMETRIC,
-        test_kind=FieldKind.SCALAR,
-        op="hess",
-        adj="div_div",
-        factor=Fraction(1),
-        min_bump=2,
-        anchor="Sec. 6 extension lemma (σ∘hess)",
-    ),
-    "g-sym-curl": dict(
-        field_kind=FieldKind.SYMMETRIC,
-        test_kind=FieldKind.TRACEFREE,
-        op="sym_curl",
-        adj="curl",
-        factor=Fraction(1),
-        min_bump=1,
-        anchor="Sec. 6 extension lemma (g∘sym curl)",
-    ),
-    "g-inc": dict(
-        field_kind=FieldKind.SYMMETRIC,
-        test_kind=FieldKind.SYMMETRIC,
-        op="inc",
-        adj="inc",
-        factor=Fraction(1),
-        min_bump=2,
-        anchor="Sec. 6 extension lemma (g∘inc)",
-    ),
-    "tau-curl": dict(
-        field_kind=FieldKind.TRACEFREE,
-        test_kind=FieldKind.SYMMETRIC,
-        op="curl",
-        adj="sym_curl",
-        factor=Fraction(1),
-        min_bump=1,
-        anchor="Sec. 6 extension lemma (τ∘curl)",
-    ),
-    "tau-dev-grad": dict(
-        field_kind=FieldKind.TRACEFREE,
-        test_kind=FieldKind.VECTOR,
-        op="dev_grad",
-        adj="div",
-        factor=Fraction(-1),
-        min_bump=1,
-        anchor="Sec. 6 extension lemma (τ∘dev grad)",
-    ),
-    "tau-curl-deff": dict(
-        # Adjoint chain: curl div T tau = div T curl tau (identity eq2),
-        # then one div adjoint (a minus) and the eq3/eq5 trades give
-        # (tau ∘ curl deff)(u) = -1/2 (curl div T tau)(u).
-        field_kind=FieldKind.TRACEFREE,
-        test_kind=FieldKind.VECTOR,
-        op="curl_deff",
-        adj="curl_div_t",
-        factor=Fraction(-1, 2),
-        min_bump=2,
-        anchor="Sec. 6 extension lemma (τ∘curl deff)",
+_R, _V, _S, _T = FieldKind.SCALAR, FieldKind.VECTOR, FieldKind.SYMMETRIC, FieldKind.TRACEFREE
+
+
+@dataclass(frozen=True)
+class PairingSpec:
+    """One extension identity of Sec. 6: for every `field_kind` field f and
+    bump-weighted `test_kind` test field phi, (f, op(phi)) = factor (adj(f), phi).
+    Operators are named by their OPS key."""
+
+    field_kind: FieldKind
+    test_kind: FieldKind
+    op: str
+    adj: str
+    factor: Fraction
+    anchor: str
+
+
+_PAIRINGS: dict[str, PairingSpec] = {
+    "q-grad": PairingSpec(_V, _R, "grad", "div", Fraction(-1), "Sec. 6 extension lemma (q∘grad)"),
+    "sigma-deff": PairingSpec(_S, _V, "deff", "div", Fraction(-1), "Sec. 6 extension lemma (σ∘deff)"),
+    "sigma-hess": PairingSpec(_S, _R, "hess", "div_div", Fraction(1), "Sec. 6 extension lemma (σ∘hess)"),
+    "g-sym-curl": PairingSpec(_S, _T, "sym_curl", "curl", Fraction(1), "Sec. 6 extension lemma (g∘sym curl)"),
+    "g-inc": PairingSpec(_S, _S, "inc", "inc", Fraction(1), "Sec. 6 extension lemma (g∘inc)"),
+    "tau-curl": PairingSpec(_T, _S, "curl", "sym_curl", Fraction(1), "Sec. 6 extension lemma (τ∘curl)"),
+    "tau-dev-grad": PairingSpec(_T, _V, "dev_grad", "div", Fraction(-1), "Sec. 6 extension lemma (τ∘dev grad)"),
+    # Adjoint chain: curl div T tau = div T curl tau (identity eq2), then one
+    # div adjoint (a minus) and the eq3/eq5 trades give
+    # (tau ∘ curl deff)(u) = -1/2 (curl div T tau)(u).
+    "tau-curl-deff": PairingSpec(
+        _T, _V, "curl_deff", "curl_div_t", Fraction(-1, 2), "Sec. 6 extension lemma (τ∘curl deff)"
     ),
 }
 
 PAIRING_NAMES = tuple(_PAIRINGS)
 
 
-def verify_ibp(which: str, samples: int, degree: int, bump_order: int, seed: int) -> CheckResult:
-    """Both sides of the named pairing agree as exact pi-multiples."""
+def verify_ibp(which: str, samples: int, degree: int, seed: int) -> CheckResult:
+    """Both sides of the named pairing agree as exact pi-multiples.  A failing
+    sample is reported as the field, then `test field:` and the test field."""
     spec = _PAIRINGS[which]
-    if bump_order < spec["min_bump"]:
-        raise ValueError(
-            f"{which} needs bump order >= {spec['min_bump']} for boundary terms to vanish"
-        )
-    w = bump(bump_order)
-    op = OPS[spec["op"]]
-    adj = OPS[spec["adj"]]
-    factor: Fraction = spec["factor"]
+    # bump(2) vanishes to second order on the sphere; no operator here has order above 2
+    w = bump(2)
 
     def draw(s: int) -> tuple[TypedField, TypedField]:
         rng = derived_rng(seed, "ibp", which, s)
-        f = random_field(spec["field_kind"], degree, rng)
-        return f, random_field(spec["test_kind"], degree, rng).mul_scalar_poly(w)
+        f = random_field(spec.field_kind, degree, rng)
+        return f, random_field(spec.test_kind, degree, rng).mul_scalar_poly(w)
 
     def holds(sample: tuple[TypedField, TypedField]) -> bool:
         f, phi = sample
-        return (l2_pair(f, op(phi)) - l2_pair(adj(f), phi) * factor).is_zero
+        return (l2_pair(f, OPS[spec.op](phi)) - l2_pair(OPS[spec.adj](f), phi) * spec.factor).is_zero
 
-    return run_check(which, spec["anchor"], samples, draw, holds, lambda sample: field_to_text(sample[0]))
+    def witness(sample: tuple[TypedField, TypedField]) -> str:
+        return f"{field_to_text(sample[0])}\ntest field:\n{field_to_text(sample[1])}"
+
+    return run_check(which, spec.anchor, samples, draw, holds, witness)
 
 
-def verify_all_ibp(samples: int, degree: int, bump_order: int, seed: int) -> list[CheckResult]:
-    return [verify_ibp(name, samples, degree, bump_order, seed) for name in _PAIRINGS]
+def verify_all_ibp(samples: int, degree: int, seed: int) -> list[CheckResult]:
+    return [verify_ibp(name, samples, degree, seed) for name in _PAIRINGS]
+
+
+# -- moment-membership steps -----------------------------------------------
+#
+# Each row (name, anchor, kind, project, op, target) is one step of the Thm 2.3
+# proof: a random `kind` field times bump(1), made moment-orthogonal to `project`
+# unless that is None, is mapped by OPS[op] into the annihilator of `target`.
+
+_MEMBERSHIP_STEPS = (
+    ("div of bumped trace-free field ⊥ RT", "Thm 2.3 proof (τ : id vanishes)", _T, None, "div", RT_SPACE),
+    ("div of bumped symmetric field ⊥ ND", "Thm 2.3 proof (symmetry)", _S, None, "div", ND_SPACE),
+    ("div of bumped ND-orthogonal vector ⊥ P1", "Thm 2.3 proof (grad p ∈ ND)", _V, ND_SPACE, "div", P1_SPACE),
+    ("curl of bumped RT-orthogonal vector ⊥ ND", "Thm 2.3 proof (curl r = 2b)", _V, RT_SPACE, "curl", ND_SPACE),
+    ("grad of bumped mean-zero scalar ⊥ RT", "Thm 2.3 proof (zero mean)", _R, CONSTANTS_SCALAR, "grad", RT_SPACE),
+)
+
+
+def _moment_witness(outcome: tuple[bool, TypedField | None, PiScalar | None]) -> str:
+    return f"pairing with {field_to_text(outcome[1])} = {outcome[2]}"
 
 
 def verify_membership_steps(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Moment-membership steps: images of bump-weighted fields land in the
-    annihilators of the expected test spaces, exactly."""
-
-    def run(name: str, anchor: str, produce, space: MomentSpace) -> CheckResult:
-        return run_check(
-            name,
-            anchor,
-            samples,
-            lambda s: moment_orthogonal(produce(derived_rng(seed, "membership", name, s)), space),
-            lambda outcome: outcome[0],
-            lambda outcome: f"pairing with {field_to_text(outcome[1])} = {outcome[2]}",
-        )
-
+    annihilators of the expected test spaces, exactly; then the negative control."""
     w1 = bump(1)
+    results = []
+    for name, anchor, kind, project, op, target in _MEMBERSHIP_STEPS:
+        # run_check calls draw before the loop moves on, so draw sees this row
+        def draw(s: int) -> tuple[bool, TypedField | None, PiScalar | None]:
+            f = random_field(kind, degree, derived_rng(seed, "membership", name, s)).mul_scalar_poly(w1)
+            if project is not None:
+                f = project_moment_orthogonal(f, project)
+            return moment_orthogonal(OPS[op](f), target)
 
-    return [
-        run(
-            "div of bumped trace-free field ⊥ RT",
-            "Thm 2.3 proof (τ : id vanishes)",
-            lambda rng: div(random_field(FieldKind.MATRIX, degree, rng).dev().mul_scalar_poly(w1)),
-            RT_SPACE,
-        ),
-        run(
-            "div of bumped symmetric field ⊥ ND",
-            "Thm 2.3 proof (symmetry)",
-            lambda rng: div(random_field(FieldKind.MATRIX, degree, rng).sym().mul_scalar_poly(w1)),
-            ND_SPACE,
-        ),
-        run(
-            "div of bumped ND-orthogonal vector ⊥ P1",
-            "Thm 2.3 proof (grad p ∈ ND)",
-            lambda rng: div(
-                project_moment_orthogonal(
-                    random_field(FieldKind.VECTOR, degree, rng).mul_scalar_poly(w1), ND_SPACE
-                )
-            ),
-            P1_SPACE,
-        ),
-        run(
-            "curl of bumped RT-orthogonal vector ⊥ ND",
-            "Thm 2.3 proof (curl r = 2b)",
-            lambda rng: curl(
-                project_moment_orthogonal(
-                    random_field(FieldKind.VECTOR, degree, rng).mul_scalar_poly(w1), RT_SPACE
-                )
-            ),
-            ND_SPACE,
-        ),
-        run(
-            "grad of bumped mean-zero scalar ⊥ RT",
-            "Thm 2.3 proof (zero mean)",
-            lambda rng: grad(
-                project_moment_orthogonal(
-                    random_field(FieldKind.SCALAR, degree, rng).mul_scalar_poly(w1), CONSTANTS_SCALAR
-                )
-            ),
-            RT_SPACE,
-        ),
-        # negative control: a constant field is not orthogonal to a space containing it
-        run_check(
-            "negative control: constant vs P1 detected",
-            "Thm 2.3 proof",
-            1,
-            lambda s: moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE),
-            lambda outcome: not outcome[0] and not outcome[2].is_zero,
-            lambda outcome: "orthogonality unexpectedly held",
-        ),
-    ]
+        results.append(run_check(name, anchor, samples, draw, lambda outcome: outcome[0], _moment_witness))
+    # negative control: a constant field is not orthogonal to a space containing it
+    control = run_check(
+        "negative control: constant vs P1 detected",
+        "Thm 2.3 proof",
+        1,
+        lambda s: moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE),
+        lambda outcome: not outcome[0] and not outcome[2].is_zero,
+        lambda outcome: "orthogonality unexpectedly held",
+    )
+    return [*results, control]

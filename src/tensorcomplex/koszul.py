@@ -523,11 +523,17 @@ def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) ->
 
 
 def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> CheckResult:
+    """The named chain's output has its declared kind and satisfies its defining identity."""
     spec = RIGHT_INVERSES[name]
+
+    def holds(f: TypedField) -> bool:
+        out = _construct(spec, f, strict_preconditions)
+        return (out if spec.half is None else out[spec.half]).kind is spec.output_kind and spec.identity(f, out)
+
     return run_check(
         f"{name}: {spec.statement}",
         spec.anchor,
         samples,
         lambda s: sample_right_inverse_input(name, degree, seed, s),
-        lambda f: spec.identity(f, _construct(spec, f, strict_preconditions)),
+        holds,
     )

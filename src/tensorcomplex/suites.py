@@ -139,7 +139,7 @@ def _suite_pairings(cfg: SuiteConfig) -> list[CheckResult]:
     return [
         _ball_integral("unit ball volume = 4/3*pi", P_ONE, "4/3*pi"),
         _ball_integral("integral of x1^2 = 4/15*pi", Poly3.monomial((2, 0, 0)), "4/15*pi"),
-        *ball.verify_all_ibp(cfg.samples, cfg.degree, bump_order=2, seed=cfg.seed),
+        *ball.verify_all_ibp(cfg.samples, cfg.degree, cfg.seed),
         *ball.verify_membership_steps(cfg.samples, cfg.degree, cfg.seed),
     ]
 

@@ -101,7 +101,7 @@ def test_criterion_7_regular_decompositions():
 
 
 def test_criterion_8_pairings_and_memberships():
-    ibp = ball.verify_all_ibp(samples=10, degree=3, bump_order=2, seed=7)
+    ibp = ball.verify_all_ibp(samples=10, degree=3, seed=7)
     membership = ball.verify_membership_steps(samples=10, degree=3, seed=7)
     integrals_ok = (
         str(ball.integrate_ball(P_ONE)) == "4/3*pi"

@@ -1,6 +1,7 @@
 """Exact ball quadrature against a spherical-coordinates sympy oracle,
 moment spaces, and the duality-pairing identities."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -35,9 +36,10 @@ from tensorcomplex.fields import (
     TypedField,
     X_FIELD,
     field_from_text,
+    field_to_text,
     pairing_product,
 )
-from tensorcomplex.operators import components_equal, derived_rng, random_field
+from tensorcomplex.operators import components_equal, derived_rng, div, grad, random_field
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2
 
 from conftest import matrix_fields, polys, scalar_fields, vector_fields, zero_field
@@ -190,25 +192,18 @@ def test_projection_builds_the_gram_rows_once_per_space(monkeypatch):
 
 @pytest.mark.parametrize("name", PAIRING_NAMES)
 def test_pairing_identities(name):
-    r = verify_ibp(name, samples=4, degree=2, bump_order=2, seed=7)
+    r = verify_ibp(name, samples=4, degree=2, seed=7)
     assert r.passed, r.witness
 
 
 def test_pairing_count_is_eight():
     assert len(PAIRING_NAMES) == 8
-    assert len(verify_all_ibp(1, 1, 2, 0)) == 8
-
-
-def test_insufficient_bump_order_rejected():
-    with pytest.raises(ValueError, match="bump order"):
-        verify_ibp("sigma-hess", samples=1, degree=1, bump_order=1, seed=0)
+    assert len(verify_all_ibp(1, 1, 0)) == 8
 
 
 def test_q_grad_pairing_spec_example():
     # q = e1, test fn bump(1) * x1: both sides equal and here both vanish
     w = TypedField.scalar(bump(1) * X1)
-    from tensorcomplex.operators import div, grad
-
     lhs = l2_pair(E1, grad(w))
     rhs = l2_pair(div(E1), w) * Fraction(-1)
     assert (lhs - rhs).is_zero and lhs.is_zero
@@ -228,6 +223,25 @@ def test_membership_steps():
     results = verify_membership_steps(samples=3, degree=2, seed=7)
     assert len(results) == 6
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+    assert [r.name for r in results[:5]] == [row[0] for row in ball._MEMBERSHIP_STEPS]
+
+
+@pytest.mark.parametrize("step", range(5))
+def test_every_membership_step_can_fail(monkeypatch, step):
+    # a matrix field in place of a trace-free or symmetric one, or a field left
+    # unprojected, has a nonzero moment against some basis field of the target
+    steps = list(ball._MEMBERSHIP_STEPS)
+    name, anchor, kind, project, op, target = steps[step]
+    if project is None:
+        steps[step] = (name, anchor, FieldKind.MATRIX, None, op, target)
+    else:
+        steps[step] = (name, anchor, kind, None, op, target)
+    monkeypatch.setattr(ball, "_MEMBERSHIP_STEPS", tuple(steps))
+    results = verify_membership_steps(samples=3, degree=2, seed=7)
+    assert [r.passed for r in results] == [i != step for i in range(5)] + [True]
+    witness = results[step].witness
+    assert witness.startswith("pairing with ")
+    assert any(f"pairing with {field_to_text(b)} = " in witness for b in target.basis), witness
 
 
 # -- the term-pair pairing against the product-then-integrate reference ----
@@ -290,7 +304,12 @@ def test_l2_pair_kind_mismatch_raises(kinds):
 
 
 def test_wrong_pairing_sign_is_caught(monkeypatch):
-    monkeypatch.setitem(ball._PAIRINGS["q-grad"], "factor", Fraction(1))
-    r = verify_ibp("q-grad", samples=2, degree=2, bump_order=1, seed=7)
+    monkeypatch.setitem(ball._PAIRINGS, "q-grad", dataclasses.replace(ball._PAIRINGS["q-grad"], factor=Fraction(1)))
+    r = verify_ibp("q-grad", samples=2, degree=2, seed=7)
     assert not r.passed
-    assert field_from_text(r.witness).kind is FieldKind.VECTOR
+    # the witness alone rechecks the case: both sides differ under the wrong sign
+    field_text, phi_text = r.witness.split("\ntest field:\n")
+    q, phi = field_from_text(field_text), field_from_text(phi_text)
+    assert q.kind is FieldKind.VECTOR and phi.kind is FieldKind.SCALAR
+    assert l2_pair(q, grad(phi)) != l2_pair(div(q), phi)
+    assert l2_pair(q, grad(phi)) == l2_pair(div(q), phi) * Fraction(-1)

@@ -293,6 +293,16 @@ def test_right_inverse_output_kind(name):
     assert out.kind is spec.output_kind
 
 
+@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+def test_wrong_output_kind_fails_the_right_inverse_check(monkeypatch, name):
+    # no chain returns a general matrix field, so every spec now declares a wrong kind
+    spec = RIGHT_INVERSES[name]
+    monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, output_kind=FieldKind.MATRIX))
+    result = verify_right_inverse(name, samples=2, degree=2, seed=7)
+    assert result.status == "fail"
+    assert field_from_text(result.witness).kind is spec.input_kind
+
+
 def test_kernel_constraint_violation_names_witness():
     rng = derived_rng(41, "bad")
     sigma = random_field(FieldKind.SYMMETRIC, 2, rng)
