@@ -1,11 +1,16 @@
-"""Golden files pin the report JSON schema, the decomposition text format, the seeded draws
-and the pairings the pairings suite computes."""
+"""Golden files pin the report JSON schema, the decomposition text format, the seeded draws,
+the pairings the pairings suite computes and the diagram dump; the benchmark's recorded
+report digests pin the reports of its workloads."""
 
+import hashlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from tensorcomplex import ball
+from tensorcomplex import ball, diagram
+from tensorcomplex.cli import main
 from tensorcomplex.decompose import _DECOMPOSERS, DECOMPOSITION_NAMES, decompose, regdec_dd
 from tensorcomplex.fields import FieldKind, field_to_text
 from tensorcomplex.koszul import RIGHT_INVERSES, sample_kernel
@@ -13,6 +18,7 @@ from tensorcomplex.operators import derived_rng, random_field
 from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_suite_all_runs_the_suites_in_published_order():
@@ -98,3 +104,44 @@ def test_pairings_match_golden():
     # Passing reports show no sampled field, so this file pins the work of the
     # pairings suite itself: each pairing of a sampled field, in order.
     assert golden_pairings_text() == (DATA / "golden_pairings.txt").read_text()
+
+
+@pytest.mark.parametrize("flavor", ["with-bc", "no-bc"])
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("markdown", "md")])
+def test_dump_diagram_matches_golden(flavor, fmt, suffix, capsys):
+    assert main(["dump-diagram", "--flavor", flavor, "--format", fmt]) == 0
+    assert capsys.readouterr().out == (DATA / f"golden_diagram_{flavor}.{suffix}").read_text()
+
+
+def test_derived_complex_case_names():
+    results = diagram.check_all_derived_complexes(samples=1, degree=1, seed=7)
+    assert [r.name for r in results] == [
+        "hessian: curl ∘ hess = 0",
+        "hessian: div ∘ curl = 0",
+        "elasticity: inc ∘ deff = 0",
+        "elasticity: div ∘ inc = 0",
+        "divdiv: sym_curl ∘ 1/2 dev_grad = 0",
+        "divdiv: div_div ∘ sym_curl = 0",
+    ]
+
+
+def _benchmark_workloads():
+    """The `WORKLOADS` and `SAMPLES` of perfbench/child.py, read from the file."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.WORKLOADS, child.SAMPLES
+
+
+@pytest.mark.parametrize("seed", ["7", "11"])
+def test_benchmark_reports_match_recorded_digests(seed):
+    # perfbench/run.py hashes each workload's report JSON, concatenated in
+    # suite order; its BASELINE.json records the digests every change must keep.
+    workloads, samples = _benchmark_workloads()
+    recorded = json.loads((PERFBENCH / "BASELINE.json").read_text())["report_sha256"][seed]
+    for name, workload in workloads.items():
+        text = "".join(
+            run_suite(SuiteConfig(suite=suite, seed=int(seed), degree=workload.degree, samples=samples)).to_json()
+            for suite in workload.suites
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == recorded[name], name
