@@ -155,18 +155,16 @@ ND_SPACE = MomentSpace(
 )
 
 
-def moment_orthogonal(f: TypedField, space: MomentSpace) -> tuple[bool, TypedField | None, PiScalar | None]:
-    """True iff (f, b) = 0 exactly for every basis element of the space.
-
-    On failure, returns the offending basis element and the nonzero pairing.
-    """
+def moment_orthogonal(f: TypedField, space: MomentSpace) -> tuple[TypedField, PiScalar] | None:
+    """None when (f, b) = 0 exactly for every basis element b of the space;
+    otherwise the first such b with its nonzero pairing."""
     if f.kind is not space.kind:
         raise KindError(f"{space.name} tests {space.kind.value} fields, got {f.kind.value}")
     for b in space.basis:
         v = l2_pair(f, b)
         if not v.is_zero:
-            return False, b, v
-    return True, None, None
+            return b, v
+    return None
 
 
 def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
@@ -268,31 +266,38 @@ _MEMBERSHIP_STEPS = (
 )
 
 
-def _moment_witness(outcome: tuple[bool, TypedField | None, PiScalar | None]) -> str:
-    return f"pairing with {field_to_text(outcome[1])} = {outcome[2]}"
-
-
 def verify_membership_steps(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Moment-membership steps: images of bump-weighted fields land in the
-    annihilators of the expected test spaces, exactly; then the negative control."""
+    annihilators of the expected test spaces, exactly; then the negative control.
+    A failing sample is reported as the field, then `image:` and its image, then
+    the pairing and the basis field it pairs with."""
     w1 = bump(1)
     results = []
     for name, anchor, kind, project, op, target in _MEMBERSHIP_STEPS:
-        # run_check calls draw before the loop moves on, so draw sees this row
-        def draw(s: int) -> tuple[bool, TypedField | None, PiScalar | None]:
+        # run_check is done with draw, holds and witness before the loop moves on, so they see this row
+        def draw(s: int) -> TypedField:
             f = random_field(kind, degree, derived_rng(seed, "membership", name, s)).mul_scalar_poly(w1)
-            if project is not None:
-                f = project_moment_orthogonal(f, project)
-            return moment_orthogonal(OPS[op](f), target)
+            return f if project is None else project_moment_orthogonal(f, project)
 
-        results.append(run_check(name, anchor, samples, draw, lambda outcome: outcome[0], _moment_witness))
+        def witness(f: TypedField) -> str:
+            try:
+                image = OPS[op](f)
+                basis, value = moment_orthogonal(image, target)
+            except KindError as err:  # the image broke a kind predicate: there is no pairing to print
+                return f"{field_to_text(f)}\n{err}"
+            pairing = f"pairing = {value} with:\n{field_to_text(basis)}"
+            return f"{field_to_text(f)}\nimage:\n{field_to_text(image)}\n{pairing}"
+
+        results.append(
+            run_check(name, anchor, samples, draw, lambda f: moment_orthogonal(OPS[op](f), target) is None, witness)
+        )
     # negative control: a constant field is not orthogonal to a space containing it
     control = run_check(
         "negative control: constant vs P1 detected",
         "Thm 2.3 proof",
         1,
         lambda s: moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE),
-        lambda outcome: not outcome[0] and not outcome[2].is_zero,
-        lambda outcome: "orthogonality unexpectedly held",
+        lambda found: found is not None and not found[1].is_zero,
+        lambda found: "orthogonality unexpectedly held",
     )
     return [*results, control]

@@ -13,7 +13,7 @@ import sys
 from contextlib import AbstractContextManager, nullcontext
 from typing import TextIO
 
-from .diagram import DiagramGraph
+from . import diagram
 from .suites import SUITE_NAMES, SuiteConfig, check_config, run_suite
 
 
@@ -68,14 +68,13 @@ def main(argv: list[str] | None = None) -> int:
         stream = _open_out(args.out)
         if stream is None:
             return 2
-        g = DiagramGraph(args.flavor)
         with stream as fh:
             if args.format == "json":
                 import json
 
-                fh.write(json.dumps(g.to_dict(), indent=2, sort_keys=True) + "\n")
+                fh.write(json.dumps(diagram.to_dict(args.flavor), indent=2, sort_keys=True) + "\n")
             else:
-                fh.write(g.to_markdown() + "\n")
+                fh.write(diagram.to_markdown(args.flavor) + "\n")
         return 0
 
     if args.degree < 0 or args.samples < 1:

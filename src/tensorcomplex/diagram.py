@@ -1,12 +1,17 @@
-"""The 4x4 grid of spaces and scaled operator edges, as an explicit graph.
+"""The commuting 4x4 diagram as module data: node kinds, scaled edges, diagonals.
 
 Nodes follow the R-V-V-R / V-S-T-V / V-T-S-V / R-V-V-R value-kind pattern.
-Edges carry scale factors (1/3 grad, 1/2 curl, 1/2 dev grad, ...) separately
-from the operators, and each interior cell has a diagonal second-order edge
-equal to both of its first-order factorizations.
+`EDGES` holds the 24 first-order steps, right and down, each with its scale
+factor (1/3 grad, 1/2 curl, 1/2 dev grad, ...) kept apart from its operator.
+`DIAGONALS` holds the second-order diagonal of each interior cell, equal to
+both of the cell's first-order factorizations.  `edge(src, dst)` finds any of
+the 33 steps, `walk(*nodes)` chains them, and `apply_path` is the one walker:
+cells, 2-complex paths and the derived complexes of Cor. 2.6 are all walks
+through it.
 
-The with-bc and no-bc flavors differ only in node labels; the operator
-algebra is identical.
+Every check reads the operator algebra from this data alone.  The with-bc and
+no-bc flavors differ only in the node labels, which only the dump
+(`to_dict`, `to_markdown`) reads.
 """
 
 from __future__ import annotations
@@ -76,14 +81,6 @@ _DIAGONALS = {
 
 
 @dataclass(frozen=True)
-class SpaceNode:
-    row: int
-    col: int
-    kind: FieldKind
-    label: str
-
-
-@dataclass(frozen=True)
 class EdgeOp:
     src: tuple[int, int]
     dst: tuple[int, int]
@@ -91,185 +88,168 @@ class EdgeOp:
     orientation: str  # "right", "down" or "diagonal"
 
 
-class DiagramGraph:
-    def __init__(self, flavor: str):
-        if flavor not in _LABELS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
-        self.nodes: dict[tuple[int, int], SpaceNode] = {}
-        for r in range(1, 5):
-            for c in range(1, 5):
-                self.nodes[(r, c)] = SpaceNode(r, c, _KIND_GRID[r - 1][c - 1], _LABELS[flavor][r - 1][c - 1])
-        self.edges: list[EdgeOp] = []
-        for r in range(1, 5):
-            for c in range(1, 4):
-                name, scale = _ROW_EDGES[r - 1][c - 1]
-                self.edges.append(EdgeOp((r, c), (r, c + 1), OperatorId(name, Fraction(scale)), "right"))
-        for c in range(1, 5):
-            for r in range(1, 4):
-                name, scale = _COL_EDGES[c - 1][r - 1]
-                self.edges.append(EdgeOp((r, c), (r + 1, c), OperatorId(name, Fraction(scale)), "down"))
-        self.diagonals: list[EdgeOp] = [
-            EdgeOp((r, c), (r + 1, c + 1), OperatorId(name, Fraction(scale)), "diagonal")
-            for (r, c), (name, scale) in sorted(_DIAGONALS.items())
-        ]
-        self._by_step = {(e.src, e.dst): e for e in self.edges}
-
-    def edge(self, src: tuple[int, int], dst: tuple[int, int]) -> EdgeOp:
-        return self._by_step[(src, dst)]
-
-    def interior_cells(self) -> list[tuple[int, int]]:
-        return [(r, c) for r in range(1, 4) for c in range(1, 4)]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "flavor": self.flavor,
-            "nodes": [
-                {"row": n.row, "col": n.col, "kind": n.kind.value, "label": n.label}
-                for n in (self.nodes[(r, c)] for r in range(1, 5) for c in range(1, 5))
-            ],
-            "edges": [
-                {
-                    "from": list(e.src),
-                    "to": list(e.dst),
-                    "op": e.op.name,
-                    "scale": str(e.op.scale),
-                    "orientation": e.orientation,
-                }
-                for e in self.edges + self.diagonals
-            ],
-        }
-
-    def to_markdown(self) -> str:
-        lines = [f"# Operator diagram ({self.flavor})", "", "| | " + " | ".join(str(c) for c in range(1, 5)) + " |", "|-|-|-|-|-|"]
-        for r in range(1, 5):
-            row = [self.nodes[(r, c)].label for c in range(1, 5)]
-            lines.append(f"| {r} | " + " | ".join(row) + " |")
-        lines.append("")
-        lines.append("| from | to | operator | scale |")
-        lines.append("|-|-|-|-|")
-        for e in self.edges + self.diagonals:
-            lines.append(f"| {e.src} | {e.dst} | {e.op.name} | {e.op.scale} |")
-        return "\n".join(lines)
+EDGES = (
+    *(
+        EdgeOp((r, c), (r, c + 1), OperatorId(name, Fraction(scale)), "right")
+        for r, row in enumerate(_ROW_EDGES, 1)
+        for c, (name, scale) in enumerate(row, 1)
+    ),
+    *(
+        EdgeOp((r, c), (r + 1, c), OperatorId(name, Fraction(scale)), "down")
+        for c, col in enumerate(_COL_EDGES, 1)
+        for r, (name, scale) in enumerate(col, 1)
+    ),
+)
+DIAGONALS = tuple(
+    EdgeOp((r, c), (r + 1, c + 1), OperatorId(name, Fraction(scale)), "diagonal")
+    for (r, c), (name, scale) in sorted(_DIAGONALS.items())
+)
+_STEPS = {(e.src, e.dst): e for e in EDGES + DIAGONALS}
 
 
-@dataclass(frozen=True)
-class Path:
-    """A monotone (right/down) sequence of first-order edges."""
-
-    edges: tuple[EdgeOp, ...]
-
-    def __post_init__(self):
-        if not self.edges:
-            raise ValueError("a path needs at least one edge")
-        for a, b in zip(self.edges, self.edges[1:]):
-            if a.dst != b.src:
-                raise ValueError("path edges do not chain")
-
-    @property
-    def start(self) -> tuple[int, int]:
-        return self.edges[0].src
-
-    def label(self) -> str:
-        steps = " -> ".join([str(self.start)] + [str(e.dst) for e in self.edges])
-        ops = ", ".join(e.op.label() for e in self.edges)
-        return f"{steps} [{ops}]"
+def node_kind(node: tuple[int, int]) -> FieldKind:
+    r, c = node
+    return _KIND_GRID[r - 1][c - 1]
 
 
-def enumerate_paths(g: DiagramGraph, length: int) -> list[Path]:
-    """All monotone paths of exactly `length` edges, lexicographic order."""
+def edge(src: tuple[int, int], dst: tuple[int, int]) -> EdgeOp:
+    """The edge or diagonal from `src` to `dst`."""
+    return _STEPS[(src, dst)]
+
+
+def walk(*nodes: tuple[int, int]) -> tuple[EdgeOp, ...]:
+    """The steps through `nodes`, in order: each consecutive pair is an edge or a diagonal."""
+    return tuple(edge(a, b) for a, b in zip(nodes, nodes[1:]))
+
+
+def to_dict(flavor: str) -> dict:
+    if flavor not in _LABELS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return {
+        "schema": 1,
+        "flavor": flavor,
+        "nodes": [
+            {"row": r, "col": c, "kind": node_kind((r, c)).value, "label": label}
+            for r, row in enumerate(_LABELS[flavor], 1)
+            for c, label in enumerate(row, 1)
+        ],
+        "edges": [
+            {
+                "from": list(e.src),
+                "to": list(e.dst),
+                "op": e.op.name,
+                "scale": str(e.op.scale),
+                "orientation": e.orientation,
+            }
+            for e in EDGES + DIAGONALS
+        ],
+    }
+
+
+def to_markdown(flavor: str) -> str:
+    """`to_dict` as two tables: the node labels, then the steps."""
+    d = to_dict(flavor)
+    labels = [n["label"] for n in d["nodes"]]
+    lines = [f"# Operator diagram ({flavor})", "", "| | 1 | 2 | 3 | 4 |", "|-|-|-|-|-|"]
+    lines += [f"| {r} | " + " | ".join(labels[4 * r - 4 : 4 * r]) + " |" for r in range(1, 5)]
+    lines += ["", "| from | to | operator | scale |", "|-|-|-|-|"]
+    lines += [f"| {tuple(e['from'])} | {tuple(e['to'])} | {e['op']} | {e['scale']} |" for e in d["edges"]]
+    return "\n".join(lines)
+
+
+def path_label(p: tuple[EdgeOp, ...]) -> str:
+    steps = " -> ".join([str(p[0].src)] + [str(e.dst) for e in p])
+    ops = ", ".join(e.op.label() for e in p)
+    return f"{steps} [{ops}]"
+
+
+def enumerate_paths(length: int) -> list[tuple[EdgeOp, ...]]:
+    """All monotone (right/down) paths of exactly `length` edges, lexicographic order."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    paths: list[Path] = []
+    paths: list[tuple[EdgeOp, ...]] = []
 
-    def extend(pos: tuple[int, int], acc: list[EdgeOp]):
-        if len(acc) == length:
-            paths.append(Path(tuple(acc)))
+    def extend(nodes: tuple[tuple[int, int], ...]):
+        if len(nodes) > length:
+            paths.append(walk(*nodes))
             return
-        r, c = pos
+        r, c = nodes[-1]
         for nxt in ((r, c + 1), (r + 1, c)):  # right before down
             if nxt[0] <= 4 and nxt[1] <= 4:
-                e = g.edge(pos, nxt)
-                extend(nxt, acc + [e])
+                extend(nodes + (nxt,))
 
     for r in range(1, 5):
         for c in range(1, 5):
-            extend((r, c), [])
+            extend(((r, c),))
     return paths
 
 
-def apply_path(g: DiagramGraph, p: Path, f: TypedField) -> TypedField:
-    start_kind = g.nodes[p.start].kind
+def apply_path(p: tuple[EdgeOp, ...], f: TypedField) -> TypedField:
+    """Apply the steps of `p` in order; each output is re-tagged to its node's kind, whose predicate is checked."""
+    start_kind = node_kind(p[0].src)
     if f.kind is not start_kind:
         raise TypeError(f"field kind {f.kind.value} does not match path start {start_kind.value}")
-    out = f
-    for e in p.edges:
-        out = e.op.apply(out).retag(g.nodes[e.dst].kind)  # the node's kind predicate is checked
-    return out
-
-
-def _through(edges: tuple[EdgeOp, ...], f: TypedField) -> TypedField:
-    """Apply the edge operators in order, without re-tagging to node kinds."""
-    for e in edges:
-        f = e.op.apply(f)
+    for e in p:
+        f = e.op.apply(f).retag(node_kind(e.dst))
     return f
 
 
-def check_cell(g: DiagramGraph, cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
+def check_cell(cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
     """down∘right == right∘down on the cell with top-left corner `cell`."""
     r, c = cell
     if not (1 <= r <= 3 and 1 <= c <= 3):
         raise ValueError("cell must index one of the 9 interior cells")
-    right_then_down = (g.edge((r, c), (r, c + 1)), g.edge((r, c + 1), (r + 1, c + 1)))
-    down_then_right = (g.edge((r, c), (r + 1, c)), g.edge((r + 1, c), (r + 1, c + 1)))
+    right_down = walk(cell, (r, c + 1), (r + 1, c + 1))
+    down_right = walk(cell, (r + 1, c), (r + 1, c + 1))
     return run_check(
         f"cell ({r},{c})",
         "Thm 2.3",
         samples,
-        field_draw(g.nodes[cell].kind, degree, seed, "cell", r, c),
-        lambda f: components_equal(_through(right_then_down, f), _through(down_then_right, f)),
+        field_draw(node_kind(cell), degree, seed, "cell", r, c),
+        lambda f: components_equal(apply_path(right_down, f), apply_path(down_right, f)),
     )
 
 
-def check_all_cells(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [check_cell(g, cell, samples, degree, seed) for cell in g.interior_cells()]
+def check_all_cells(samples: int, degree: int, seed: int) -> list[CheckResult]:
+    """Every interior cell, in the row-major order of the diagonals that span them."""
+    return [check_cell(d.src, samples, degree, seed) for d in DIAGONALS]
 
 
-def check_two_complex(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
+def check_two_complex(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Every monotone length-3 path composes to the exact zero field."""
     return [
         run_check(
-            f"path {p.label()}",
+            f"path {path_label(p)}",
             "Thm 2.5",
             samples,
-            field_draw(g.nodes[p.start].kind, degree, seed, "two-complex", idx),
-            lambda f: apply_path(g, p, f).is_zero,
+            field_draw(node_kind(p[0].src), degree, seed, "two-complex", idx),
+            lambda f: apply_path(p, f).is_zero,
         )
-        for idx, p in enumerate(enumerate_paths(g, 3))
+        for idx, p in enumerate(enumerate_paths(3))
     ]
 
 
 _DERIVED_COMPLEXES = {
-    # name -> (anchor, three consecutive operators, input kinds of the first two)
-    "hessian": ("Cor. 2.6 (1)", (OperatorId("hess"), OperatorId("curl"), OperatorId("div")), (R, S)),
-    "elasticity": ("Cor. 2.6 (2)", (OperatorId("deff"), OperatorId("inc"), OperatorId("div")), (V, S)),
-    "divdiv": ("Cor. 2.6 (3)", (OperatorId("dev_grad", _HALF), OperatorId("sym_curl"), OperatorId("div_div")), (V, T)),
+    # name -> (anchor, the four nodes its three operators step through)
+    "hessian": ("Cor. 2.6 (1)", ((1, 1), (2, 2), (2, 3), (2, 4))),
+    "elasticity": ("Cor. 2.6 (2)", ((2, 1), (2, 2), (3, 3), (3, 4))),
+    "divdiv": ("Cor. 2.6 (3)", ((3, 1), (3, 2), (3, 3), (4, 4))),
 }
 
 
 def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Consecutive compositions of the named derived complex vanish exactly."""
-    anchor, ops, kinds = _DERIVED_COMPLEXES[name]
+    anchor, nodes = _DERIVED_COMPLEXES[name]
+    steps = walk(*nodes)
     return [
         run_check(
-            f"{name}: {op2.label()} ∘ {op1.label()} = 0",
+            f"{name}: {second.op.label()} ∘ {first.op.label()} = 0",
             anchor,
             samples,
-            field_draw(kind, degree, seed, "derived", name, stage),
-            lambda f: op2.apply(op1.apply(f)).is_zero,
+            field_draw(node_kind(first.src), degree, seed, "derived", name, stage),
+            lambda f: apply_path((first, second), f).is_zero,
         )
-        for stage, (op1, op2, kind) in enumerate(zip(ops, ops[1:], kinds))
+        for stage, (first, second) in enumerate(zip(steps, steps[1:]))
     ]
 
 

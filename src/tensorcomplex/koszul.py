@@ -244,8 +244,9 @@ def _check_zero(f: TypedField, what: str, original: TypedField):
 
 
 def _check_moment(f: TypedField, space: MomentSpace):
-    ok, basis, pairing = moment_orthogonal(f, space)
-    if not ok:
+    found = moment_orthogonal(f, space)
+    if found is not None:
+        basis, pairing = found
         raise PreconditionError(
             f"moment precondition failed: pairing with {space.name} element is {pairing}",
             field_to_text(basis),

@@ -408,9 +408,11 @@ def run_check(
 ) -> CheckResult:
     """Test `holds` on draw(0), draw(1), ... and stop at the first sample where it fails.
 
-    A failing sample is reported as witness(sample); a PreconditionError raised
-    by `holds` makes the case an error that carries the error's own witness.
-    The result records the wall time of this case alone.
+    A failing sample is reported as witness(sample).  A KindError raised by
+    `holds`, from an output that broke its kind predicate, fails the sample
+    the same way; one raised by `draw` is not caught.  A PreconditionError
+    raised by `holds` makes the case an error that carries the error's own
+    witness.  The result records the wall time of this case alone.
     """
     t0 = perf_counter()
     result = CheckResult(name, anchor, True)
@@ -421,6 +423,8 @@ def run_check(
         except PreconditionError as err:
             result = CheckResult(name, anchor, False, f"{err} | witness:\n{err.witness}", error=True)
             break
+        except KindError:
+            ok = False
         if not ok:
             result = CheckResult(name, anchor, False, witness(x))
             break

@@ -88,11 +88,11 @@ def _suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _suite_cells(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_all_cells(diagram.DiagramGraph("with-bc"), cfg.samples, cfg.degree, cfg.seed)
+    return diagram.check_all_cells(cfg.samples, cfg.degree, cfg.seed)
 
 
 def _suite_two_complex(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_two_complex(diagram.DiagramGraph("with-bc"), cfg.samples, cfg.degree, cfg.seed)
+    return diagram.check_two_complex(cfg.samples, cfg.degree, cfg.seed)
 
 
 def _suite_derived(cfg: SuiteConfig) -> list[CheckResult]:

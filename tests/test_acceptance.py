@@ -28,8 +28,7 @@ def test_criterion_1_identity_suite():
 
 
 def test_criterion_2_commutativity_of_all_cells():
-    g = diagram.DiagramGraph("with-bc")
-    results = diagram.check_all_cells(g, samples=10, degree=3, seed=7)
+    results = diagram.check_all_cells(samples=10, degree=3, seed=7)
     scaled = {
         ((1, 3), (2, 3)): Fraction(1, 2),
         ((3, 1), (3, 2)): Fraction(1, 2),
@@ -38,16 +37,15 @@ def test_criterion_2_commutativity_of_all_cells():
         ((2, 4), (3, 4)): Fraction(1, 2),
         ((4, 2), (4, 3)): Fraction(1, 2),
     }
-    scales_ok = all(g.edge(s, d).op.scale == v for (s, d), v in scaled.items())
+    scales_ok = all(diagram.edge(s, d).op.scale == v for (s, d), v in scaled.items())
     ok = len(results) == 9 and all(r.passed for r in results) and scales_ok
     _report("2: all 9 cells commute exactly (scale factors 1/2, 1/3 included)", ok)
 
 
 def test_criterion_3_two_complex_all_length3_paths():
-    g = diagram.DiagramGraph("with-bc")
     t0 = time.monotonic()
-    paths = diagram.enumerate_paths(g, 3)
-    results = diagram.check_two_complex(g, samples=5, degree=3, seed=7)
+    paths = diagram.enumerate_paths(3)
+    results = diagram.check_two_complex(samples=5, degree=3, seed=7)
     elapsed = time.monotonic() - t0
     ok = len(paths) == 44 and len(results) == 44 and all(r.passed for r in results) and elapsed < 30.0
     _report(f"3: 44 monotone length-3 paths, 5 samples each, exact zero, {elapsed:.1f}s", ok)

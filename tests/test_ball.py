@@ -36,10 +36,9 @@ from tensorcomplex.fields import (
     TypedField,
     X_FIELD,
     field_from_text,
-    field_to_text,
     pairing_product,
 )
-from tensorcomplex.operators import components_equal, derived_rng, div, grad, random_field
+from tensorcomplex.operators import OPS, components_equal, derived_rng, div, grad, random_field
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2
 
 from conftest import matrix_fields, polys, scalar_fields, vector_fields, zero_field
@@ -140,13 +139,13 @@ def test_moment_space_dimensions():
 
 
 def test_moment_orthogonal_odd_scalar():
-    ok, _, _ = moment_orthogonal(TypedField.scalar(X1), CONSTANTS_SCALAR)
-    assert ok
+    assert moment_orthogonal(TypedField.scalar(X1), CONSTANTS_SCALAR) is None
 
 
 def test_moment_orthogonal_failure_reports_witness():
-    ok, basis, pairing = moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE)
-    assert not ok
+    found = moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE)
+    assert found is not None
+    basis, pairing = found
     assert str(pairing) == "4/3*pi"
     assert basis.comp(1) == P_ONE
 
@@ -160,8 +159,7 @@ def test_projection_kills_all_moments():
     rng = derived_rng(5, "proj")
     v = random_field(FieldKind.VECTOR, 3, rng).mul_scalar_poly(bump(1))
     out = project_moment_orthogonal(v, ND_SPACE)
-    ok, _, _ = moment_orthogonal(out, ND_SPACE)
-    assert ok
+    assert moment_orthogonal(out, ND_SPACE) is None
 
 
 def test_projection_rejects_a_space_with_a_repeated_basis_field():
@@ -183,7 +181,7 @@ def test_projection_builds_the_gram_rows_once_per_space(monkeypatch):
     assert calls == list(space.basis)  # only the moments of w are paired again
     fresh = MomentSpace("ND copy", FieldKind.VECTOR, ND_SPACE.basis)
     assert components_equal(second, project_moment_orthogonal(w, fresh))  # cached rows give the same result
-    assert moment_orthogonal(first, space)[0] and moment_orthogonal(second, space)[0]
+    assert moment_orthogonal(first, space) is None and moment_orthogonal(second, space) is None
     repeated = MomentSpace("repeated", FieldKind.VECTOR, (E1, E1, E2))
     for f in (v, w):  # a cached singular Gram matrix is still rejected
         with pytest.raises(ValueError, match="singular"):
@@ -239,10 +237,30 @@ def test_every_membership_step_can_fail(monkeypatch, step):
     monkeypatch.setattr(ball, "_MEMBERSHIP_STEPS", tuple(steps))
     results = verify_membership_steps(samples=3, degree=2, seed=7)
     assert [r.passed for r in results] == [i != step for i in range(5)] + [True]
-    witness = results[step].witness
-    assert witness.startswith("pairing with ")
-    assert any(f"pairing with {field_to_text(b)} = " in witness for b in target.basis), witness
+    # the witness alone rechecks the case: the field's image under the step's
+    # operator is printed, and pairs nonzero with the named basis field
+    field_text, rest = results[step].witness.split("\nimage:\n")
+    image_text, rest = rest.split("\npairing = ")
+    value, basis_text = rest.split(" with:\n")
+    f, image, basis = (field_from_text(t) for t in (field_text, image_text, basis_text))
+    assert components_equal(OPS[op](f), image)
+    assert any(components_equal(basis, b) for b in target.basis), results[step].witness
+    assert str(l2_pair(image, basis)) == value and not l2_pair(image, basis).is_zero
 
+
+
+def test_membership_step_with_an_image_of_the_wrong_kind_fails_with_the_field(monkeypatch):
+    # div of a vector field is a scalar, which RT does not test: the moment
+    # test raises KindError, and the case fails with the field and the error
+    steps = list(ball._MEMBERSHIP_STEPS)
+    name, anchor, _, project, op, target = steps[0]
+    steps[0] = (name, anchor, FieldKind.VECTOR, project, op, target)
+    monkeypatch.setattr(ball, "_MEMBERSHIP_STEPS", tuple(steps))
+    results = verify_membership_steps(samples=1, degree=1, seed=7)
+    assert [r.status for r in results] == ["fail"] + ["pass"] * 5
+    field_text, message = results[0].witness.rsplit("\n", 1)
+    assert field_from_text(field_text).kind is FieldKind.VECTOR
+    assert message == "RT tests vector fields, got scalar"
 
 # -- the term-pair pairing against the product-then-integrate reference ----
 

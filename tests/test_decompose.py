@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import tensorcomplex.decompose as decompose_module
+import tensorcomplex.operators as operators_module
 from tensorcomplex.decompose import (
     DECOMPOSITION_NAMES,
     decompose,
@@ -297,3 +298,24 @@ def test_third_chain_sends_the_leading_part_to_zero(degree):
             leading.append(s0)
     if degree > 1:  # the leading parts are nonzero, so the check has content
         assert not any(s0.is_zero for s0 in leading)
+
+
+def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(monkeypatch):
+    # A curl whose first entry drops its -d3 c2 term takes a symmetric field to
+    # a matrix with a nonzero trace, so the cc cascade raises KindError both
+    # in the check and again in its witness; the case must still fail and print the field.
+    monkeypatch.setattr(
+        operators_module,
+        "_vector_curl",
+        lambda c1, c2, c3: [
+            Poly3.partial_sum(((1, 2, c3),)),
+            Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
+            Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
+        ],
+    )
+    r = verify_decomposition("cc", samples=2, degree=2, seed=7)
+    assert r.status == "fail"
+    f = field_from_text(r.witness)
+    assert f.kind is FieldKind.SYMMETRIC
+    with pytest.raises(KindError):
+        regdec_cc(f)

@@ -7,17 +7,24 @@ import tensorcomplex.diagram as diagram
 import tensorcomplex.fields as fields
 import tensorcomplex.operators as operators
 from tensorcomplex.diagram import (
-    DiagramGraph,
-    Path,
+    DIAGONALS,
+    EDGES,
+    EdgeOp,
     apply_path,
     check_all_cells,
     check_all_derived_complexes,
     check_cell,
     check_derived_complex,
     check_two_complex,
+    edge,
     enumerate_paths,
+    node_kind,
+    path_label,
+    to_dict,
+    to_markdown,
+    walk,
 )
-from tensorcomplex.fields import E1, FieldKind, TypedField, field_from_text
+from tensorcomplex.fields import E1, FieldKind, KindError, TypedField, field_from_text
 from tensorcomplex.operators import (
     CheckResult,
     OperatorId,
@@ -25,23 +32,20 @@ from tensorcomplex.operators import (
     curl,
     deff,
     div,
+    div_div,
     field_draw,
     hess,
     inc,
     run_check,
 )
+from tensorcomplex.cli import main
 from tensorcomplex.suites import SuiteConfig, run_suite
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
 from conftest import zero_field
 
 
-@pytest.fixture(scope="module")
-def g():
-    return DiagramGraph("with-bc")
-
-
-def test_node_kinds_follow_rvst_pattern(g):
+def test_node_kinds_follow_rvst_pattern():
     R, V = FieldKind.SCALAR, FieldKind.VECTOR
     S, T = FieldKind.SYMMETRIC, FieldKind.TRACEFREE
     expected = [
@@ -52,103 +56,105 @@ def test_node_kinds_follow_rvst_pattern(g):
     ]
     for r in range(1, 5):
         for c in range(1, 5):
-            assert g.nodes[(r, c)].kind is expected[r - 1][c - 1]
+            assert node_kind((r, c)) is expected[r - 1][c - 1]
 
 
-def test_specific_nodes_and_edges(g):
-    assert g.nodes[(2, 3)].label == "H°_cd"
-    assert g.nodes[(2, 3)].kind is FieldKind.TRACEFREE
-    e = g.edge((3, 1), (3, 2))
+def test_specific_nodes_and_edges():
+    node = next(n for n in to_dict("with-bc")["nodes"] if (n["row"], n["col"]) == (2, 3))
+    assert node["label"] == "H°_cd"
+    assert node_kind((2, 3)) is FieldKind.TRACEFREE
+    e = edge((3, 1), (3, 2))
     assert e.op.name == "dev_grad" and e.op.scale == Fraction(1, 2)
-    e = g.edge((1, 4), (2, 4))
+    e = edge((1, 4), (2, 4))
     assert e.op.name == "grad" and e.op.scale == Fraction(1, 3)
-    e = g.edge((1, 3), (2, 3))
+    e = edge((1, 3), (2, 3))
     assert e.op.name == "t_dev_grad" and e.op.scale == Fraction(1, 2)
-    e = g.edge((2, 2), (3, 2))
+    e = edge((2, 2), (3, 2))
     assert e.op.name == "t_curl" and e.op.scale == 1
-    e = g.edge((4, 2), (4, 3))
+    e = edge((4, 2), (4, 3))
     assert e.op.name == "curl" and e.op.scale == Fraction(1, 2)
 
 
-def test_structure_counts(g):
-    assert len(g.nodes) == 16
-    assert len(g.edges) == 24
-    assert sum(1 for e in g.edges if e.orientation == "right") == 12
-    assert sum(1 for e in g.edges if e.orientation == "down") == 12
-    assert len(g.diagonals) == 9
+def test_structure_counts():
+    assert len(to_dict("with-bc")["nodes"]) == 16
+    assert len(EDGES) == 24
+    assert sum(1 for e in EDGES if e.orientation == "right") == 12
+    assert sum(1 for e in EDGES if e.orientation == "down") == 12
+    assert len(DIAGONALS) == 9
+    # edge() finds all 33 steps, diagonals included
+    assert [edge(e.src, e.dst) for e in EDGES + DIAGONALS] == list(EDGES + DIAGONALS)
 
 
-def test_path_counts(g):
-    assert len(enumerate_paths(g, 1)) == 24
-    assert len(enumerate_paths(g, 3)) == 44
-    assert len(enumerate_paths(g, 6)) == 20
-    assert len(enumerate_paths(g, 7)) == 0
+def test_path_counts():
+    assert len(enumerate_paths(1)) == 24
+    assert len(enumerate_paths(3)) == 44
+    assert len(enumerate_paths(6)) == 20
+    assert len(enumerate_paths(7)) == 0
 
 
-def test_path_enumeration_is_deterministic(g):
-    a = [p.label() for p in enumerate_paths(g, 3)]
-    b = [p.label() for p in enumerate_paths(g, 3)]
+def test_path_enumeration_is_deterministic():
+    a = [path_label(p) for p in enumerate_paths(3)]
+    b = [path_label(p) for p in enumerate_paths(3)]
     assert a == b
-    starts = [p.start for p in enumerate_paths(g, 3)]
+    starts = [p[0].src for p in enumerate_paths(3)]
     assert starts == sorted(starts)  # row-major over start nodes
     # within one start node, right moves enumerate before down moves
-    first_two = [p for p in enumerate_paths(g, 3) if p.start == (1, 1)][:2]
-    assert first_two[0].edges[0].orientation == "right"
+    first_two = [p for p in enumerate_paths(3) if p[0].src == (1, 1)][:2]
+    assert first_two[0][0].orientation == "right"
 
 
-def test_path_requires_at_least_one_edge(g):
+def test_path_requires_at_least_one_edge():
     with pytest.raises(ValueError):
-        enumerate_paths(g, 0)
-    with pytest.raises(ValueError):
-        Path(())
+        enumerate_paths(0)
 
 
-def test_apply_single_edge(g):
-    p = Path((g.edge((1, 1), (1, 2)),))
-    out = apply_path(g, p, TypedField.scalar(X1))
+def test_apply_single_edge():
+    p = walk((1, 1), (1, 2))
+    out = apply_path(p, TypedField.scalar(X1))
     assert components_equal(out, E1)
 
 
-def test_apply_path_kind_mismatch(g):
-    p = Path((g.edge((1, 1), (1, 2)),))
+def test_apply_path_kind_mismatch():
+    p = walk((1, 1), (1, 2))
     with pytest.raises(TypeError):
-        apply_path(g, p, E1)  # vector where the start node holds scalars
+        apply_path(p, E1)  # vector where the start node holds scalars
 
 
-def test_diagonal_hess_equals_deff_grad_path(g):
+def test_diagonal_hess_equals_deff_grad_path():
     w = TypedField.scalar(X1 * X2 * X3 + X1 * X1)
-    p = Path((g.edge((1, 1), (1, 2)), g.edge((1, 2), (2, 2))))
-    assert components_equal(apply_path(g, p, w), hess(w))
+    p = walk((1, 1), (1, 2), (2, 2))
+    assert components_equal(apply_path(p, w), hess(w))
+    assert components_equal(apply_path(walk((1, 1), (2, 2)), w), hess(w))  # the diagonal step itself
 
 
-def test_cell_1_2_on_spec_sample(g):
+def test_cell_1_2_on_spec_sample():
     # right-then-down vs down-then-right on u = (0, 0, x1 x2)
     u = TypedField.vector([P_ZERO, P_ZERO, X1 * X2])
-    right_down = g.edge((1, 3), (2, 3)).op.apply(g.edge((1, 2), (1, 3)).op.apply(u))
-    down_right = g.edge((2, 2), (2, 3)).op.apply(g.edge((1, 2), (2, 2)).op.apply(u))
+    right_down = edge((1, 3), (2, 3)).op.apply(edge((1, 2), (1, 3)).op.apply(u))
+    down_right = edge((2, 2), (2, 3)).op.apply(edge((1, 2), (2, 2)).op.apply(u))
     assert components_equal(right_down, down_right)
     assert not right_down.is_zero
 
 
-def test_cell_2_2_on_constant(g):
+def test_cell_2_2_on_constant():
     gfield = zero_field(FieldKind.SYMMETRIC)
-    r = check_cell(g, (2, 2), samples=1, degree=0, seed=0)
+    r = check_cell((2, 2), samples=1, degree=0, seed=0)
     assert r.passed
     assert gfield.is_zero
 
 
-def test_all_cells_commute(g):
-    results = check_all_cells(g, samples=4, degree=2, seed=7)
+def test_all_cells_commute():
+    results = check_all_cells(samples=4, degree=2, seed=7)
     assert len(results) == 9
     assert all(r.passed for r in results)
 
 
-def test_cell_index_validated(g):
+def test_cell_index_validated():
     with pytest.raises(ValueError):
-        check_cell(g, (4, 4), 1, 1, 0)
+        check_cell((4, 4), 1, 1, 0)
 
 
-def test_two_complex_spec_paths(g):
+def test_two_complex_spec_paths():
     # curl deff grad w = 0
     w = TypedField.scalar(X1 * X1 * X1)
     assert curl(deff(TypedField.vector(
@@ -156,42 +162,38 @@ def test_two_complex_spec_paths(g):
     ))).is_zero
 
 
-def test_two_complex_all_paths(g):
-    results = check_two_complex(g, samples=3, degree=2, seed=7)
+def test_two_complex_all_paths():
+    results = check_two_complex(samples=3, degree=2, seed=7)
     assert len(results) == 44
     assert all(r.passed for r in results)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
-def test_two_complex_seed_independent_at_degree_four(g, seed):
-    results = check_two_complex(g, samples=1, degree=4, seed=seed)
+def test_two_complex_seed_independent_at_degree_four(seed):
+    results = check_two_complex(samples=1, degree=4, seed=seed)
     assert all(r.passed for r in results)
 
 
-def _through(edges, f: TypedField) -> TypedField:
-    for e in edges:
-        f = e.op.apply(f)
-    return f
-
-
-def check_diagonal_factorizations(g: DiagramGraph, samples: int, degree: int, seed: int) -> list[CheckResult]:
+def check_diagonal_factorizations(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Each diagonal second-order edge equals both adjacent factorizations."""
     results = []
-    for d in g.diagonals:
+    for d in DIAGONALS:
         r, c = d.src
-        top_right = (g.edge((r, c), (r, c + 1)), g.edge((r, c + 1), (r + 1, c + 1)))
-        left_bottom = (g.edge((r, c), (r + 1, c)), g.edge((r + 1, c), (r + 1, c + 1)))
+        top_right = walk((r, c), (r, c + 1), (r + 1, c + 1))
+        left_bottom = walk((r, c), (r + 1, c), (r + 1, c + 1))
 
         def holds(f: TypedField) -> bool:
             diag = d.op.apply(f)
-            return components_equal(diag, _through(top_right, f)) and components_equal(diag, _through(left_bottom, f))
+            return components_equal(diag, apply_path(top_right, f)) and components_equal(
+                diag, apply_path(left_bottom, f)
+            )
 
         results.append(
             run_check(
                 f"diagonal {d.op.label()} at {d.src}",
                 "Eq. (1) with 2nd-order edges",
                 samples,
-                field_draw(g.nodes[d.src].kind, degree, seed, "diagonal", r, c),
+                field_draw(node_kind(d.src), degree, seed, "diagonal", r, c),
                 holds,
             )
         )
@@ -202,7 +204,7 @@ def _transpose_matrix(f: TypedField) -> TypedField:
     return f.transpose() if f.is_matrix_kind else f
 
 
-def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, seed: int = 0) -> list[CheckResult]:
+def check_diagram_symmetry(samples: int = 3, degree: int = 2, seed: int = 0) -> list[CheckResult]:
     """Mirror symmetry about the main diagonal.
 
     The right edge (i,j)->(i,j+1) with operator f mirrors the down edge
@@ -210,11 +212,11 @@ def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, s
     matrix kinds (identity on scalars and vectors).  Scales must agree.
     """
     results = []
-    for e in g.edges:
+    for e in EDGES:
         if e.orientation != "right":
             continue
         i, j = e.src
-        mirror = g.edge((j, i), (j + 1, i))
+        mirror = edge((j, i), (j + 1, i))
         name = f"mirror of {e.src}->{e.dst} ({e.op.label()}) is ({mirror.op.label()})"
         if mirror.op.scale != e.op.scale:
             results.append(CheckResult(name, "Eq. (1) diagonal symmetry", False, "scale mismatch"))
@@ -224,7 +226,7 @@ def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, s
                 name,
                 "Eq. (1) diagonal symmetry",
                 samples,
-                field_draw(g.nodes[e.src].kind, degree, seed, "symmetry", i, j),
+                field_draw(node_kind(e.src), degree, seed, "symmetry", i, j),
                 lambda f: components_equal(
                     mirror.op.apply(_transpose_matrix(f)), _transpose_matrix(e.op.apply(f))
                 ),
@@ -233,14 +235,14 @@ def check_diagram_symmetry(g: DiagramGraph, samples: int = 3, degree: int = 2, s
     return results
 
 
-def test_diagonal_factorizations(g):
-    results = check_diagonal_factorizations(g, samples=3, degree=2, seed=7)
+def test_diagonal_factorizations():
+    results = check_diagonal_factorizations(samples=3, degree=2, seed=7)
     assert len(results) == 9
     assert all(r.passed for r in results)
 
 
-def test_diagram_symmetry(g):
-    results = check_diagram_symmetry(g)
+def test_diagram_symmetry():
+    results = check_diagram_symmetry()
     assert len(results) == 12
     assert all(r.passed for r in results)
 
@@ -280,16 +282,15 @@ def test_divdiv_first_stage_mechanism():
     assert lhs.is_zero
 
 
-def test_dump_schema_and_flavors(g):
-    d = g.to_dict()
+def test_dump_schema_and_flavors():
+    d = to_dict("with-bc")
     assert d["schema"] == 1
     assert len(d["nodes"]) == 16
     assert len(d["edges"]) == 33  # 24 first-order + 9 diagonal
     assert sum(1 for e in d["edges"] if e["orientation"] != "diagonal") == 24
     json.dumps(d)  # serializable
 
-    nb = DiagramGraph("no-bc")
-    dn = nb.to_dict()
+    dn = to_dict("no-bc")
     assert [e["op"] for e in dn["edges"]] == [e["op"] for e in d["edges"]]
     assert dn["nodes"][0]["label"] == "H1/P1"
     assert d["nodes"][0]["label"] == "H°(grad)"
@@ -297,7 +298,9 @@ def test_dump_schema_and_flavors(g):
 
 def test_unknown_flavor_rejected():
     with pytest.raises(ValueError):
-        DiagramGraph("sideways")
+        to_dict("sideways")
+    with pytest.raises(ValueError):
+        to_markdown("sideways")
 
 
 def test_quotient_label_facts():
@@ -327,24 +330,22 @@ def _failing_cases(suite, degree):
 
 
 def test_dropping_the_half_on_dev_grad_fails_cells(monkeypatch):
-    rows = [list(row) for row in diagram._ROW_EDGES]
-    rows[2][0] = ("dev_grad", 1)
-    monkeypatch.setattr(diagram, "_ROW_EDGES", rows)
-    g = DiagramGraph("with-bc")
+    step = ((3, 1), (3, 2))
+    monkeypatch.setitem(diagram._STEPS, step, EdgeOp(*step, OperatorId("dev_grad"), "right"))
     failing = _failing_cases("cells", 2)
     # the edge (3,1)->(3,2) is the bottom of cell (2,1) and the top of cell (3,1)
     assert {c.name for c in failing} == {"cell (2,1)", "cell (3,1)"}
     for case in failing:
-        assert not _witness_commutes(g, case), case.name
+        assert not _witness_commutes(case), case.name
 
 
-def _witness_commutes(g, case):
+def _witness_commutes(case):
     """Whether the failing cell case's witness, read back from its text, makes the cell commute."""
     r, c = (int(t) for t in case.name.strip("cell ()").split(","))
     f = field_from_text(case.witness)
-    assert f.kind is g.nodes[(r, c)].kind
-    right_down = g.edge((r, c + 1), (r + 1, c + 1)).op.apply(g.edge((r, c), (r, c + 1)).op.apply(f))
-    down_right = g.edge((r + 1, c), (r + 1, c + 1)).op.apply(g.edge((r, c), (r + 1, c)).op.apply(f))
+    assert f.kind is node_kind((r, c))
+    right_down = edge((r, c + 1), (r + 1, c + 1)).op.apply(edge((r, c), (r, c + 1)).op.apply(f))
+    down_right = edge((r + 1, c), (r + 1, c + 1)).op.apply(edge((r, c), (r + 1, c)).op.apply(f))
     return components_equal(right_down, down_right)
 
 
@@ -355,21 +356,27 @@ def test_div_dropping_a_partial_fails_two_complex(monkeypatch):
         return TypedField.scalar(f.comp(1).partial(1) + f.comp(2).partial(2))
 
     monkeypatch.setitem(operators.OPS, "div", div_without_x3)
-    g = DiagramGraph("with-bc")
-    paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
+    paths = {f"path {path_label(p)}": p for p in enumerate_paths(3)}
     failing = _failing_cases("two-complex", 3)
     for case in failing:
         path = paths[case.name]
-        assert not apply_path(g, path, field_from_text(case.witness)).is_zero, case.name
+        assert not apply_path(path, field_from_text(case.witness)).is_zero, case.name
 
 
 def test_dropping_sym_from_sym_curl_fails_derived_complexes(monkeypatch):
     monkeypatch.setitem(operators.OPS, "sym_curl", curl)
     failing = _failing_cases("derived-complexes", 2)
-    assert [c.name for c in failing] == ["divdiv: sym_curl ∘ 1/2 dev_grad = 0"]
+    # div div of any curl vanishes, but the walk re-tags curl tau to the
+    # symmetric node (3,3), so the second stage fails on its kind
+    assert [c.name for c in failing] == ["divdiv: sym_curl ∘ 1/2 dev_grad = 0", "divdiv: div_div ∘ sym_curl = 0"]
     u = field_from_text(failing[0].witness)
     assert u.kind is FieldKind.VECTOR
     assert not OperatorId("sym_curl").apply(OperatorId("dev_grad", Fraction(1, 2)).apply(u)).is_zero
+    tau = field_from_text(failing[1].witness)
+    assert tau.kind is FieldKind.TRACEFREE
+    assert div_div(curl(tau)).is_zero
+    with pytest.raises(KindError):
+        apply_path(walk((3, 2), (3, 3), (4, 4)), tau)
 
 
 def _partial_sum_without_exponent_factor(pieces):
@@ -383,9 +390,10 @@ def _partial_sum_without_exponent_factor(pieces):
     return Poly3(total)
 
 
-def _witness_holds(g, suite, case):
+def _witness_holds(suite, case):
     """Whether the failing case's witness, read back from its text, passes the case's check:
-    an identity of the identities suite, a cell, or a path of the two-complex."""
+    an identity of the identities suite, a cell, a path of the two-complex, or
+    a stage of a derived complex."""
     f = field_from_text(case.witness)
     if suite == "identities":
         ident = operators.IDENTITIES[case.name]
@@ -393,19 +401,21 @@ def _witness_holds(g, suite, case):
         first, *rest = [side(f) for side in ident.sides]
         return all(components_equal(first, other) for other in rest)
     if suite == "cells":
-        return _witness_commutes(g, case)
-    paths = {f"path {p.label()}": p for p in enumerate_paths(g, 3)}
-    return apply_path(g, paths[case.name], f).is_zero
+        return _witness_commutes(case)
+    paths = {f"path {path_label(p)}": p for p in enumerate_paths(3)}
+    for name, (_, nodes) in diagram._DERIVED_COMPLEXES.items():
+        steps = walk(*nodes)
+        paths.update({f"{name}: {b.op.label()} ∘ {a.op.label()} = 0": (a, b) for a, b in zip(steps, steps[1:])})
+    return apply_path(paths[case.name], f).is_zero
 
 
 def test_partial_sum_without_exponent_factor_fails_identities_cells_and_two_complex(monkeypatch):
     # curl and div go through the broken kernel while grad keeps Poly3.partial,
     # so every suite that mixes them must fail, and each witness must fail again
     monkeypatch.setattr(Poly3, "partial_sum", staticmethod(_partial_sum_without_exponent_factor))
-    g = DiagramGraph("with-bc")
     for suite, degree in (("identities", 2), ("cells", 2), ("two-complex", 3)):
         for case in _failing_cases(suite, degree):
-            assert not _witness_holds(g, suite, case), case.name
+            assert not _witness_holds(suite, case), case.name
 
 
 def test_swapped_transpose_table_fails_a_suite(monkeypatch):
@@ -415,7 +425,6 @@ def test_swapped_transpose_table_fails_a_suite(monkeypatch):
     table = list(fields.TRANSPOSE)
     table[1], table[3] = table[3], table[1]
     monkeypatch.setattr(fields, "TRANSPOSE", tuple(table))
-    g = DiagramGraph("with-bc")
     reports = {
         suite: run_suite(SuiteConfig(suite=suite, seed=7, degree=degree, samples=2))
         for suite, degree in (("identities", 2), ("cells", 2), ("two-complex", 3))
@@ -424,4 +433,29 @@ def test_swapped_transpose_table_fails_a_suite(monkeypatch):
     assert any(failing.values())
     for suite, cases in failing.items():
         for case in cases:
-            assert case.status == "fail" and not _witness_holds(g, suite, case), case.name
+            assert case.status == "fail" and not _witness_holds(suite, case), case.name
+
+
+def _curl_without_one_term(c1, c2, c3):
+    """operators._vector_curl with the -d3 c2 term of its first entry dropped."""
+    return [
+        Poly3.partial_sum(((1, 2, c3),)),
+        Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
+        Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
+    ]
+
+
+def test_curl_without_one_term_fails_four_suites_with_rechecked_witnesses(monkeypatch, tmp_path):
+    # The broken curl of a symmetric field is no longer trace-free, so the
+    # operator itself raises KindError inside the checks: each case must then
+    # fail with its sample as witness, never abort the run.
+    monkeypatch.setattr(operators, "_vector_curl", _curl_without_one_term)
+    for suite in ("identities", "cells", "two-complex", "derived-complexes"):
+        for case in _failing_cases(suite, 2):
+            try:
+                assert not _witness_holds(suite, case), case.name
+            except KindError:
+                pass  # the check raises on its witness again: it still does not pass
+    out = tmp_path / "cells.json"
+    assert main(["run", "--suite", "cells", "--seed", "7", "--degree", "2", "--samples", "2", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["summary"]["fail"] > 0

@@ -18,6 +18,7 @@ from tensorcomplex.fields import (
     TypedField,
     X_FIELD,
     cross,
+    field_to_text,
     mskw,
     vskw,
 )
@@ -386,8 +387,18 @@ def test_run_check_precondition_error_is_an_error_case():
 
 
 def test_run_check_other_exceptions_propagate():
+    # only a KindError raised by `holds` fails the sample: a wider TypeError
+    # from `holds`, or a KindError from `draw`, still aborts the case
+    with pytest.raises(TypeError) as raised:
+        run_check("c", "a", 2, lambda s: s, lambda x: x + "a")
+    assert not isinstance(raised.value, KindError)
     with pytest.raises(KindError):
-        run_check("c", "a", 2, lambda s: s, lambda x: grad(zero_field(FieldKind.MATRIX)))
+        run_check("c", "a", 2, lambda s: grad(zero_field(FieldKind.MATRIX)), lambda x: True)
+
+
+def test_run_check_kind_error_in_holds_is_a_fail_with_the_sample_as_witness():
+    r = run_check("c", "a", 2, lambda s: zero_field(FieldKind.MATRIX), lambda x: grad(x).is_zero)
+    assert (r.status, r.witness) == ("fail", field_to_text(zero_field(FieldKind.MATRIX)))
 
 
 def _square_clock(monkeypatch):

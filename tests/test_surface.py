@@ -88,8 +88,7 @@ def test_every_instance_method_is_reached_as_an_attribute():
     # The bare-name scan above also counts local variables: `row` is a loop
     # variable in rational.py.  A non-dunder instance method must be read as
     # an attribute, `x.method`, somewhere in production code.  The match is by
-    # attribute name, so a data attribute of the same name (`n.row` on a
-    # diagram node) still counts.
+    # attribute name, so a data attribute of the same name still counts.
     read = {
         node.attr
         for path in _production_files()
