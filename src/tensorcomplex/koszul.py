@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Sequence
+from math import comb, lcm
+from typing import Any, Callable
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
 from .fields import (
@@ -38,6 +39,7 @@ from .fields import (
 from .operators import (
     CheckResult,
     OPS,
+    ORDER,
     PreconditionError,
     components_equal,
     curl,
@@ -171,28 +173,65 @@ def constant_curl_correction(u: TypedField) -> TypedField:
 
 
 @cache
+def _slots(kind: FieldKind) -> tuple[dict[int, int], ...]:
+    """The free slots of the kind, in basis order, each a {component: sign} map."""
+    if kind is FieldKind.SYMMETRIC:  # the upper triangle, row by row
+        return tuple(sorted([{k: 1} for k in DIAGONAL] + [{k: 1, t: 1} for k, t in OFF_DIAGONAL], key=min))
+    if kind is FieldKind.SKEW:
+        return tuple({k: 1, t: -1} for k, t in OFF_DIAGONAL)
+    if kind is FieldKind.TRACEFREE:  # off-diagonal entries plus two traceless diagonal modes
+        d0, d1, d2 = DIAGONAL
+        return tuple([{k: 1} for k in range(9) if k not in DIAGONAL] + [{d0: 1, d2: -1}, {d1: 1, d2: -1}])
+    return tuple({k: 1} for k in range(_COMPONENT_COUNT[kind]))
+
+
+@cache
 def kind_basis(kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Monomial basis of the kind-constrained polynomial space of degree <= degree,
-    built once per (kind, degree) as a tuple that no caller can change.
-
-    Each free slot of the kind is a {component: sign} map; slot by slot,
-    each monomial p gives the field with sign * p on those components."""
+    built once per (kind, degree) as a tuple that no caller can change: slot by
+    slot, each monomial p gives the field with sign * p on the slot's components."""
     n = _COMPONENT_COUNT[kind]
-    if kind is FieldKind.SYMMETRIC:  # the upper triangle, row by row
-        slots = sorted([{k: 1} for k in DIAGONAL] + [{k: 1, t: 1} for k, t in OFF_DIAGONAL], key=min)
-    elif kind is FieldKind.SKEW:
-        slots = [{k: 1, t: -1} for k, t in OFF_DIAGONAL]
-    elif kind is FieldKind.TRACEFREE:  # off-diagonal entries plus two traceless diagonal modes
-        d0, d1, d2 = DIAGONAL
-        slots = [{k: 1} for k in range(n) if k not in DIAGONAL] + [{d0: 1, d2: -1}, {d1: 1, d2: -1}]
-    else:
-        slots = [{k: 1} for k in range(n)]
+    return tuple(
+        TypedField(kind, tuple(Poly3.monomial(m, slot[k]) if k in slot else P_ZERO for k in range(n)))
+        for slot in _slots(kind)
+        for m in monomials_up_to(degree)
+    )
+
+
+class BasisKindError(KindError):
+    """An operator's image of the basis field `witness` (field text) broke its kind predicate."""
+
+    def __init__(self, message: str, witness: str):
+        super().__init__(message)
+        self.witness = witness
+
+
+@cache
+def _symbol(name: str, kind: FieldKind) -> tuple:
+    """Per slot s of the kind, the (alpha, nonzero (component, coefficient) entries
+    of the constant image of x^alpha e_s) over |alpha| = ORDER[name]."""
+    r = ORDER[name]
+    monomials, probes = monomials_up_to(r), kind_basis(kind, r)
+    wrong = ValueError(f"ORDER[{name!r}] = {r} is not the order of {name} on {kind.value} fields")
     out = []
-    for slot in slots:
-        for m in monomials_up_to(degree):
-            p = Poly3.monomial(m)
-            signed = {0: P_ZERO, 1: p, -1: -p}
-            out.append(TypedField(kind, tuple(signed[slot.get(k, 0)] for k in range(n))))
+    for s in range(len(_slots(kind))):
+        pairs = []
+        for i in range(len(monomials_up_to(r - 1)), len(monomials)):
+            b = probes[s * len(monomials) + i]
+            try:
+                image = OPS[name](b)
+            except KindError as err:
+                raise BasisKindError(f"{name}: {err}", field_to_text(b)) from err
+            entries = []
+            for ci, p in enumerate(image.components):
+                for m, c in p.coefficients().items():
+                    if any(m):
+                        raise wrong
+                    entries.append((ci, c))
+            pairs.append((monomials[i], entries))
+        out.append(pairs)
+    if not any(e for pairs in out for _, e in pairs):
+        raise wrong
     return tuple(out)
 
 
@@ -200,26 +239,36 @@ def kind_basis(kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
 def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Exact basis of the joint kernel of the named operators on the
     kind-constrained degree-bounded space: nullspace of the stacked coefficient
-    matrix, one column per basis field, one sparse row per reached (operator,
-    image component, monomial).  Built once per (op_names, kind, degree) as a
-    tuple no caller can change; op_names is a cache key, so it must be a tuple."""
-    basis = kind_basis(kind, degree)
+    matrix, one column per `kind_basis` field, one sparse row per reached
+    (operator, image component, monomial).  Built once per (op_names, kind,
+    degree) as a tuple no caller can change; op_names is a cache key, so it
+    must be a tuple.
+
+    Each operator is a sum of C_alpha d^alpha over |alpha| = ORDER[name], C_alpha
+    constant, so the image of x^m e is the sum of binom(m, alpha) x^(m - alpha)
+    times the constant image of x^alpha e, which `_symbol` reads off once.  It
+    raises ValueError if such an image is not constant or all are zero (ORDER
+    is wrong), and BasisKindError, with x^alpha e as witness, if one breaks its kind."""
+    slots, monomials = _slots(kind), monomials_up_to(degree)
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for j, b in enumerate(basis):
-        for name in op_names:
-            for ci, p in enumerate(OPS[name](b).components):
-                for m, c in p.coefficients().items():
-                    rows.setdefault((name, ci, m), {})[j] = c
-    return tuple(
-        _weighted_sum(kind, list(v.values()), [basis[j] for j in v])
-        for v in RatMatrix(len(basis), rows.values()).nullspace()
-    )
-
-
-def _weighted_sum(kind: FieldKind, weights: Sequence[int | Fraction], fields: Sequence[TypedField]) -> TypedField:
-    """The sum of w * f over the weights and fields, tagged `kind`: one combination per component."""
-    columns = zip(*(f.components for f in fields))
-    return TypedField(kind, tuple(Poly3.combination(zip(weights, col)) for col in columns))
+    for s in range(len(slots)):
+        for j, (a, b, c) in enumerate(monomials, s * len(monomials)):
+            for name in op_names:
+                for (x, y, z), entries in _symbol(name, kind)[s]:
+                    if factor := comb(a, x) * comb(b, y) * comb(c, z):  # zero unless alpha <= m
+                        for ci, coeff in entries:
+                            rows.setdefault((name, ci, (a - x, b - y, c - z)), {})[j] = factor * coeff
+    fields = []
+    for v in RatMatrix(len(slots) * len(monomials), rows.values()).nullspace():
+        den = lcm(*(w.denominator for w in v.values()))
+        comps = [None] * _COMPONENT_COUNT[kind]
+        for j, w in v.items():
+            s, i = divmod(j, len(monomials))
+            for k, sign in slots[s].items():
+                comps[k] = comps[k] or [0] * len(monomials)
+                comps[k][i] += sign * w.numerator * (den // w.denominator)
+        fields.append(TypedField(kind, tuple(P_ZERO if r is None else Poly3.from_row(degree, r, den) for r in comps)))
+    return tuple(fields)
 
 
 def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
@@ -232,7 +281,8 @@ def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed:
     weights = draw_ints(rng, len(fields))
     while not any(weights):  # the basis is independent, so only all-zero weights give zero
         weights = draw_ints(rng, len(fields))
-    return _weighted_sum(kind, weights, fields)
+    columns = zip(*(f.components for f in fields))
+    return TypedField(kind, tuple(Poly3.combination(zip(weights, col)) for col in columns))
 
 
 # -- right-inverse chains -----------------------------------------------------
@@ -531,10 +581,8 @@ def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict
         out = _construct(spec, f, strict_preconditions)
         return (out if spec.half is None else out[spec.half]).kind is spec.output_kind and spec.identity(f, out)
 
-    return run_check(
-        f"{name}: {spec.statement}",
-        spec.anchor,
-        samples,
-        lambda s: sample_right_inverse_input(name, degree, seed, s),
-        holds,
-    )
+    case = f"{name}: {spec.statement}"
+    try:
+        return run_check(case, spec.anchor, samples, lambda s: sample_right_inverse_input(name, degree, seed, s), holds)
+    except BasisKindError as err:  # from the draw: a kernel operator broke a kind predicate on a basis field
+        return CheckResult(case, spec.anchor, False, err.witness)

@@ -187,6 +187,11 @@ OPS: dict[str, Callable[[TypedField], TypedField]] = {
     "curl_div_t": curl_div_t,
 }
 
+# Each OPS entry is a constant-coefficient operator of one order: 1, or 2 for the diagonals.
+ORDER = dict.fromkeys(OPS, 1) | dict.fromkeys(
+    ("hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t"), 2
+)
+
 
 # -- seeded random fields ----------------------------------------------------
 

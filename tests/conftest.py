@@ -24,6 +24,15 @@ def entry(m: TypedField, i: int, j: int) -> Poly3:
     return m.components[3 * (i - 1) + (j - 1)]
 
 
+def curl_without_one_term(c1, c2, c3):
+    """operators._vector_curl with the -d3 c2 term of its first entry dropped."""
+    return [
+        Poly3.partial_sum(((1, 2, c3),)),
+        Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
+        Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
+    ]
+
+
 @st.composite
 def fractions(draw, max_num=30, max_den=12):
     n = draw(st.integers(-max_num, max_num))

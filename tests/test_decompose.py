@@ -33,7 +33,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import matrix, zero_field
+from conftest import curl_without_one_term, matrix, zero_field
 
 
 def test_all_decompositions_reconstruct_exactly():
@@ -304,15 +304,7 @@ def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(m
     # A curl whose first entry drops its -d3 c2 term takes a symmetric field to
     # a matrix with a nonzero trace, so the cc cascade raises KindError both
     # in the check and again in its witness; the case must still fail and print the field.
-    monkeypatch.setattr(
-        operators_module,
-        "_vector_curl",
-        lambda c1, c2, c3: [
-            Poly3.partial_sum(((1, 2, c3),)),
-            Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
-            Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
-        ],
-    )
+    monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
     r = verify_decomposition("cc", samples=2, degree=2, seed=7)
     assert r.status == "fail"
     f = field_from_text(r.witness)

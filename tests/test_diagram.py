@@ -42,7 +42,7 @@ from tensorcomplex.cli import main
 from tensorcomplex.suites import SuiteConfig, run_suite
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
-from conftest import zero_field
+from conftest import curl_without_one_term, zero_field
 
 
 def test_node_kinds_follow_rvst_pattern():
@@ -436,20 +436,11 @@ def test_swapped_transpose_table_fails_a_suite(monkeypatch):
             assert case.status == "fail" and not _witness_holds(suite, case), case.name
 
 
-def _curl_without_one_term(c1, c2, c3):
-    """operators._vector_curl with the -d3 c2 term of its first entry dropped."""
-    return [
-        Poly3.partial_sum(((1, 2, c3),)),
-        Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
-        Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
-    ]
-
-
 def test_curl_without_one_term_fails_four_suites_with_rechecked_witnesses(monkeypatch, tmp_path):
     # The broken curl of a symmetric field is no longer trace-free, so the
     # operator itself raises KindError inside the checks: each case must then
     # fail with its sample as witness, never abort the run.
-    monkeypatch.setattr(operators, "_vector_curl", _curl_without_one_term)
+    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
     for suite in ("identities", "cells", "two-complex", "derived-complexes"):
         for case in _failing_cases(suite, 2):
             try:

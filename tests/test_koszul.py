@@ -1,6 +1,7 @@
 """Homotopy operators, kernel sampling, and all right-inverse chains."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -10,10 +11,13 @@ import sympy
 from hypothesis import given
 
 import tensorcomplex.koszul as koszul
+import tensorcomplex.operators as operators
+from tensorcomplex.cli import main
 from tensorcomplex.fields import (
     E1,
     E3,
     FieldKind,
+    KindError,
     TypedField,
     X_FIELD,
     cross,
@@ -37,6 +41,7 @@ from tensorcomplex.koszul import (
 )
 from tensorcomplex.operators import (
     OPS,
+    ORDER,
     components_equal,
     curl,
     deff,
@@ -51,7 +56,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import matrix, polys, scalar_fields, vector_fields
+from conftest import curl_without_one_term, matrix, polys, scalar_fields, vector_fields
 
 _X = sympy.Matrix(sympy.symbols("x1 x2 x3"))
 
@@ -277,6 +282,69 @@ def test_kernel_basis_equals_sympy_nullspace(degree):
             terms = [b.scale(Fraction(int(c.p), int(c.q))) for c, b in zip(v, basis) if c != 0]
             expected.append(sum(terms[1:], terms[0]))
         assert list(kernel_basis(ops, kind, degree)) == expected, (ops, kind)
+
+
+def _clear_kernel_caches():
+    koszul.kernel_basis.cache_clear()
+    koszul._symbol.cache_clear()
+
+
+@pytest.fixture
+def fresh_kernel_caches():
+    """Empty the caches that hold operator images before and after the test, so
+    the kernel fill sees a mutated operator or ORDER entry and keeps nothing of it."""
+    _clear_kernel_caches()
+    yield
+    _clear_kernel_caches()
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_a_wrong_order_entry_makes_kernel_basis_name_the_operator(monkeypatch, fresh_kernel_caches, order):
+    # At order 0 curl takes every constant probe to zero; at order 2 it takes
+    # every quadratic probe to a field of degree 1, not to a constant.
+    monkeypatch.setitem(ORDER, "curl", order)
+    with pytest.raises(ValueError, match="curl"):
+        kernel_basis(("curl",), FieldKind.VECTOR, 3)
+
+
+def test_kernel_fill_applies_the_operators_to_symbol_probes_only(monkeypatch, fresh_kernel_caches):
+    # A host-independent work count.  Each (operator, kind) symbol costs one
+    # application per slot of the kind and monomial of degree ORDER[name]: 198
+    # over the nine sampled kernels, whatever the degree.  Applying every
+    # operator to every kind_basis field took 1,240 at degree 3 and 5,208 at 6.
+    calls = []
+    for name, op in OPS.items():
+        monkeypatch.setitem(OPS, name, lambda f, op=op: calls.append(op) or op(f))
+
+    def fill(degree):
+        before = len(calls)
+        for ops, kind in _KERNEL_DIMENSIONS:
+            kernel_basis(ops, kind, degree)
+        return len(calls) - before
+
+    assert fill(3) <= 250
+    assert fill(6) == 0
+
+
+def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(monkeypatch, fresh_kernel_caches, tmp_path):
+    # The broken curl of a symmetric field is no longer trace-free, so inc and
+    # curl raise KindError on a basis field while a draw builds their kernel on
+    # symmetric fields.  Each such case must fail with that field as witness,
+    # and the suite must finish and write its report.
+    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
+    out = tmp_path / "right-inverses.json"
+    args = ["run", "--suite", "right-inverses", "--seed", "7", "--degree", "2", "--samples", "2", "--out", str(out)]
+    assert main(args) == 1
+    cases = {c["name"].partition(":")[0]: c for c in json.loads(out.read_text())["cases"]}
+    assert set(RIGHT_INVERSE_NAMES) <= set(cases)
+    for name in ("Rgg_tilde", "Dgg", "Rgg"):  # the samples of ker inc and ker curl on symmetric fields
+        spec = RIGHT_INVERSES[name]
+        assert cases[name]["status"] == "fail", name
+        b = field_from_text(cases[name]["witness"])
+        assert b.kind is spec.input_kind
+        for op_name in spec.kernel_ops:
+            with pytest.raises(KindError):
+                OPS[op_name](b)
 
 
 @pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)

@@ -352,6 +352,65 @@ def test_vskw_matches_epsilon_sum(m):
     assert_matches(vskw(m), expected)
 
 
+# -- ORDER: one order, constant coefficients --------------------------------
+
+
+def _homogeneous_parts(f: TypedField) -> dict[int, TypedField]:
+    """{k: the degree-k part of f}; each part keeps the kind of f."""
+    parts: dict[int, list[dict]] = {}
+    for i, p in enumerate(f.components):
+        for m, c in p.coefficients().items():
+            parts.setdefault(sum(m), [{} for _ in f.components])[i][m] = c
+    return {k: TypedField(f.kind, tuple(map(Poly3, terms))) for k, terms in parts.items()}
+
+
+def _translate(f: TypedField, h) -> TypedField:
+    """The field x -> f(x + h)."""
+    shifted = [x + Poly3.const(t) for x, t in zip((X1, X2, X3), h)]
+
+    def poly(p: Poly3) -> Poly3:
+        total = P_ZERO
+        for m, c in p.coefficients().items():
+            term = Poly3.const(c)
+            for base, e in zip(shifted, m):
+                for _ in range(e):
+                    term = term * base
+            total = total + term
+        return total
+
+    return TypedField(f.kind, tuple(map(poly, f.components)))
+
+
+def _accepts(op, kind: FieldKind) -> bool:
+    try:
+        op(zero_field(kind))
+    except KindError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(operators.OPS))
+def test_every_operator_has_constant_coefficients_and_the_order_of_its_order_entry(name):
+    # kernel_basis reads each operator off its symbol, which is exact only for
+    # a constant-coefficient operator (it commutes with translation) of the
+    # single order ORDER[name] (it takes degree k to degree k - ORDER[name] or to 0).
+    assert operators.ORDER.keys() == operators.OPS.keys()
+    op, order = operators.OPS[name], operators.ORDER[name]
+    kinds = [kind for kind in FieldKind if _accepts(op, kind)]
+    assert kinds
+    h = (Fraction(1, 2), Fraction(-2, 3), Fraction(3))
+    for kind in kinds:
+        for degree in range(5):
+            f = random_field(kind, degree, derived_rng(5, "order", name, kind.value, degree))
+            for k, part in _homogeneous_parts(f).items():
+                image = op(part)
+                if k < order:
+                    assert image.is_zero, (kind, k)
+                else:
+                    assert set(_homogeneous_parts(image)) <= {k - order}, (kind, k)
+            assert components_equal(op(_translate(f, h)), _translate(op(f), h)), (kind, degree)
+
+
 # -- the sampled-check engine ------------------------------------------------
 
 
