@@ -414,10 +414,11 @@ def run_check(
     """Test `holds` on draw(0), draw(1), ... and stop at the first sample where it fails.
 
     A failing sample is reported as witness(sample).  A KindError raised by
-    `holds`, from an output that broke its kind predicate, fails the sample
-    the same way; one raised by `draw` is not caught.  A PreconditionError
-    raised by `holds` makes the case an error that carries the error's own
-    witness.  The result records the wall time of this case alone.
+    `holds`, from an output that broke its kind predicate or a chain step
+    that should be zero, fails the sample the same way; one raised by `draw`
+    is not caught.  A PreconditionError raised by `holds` makes the case an
+    error that carries the error's own witness.  The result records the wall
+    time of this case alone.
     """
     t0 = perf_counter()
     result = CheckResult(name, anchor, True)

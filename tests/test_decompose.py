@@ -311,3 +311,22 @@ def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(m
     assert f.kind is FieldKind.SYMMETRIC
     with pytest.raises(KindError):
         regdec_cc(f)
+
+
+def test_a_broken_curl_fails_every_decomposition_with_its_input_as_witness(monkeypatch):
+    # A step inside a chain that its lemma makes zero is nonzero only when an
+    # operator is broken; the drawn input has no precondition to violate, so
+    # every case must fail (never error) with that input as its witness.
+    monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
+    report = run_suite(SuiteConfig(suite="decompositions", seed=7, degree=2, samples=2))
+    assert [c.status for c in report.cases] == ["fail"] * len(DECOMPOSITION_NAMES)
+    s, t = FieldKind.SYMMETRIC, FieldKind.TRACEFREE
+    input_kinds = {"cc": s, "dd": s, "cd": t, "short-cc": s, "short-dd": s, "short-cd": t}
+    for name, case in zip(DECOMPOSITION_NAMES, report.cases):
+        assert case.name == f"regdec {name}"
+        f = field_from_text(case.witness)
+        assert f.kind is input_kinds[name], name
+        try:
+            assert not decompose(name, f).is_exact, name
+        except KindError:
+            pass  # the decomposition raises on its witness again: it still does not pass

@@ -371,6 +371,24 @@ def test_wrong_output_kind_fails_the_right_inverse_check(monkeypatch, name):
     assert field_from_text(result.witness).kind is spec.input_kind
 
 
+@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+def test_a_doubled_chain_fails_the_right_inverse_check(monkeypatch, name):
+    # every row of the table, the `after` rows and the Lemma 3.11 pair included,
+    # must reject an output twice too large, with a genuine input as witness
+    spec = RIGHT_INVERSES[name]
+
+    def doubled(f):
+        out = spec.chain(f)
+        return out.scale(2) if spec.half is None else tuple(half.scale(2) for half in out)
+
+    monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, chain=doubled))
+    result = verify_right_inverse(name, samples=2, degree=2, seed=7)
+    assert result.status == "fail"
+    witness = field_from_text(result.witness)
+    assert witness.kind is spec.input_kind
+    right_inverse(name, witness)  # in the domain: no precondition fails
+
+
 def test_kernel_constraint_violation_names_witness():
     rng = derived_rng(41, "bad")
     sigma = random_field(FieldKind.SYMMETRIC, 2, rng)
@@ -417,15 +435,18 @@ def test_dcc_on_kernel_sample():
     assert components_equal(inc(g), sigma)
 
 
-def test_d_chain_degree_growth_is_two():
-    for name in ("Dcc", "Dgg", "Ddd", "Dcd", "Dgd"):
-        f = sample_right_inverse_input(name, 2, 19, 0)
-        out = right_inverse(name, f)
-        assert out.degree() <= f.degree() + 2, name
+@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+def test_right_inverse_raises_the_degree_by_the_order_of_its_operator(name):
+    # each chain gains as many degrees as the operator it inverts takes off;
+    # the Lemma 3.11 pair inverts curl through g + deff u, so u gains one more
+    spec = RIGHT_INVERSES[name]
+    gain = {"Rgc_tilde": 1, "Dgc_tilde": 2}.get(name, ORDER[spec.op.name])
+    f = sample_right_inverse_input(name, 3, 19, 0)
+    assert right_inverse(name, f).degree() == f.degree() + gain
 
 
 def test_right_inverse_kind_check():
-    with pytest.raises(Exception):
+    with pytest.raises(KindError, match="Dcc needs a symmetric field"):
         right_inverse("Dcc", E1)  # vector where a symmetric field is needed
 
 
