@@ -12,7 +12,10 @@ The input uses the plain-text field format, e.g.
 The input must be UTF-8.  An unreadable or undecodable file or stdin,
 malformed field text (an exponent past 255 included), a field of a kind the
 decomposition does not take, or one whose decomposition would need an
-exponent past 255 is reported on one line with exit code 2.
+exponent past 255 is reported on one line with exit code 2.  A step inside
+the decomposition that breaks a kind predicate or that its lemma makes zero,
+found nonzero, means a broken operator, not bad input: it is reported on one
+line as a failed decomposition, with exit code 1.
 """
 
 import sys
@@ -20,18 +23,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tensorcomplex.decompose import DECOMPOSITION_NAMES, decompose  # noqa: E402
+from tensorcomplex.decompose import DECOMPOSITION_NAMES, INPUT_KINDS, decompose  # noqa: E402
 from tensorcomplex.fields import KindError, field_from_text  # noqa: E402
 from tensorcomplex.poly import ExponentLimitError  # noqa: E402
 
 
-def main() -> int:
-    if len(sys.argv) < 2 or sys.argv[1] not in DECOMPOSITION_NAMES:
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in DECOMPOSITION_NAMES:
         print(__doc__, file=sys.stderr)
         return 2
-    source = sys.argv[2] if len(sys.argv) > 2 else "stdin"
+    name = argv[0]
+    source = argv[1] if len(argv) > 1 else "stdin"
     try:
-        if len(sys.argv) > 2:
+        if len(argv) > 1:
             text = Path(source).read_text(encoding="utf-8")
         else:
             sys.stdin.reconfigure(encoding="utf-8")  # strict, whatever the locale
@@ -47,11 +52,16 @@ def main() -> int:
     except ValueError as err:
         print(f"decompose_field.py: bad field text: {err}", file=sys.stderr)
         return 2
-    try:
-        dec = decompose(sys.argv[1], field)
-    except KindError as err:
-        print(f"decompose_field.py: {err}, got a {field.kind.value} field", file=sys.stderr)
+    kind = INPUT_KINDS[name]
+    if field.kind is not kind:
+        print(f"decompose_field.py: regdec {name} needs a {kind.value} field, got a {field.kind.value} field",
+              file=sys.stderr)
         return 2
+    try:
+        dec = decompose(name, field)
+    except KindError as err:
+        print(f"decompose_field.py: decomposition failed: {err}", file=sys.stderr)
+        return 1
     except ExponentLimitError as err:
         print(f"decompose_field.py: cannot decompose this field: {err}", file=sys.stderr)
         return 2

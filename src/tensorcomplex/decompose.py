@@ -163,6 +163,7 @@ _DECOMPOSERS = {
 }
 
 DECOMPOSITION_NAMES = tuple(_DECOMPOSERS)
+INPUT_KINDS = {name: row[1] for name, row in _DECOMPOSERS.items()}
 
 
 def decompose(name: str, f: TypedField) -> Decomposition:

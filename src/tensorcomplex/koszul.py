@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from math import comb, lcm
 from typing import Any, Callable
 
@@ -39,30 +40,13 @@ from .fields import (
     _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, FieldKind, KindError, TypedField, field_to_text, vskw
 )
 from .operators import (
-    CheckResult,
-    OPS,
-    ORDER,
-    OperatorId,
-    PreconditionError,
-    components_equal,
-    curl,
-    deff,
-    derived_rng,
-    div,
-    div_t,
-    draw_ints,
-    field_draw,
-    grad,
-    inc,
-    random_field,
-    run_check,
-    sym_curl,
-    sym_curl_t,
-    t_curl,
-    t_dev_grad,
+    OPS, ORDER, CheckResult, OperatorId, PreconditionError, components_equal, curl, deff, derived_rng, div, div_t,
+    draw_ints, field_draw, grad, inc, random_field, run_check, sym_curl, sym_curl_t, t_curl, t_dev_grad
 )
 from .poly import P_ZERO, Poly3, monomials_up_to
 from .rational import RatMatrix
+
+_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 
 
 # -- the three homotopy operators -----------------------------------------
@@ -86,21 +70,21 @@ def _scalar_td(p: Poly3) -> list[Poly3]:
 
 def tg(v: TypedField) -> TypedField:
     """Scalar potential of a vector field: per degree k, (v . x)/(k+1)."""
-    if v.kind is not FieldKind.VECTOR:
+    if v.kind is not _V:
         raise KindError("tg needs a vector field")
     return TypedField.scalar(_vector_tg(*v.components))
 
 
 def tc(q: TypedField) -> TypedField:
     """Vector potential of a divergence-free field: per degree k, (q x x)/(k+2)."""
-    if q.kind is not FieldKind.VECTOR:
+    if q.kind is not _V:
         raise KindError("tc needs a vector field")
     return TypedField.vector(_vector_tc(*q.components))
 
 
 def td(u: TypedField) -> TypedField:
     """Vector potential of a scalar field: per degree k, (x u)/(k+3)."""
-    if u.kind is not FieldKind.SCALAR:
+    if u.kind is not _W:
         raise KindError("td needs a scalar field")
     return TypedField.vector(_scalar_td(u.components[0]))
 
@@ -125,28 +109,12 @@ def td_component_rows(v: TypedField) -> TypedField:
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """The four exact homotopy identities on random fields."""
     checks = [
-        (
-            "tg(grad w) = w - w(0)",
-            FieldKind.SCALAR,
-            lambda w: components_equal(
-                tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term()))
-            ),
-        ),
-        (
-            "grad(tg v) + tc(curl v) = v",
-            FieldKind.VECTOR,
-            lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v),
-        ),
-        (
-            "curl(tc q) + td(div q) = q",
-            FieldKind.VECTOR,
-            lambda q: components_equal(curl(tc(q)) + td(div(q)), q),
-        ),
-        (
-            "div(td u) = u",
-            FieldKind.SCALAR,
-            lambda u: components_equal(div(td(u)), u),
-        ),
+        ("tg(grad w) = w - w(0)", _W,
+         lambda w: components_equal(
+             tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term())))),
+        ("grad(tg v) + tc(curl v) = v", _V, lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v)),
+        ("curl(tc q) + td(div q) = q", _V, lambda q: components_equal(curl(tc(q)) + td(div(q)), q)),
+        ("div(td u) = u", _W, lambda u: components_equal(div(td(u)), u)),
     ]
     return [
         run_check(name, "Eq. (17) realization", samples, field_draw(kind, degree, seed, "homotopy", name), check)
@@ -172,11 +140,11 @@ def constant_curl_correction(u: TypedField) -> TypedField:
 @cache
 def _slots(kind: FieldKind) -> tuple[dict[int, int], ...]:
     """The free slots of the kind, in basis order, each a {component: sign} map."""
-    if kind is FieldKind.SYMMETRIC:  # the upper triangle, row by row
+    if kind is _S:  # the upper triangle, row by row
         return tuple(sorted([{k: 1} for k in DIAGONAL] + [{k: 1, t: 1} for k, t in OFF_DIAGONAL], key=min))
     if kind is FieldKind.SKEW:
         return tuple({k: 1, t: -1} for k, t in OFF_DIAGONAL)
-    if kind is FieldKind.TRACEFREE:  # off-diagonal entries plus two traceless diagonal modes
+    if kind is _T:  # off-diagonal entries plus two traceless diagonal modes
         d0, d1, d2 = DIAGONAL
         return tuple([{k: 1} for k in range(9) if k not in DIAGONAL] + [{d0: 1, d2: -1}, {d1: 1, d2: -1}])
     return tuple({k: 1} for k in range(_COMPONENT_COUNT[kind]))
@@ -232,6 +200,11 @@ def _symbol(name: str, kind: FieldKind) -> tuple:
     return tuple(out)
 
 
+class _Kernel(tuple):
+    """kernel_basis's fields; `table` holds per component the flat nonzero (monomial
+    index, basis index, numerator over `denom`) triples (a tuple each: 64 bytes, not 24)."""
+
+
 @cache
 def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Exact basis of the joint kernel of the named operators on the
@@ -255,22 +228,27 @@ def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tup
                     if factor := comb(a, x) * comb(b, y) * comb(c, z):  # zero unless alpha <= m
                         for ci, coeff in entries:
                             rows.setdefault((name, ci, (a - x, b - y, c - z)), {})[j] = factor * coeff
-    fields = []
-    for v in RatMatrix(len(slots) * len(monomials), rows.values()).nullspace():
-        den = lcm(*(w.denominator for w in v.values()))
-        comps = [None] * _COMPONENT_COUNT[kind]
+    vectors = RatMatrix(len(slots) * len(monomials), rows.values()).nullspace()
+    den = lcm(*(w.denominator for v in vectors for w in v.values()))
+    table, fields = [[] for _ in range(_COMPONENT_COUNT[kind])], []
+    for b, v in enumerate(vectors):
+        comps = [None] * len(table)
         for j, w in v.items():
             s, i = divmod(j, len(monomials))
             for k, sign in slots[s].items():
+                n = sign * w.numerator * (den // w.denominator)
                 comps[k] = comps[k] or [0] * len(monomials)
-                comps[k][i] += sign * w.numerator * (den // w.denominator)
+                comps[k][i] += n
+                table[k] += i, b, n
         fields.append(TypedField(kind, tuple(P_ZERO if r is None else Poly3.from_row(degree, r, den) for r in comps)))
-    return tuple(fields)
+    out = _Kernel(fields)
+    out.table, out.denom = tuple(map(tuple, table)), den
+    return out
 
 
 def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
-    """A random exact kernel element: a nonzero combination of nullspace
-    basis vectors with integer weights in [-9, 9]."""
+    """A random exact kernel element: a nonzero combination of nullspace basis
+    vectors with integer weights in [-9, 9], over its table's nonzero entries."""
     fields = kernel_basis(op_names, kind, degree)
     if not fields:
         raise ValueError(f"kernel is trivial at this degree: {op_names} on {kind.value}")
@@ -278,8 +256,14 @@ def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed:
     weights = draw_ints(rng, len(fields))
     while not any(weights):  # the basis is independent, so only all-zero weights give zero
         weights = draw_ints(rng, len(fields))
-    columns = zip(*(f.components for f in fields))
-    return TypedField(kind, tuple(Poly3.combination(zip(weights, col)) for col in columns))
+    comps = []
+    for entries in fields.table:
+        row = [0] * len(monomials_up_to(degree))
+        it = iter(entries)
+        for i, b, n in zip(it, it, it):
+            row[i] += weights[b] * n
+        comps.append(Poly3.from_row(degree, row, fields.denom))
+    return TypedField(kind, tuple(comps))
 
 
 # -- right-inverse chains -----------------------------------------------------
@@ -297,10 +281,8 @@ def _check_moment(f: TypedField, space: MomentSpace):
     found = moment_orthogonal(f, space)
     if found is not None:
         basis, pairing = found
-        raise PreconditionError(
-            f"moment precondition failed: pairing with {space.name} element is {pairing}",
-            field_to_text(basis),
-        )
+        raise PreconditionError(f"moment precondition failed: pairing with {space.name} element is {pairing}",
+                                field_to_text(basis))
 
 
 def _dcc(sigma: TypedField) -> TypedField:
@@ -355,11 +337,6 @@ def _rgc_tilde_dgc_tilde(tau: TypedField) -> tuple[TypedField, TypedField]:
     _check_zero(div(v), "div vskw gamma (= tr tau / 2) inside the chain")
     u = tc(v).scale(-2)              # v = -1/2 curl u
     return g, u
-
-
-def _rgc(tau: TypedField) -> TypedField:
-    g, u = _rgc_tilde_dgc_tilde(tau)
-    return g + deff(u)
 
 
 def _dgc(tau: TypedField) -> TypedField:
@@ -435,22 +412,23 @@ def _rd_plain(w: TypedField) -> TypedField:
 class RightInverseSpec:
     """One right-inverse operator: its domain, preconditions, chain, and the
     diagram operator `op` it inverts.  Its defining identity is op(out) = input,
-    with both sides taken through OPS[after] first when `after` is set."""
+    with both sides taken through OPS[after] first when `after` is set.  The
+    Lemma 3.11 rows share one chain, building (g, u); each is (g, u, g + deff u)[part]
+    and is checked on g + deff u."""
 
     name: str
     anchor: str
     input_kind: FieldKind
-    kernel_ops: tuple[str, ...]             # exact kernel constraints on the input
-    moment_space: MomentSpace | None        # enforced only in strict mode
-    chain: Callable[[TypedField], Any]      # the construction, with its full output
+    kernel_ops: tuple[str, ...]  # exact kernel constraints on the input
+    moment_space: MomentSpace | None  # enforced only in strict mode
+    chain: Callable[[TypedField], Any]  # the construction, with its full output
     output_kind: FieldKind
-    op: OperatorId                          # the operator this chain inverts
+    op: OperatorId  # the operator this chain inverts
     statement: str
-    after: str | None = None                # an OPS key: the identity holds only after it
-    half: int | None = None                 # the chain builds a pair (g, u); this operator is pair[half]
+    after: str | None = None  # an OPS key: the identity holds only after it
+    part: int | None = None  # set on a pair chain
 
 
-_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 _THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
 
 RIGHT_INVERSES: dict[str, RightInverseSpec] = {
@@ -465,12 +443,12 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
                          "div sym curl(R~cc s) = div s", after="div"),
         RightInverseSpec("Dcd", "Lemma 3.9", _V, ("div",), ND_SPACE, _dcd, _T, OperatorId("curl_div"),
                          "curl div(Dcd v) = v"),
-        # the two halves of one construction, each checked through curl of g + deff u
         RightInverseSpec("Rgc_tilde", "Lemma 3.11", _T, ("div",), None, _rgc_tilde_dgc_tilde, _S, OperatorId("curl"),
-                         "tau = curl(R~gc tau + deff D~gc tau)", half=0),
+                         "tau = curl(R~gc tau + deff D~gc tau)", part=0),
         RightInverseSpec("Dgc_tilde", "Lemma 3.11", _T, ("div",), None, _rgc_tilde_dgc_tilde, _V, OperatorId("curl"),
-                         "tau = curl(R~gc tau + deff D~gc tau)", half=1),
-        RightInverseSpec("Rgc", "Lemma 3.12", _T, ("div",), None, _rgc, _S, OperatorId("curl"), "curl(Rgc tau) = tau"),
+                         "tau = curl(R~gc tau + deff D~gc tau)", part=1),
+        RightInverseSpec("Rgc", "Lemma 3.12", _T, ("div",), None, _rgc_tilde_dgc_tilde, _S, OperatorId("curl"),
+                         "curl(Rgc tau) = tau", part=2),
         RightInverseSpec("Dgc", "Lemma 3.13", _T, ("div", "sym_curl_t"), None, _dgc, _V, OperatorId("curl_deff"),
                          "curl deff(Dgc tau) = tau"),
         RightInverseSpec("Dgd", "Lemma 3.14", _V, ("curl",), RT_SPACE, _dgd, _V, OperatorId("grad_div", _THIRD),
@@ -496,24 +474,22 @@ RIGHT_INVERSE_NAMES = tuple(RIGHT_INVERSES)
 def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) -> TypedField:
     """Run the named chain after verifying its preconditions exactly."""
     spec = RIGHT_INVERSES[name]
-    out = _construct(spec, f, strict_preconditions)
-    return out if spec.half is None else out[spec.half]
+    return _construct(spec, f, strict_preconditions)[spec.part or 0]
 
 
 def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool):
-    """The chain's full output on f, after its preconditions are verified exactly."""
+    """The chain's output on f, or its pair (g, u) and g + deff u, after its preconditions are verified exactly."""
     name = spec.name
     if f.kind is not spec.input_kind:
         raise KindError(f"{name} needs a {spec.input_kind.value} field, got {f.kind.value}")
     for op_name in spec.kernel_ops:
         out = OPS[op_name](f)
         if not out.is_zero:
-            raise PreconditionError(
-                f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out)
-            )
+            raise PreconditionError(f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out))
     if strict_preconditions and spec.moment_space is not None:
         _check_moment(f, spec.moment_space)
-    return spec.chain(f)
+    out = spec.chain(f)
+    return (out,) if spec.part is None else (*out, out[0] + deff(out[1]))
 
 
 def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) -> TypedField:
@@ -526,25 +502,38 @@ def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) ->
     return random_field(spec.input_kind, degree, rng)
 
 
-def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> CheckResult:
-    """The named chain's output has its declared kind and satisfies its defining identity."""
+def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
+                         shared: dict | None = None) -> CheckResult:
+    """The named chain's output has its declared kind and satisfies its defining identity.
+    Cases given one `shared` dict build and check each (chain, op, after, input) once, unless it raises."""
     spec = RIGHT_INVERSES[name]
 
-    def holds(f: TypedField) -> bool:
-        out = _construct(spec, f, strict_preconditions)
-        if spec.half is None:
-            output, potential = out, out
-        else:  # the pair (g, u) inverts curl through g + deff u
-            output, potential = out[spec.half], out[0] + deff(out[1])
-        if output.kind is not spec.output_kind:
-            return False
-        image, target = spec.op.apply(potential), f
+    def outcome(f: TypedField):
+        parts = _construct(spec, f, strict_preconditions)
+        image, target = spec.op.apply(parts[-1]), f
         if spec.after is not None:
             image, target = OPS[spec.after](image), OPS[spec.after](target)
-        return components_equal(image, target)
+        return [p.kind for p in parts], components_equal(image, target)
+
+    def holds(f: TypedField) -> bool:
+        key = (spec.chain, spec.op, spec.after, f)
+        kinds, verdict = shared[key] if shared and key in shared else outcome(f)
+        if shared is not None:
+            shared[key] = kinds, verdict
+        return kinds[spec.part or 0] is spec.output_kind and verdict
 
     case = f"{name}: {spec.statement}"
     try:
         return run_check(case, spec.anchor, samples, lambda s: sample_right_inverse_input(name, degree, seed, s), holds)
     except BasisKindError as err:  # from the draw: a kernel operator broke a kind predicate on a basis field
         return CheckResult(case, spec.anchor, False, err.witness)
+
+
+def verify_right_inverses(samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> list[CheckResult]:
+    """Every row of RIGHT_INVERSES, in order; consecutive rows of one chain share one record."""
+    results = []
+    for _, specs in groupby(RIGHT_INVERSES.values(), lambda spec: spec.chain):
+        specs = list(specs)
+        shared = {} if len(specs) > 1 else None
+        results += [verify_right_inverse(s.name, samples, degree, seed, strict_preconditions, shared) for s in specs]
+    return results

@@ -253,6 +253,9 @@ class Poly3:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly3) and self.den == other.den and self._codes == other._codes
 
+    def __hash__(self) -> int:
+        return hash((self.den, frozenset(self._codes.items())))
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly3") -> "Poly3":

@@ -116,10 +116,7 @@ def _ddd_unit_witness() -> CheckResult:
 def _suite_right_inverses(cfg: SuiteConfig) -> list[CheckResult]:
     return [
         *koszul.homotopy_check(cfg.samples, cfg.degree, cfg.seed),
-        *(
-            koszul.verify_right_inverse(name, cfg.samples, cfg.degree, cfg.seed, cfg.strict_preconditions)
-            for name in koszul.RIGHT_INVERSE_NAMES
-        ),
+        *koszul.verify_right_inverses(cfg.samples, cfg.degree, cfg.seed, cfg.strict_preconditions),
         _ddd_unit_witness(),
     ]
 

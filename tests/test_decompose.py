@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
@@ -182,7 +183,7 @@ def run_script(name, text):
 @pytest.mark.parametrize(
     "text, message",
     [
-        (field_to_text(X_FIELD), "regdec_cc needs a symmetric field, got a vector field"),
+        (field_to_text(X_FIELD), "regdec cc needs a symmetric field, got a vector field"),
         ("\n".join(field_to_text(X_FIELD).splitlines()[:-1]), "missing component 3 1 of a vector field"),
         ("kind: bogus\n1 1 : 0", "bad kind header 'kind: bogus'; a kind is one of scalar, vector,"),
         (
@@ -232,6 +233,35 @@ def test_script_reports_undecodable_input_on_one_line(tmp_path):
 def test_script_decomposes_good_input():
     proc = run_script("cc", field_to_text(TypedField.identity_scaled(X1)))
     assert proc.returncode == 0 and "exact reconstruction: True" in proc.stdout
+
+
+def run_script_in_process(name, text, tmp_path, capsys):
+    """The script's exit code and (stdout, stderr), run in this process so a patched operator reaches it."""
+    spec = importlib.util.spec_from_file_location("decompose_field", _SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    path = tmp_path / "field.txt"
+    path.write_text(text)
+    code = script.main([name, str(path)])
+    out = capsys.readouterr()
+    return code, (out.out, out.err)
+
+
+def test_script_reports_a_step_failing_inside_the_chain_as_a_failed_decomposition(monkeypatch, tmp_path, capsys):
+    # The dd witness is a symmetric field, of the kind dd takes: the broken
+    # curl, not the input, makes div(S eta) nonzero inside the _dcc chain.
+    monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
+    witness = verify_decomposition("dd", samples=2, degree=2, seed=7).witness
+    assert field_from_text(witness).kind is FieldKind.SYMMETRIC
+    code, out = run_script_in_process("dd", witness, tmp_path, capsys)
+    message = "decompose_field.py: decomposition failed: div(S eta) inside the chain is nonzero\n"
+    assert (code, out) == (1, ("", message))
+
+
+def test_script_reports_a_wrong_kind_as_bad_input_in_process(tmp_path, capsys):
+    tau = random_field(FieldKind.TRACEFREE, 2, derived_rng(7, "script", "dd"))
+    code, out = run_script_in_process("dd", field_to_text(tau), tmp_path, capsys)
+    assert (code, out) == (2, ("", "decompose_field.py: regdec dd needs a symmetric field, got a trace-free field\n"))
 
 
 def test_perturbed_hessian_part_fails_decompositions(monkeypatch):

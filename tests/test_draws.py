@@ -65,9 +65,11 @@ def reference_kernel_basis(op_names, kind: FieldKind, degree: int) -> list[Typed
     return fields
 
 
-def reference_sample_kernel(op_names, kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
-    """One randint per basis field, each weighted field added in turn, redrawn while the sum is zero."""
-    fields = reference_kernel_basis(op_names, kind, degree)
+def reference_sample_kernel(op_names, kind: FieldKind, degree: int, seed: int, index: int = 0,
+                            fields=None) -> TypedField:
+    """One randint per basis field, each weighted field added in turn, redrawn while the sum is zero.
+    `fields` is the reference kernel basis, built here when not given."""
+    fields = reference_kernel_basis(op_names, kind, degree) if fields is None else fields
     rng = derived_rng(seed, "kernel", *op_names, kind.value, degree, index)
     comps = [P_ZERO] * len(fields[0].components)
     while all(p.is_zero for p in comps):
@@ -99,10 +101,18 @@ def test_random_field_equals_build_then_project(kind, degree):
 
 @pytest.mark.parametrize("ops, kind", KERNEL_KEYS)
 def test_kernel_basis_and_sample_kernel_equal_scale_and_sum(ops, kind):
-    for degree in range(5):  # kernel_basis reads the operators off their symbols
-        assert list(kernel_basis(ops, kind, degree)) == reference_kernel_basis(ops, kind, degree), degree
-    for index in range(3):
-        assert sample_kernel(ops, kind, 2, 7, index) == reference_sample_kernel(ops, kind, 2, 7, index)
+    # kernel_basis reads the operators off their symbols, and sample_kernel sums
+    # the nonzero entries of its sparse table
+    for degree in range(5):
+        fields = reference_kernel_basis(ops, kind, degree)
+        assert list(kernel_basis(ops, kind, degree)) == fields, degree
+        for index in range(10):
+            if not fields:
+                with pytest.raises(ValueError, match="kernel is trivial"):
+                    sample_kernel(ops, kind, degree, 7, index)
+                continue
+            expected = reference_sample_kernel(ops, kind, degree, 7, index, fields)
+            assert sample_kernel(ops, kind, degree, 7, index) == expected, (degree, index)
 
 
 def test_sample_kernel_redraws_when_every_weight_is_zero(monkeypatch):

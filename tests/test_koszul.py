@@ -38,6 +38,7 @@ from tensorcomplex.koszul import (
     td,
     tg,
     verify_right_inverse,
+    verify_right_inverses,
 )
 from tensorcomplex.operators import (
     OPS,
@@ -253,7 +254,8 @@ def test_kind_basis_is_built_once_per_kind_and_degree():
 def test_kernel_basis_is_built_once_per_operators_kind_and_degree():
     for ops, kind in _KERNEL_DIMENSIONS:
         basis = kernel_basis(ops, kind, 2)
-        assert type(basis) is tuple  # a shared cached basis that no caller can change
+        # a shared cached basis that no caller can change, with the sampling table of its components
+        assert isinstance(basis, tuple) and type(basis.table) is tuple and len(basis.table) == len(basis[0].components)
         assert kernel_basis(ops, kind, 2) is basis
         assert kernel_basis(op_names=ops, kind=kind, degree=2) == basis
     # The operator names are part of the cache key, so they must be a tuple.
@@ -347,6 +349,28 @@ def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(mon
                 OPS[op_name](b)
 
 
+def test_emptied_kernel_caches_take_a_mutated_curl_into_the_samples_and_the_cases(monkeypatch, fresh_kernel_caches):
+    # The sampling table is built inside the cached kernel_basis call, so
+    # emptying that cache must drop it too: kernels filled with the true curl
+    # and refilled with a broken one must sample from the broken operator.
+    keys = list(dict.fromkeys((s.kernel_ops, s.input_kind) for s in RIGHT_INVERSES.values() if s.kernel_ops))
+    before = {key: sample_kernel(*key, 2, 7) for key in keys}
+    assert run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2)).all_passed
+    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
+    _clear_kernel_caches()
+    for ops, kind in keys:
+        try:
+            changed = sample_kernel(ops, kind, 2, 7) != before[ops, kind]
+        except KindError:  # the broken curl broke a kind predicate on a basis field
+            changed = True
+        assert changed == (not set(ops) <= {"div", "div_div"}), ops  # only these read no curl
+    report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
+    statuses = {c.name.partition(":")[0]: c.status for c in report.cases}
+    # only the chains with no kernel constraint and no curl inside still pass
+    assert {name for name in RIGHT_INVERSE_NAMES if statuses[name] == "pass"} == {"Ddd", "Rgd", "Rd_plain"}
+    assert {statuses[name] for name in RIGHT_INVERSE_NAMES} == {"pass", "fail"}
+
+
 @pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
 def test_right_inverse_defining_identity(name):
     result = verify_right_inverse(name, samples=4, degree=2, seed=7)
@@ -379,7 +403,7 @@ def test_a_doubled_chain_fails_the_right_inverse_check(monkeypatch, name):
 
     def doubled(f):
         out = spec.chain(f)
-        return out.scale(2) if spec.half is None else tuple(half.scale(2) for half in out)
+        return out.scale(2) if spec.part is None else tuple(half.scale(2) for half in out)
 
     monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, chain=doubled))
     result = verify_right_inverse(name, samples=2, degree=2, seed=7)
@@ -469,9 +493,13 @@ def test_wrong_sign_in_tc_is_caught(monkeypatch):
         assert not holds(witness), name
 
 
-def test_paired_construction_runs_once_per_case_and_sample(monkeypatch):
-    # Rgc_tilde and Dgc_tilde are two halves of one construction, which Rgc and
-    # Dgc also build: each of the four cases must build it once per sample.
+_LEMMA_3_11 = ("Rgc_tilde", "Dgc_tilde", "Rgc")
+
+
+def test_the_lemma_3_11_rows_build_their_pair_once_per_sample(monkeypatch):
+    # Rgc_tilde, Dgc_tilde and Rgc are the two halves of one construction and
+    # their sum: run in a row, they build it once per drawn input, not once per
+    # case and input (30 calls at 10 samples).
     original = koszul._rgc_tilde_dgc_tilde
     calls = []
 
@@ -479,16 +507,45 @@ def test_paired_construction_runs_once_per_case_and_sample(monkeypatch):
         calls.append(tau)
         return original(tau)
 
-    monkeypatch.setattr(koszul, "_rgc_tilde_dgc_tilde", counted)
-    for name, spec in koszul.RIGHT_INVERSES.items():
-        if spec.chain is original:
-            monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, chain=counted))
-    report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
+    for name in _LEMMA_3_11:
+        monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(RIGHT_INVERSES[name], chain=counted))
+    report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=10))
     assert report.all_passed
-    assert len(calls) == 4 * 2
+    assert len(calls) == 10
 
 
-@pytest.mark.parametrize("name, half", [("Rgc_tilde", 0), ("Dgc_tilde", 1)])
+def _broken_curl(monkeypatch):
+    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
+
+
+def _one_doubled_chain(monkeypatch):
+    spec = RIGHT_INVERSES["Dgc_tilde"]
+    doubled = dataclasses.replace(spec, chain=lambda tau: tuple(half.scale(2) for half in spec.chain(tau)))
+    monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", doubled)
+
+
+def _one_wrong_output_kind(monkeypatch):
+    wrong = dataclasses.replace(RIGHT_INVERSES["Dgc_tilde"], output_kind=_S)
+    monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", wrong)
+
+
+@pytest.mark.parametrize("breakage", [_broken_curl, _one_doubled_chain, _one_wrong_output_kind])
+def test_the_shared_lemma_3_11_cases_report_as_each_case_alone(monkeypatch, breakage):
+    # The record the three rows share holds outcomes, not verdicts: each case
+    # still compares its own output kind (a wrong one on a row of the shared
+    # chain), and a row with another chain (a doubled one) draws on none of
+    # it.  So each case reports what it reports when run alone.
+    breakage(monkeypatch)
+    cases = {c.name.partition(":")[0]: c for c in verify_right_inverses(samples=4, degree=2, seed=7)}
+    assert any(cases[name].status != "pass" for name in _LEMMA_3_11)
+    for name in _LEMMA_3_11:
+        alone = verify_right_inverse(name, samples=4, degree=2, seed=7)
+        assert (cases[name].status, cases[name].witness) == (alone.status, alone.witness), name
+
+
+@pytest.mark.parametrize("name, half", [("Rgc_tilde", 0), ("Dgc_tilde", 1), ("Rgc", 2)])
 def test_paired_right_inverse_returns_its_half(name, half):
+    # Rgc is the third part of the Lemma 3.11 pair (g, u): their sum g + deff u
     f = sample_right_inverse_input(name, 2, 13, 0)
-    assert components_equal(right_inverse(name, f), koszul._rgc_tilde_dgc_tilde(f)[half])
+    g, u = koszul._rgc_tilde_dgc_tilde(f)
+    assert components_equal(right_inverse(name, f), (g, u, g + deff(u))[half])
