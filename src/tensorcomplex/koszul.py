@@ -40,13 +40,30 @@ from .fields import (
     _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, FieldKind, KindError, TypedField, field_to_text, vskw
 )
 from .operators import (
-    OPS, ORDER, CheckResult, OperatorId, PreconditionError, components_equal, curl, deff, derived_rng, div, div_t,
-    draw_ints, field_draw, grad, inc, random_field, run_check, sym_curl, sym_curl_t, t_curl, t_dev_grad
+    CheckResult,
+    OPS,
+    ORDER,
+    OperatorId,
+    PreconditionError,
+    components_equal,
+    curl,
+    deff,
+    derived_rng,
+    div,
+    div_t,
+    draw_ints,
+    field_draw,
+    grad,
+    inc,
+    random_field,
+    run_check,
+    sym_curl,
+    sym_curl_t,
+    t_curl,
+    t_dev_grad,
 )
 from .poly import P_ZERO, Poly3, monomials_up_to
 from .rational import RatMatrix
-
-_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 
 
 # -- the three homotopy operators -----------------------------------------
@@ -70,21 +87,21 @@ def _scalar_td(p: Poly3) -> list[Poly3]:
 
 def tg(v: TypedField) -> TypedField:
     """Scalar potential of a vector field: per degree k, (v . x)/(k+1)."""
-    if v.kind is not _V:
+    if v.kind is not FieldKind.VECTOR:
         raise KindError("tg needs a vector field")
     return TypedField.scalar(_vector_tg(*v.components))
 
 
 def tc(q: TypedField) -> TypedField:
     """Vector potential of a divergence-free field: per degree k, (q x x)/(k+2)."""
-    if q.kind is not _V:
+    if q.kind is not FieldKind.VECTOR:
         raise KindError("tc needs a vector field")
     return TypedField.vector(_vector_tc(*q.components))
 
 
 def td(u: TypedField) -> TypedField:
     """Vector potential of a scalar field: per degree k, (x u)/(k+3)."""
-    if u.kind is not _W:
+    if u.kind is not FieldKind.SCALAR:
         raise KindError("td needs a scalar field")
     return TypedField.vector(_scalar_td(u.components[0]))
 
@@ -109,12 +126,28 @@ def td_component_rows(v: TypedField) -> TypedField:
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """The four exact homotopy identities on random fields."""
     checks = [
-        ("tg(grad w) = w - w(0)", _W,
-         lambda w: components_equal(
-             tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term())))),
-        ("grad(tg v) + tc(curl v) = v", _V, lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v)),
-        ("curl(tc q) + td(div q) = q", _V, lambda q: components_equal(curl(tc(q)) + td(div(q)), q)),
-        ("div(td u) = u", _W, lambda u: components_equal(div(td(u)), u)),
+        (
+            "tg(grad w) = w - w(0)",
+            FieldKind.SCALAR,
+            lambda w: components_equal(
+                tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term()))
+            ),
+        ),
+        (
+            "grad(tg v) + tc(curl v) = v",
+            FieldKind.VECTOR,
+            lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v),
+        ),
+        (
+            "curl(tc q) + td(div q) = q",
+            FieldKind.VECTOR,
+            lambda q: components_equal(curl(tc(q)) + td(div(q)), q),
+        ),
+        (
+            "div(td u) = u",
+            FieldKind.SCALAR,
+            lambda u: components_equal(div(td(u)), u),
+        ),
     ]
     return [
         run_check(name, "Eq. (17) realization", samples, field_draw(kind, degree, seed, "homotopy", name), check)
@@ -140,11 +173,11 @@ def constant_curl_correction(u: TypedField) -> TypedField:
 @cache
 def _slots(kind: FieldKind) -> tuple[dict[int, int], ...]:
     """The free slots of the kind, in basis order, each a {component: sign} map."""
-    if kind is _S:  # the upper triangle, row by row
+    if kind is FieldKind.SYMMETRIC:  # the upper triangle, row by row
         return tuple(sorted([{k: 1} for k in DIAGONAL] + [{k: 1, t: 1} for k, t in OFF_DIAGONAL], key=min))
     if kind is FieldKind.SKEW:
         return tuple({k: 1, t: -1} for k, t in OFF_DIAGONAL)
-    if kind is _T:  # off-diagonal entries plus two traceless diagonal modes
+    if kind is FieldKind.TRACEFREE:  # off-diagonal entries plus two traceless diagonal modes
         d0, d1, d2 = DIAGONAL
         return tuple([{k: 1} for k in range(9) if k not in DIAGONAL] + [{d0: 1, d2: -1}, {d1: 1, d2: -1}])
     return tuple({k: 1} for k in range(_COMPONENT_COUNT[kind]))
@@ -201,8 +234,13 @@ def _symbol(name: str, kind: FieldKind) -> tuple:
 
 
 class _Kernel(tuple):
-    """kernel_basis's fields; `table` holds per component the flat nonzero (monomial
-    index, basis index, numerator over `denom`) triples (a tuple each: 64 bytes, not 24)."""
+    """Basis fields with `table`: per component, flat (monomial, basis index, numerator
+    over `denom`) triples of the nonzero entries.  Shared, so read-only."""
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"a kernel basis is read-only: {name}")
+
+    __delattr__ = __setattr__
 
 
 @cache
@@ -242,13 +280,13 @@ def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tup
                 table[k] += i, b, n
         fields.append(TypedField(kind, tuple(P_ZERO if r is None else Poly3.from_row(degree, r, den) for r in comps)))
     out = _Kernel(fields)
-    out.table, out.denom = tuple(map(tuple, table)), den
+    vars(out).update(table=tuple(map(tuple, table)), denom=den)
     return out
 
 
 def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
     """A random exact kernel element: a nonzero combination of nullspace basis
-    vectors with integer weights in [-9, 9], over its table's nonzero entries."""
+    vectors with integer weights in [-9, 9], summed over its table."""
     fields = kernel_basis(op_names, kind, degree)
     if not fields:
         raise ValueError(f"kernel is trivial at this degree: {op_names} on {kind.value}")
@@ -281,8 +319,10 @@ def _check_moment(f: TypedField, space: MomentSpace):
     found = moment_orthogonal(f, space)
     if found is not None:
         basis, pairing = found
-        raise PreconditionError(f"moment precondition failed: pairing with {space.name} element is {pairing}",
-                                field_to_text(basis))
+        raise PreconditionError(
+            f"moment precondition failed: pairing with {space.name} element is {pairing}",
+            field_to_text(basis),
+        )
 
 
 def _dcc(sigma: TypedField) -> TypedField:
@@ -412,23 +452,22 @@ def _rd_plain(w: TypedField) -> TypedField:
 class RightInverseSpec:
     """One right-inverse operator: its domain, preconditions, chain, and the
     diagram operator `op` it inverts.  Its defining identity is op(out) = input,
-    with both sides taken through OPS[after] first when `after` is set.  The
-    Lemma 3.11 rows share one chain, building (g, u); each is (g, u, g + deff u)[part]
-    and is checked on g + deff u."""
+    with both sides taken through OPS[after] first when `after` is set."""
 
     name: str
     anchor: str
     input_kind: FieldKind
-    kernel_ops: tuple[str, ...]  # exact kernel constraints on the input
-    moment_space: MomentSpace | None  # enforced only in strict mode
-    chain: Callable[[TypedField], Any]  # the construction, with its full output
+    kernel_ops: tuple[str, ...]             # exact kernel constraints on the input
+    moment_space: MomentSpace | None        # enforced only in strict mode
+    chain: Callable[[TypedField], Any]      # the construction, with its full output
     output_kind: FieldKind
-    op: OperatorId  # the operator this chain inverts
+    op: OperatorId                          # the operator this chain inverts
     statement: str
-    after: str | None = None  # an OPS key: the identity holds only after it
-    part: int | None = None  # set on a pair chain
+    after: str | None = None                # an OPS key: the identity holds only after it
+    part: int | None = None                 # the chain builds a pair (g, u); this operator is (g, u, g + deff u)[part]
 
 
+_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 _THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
 
 RIGHT_INVERSES: dict[str, RightInverseSpec] = {
@@ -443,6 +482,7 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
                          "div sym curl(R~cc s) = div s", after="div"),
         RightInverseSpec("Dcd", "Lemma 3.9", _V, ("div",), ND_SPACE, _dcd, _T, OperatorId("curl_div"),
                          "curl div(Dcd v) = v"),
+        # the two halves of one construction and their sum, each checked through curl of g + deff u
         RightInverseSpec("Rgc_tilde", "Lemma 3.11", _T, ("div",), None, _rgc_tilde_dgc_tilde, _S, OperatorId("curl"),
                          "tau = curl(R~gc tau + deff D~gc tau)", part=0),
         RightInverseSpec("Dgc_tilde", "Lemma 3.11", _T, ("div",), None, _rgc_tilde_dgc_tilde, _V, OperatorId("curl"),
@@ -474,22 +514,24 @@ RIGHT_INVERSE_NAMES = tuple(RIGHT_INVERSES)
 def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) -> TypedField:
     """Run the named chain after verifying its preconditions exactly."""
     spec = RIGHT_INVERSES[name]
-    return _construct(spec, f, strict_preconditions)[spec.part or 0]
+    out = _construct(spec, f, strict_preconditions)
+    return out if spec.part is None else out[spec.part] if spec.part < 2 else out[0] + deff(out[1])
 
 
 def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool):
-    """The chain's output on f, or its pair (g, u) and g + deff u, after its preconditions are verified exactly."""
+    """The chain's full output on f, after its preconditions are verified exactly."""
     name = spec.name
     if f.kind is not spec.input_kind:
         raise KindError(f"{name} needs a {spec.input_kind.value} field, got {f.kind.value}")
     for op_name in spec.kernel_ops:
         out = OPS[op_name](f)
         if not out.is_zero:
-            raise PreconditionError(f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out))
+            raise PreconditionError(
+                f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out)
+            )
     if strict_preconditions and spec.moment_space is not None:
         _check_moment(f, spec.moment_space)
-    out = spec.chain(f)
-    return (out,) if spec.part is None else (*out, out[0] + deff(out[1]))
+    return spec.chain(f)
 
 
 def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) -> TypedField:
@@ -505,18 +547,19 @@ def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) ->
 def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
                          shared: dict | None = None) -> CheckResult:
     """The named chain's output has its declared kind and satisfies its defining identity.
-    Cases given one `shared` dict build and check each (chain, op, after, input) once, unless it raises."""
+    Cases given one `shared` dict build and check each input once."""
     spec = RIGHT_INVERSES[name]
 
     def outcome(f: TypedField):
-        parts = _construct(spec, f, strict_preconditions)
+        out = _construct(spec, f, strict_preconditions)
+        parts = (out,) if spec.part is None else (*out, out[0] + deff(out[1]))
         image, target = spec.op.apply(parts[-1]), f
         if spec.after is not None:
             image, target = OPS[spec.after](image), OPS[spec.after](target)
         return [p.kind for p in parts], components_equal(image, target)
 
     def holds(f: TypedField) -> bool:
-        key = (spec.chain, spec.op, spec.after, f)
+        key = spec.chain, f
         kinds, verdict = shared[key] if shared and key in shared else outcome(f)
         if shared is not None:
             shared[key] = kinds, verdict
@@ -529,7 +572,7 @@ def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict
         return CheckResult(case, spec.anchor, False, err.witness)
 
 
-def verify_right_inverses(samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> list[CheckResult]:
+def verify_right_inverses(samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> list:
     """Every row of RIGHT_INVERSES, in order; consecutive rows of one chain share one record."""
     results = []
     for _, specs in groupby(RIGHT_INVERSES.values(), lambda spec: spec.chain):

@@ -256,6 +256,11 @@ def test_kernel_basis_is_built_once_per_operators_kind_and_degree():
         basis = kernel_basis(ops, kind, 2)
         # a shared cached basis that no caller can change, with the sampling table of its components
         assert isinstance(basis, tuple) and type(basis.table) is tuple and len(basis.table) == len(basis[0].components)
+        for name in ("table", "denom"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(basis, name, ())
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(basis, name)
         assert kernel_basis(ops, kind, 2) is basis
         assert kernel_basis(op_names=ops, kind=kind, degree=2) == basis
     # The operator names are part of the cache key, so they must be a tuple.
@@ -499,7 +504,8 @@ _LEMMA_3_11 = ("Rgc_tilde", "Dgc_tilde", "Rgc")
 def test_the_lemma_3_11_rows_build_their_pair_once_per_sample(monkeypatch):
     # Rgc_tilde, Dgc_tilde and Rgc are the two halves of one construction and
     # their sum: run in a row, they build it once per drawn input, not once per
-    # case and input (30 calls at 10 samples).
+    # case and input.  Dgc builds the pair through the module function, once
+    # per sample too: 10 + 10 calls at 10 samples (40 when each case builds its own).
     original = koszul._rgc_tilde_dgc_tilde
     calls = []
 
@@ -507,11 +513,12 @@ def test_the_lemma_3_11_rows_build_their_pair_once_per_sample(monkeypatch):
         calls.append(tau)
         return original(tau)
 
+    monkeypatch.setattr(koszul, "_rgc_tilde_dgc_tilde", counted)
     for name in _LEMMA_3_11:
         monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(RIGHT_INVERSES[name], chain=counted))
     report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=10))
     assert report.all_passed
-    assert len(calls) == 10
+    assert len(calls) == 20
 
 
 def _broken_curl(monkeypatch):
@@ -544,8 +551,13 @@ def test_the_shared_lemma_3_11_cases_report_as_each_case_alone(monkeypatch, brea
 
 
 @pytest.mark.parametrize("name, half", [("Rgc_tilde", 0), ("Dgc_tilde", 1), ("Rgc", 2)])
-def test_paired_right_inverse_returns_its_half(name, half):
-    # Rgc is the third part of the Lemma 3.11 pair (g, u): their sum g + deff u
+def test_paired_right_inverse_returns_its_half(monkeypatch, name, half):
+    # Rgc is the third part of the Lemma 3.11 pair (g, u): their sum g + deff u,
+    # which only Rgc builds
     f = sample_right_inverse_input(name, 2, 13, 0)
     g, u = koszul._rgc_tilde_dgc_tilde(f)
-    assert components_equal(right_inverse(name, f), (g, u, g + deff(u))[half])
+    expected = (g, u, g + deff(u))[half]
+    calls = []
+    monkeypatch.setattr(koszul, "deff", lambda v: calls.append(v) or deff(v))
+    assert components_equal(right_inverse(name, f), expected)
+    assert len(calls) == (half == 2)
