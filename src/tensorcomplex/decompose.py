@@ -2,7 +2,7 @@
 operators so that the reassembled sum reproduces the input exactly.
 
 Every decomposition is one residual cascade (`_cascade`).  Each part is a
-right-inverse chain of `koszul.py` applied, after an optional operator `pre`,
+right-inverse chain of `koszul.py` applied, after an optional OPS key `pre`,
 to the residual that the earlier parts leave; its contribution, the part
 reassembled by its operator, is taken off before the next part:
 
@@ -36,20 +36,7 @@ from fractions import Fraction
 from .fields import FieldKind, KindError, TypedField, field_to_text
 # tg and tg_rows are not called here, but perfbench/test_perfbench.py checks that the tracer rebinds them here.
 from .koszul import _dcc, _dcd, _ddd, _dgg, _rcc_tilde, _rgcT, _rgg_tilde, tc, td, tg, tg_rows
-from .operators import (
-    CheckResult,
-    OperatorId,
-    components_equal,
-    curl_div,
-    div,
-    div_div,
-    field_draw,
-    grad,
-    inc,
-    run_check,
-    sym_curl_t,
-    t_curl,
-)
+from .operators import OPS, CheckResult, OperatorId, components_equal, div, field_draw, run_check
 
 _IDENTITY = OperatorId("identity")  # reassembly that leaves the potential as is
 _S, _T, _V = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR
@@ -88,7 +75,7 @@ class Decomposition:
 
 def _cascade(f: TypedField, kind: FieldKind, what: str, steps) -> Decomposition:
     """One part per step (label, pre, chain, reassembly name): its potential
-    is chain(pre(residual)), or chain(residual) without pre.  The residual
+    is chain(OPS[pre](residual)), or chain(residual) without pre.  The residual
     starts at f and loses each part's contribution before the next step.
 
     Invariant: the third chain of cc, dd and cd (_dgg, _dcc, _rgcT of the
@@ -100,20 +87,20 @@ def _cascade(f: TypedField, kind: FieldKind, what: str, steps) -> Decomposition:
     for label, pre, chain, reassembly in steps:
         if parts:
             residual = residual - parts[-1].contribution()
-        potential = chain(residual if pre is None else pre(residual))
+        potential = chain(residual if pre is None else OPS[pre](residual))
         parts.append(DecompositionPart(label, potential, OperatorId(reassembly)))
     return Decomposition(f, tuple(parts))
 
 
 def regdec_cc(g: TypedField) -> Decomposition:
     """g = S0 + deff S1 + hess S2 for symmetric g."""
-    steps = (("S0", inc, _dcc, "identity"), ("S1", None, _rgg_tilde, "deff"), ("S2", None, _dgg, "hess"))
+    steps = (("S0", "inc", _dcc, "identity"), ("S1", None, _rgg_tilde, "deff"), ("S2", None, _dgg, "hess"))
     return _cascade(g, _S, "regdec_cc", steps)
 
 
 def regdec_dd(sigma: TypedField) -> Decomposition:
     """sigma = S0 + sym curl S1 + inc S2 for symmetric sigma."""
-    steps = (("S0", div_div, _ddd, "identity"), ("S1", None, _rcc_tilde, "sym_curl"), ("S2", None, _dcc, "inc"))
+    steps = (("S0", "div_div", _ddd, "identity"), ("S1", None, _rcc_tilde, "sym_curl"), ("S2", None, _dcc, "inc"))
     return _cascade(sigma, _S, "regdec_dd", steps)
 
 
@@ -121,8 +108,8 @@ def _cd_steps():
     """tau = S0 + curl S1 + T dev grad S2~ for trace-free tau.  The residual
     left for S2~ has the div of tau - S0, as div of a row-wise curl is 0."""
     return (
-        ("S0", curl_div, _dcd, "identity"),
-        ("S1", sym_curl_t, _dcc, "curl"),
+        ("S0", "curl_div", _dcd, "identity"),
+        ("S1", "sym_curl_t", _dcc, "curl"),
         ("S2~", None, lambda rho: _rgcT(rho.transpose()).scale(Fraction(1, 2)), "t_dev_grad"),
     )
 
@@ -147,9 +134,9 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
         return _cascade(f, _T, "regdec_short('cd')", _cd_steps())
     if which not in ("cc", "dd"):
         raise ValueError(f"unknown short decomposition {which!r}")
-    full, inner = (regdec_cc, grad) if which == "cc" else (regdec_dd, t_curl)
+    full, inner = (regdec_cc, "grad") if which == "cc" else (regdec_dd, "t_curl")
     s0, s1, s2 = full(f).parts
-    return Decomposition(f, (s0, DecompositionPart("S1~", s1.potential + inner(s2.potential), s1.reassembly)))
+    return Decomposition(f, (s0, DecompositionPart("S1~", s1.potential + OPS[inner](s2.potential), s1.reassembly)))
 
 
 # name -> (decomposition, input kind, anchor, kinds of its parts in order)

@@ -50,17 +50,12 @@ from .operators import (
     deff,
     derived_rng,
     div,
-    div_t,
     draw_ints,
     field_draw,
     grad,
     inc,
     random_field,
     run_check,
-    sym_curl,
-    sym_curl_t,
-    t_curl,
-    t_dev_grad,
 )
 from .poly import P_ZERO, Poly3, monomials_up_to
 from .rational import RatMatrix
@@ -153,18 +148,6 @@ def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
         run_check(name, "Eq. (17) realization", samples, field_draw(kind, degree, seed, "homotopy", name), check)
         for name, kind, check in checks
     ]
-
-
-def constant_curl_correction(u: TypedField) -> TypedField:
-    """Remove the rigid rotation behind a constant curl: u - (1/2) b x x.
-
-    Requires curl u to be a constant vector b, where (1/2) b x x is tc(b); the
-    output is curl-free and has the same deformation (deff) as u.
-    """
-    b = curl(u)
-    if b.degree() > 0:
-        raise PreconditionError("curl u is not constant", field_to_text(u))
-    return u - tc(b)
 
 
 # -- kernel sampling --------------------------------------------------------
@@ -336,7 +319,7 @@ def _dcc(sigma: TypedField) -> TypedField:
 
 def _rgg_tilde(g: TypedField) -> TypedField:
     """Vector u with curl deff u = curl g, for symmetric g with inc g = 0."""
-    q = tg_rows(t_curl(g))           # grad q = T curl g
+    q = tg_rows(OPS["t_curl"](g))    # grad q = T curl g
     _check_zero(div(q), "div q (= tr T curl g) inside the chain")
     return tc(q).scale(2)            # q = 1/2 curl u
 
@@ -344,7 +327,7 @@ def _rgg_tilde(g: TypedField) -> TypedField:
 def _dgg(g: TypedField) -> TypedField:
     """Scalar w with hess w = g, for symmetric g with curl g = 0."""
     u = tg_rows(g)                   # grad u = g
-    u = constant_curl_correction(u)  # curl u is already 0 here; keeps the contract explicit
+    _check_zero(curl(u), "curl u inside the chain")
     return tg(u)                     # grad (tg u) = u
 
 
@@ -405,12 +388,12 @@ def _rgd(v: TypedField) -> TypedField:
     tau = td_component_rows(v)       # div tau = v
     t = tau.trace()
     q = td(t)                        # div q = tr tau
-    return tau.dev() + t_dev_grad(q).scale(Fraction(1, 2))
+    return tau.dev() + OPS["t_dev_grad"](q).scale(Fraction(1, 2))
 
 
 def _rgcT(tau: TypedField) -> TypedField:
     """Vector q with (1/2) dev grad q = tau, for trace-free tau with sym curl tau = 0."""
-    w = tg(div_t(tau)).comp(1)       # grad w = div T tau
+    w = tg(OPS["div_t"](tau)).comp(1)  # grad w = div T tau
     half_w_id = TypedField.identity_scaled(w.scale(Fraction(1, 2)))
     q = tg_rows(tau + half_w_id).scale(2)  # tau + w/2 id = 1/2 grad q
     residual = div(q) - TypedField.scalar(w.scale(3))
@@ -421,7 +404,7 @@ def _rgcT(tau: TypedField) -> TypedField:
 def _rcc(sigma: TypedField) -> TypedField:
     """Trace-free field whose sym curl is sigma, for div div sigma = 0."""
     s1 = _rcc_tilde(sigma)
-    rho = tc_rows(sigma - sym_curl(s1))  # curl rho = sigma - sym curl s1
+    rho = tc_rows(sigma - OPS["sym_curl"](s1))  # curl rho = sigma - sym curl s1
     return s1 + rho.dev()
 
 
@@ -430,7 +413,7 @@ def _rcd(q: TypedField) -> TypedField:
     gamma = td_component_rows(q)     # div gamma = q
     u = vskw(gamma)
     tau = td_component_rows(u.scale(-2))  # div tau = -2u
-    return gamma.sym() + sym_curl_t(tau.dev())
+    return gamma.sym() + OPS["sym_curl_t"](tau.dev())
 
 
 def _rg(v: TypedField) -> TypedField:

@@ -3,8 +3,11 @@
 Conventions, fixed once here:
   * grad u of a vector field is the Jacobian, (i, j) entry d(u_i)/d(x_j);
   * div and curl act row-wise on matrix fields;
-  * an operator name of the form "a_b" composes right to left, so
-    t_curl(f) = transpose(curl(f)) and div_t(f) = div(transpose(f));
+  * an OPS name is its steps joined by "_", applied right to left, so
+    OPS["t_curl"](f) = transpose(curl(f)) and OPS["div_t"](f) = div(transpose(f));
+    `_STEPS` is that rule, and each name's order is the sum of its steps' orders;
+  * the steps t, sym and dev act pointwise (order 0), as TypedField.transpose,
+    .sym and .dev;
   * curl and div build each entry in one pass, as one `Poly3.partial_sum`
     of its signed first derivatives.
 
@@ -84,30 +87,6 @@ def deff(u: TypedField) -> TypedField:
     return grad(u).sym()
 
 
-def dev_grad(u: TypedField) -> TypedField:
-    return grad(u).dev()
-
-
-def t_dev_grad(u: TypedField) -> TypedField:
-    return grad(u).dev().transpose()
-
-
-def sym_curl(f: TypedField) -> TypedField:
-    return curl(f).sym()
-
-
-def sym_curl_t(f: TypedField) -> TypedField:
-    return curl(f.transpose()).sym()
-
-
-def t_curl(f: TypedField) -> TypedField:
-    return curl(f).transpose()
-
-
-def div_t(f: TypedField) -> TypedField:
-    return div(f.transpose())
-
-
 # -- second-order operators -----------------------------------------------
 
 
@@ -121,31 +100,7 @@ def inc(g: TypedField) -> TypedField:
     """Incompatibility operator curl transpose curl, on symmetric fields."""
     if g.kind is not FieldKind.SYMMETRIC:
         raise KindError("inc needs a symmetric matrix field")
-    return curl(t_curl(g)).retag(FieldKind.SYMMETRIC)
-
-
-def grad_div(v: TypedField) -> TypedField:
-    return grad(div(v))
-
-
-def curl_div(f: TypedField) -> TypedField:
-    return curl(div(f))
-
-
-def div_div(f: TypedField) -> TypedField:
-    return div(div(f))
-
-
-def curl_deff(u: TypedField) -> TypedField:
-    return curl(deff(u))
-
-
-def t_curl_deff(u: TypedField) -> TypedField:
-    return curl_deff(u).transpose()
-
-
-def curl_div_t(f: TypedField) -> TypedField:
-    return curl(div(f.transpose()))
+    return curl(curl(g).transpose()).retag(FieldKind.SYMMETRIC)
 
 
 # -- operator registry ------------------------------------------------------
@@ -166,31 +121,44 @@ class OperatorId:
         return self.name if self.scale == 1 else f"{self.scale} {self.name}"
 
 
-OPS: dict[str, Callable[[TypedField], TypedField]] = {
-    "grad": grad,
-    "curl": curl,
-    "div": div,
-    "deff": deff,
-    "dev_grad": dev_grad,
-    "t_dev_grad": t_dev_grad,
-    "sym_curl": sym_curl,
-    "sym_curl_t": sym_curl_t,
-    "t_curl": t_curl,
-    "div_t": div_t,
-    "hess": hess,
-    "inc": inc,
-    "grad_div": grad_div,
-    "curl_div": curl_div,
-    "div_div": div_div,
-    "curl_deff": curl_deff,
-    "t_curl_deff": t_curl_deff,
-    "curl_div_t": curl_div_t,
+# The steps an OPS name is spelled with, each with its function and its order.
+_STEPS: dict[str, tuple[Callable[[TypedField], TypedField], int]] = {
+    "grad": (grad, 1),
+    "curl": (curl, 1),
+    "div": (div, 1),
+    "deff": (deff, 1),
+    "hess": (hess, 2),
+    "inc": (inc, 2),
+    "t": (TypedField.transpose, 0),
+    "sym": (TypedField.sym, 0),
+    "dev": (TypedField.dev, 0),
 }
 
-# Each OPS entry is a constant-coefficient operator of one order: 1, or 2 for the diagonals.
-ORDER = dict.fromkeys(OPS, 1) | dict.fromkeys(
-    ("hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t"), 2
-)
+
+def _word(name: str) -> Callable[[TypedField], TypedField]:
+    """The operator a name spells: its steps, applied right to left; a one-step name is the step itself."""
+    steps = [_STEPS[step][0] for step in reversed(name.split("_"))]
+    if len(steps) == 1:
+        return steps[0]
+
+    def op(f: TypedField) -> TypedField:
+        for step in steps:
+            f = step(f)
+        return f
+
+    return op
+
+
+OPS: dict[str, Callable[[TypedField], TypedField]] = {
+    name: _word(name)
+    for name in (
+        "grad", "curl", "div", "deff", "dev_grad", "t_dev_grad", "sym_curl", "sym_curl_t", "t_curl", "div_t",
+        "hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t",
+    )
+}
+
+# Each OPS entry is a constant-coefficient operator of one order: the sum of its steps' orders.
+ORDER = {name: sum(_STEPS[step][1] for step in name.split("_")) for name in OPS}
 
 
 # -- seeded random fields ----------------------------------------------------
@@ -325,7 +293,7 @@ IDENTITIES: dict[str, Identity] = {
             "div T curl tau = curl div T tau",
             "Lemma 2.1 Eq. (2)",
             FieldKind.MATRIX,
-            (lambda t: div(t_curl(t)), lambda t: curl(div_t(t))),
+            (lambda t: div(OPS["t_curl"](t)), lambda t: curl(OPS["div_t"](t))),
         ),
         Identity(
             "eq3",
@@ -335,7 +303,7 @@ IDENTITIES: dict[str, Identity] = {
             (
                 lambda u: curl(grad(u).transpose()),
                 lambda u: grad(curl(u)).transpose(),
-                lambda u: t_dev_grad(curl(u)),
+                lambda u: OPS["t_dev_grad"](curl(u)),
             ),
         ),
         Identity(
@@ -343,7 +311,7 @@ IDENTITIES: dict[str, Identity] = {
             "div sym curl T tau = 1/2 curl div tau",
             "Lemma 2.1 Eq. (4)",
             FieldKind.MATRIX,
-            (lambda t: div(sym_curl_t(t)), lambda t: _half(curl_div(t))),
+            (lambda t: div(OPS["sym_curl_t"](t)), lambda t: _half(OPS["curl_div"](t))),
         ),
         Identity(
             "eq5",
@@ -353,7 +321,7 @@ IDENTITIES: dict[str, Identity] = {
             (
                 lambda u: curl(deff(u)),
                 lambda u: _half(grad(curl(u)).transpose()),
-                lambda u: _half(t_dev_grad(curl(u))),
+                lambda u: _half(OPS["t_dev_grad"](curl(u))),
             ),
         ),
         Identity(
@@ -362,8 +330,8 @@ IDENTITIES: dict[str, Identity] = {
             "Lemma 2.1 Eq. (6)",
             FieldKind.VECTOR,
             (
-                lambda u: _half(div(t_dev_grad(u))),
-                lambda u: grad_div(u).scale(Fraction(1, 3)),
+                lambda u: _half(div(OPS["t_dev_grad"](u))),
+                lambda u: OPS["grad_div"](u).scale(Fraction(1, 3)),
             ),
         ),
     ]

@@ -109,7 +109,7 @@ def _ddd_unit_witness() -> CheckResult:
         "Lemma 3.5",
         1,
         lambda s: koszul.right_inverse("Ddd", one),
-        lambda out: components_equal(out, expected) and components_equal(operators.div_div(out), one),
+        lambda out: components_equal(out, expected) and components_equal(operators.OPS["div_div"](out), one),
     )
 
 

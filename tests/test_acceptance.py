@@ -81,7 +81,7 @@ def test_criterion_6_right_inverses():
         FieldKind.SYMMETRIC,
     )
     witness_ok = operators.components_equal(witness, expected) and operators.components_equal(
-        operators.div_div(witness), TypedField.scalar(P_ONE)
+        operators.OPS["div_div"](witness), TypedField.scalar(P_ONE)
     )
     ok = (
         len(results) == 19

@@ -20,6 +20,7 @@ from tensorcomplex.decompose import (
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
 from tensorcomplex.koszul import _dcc, _dgg, _rgcT
 from tensorcomplex.operators import (
+    OPS,
     components_equal,
     curl,
     deff,
@@ -27,9 +28,6 @@ from tensorcomplex.operators import (
     derived_rng,
     hess,
     random_field,
-    sym_curl,
-    t_curl,
-    t_dev_grad,
 )
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
@@ -85,7 +83,7 @@ def test_dd_idempotent_on_own_leading_part():
 
 def test_cd_zero_branch_on_t_dev_grad_image():
     rng = derived_rng(3, "cdzero")
-    tau = t_dev_grad(random_field(FieldKind.VECTOR, 3, rng))
+    tau = OPS["t_dev_grad"](random_field(FieldKind.VECTOR, 3, rng))
     dec = decompose("cd", tau)
     assert dec.parts[0].potential.is_zero  # curl div tau = 0
     assert dec.is_exact
@@ -116,7 +114,7 @@ def test_short_cc_on_deff_image():
 
 def test_short_dd_on_sym_curl_image():
     rng = derived_rng(17, "short")
-    sigma = sym_curl(random_field(FieldKind.TRACEFREE, 3, rng))
+    sigma = OPS["sym_curl"](random_field(FieldKind.TRACEFREE, 3, rng))
     dec = regdec_short(sigma, "dd")
     assert dec.parts[0].potential.is_zero
     assert dec.is_exact
@@ -309,7 +307,7 @@ def test_cascade_relations_between_the_decompositions(degree):
         assert components_equal(potentials("short-cc", g)[1], s1 + grad(s2))
         sigma = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "relations", "dd"))
         s0, s1, s2 = potentials("dd", sigma)
-        assert components_equal(potentials("short-dd", sigma)[1], s1 + t_curl(s2))
+        assert components_equal(potentials("short-dd", sigma)[1], s1 + OPS["t_curl"](s2))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])

@@ -26,13 +26,13 @@ from tensorcomplex.diagram import (
 )
 from tensorcomplex.fields import E1, FieldKind, KindError, TypedField, field_from_text
 from tensorcomplex.operators import (
+    OPS,
     CheckResult,
     OperatorId,
     components_equal,
     curl,
     deff,
     div,
-    div_div,
     field_draw,
     hess,
     inc,
@@ -271,12 +271,12 @@ def test_divdiv_first_stage_mechanism():
     # sym curl dev grad u = -1/3 sym curl((div u) id) = 1/3 sym mskw grad(div u),
     # and the sym of a skew field vanishes
     from tensorcomplex.fields import TypedField as TF, mskw
-    from tensorcomplex.operators import derived_rng, dev_grad, div, grad, random_field, sym_curl
+    from tensorcomplex.operators import derived_rng, div, grad, random_field
 
     u = random_field(FieldKind.VECTOR, 3, derived_rng(3, "ddmech"))
     divu = div(u)
-    lhs = sym_curl(dev_grad(u))
-    middle = sym_curl(TF.identity_scaled(divu.comp(1))).scale(Fraction(-1, 3))
+    lhs = OPS["sym_curl"](OPS["dev_grad"](u))
+    middle = OPS["sym_curl"](TF.identity_scaled(divu.comp(1))).scale(Fraction(-1, 3))
     assert components_equal(lhs, middle)
     assert components_equal(middle, mskw(grad(divu)).sym().scale(Fraction(1, 3)))
     assert lhs.is_zero
@@ -307,7 +307,7 @@ def test_quotient_label_facts():
     # the facts that let the no-bc flavor quotient its corner spaces:
     # first-order images of the quotiented test spaces are constants or zero
     from tensorcomplex.ball import ND_SPACE, P1_SPACE, RT_SPACE
-    from tensorcomplex.operators import deff, dev_grad, div, grad
+    from tensorcomplex.operators import deff, div, grad
 
     for p in P1_SPACE.basis:  # grad P1 = constant vectors
         assert grad(p).degree() <= 0
@@ -316,7 +316,7 @@ def test_quotient_label_facts():
         assert deff(r).is_zero
     for r in RT_SPACE.basis:  # div RT = constants, dev grad RT = 0
         assert div(r).degree() <= 0
-        assert dev_grad(r).is_zero
+        assert OPS["dev_grad"](r).is_zero
 
 
 # -- mutation tests: a broken edge or operator must make its suite fail ---------
@@ -374,7 +374,7 @@ def test_dropping_sym_from_sym_curl_fails_derived_complexes(monkeypatch):
     assert not OperatorId("sym_curl").apply(OperatorId("dev_grad", Fraction(1, 2)).apply(u)).is_zero
     tau = field_from_text(failing[1].witness)
     assert tau.kind is FieldKind.TRACEFREE
-    assert div_div(curl(tau)).is_zero
+    assert OPS["div_div"](curl(tau)).is_zero
     with pytest.raises(KindError):
         apply_path(walk((3, 2), (3, 3), (4, 4)), tau)
 

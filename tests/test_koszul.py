@@ -27,7 +27,6 @@ from tensorcomplex.koszul import (
     PreconditionError,
     RIGHT_INVERSES,
     RIGHT_INVERSE_NAMES,
-    constant_curl_correction,
     homotopy_check,
     kernel_basis,
     kind_basis,
@@ -48,7 +47,6 @@ from tensorcomplex.operators import (
     deff,
     derived_rng,
     div,
-    div_div,
     grad,
     hess,
     inc,
@@ -159,29 +157,6 @@ def test_koszul_degree_shift():
         assert out.degree() == arg.degree() + 1
 
 
-def test_constant_curl_correction_removes_rotation():
-    u = cross(E3, X_FIELD).scale(Fraction(1, 2))
-    assert constant_curl_correction(u).is_zero
-
-
-def test_constant_curl_correction_keeps_gradients():
-    u = grad(TypedField.scalar(X1 * X2))
-    assert components_equal(constant_curl_correction(u), u)
-
-
-def test_constant_curl_correction_mixed():
-    u = grad(TypedField.scalar(X1 * X2)) + cross(E1, X_FIELD).scale(Fraction(1, 2))
-    out = constant_curl_correction(u)
-    assert components_equal(out, grad(TypedField.scalar(X1 * X2)))
-    assert components_equal(deff(out), deff(u))
-
-
-def test_constant_curl_correction_rejects_nonconstant_curl():
-    u = TypedField.vector([P_ZERO, X1 * X1, P_ZERO])
-    with pytest.raises(PreconditionError):
-        constant_curl_correction(u)
-
-
 def test_sample_kernel_curl_free_vector():
     v = sample_kernel(("curl",), FieldKind.VECTOR, 2, 3)
     assert curl(v).is_zero and not v.is_zero
@@ -189,7 +164,7 @@ def test_sample_kernel_curl_free_vector():
 
 def test_sample_kernel_div_div():
     s = sample_kernel(("div_div",), FieldKind.SYMMETRIC, 2, 5)
-    assert div_div(s).is_zero and s.kind is FieldKind.SYMMETRIC
+    assert OPS["div_div"](s).is_zero and s.kind is FieldKind.SYMMETRIC
 
 
 def test_sample_kernel_degree_zero_div():
@@ -418,6 +393,22 @@ def test_a_doubled_chain_fails_the_right_inverse_check(monkeypatch, name):
     right_inverse(name, witness)  # in the domain: no precondition fails
 
 
+def test_a_nonzero_curl_inside_dgg_fails_the_case_with_the_drawn_input(monkeypatch):
+    # grad(tg_rows g) = g is symmetric, so Lemma 3.3 makes the curl of that
+    # potential zero: a broken tg_rows is a fail with the input, not an error
+    true_tg_rows = koszul.tg_rows
+
+    def broken(m):
+        u = true_tg_rows(m)
+        return TypedField.vector([u.comp(1).scale(2), u.comp(2), u.comp(3)])
+
+    monkeypatch.setattr(koszul, "tg_rows", broken)
+    result = verify_right_inverse("Dgg", samples=3, degree=3, seed=7)
+    assert result.status == "fail"
+    witness = field_from_text(result.witness)
+    assert witness.kind is FieldKind.SYMMETRIC and curl(witness).is_zero
+
+
 def test_kernel_constraint_violation_names_witness():
     rng = derived_rng(41, "bad")
     sigma = random_field(FieldKind.SYMMETRIC, 2, rng)
@@ -434,7 +425,7 @@ def test_strict_moment_precondition():
     one = TypedField.scalar(P_ONE)
     # non-strict: unconditional chain
     out = right_inverse("Ddd", one)
-    assert components_equal(div_div(out), one)
+    assert components_equal(OPS["div_div"](out), one)
     # strict: (1, 1) pairing is 4/3*pi != 0
     with pytest.raises(PreconditionError, match="moment"):
         right_inverse("Ddd", one, strict_preconditions=True)

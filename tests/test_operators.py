@@ -23,22 +23,18 @@ from tensorcomplex.fields import (
     vskw,
 )
 from tensorcomplex.operators import (
+    OPS,
     PreconditionError,
     components_equal,
     curl,
-    curl_deff,
     deff,
     derived_rng,
-    dev_grad,
     div,
-    div_div,
-    div_t,
     grad,
     hess,
     inc,
     random_field,
     run_check,
-    t_curl,
     verify_all_identities,
     verify_identity,
 )
@@ -156,7 +152,7 @@ def test_rigid_motion_in_kernel_of_deff():
 
 def test_lowest_order_fields_in_kernel_of_dev_grad():
     a_plus_bx = TypedField.vector([P_ONE + X1.scale(4), X2.scale(4), Poly3.const(-2) + X3.scale(4)])
-    assert dev_grad(a_plus_bx).is_zero
+    assert OPS["dev_grad"](a_plus_bx).is_zero
 
 
 def test_sym_curl_of_curl_free_symmetric_field():
@@ -188,7 +184,7 @@ def test_div_div_unit_witness():
         [[(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)] for i in range(1, 4)],
         FieldKind.SYMMETRIC,
     )
-    assert div_div(sigma).comp(1) == P_ONE
+    assert OPS["div_div"](sigma).comp(1) == P_ONE
 
 
 def test_inc_requires_and_produces_symmetric():
@@ -214,9 +210,9 @@ def test_t_curl_convention_pinned_by_eq2():
     # the transpose-first reading would make the left side identically zero.
     rng = derived_rng(9, "conv")
     tau = random_field(FieldKind.MATRIX, 3, rng)
-    assert components_equal(div(t_curl(tau)), curl(div_t(tau)))
+    assert components_equal(div(OPS["t_curl"](tau)), curl(OPS["div_t"](tau)))
     assert div(curl(tau.transpose())).is_zero
-    assert not div(t_curl(tau)).is_zero
+    assert not div(OPS["t_curl"](tau)).is_zero
 
 
 @given(polys())
@@ -287,7 +283,7 @@ def test_operator_oracle_cross_check():
 def test_curl_deff_lands_tracefree():
     rng = derived_rng(29, "cd")
     u = random_field(FieldKind.VECTOR, 3, rng)
-    assert curl_deff(u).kind is FieldKind.TRACEFREE
+    assert OPS["curl_deff"](u).kind is FieldKind.TRACEFREE
 
 
 def test_matrix_div_and_curl_are_row_wise():
@@ -409,6 +405,44 @@ def test_every_operator_has_constant_coefficients_and_the_order_of_its_order_ent
                 else:
                     assert set(_homogeneous_parts(image)) <= {k - order}, (kind, k)
             assert components_equal(op(_translate(f, h)), _translate(op(f), h)), (kind, degree)
+
+
+# Each composite operator spelled out by hand, a reference independent of the
+# word builder: its OPS key names its steps, applied right to left.
+_COMPOSITES = {
+    "dev_grad": lambda u: grad(u).dev(),
+    "t_dev_grad": lambda u: grad(u).dev().transpose(),
+    "sym_curl": lambda f: curl(f).sym(),
+    "sym_curl_t": lambda f: curl(f.transpose()).sym(),
+    "t_curl": lambda f: curl(f).transpose(),
+    "div_t": lambda f: div(f.transpose()),
+    "grad_div": lambda v: grad(div(v)),
+    "curl_div": lambda f: curl(div(f)),
+    "div_div": lambda f: div(div(f)),
+    "curl_deff": lambda u: curl(deff(u)),
+    "t_curl_deff": lambda u: curl(deff(u)).transpose(),
+    "curl_div_t": lambda f: curl(div(f.transpose())),
+}
+
+
+def test_the_composites_are_the_ops_keys_of_more_than_one_step():
+    assert set(_COMPOSITES) == {name for name in OPS if "_" in name}
+
+
+@pytest.mark.parametrize("name", list(_COMPOSITES))
+def test_each_composite_operator_is_its_word(name):
+    reference = _COMPOSITES[name]
+    kinds = [kind for kind in FieldKind if _accepts(reference, kind)]
+    assert kinds
+    for kind in FieldKind:
+        if kind not in kinds:
+            with pytest.raises(KindError):
+                OPS[name](zero_field(kind))
+            continue
+        for degree in range(4):
+            f = random_field(kind, degree, derived_rng(13, "word", name, kind.value, degree))
+            expected, out = reference(f), OPS[name](f)
+            assert out.kind is expected.kind and components_equal(out, expected), (kind, degree)
 
 
 # -- the sampled-check engine ------------------------------------------------

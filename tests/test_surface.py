@@ -47,6 +47,23 @@ def test_every_library_definition_is_reached_outside_the_tests():
     assert unused == []
 
 
+def test_every_operator_key_is_named_outside_the_operators_module():
+    # The composite operators are words in OPS, not `def`s, so the scan above
+    # cannot see them.  Every OPS key must be named as a string in production
+    # code outside operators.py (a diagram, pairing, right-inverse or
+    # decomposition table), or it is a dead word.
+    from tensorcomplex.operators import OPS
+
+    named = {
+        node.value
+        for path in _production_files()
+        if path != _PACKAGE / "operators.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert [name for name in OPS if name not in named] == []
+
+
 def _is_class_or_static(method: ast.FunctionDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod") for d in method.decorator_list)
 
