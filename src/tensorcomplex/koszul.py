@@ -121,28 +121,11 @@ def td_component_rows(v: TypedField) -> TypedField:
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """The four exact homotopy identities on random fields."""
     checks = [
-        (
-            "tg(grad w) = w - w(0)",
-            FieldKind.SCALAR,
-            lambda w: components_equal(
-                tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term()))
-            ),
-        ),
-        (
-            "grad(tg v) + tc(curl v) = v",
-            FieldKind.VECTOR,
-            lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v),
-        ),
-        (
-            "curl(tc q) + td(div q) = q",
-            FieldKind.VECTOR,
-            lambda q: components_equal(curl(tc(q)) + td(div(q)), q),
-        ),
-        (
-            "div(td u) = u",
-            FieldKind.SCALAR,
-            lambda u: components_equal(div(td(u)), u),
-        ),
+        ("tg(grad w) = w - w(0)", FieldKind.SCALAR, lambda w: components_equal(
+            tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term())))),
+        ("grad(tg v) + tc(curl v) = v", FieldKind.VECTOR, lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v)),
+        ("curl(tc q) + td(div q) = q", FieldKind.VECTOR, lambda q: components_equal(curl(tc(q)) + td(div(q)), q)),
+        ("div(td u) = u", FieldKind.SCALAR, lambda u: components_equal(div(td(u)), u)),
     ]
     return [
         run_check(name, "Eq. (17) realization", samples, field_draw(kind, degree, seed, "homotopy", name), check)
@@ -188,30 +171,28 @@ class BasisKindError(KindError):
 
 
 @cache
-def _symbol(name: str, kind: FieldKind) -> tuple:
-    """Per slot s of the kind, the (alpha, nonzero (component, coefficient) entries
-    of the constant image of x^alpha e_s) over |alpha| = ORDER[name]."""
+def _symbol(name: str, kind: FieldKind) -> tuple[dict, ...]:
+    """Per slot s of the kind, {alpha: nonzero (component, coefficient) pairs of the
+    constant image of x^alpha e_s} over |alpha| = r = ORDER[name], from one probe
+    x^beta e_s, beta = (r, r, r), whose image at x^(beta - alpha) is binom(beta, alpha) times that."""
     r = ORDER[name]
-    monomials, probes = monomials_up_to(r), kind_basis(kind, r)
     wrong = ValueError(f"ORDER[{name!r}] = {r} is not the order of {name} on {kind.value} fields")
-    out = []
-    for s in range(len(_slots(kind))):
-        pairs = []
-        for i in range(len(monomials_up_to(r - 1)), len(monomials)):
-            b = probes[s * len(monomials) + i]
-            try:
-                image = OPS[name](b)
-            except KindError as err:
-                raise BasisKindError(f"{name}: {err}", field_to_text(b)) from err
-            entries = []
-            for ci, p in enumerate(image.components):
-                for m, c in p.coefficients().items():
-                    if any(m):
-                        raise wrong
-                    entries.append((ci, c))
-            pairs.append((monomials[i], entries))
-        out.append(pairs)
-    if not any(e for pairs in out for _, e in pairs):
+    out, x_beta = [], Poly3.monomial((r, r, r))
+    for e_s in kind_basis(kind, 0):  # the constant field of slot s
+        probe = TypedField(kind, tuple(p if p.is_zero else p * x_beta for p in e_s.components))
+        try:
+            image = OPS[name](probe)
+        except KindError as err:
+            raise BasisKindError(f"{name}: {err}", field_to_text(probe)) from err
+        symbol = {}
+        for ci, p in enumerate(image.components):
+            for m, c in p.coefficients().items():
+                x, y, z = alpha = tuple(r - e for e in m)
+                if x + y + z != r:  # a part of another order
+                    raise wrong
+                symbol.setdefault(alpha, []).append((ci, c / (comb(r, x) * comb(r, y) * comb(r, z))))
+        out.append(symbol)
+    if not any(out):
         raise wrong
     return tuple(out)
 
@@ -229,23 +210,27 @@ class _Kernel(tuple):
 @cache
 def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
     """Exact basis of the joint kernel of the named operators on the
-    kind-constrained degree-bounded space: nullspace of the stacked coefficient
-    matrix, one column per `kind_basis` field, one sparse row per reached
-    (operator, image component, monomial).  Built once per (op_names, kind,
-    degree) as a tuple no caller can change; op_names is a cache key, so it
-    must be a tuple.
+    kind-constrained degree-bounded space, built once per (op_names, kind,
+    degree) as a tuple no caller can change; op_names is a cache key, so a tuple.
 
-    Each operator is a sum of C_alpha d^alpha over |alpha| = ORDER[name], C_alpha
-    constant, so the image of x^m e is the sum of binom(m, alpha) x^(m - alpha)
-    times the constant image of x^alpha e, which `_symbol` reads off once.  It
-    raises ValueError if such an image is not constant or all are zero (ORDER
-    is wrong), and BasisKindError, with x^alpha e as witness, if one breaks its kind."""
+    x^m e maps to the sum over alpha of binom(m, alpha) x^(m - alpha) times the
+    constant image of x^alpha e, read off by `_symbol` and scaled to ints per
+    operator: one column per `kind_basis` field, one row per reached (operator,
+    image component, monomial), one field per sparse nullspace vector.
+    ValueError if ORDER is wrong; BasisKindError, with the probe as witness, if
+    its image breaks its kind."""
     slots, monomials = _slots(kind), monomials_up_to(degree)
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    symbols = {}
+    for name in op_names:
+        symbol = _symbol(name, kind)
+        scale = lcm(*(c.denominator for pairs in symbol for e in pairs.values() for _, c in e))
+        symbols[name] = [[(alpha, [(ci, int(c * scale)) for ci, c in e]) for alpha, e in pairs.items()]
+                         for pairs in symbol]
+    rows = {}
     for s in range(len(slots)):
         for j, (a, b, c) in enumerate(monomials, s * len(monomials)):
             for name in op_names:
-                for (x, y, z), entries in _symbol(name, kind)[s]:
+                for (x, y, z), entries in symbols[name][s]:
                     if factor := comb(a, x) * comb(b, y) * comb(c, z):  # zero unless alpha <= m
                         for ci, coeff in entries:
                             rows.setdefault((name, ci, (a - x, b - y, c - z)), {})[j] = factor * coeff
@@ -253,15 +238,18 @@ def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tup
     den = lcm(*(w.denominator for v in vectors for w in v.values()))
     table, fields = [[] for _ in range(_COMPONENT_COUNT[kind])], []
     for b, v in enumerate(vectors):
-        comps = [None] * len(table)
+        comps = [P_ZERO] * len(table)
+        entries = {}
         for j, w in v.items():
             s, i = divmod(j, len(monomials))
+            n = w.numerator * (den // w.denominator)
             for k, sign in slots[s].items():
-                n = sign * w.numerator * (den // w.denominator)
-                comps[k] = comps[k] or [0] * len(monomials)
-                comps[k][i] += n
-                table[k] += i, b, n
-        fields.append(TypedField(kind, tuple(P_ZERO if r is None else Poly3.from_row(degree, r, den) for r in comps)))
+                e = entries.setdefault(k, {})
+                e[i] = e.get(i, 0) + sign * n
+                table[k] += i, b, sign * n
+        for k, e in entries.items():
+            comps[k] = Poly3.from_entries(degree, e, den)
+        fields.append(TypedField(kind, tuple(comps)))
     out = _Kernel(fields)
     vars(out).update(table=tuple(map(tuple, table)), denom=den)
     return out
@@ -296,16 +284,6 @@ def _check_zero(f: TypedField, what: str):
     KindError that a check records as a fail of the input it drew."""
     if not f.is_zero:
         raise KindError(f"{what} is nonzero")
-
-
-def _check_moment(f: TypedField, space: MomentSpace):
-    found = moment_orthogonal(f, space)
-    if found is not None:
-        basis, pairing = found
-        raise PreconditionError(
-            f"moment precondition failed: pairing with {space.name} element is {pairing}",
-            field_to_text(basis),
-        )
 
 
 def _dcc(sigma: TypedField) -> TypedField:
@@ -509,11 +487,11 @@ def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool
     for op_name in spec.kernel_ops:
         out = OPS[op_name](f)
         if not out.is_zero:
-            raise PreconditionError(
-                f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out)
-            )
-    if strict_preconditions and spec.moment_space is not None:
-        _check_moment(f, spec.moment_space)
+            raise PreconditionError(f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out))
+    if strict_preconditions and spec.moment_space is not None and (found := moment_orthogonal(f, spec.moment_space)):
+        space, (basis, pairing) = spec.moment_space, found
+        raise PreconditionError(f"moment precondition failed: pairing with {space.name} element is {pairing}",
+                                field_to_text(basis))
     return spec.chain(f)
 
 

@@ -175,6 +175,14 @@ class Poly3:
         return _make({k: n for k, n in zip(_row_codes(degree), numerators, strict=True) if n}, den)
 
     @staticmethod
+    def from_entries(degree: int, entries: Mapping[int, int], den: int = 1) -> "Poly3":
+        """`from_row` of a sparse row: its {row index: int numerator} entries, the rest zero."""
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        codes = _row_codes(degree)
+        return _make({codes[i]: n for i, n in entries.items() if n}, den)
+
+    @staticmethod
     def shift_sum(pieces: Iterable[tuple[int, int, "Poly3"]], offset: int) -> "Poly3":
         """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset.
 

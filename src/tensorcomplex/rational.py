@@ -1,10 +1,9 @@
 """Exact arithmetic foundations: rationals, pi-multiples, rational matrices.
 
-Single rationals (matrix entries, pi coefficients, pairing values) are
-`fractions.Fraction`: arbitrary precision, lowest terms, positive denominator.
-Polynomials do not store a Fraction per term; `poly.Poly3` keeps integer
-numerators over one shared denominator and builds Fractions only when a
-coefficient is read.  Long operator chains multiply denominators like
+Single rationals (pi coefficients, pairing values, nullspace entries) are
+`fractions.Fraction`: arbitrary precision, lowest terms.  Polynomials
+(`poly.Poly3`) and matrix rows keep int numerators and build a Fraction only
+where one value is read.  Long operator chains multiply denominators like
 (k+1)(k+2)(k+3), so fixed-width rationals are not an option.
 """
 
@@ -12,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -34,15 +31,10 @@ class PiScalar:
     def __sub__(self, other: "PiScalar") -> "PiScalar":
         return PiScalar(self.coeff - other.coeff)
 
-    def __neg__(self) -> "PiScalar":
-        return PiScalar(-self.coeff)
-
     def __mul__(self, other) -> "PiScalar":
         if isinstance(other, PiScalar):
             raise TypeError("product of two pi-multiples is not a rational multiple of pi")
         return PiScalar(self.coeff * Fraction(other))
-
-    __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
@@ -54,48 +46,45 @@ class PiScalar:
 
 class RatMatrix:
     """Sparse exact-rational matrix: `cols` columns, each row a map from a
-    column index to its nonzero entry."""
+    column index to its nonzero entry, kept as ints over the row's lcm denominator."""
 
     def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction]]):
         self.cols = cols
-        self.rows = [{c: Fraction(x) for c, x in row.items() if x} for row in rows]
+        self.rows = [{c: x.numerator * (d // x.denominator) for c, x in row.items() if x}
+                     for row in rows for d in [lcm(*(x.denominator for x in row.values()))]]
 
     def nullspace(self) -> list[dict[int, Fraction]]:
-        """Basis of the kernel, one sparse vector per free column.
-
-        Each row is reduced against the pivot rows found so far, which are
-        kept fully reduced, so only nonzero entries are ever touched and the
-        pivot rows end as the reduced row echelon form.  Vectors come out in
-        ascending free-column order, the same whatever the row order; each
-        maps its nonzero entries' columns, in ascending order, to the entries.
-        """
-        pivots: dict[int, dict[int, Fraction]] = {}
+        """Basis of the kernel: one sparse vector per free column, ascending,
+        whatever the row order, mapping its nonzero entries' columns, ascending,
+        to the entries.  Integer Gauss-Jordan, fraction-free as in Bareiss (1968):
+        pivot rows stay fully reduced, primitive, with a positive pivot."""
+        pivots: dict[int, dict[int, int]] = {}
         for row in self.rows:
-            row = dict(row)
-            for p in [c for c in row if c in pivots]:
-                _subtract(row, row[p], pivots[p])
+            hit = [p for p in row if p in pivots]
+            a = lcm(*(pivots[p][p] for p in hit))
+            row = _combine(row, a, [(row[p] * (a // pivots[p][p]), pivots[p]) for p in hit])
             if not row:
                 continue
             p = min(row)
-            inv = ONE / row[p]
-            row = {c: x * inv for c, x in row.items()}
-            for other in pivots.values():
+            if row[p] < 0:
+                row = {c: -x for c, x in row.items()}
+            for q, other in pivots.items():
                 if p in other:
-                    _subtract(other, other[p], row)
+                    pivots[q] = _combine(other, row[p], [(other[p], row)])
             pivots[p] = row
-        basis = {fc: {fc: ONE} for fc in range(self.cols) if fc not in pivots}
+        basis = {fc: {fc: Fraction(1)} for fc in range(self.cols) if fc not in pivots}
         for p, row in pivots.items():
             for c, x in row.items():
                 if c != p:
-                    basis[c][p] = -x
+                    basis[c][p] = Fraction(-x, row[p])
         return [dict(sorted(v.items())) for v in basis.values()]
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fraction]) -> None:
-    """row -= f * pivot_row in place, dropping entries that cancel."""
-    for c, x in pivot_row.items():
-        y = row.get(c, ZERO) - f * x
-        if y:
-            row[c] = y
-        else:
-            del row[c]
+def _combine(row: dict[int, int], a: int, pairs: list) -> dict[int, int]:
+    """(a * row - the sum of f * pivot_row over pairs) / gcd, zeros dropped."""
+    out = {c: a * x for c, x in row.items()}
+    for f, pivot_row in pairs:
+        for c, x in pivot_row.items():
+            out[c] = out.get(c, 0) - f * x
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items() if x}

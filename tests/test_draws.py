@@ -3,10 +3,12 @@
 `draw_ints` must return the very numbers of `rng.randint(-9, 9)` and leave the
 generator in the same state; `random_field`, `kernel_basis` and
 `sample_kernel` must build fields equal to the build-then-project and
-scale-and-sum constructions kept here as references.
+scale-and-sum constructions kept here as references, the kernels solved by a
+Fraction elimination kept here too.
 """
 
 import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -17,7 +19,6 @@ from tensorcomplex.fields import FieldKind, TypedField
 from tensorcomplex.koszul import RIGHT_INVERSES, kernel_basis, kind_basis, sample_kernel
 from tensorcomplex.operators import OPS, derived_rng, draw_ints, random_field
 from tensorcomplex.poly import P_ZERO, Poly3, monomials_up_to
-from tensorcomplex.rational import RatMatrix
 
 from conftest import matrix
 
@@ -48,9 +49,44 @@ def reference_random_field(kind: FieldKind, degree: int, rng: random.Random) -> 
     return m
 
 
+def reference_nullspace(cols: int, rows) -> list[dict[int, Fraction]]:
+    """The reduced-echelon nullspace by Fraction elimination: each row reduced
+    against the pivot rows so far, which are kept scaled to pivot 1 and fully
+    reduced; one vector per free column, ascending."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+
+    def subtract(row, f, pivot_row):
+        for c, x in pivot_row.items():
+            y = row.get(c, 0) - f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
+    for row in rows:
+        row = {c: Fraction(x) for c, x in row.items() if x}
+        for p in [c for c in row if c in pivots]:
+            subtract(row, row[p], pivots[p])
+        if not row:
+            continue
+        p = min(row)
+        row = {c: x / row[p] for c, x in row.items()}
+        for other in pivots.values():
+            if p in other:
+                subtract(other, other[p], row)
+        pivots[p] = row
+    basis = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in pivots}
+    for p, row in pivots.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return [dict(sorted(v.items())) for v in basis.values()]
+
+
 def reference_kernel_basis(op_names, kind: FieldKind, degree: int) -> list[TypedField]:
     """Each nullspace vector as a sum of scaled basis fields, the matrix rows
-    read off every basis field's image, taken directly through OPS."""
+    read off every basis field's image, taken directly through OPS, and solved
+    by the Fraction elimination above, not by the library's."""
     basis = kind_basis(kind, degree)
     rows = {}
     for j, b in enumerate(basis):
@@ -59,7 +95,7 @@ def reference_kernel_basis(op_names, kind: FieldKind, degree: int) -> list[Typed
                 for m, c in p.coefficients().items():
                     rows.setdefault((name, ci, m), {})[j] = c
     fields = []
-    for v in RatMatrix(len(basis), rows.values()).nullspace():
+    for v in reference_nullspace(len(basis), rows.values()):
         terms = [basis[j].scale(c) for j, c in v.items()]
         fields.append(sum(terms[1:], terms[0]))
     return fields

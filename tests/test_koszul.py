@@ -52,7 +52,7 @@ from tensorcomplex.operators import (
     inc,
     random_field,
 )
-from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
+from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, monomials_up_to
 from tensorcomplex.suites import SuiteConfig, run_suite
 
 from conftest import curl_without_one_term, matrix, polys, scalar_fields, vector_fields
@@ -282,18 +282,70 @@ def fresh_kernel_caches():
 
 @pytest.mark.parametrize("order", [0, 2])
 def test_a_wrong_order_entry_makes_kernel_basis_name_the_operator(monkeypatch, fresh_kernel_caches, order):
-    # At order 0 curl takes every constant probe to zero; at order 2 it takes
-    # every quadratic probe to a field of degree 1, not to a constant.
+    # At order 0 curl takes the constant probe to zero; at order 2 it takes
+    # the probe x^(2,2,2) e_s to a field of degree 5, not 4.
     monkeypatch.setitem(ORDER, "curl", order)
     with pytest.raises(ValueError, match="curl"):
         kernel_basis(("curl",), FieldKind.VECTOR, 3)
 
 
+@pytest.mark.parametrize("extra", [lambda f: f, lambda f: grad(div(f))], ids=["order-0", "order-2"])
+def test_a_part_of_another_order_makes_kernel_basis_name_the_operator(monkeypatch, fresh_kernel_caches, extra):
+    # A part of order k takes the probe x^(1,1,1) e_s of curl to degree 3 - k,
+    # off the degree 2 of curl itself.  grad div kills every field of degree 1,
+    # so only a probe of higher degree than the order can show it.
+    monkeypatch.setitem(OPS, "curl", lambda f: curl(f) + extra(f))
+    with pytest.raises(ValueError, match="curl"):
+        kernel_basis(("curl",), FieldKind.VECTOR, 3)
+
+
+def _per_monomial_symbol(name: str, kind: FieldKind) -> tuple[dict, ...]:
+    """The symbol read the long way: per slot s, {alpha: nonzero (component,
+    coefficient) entries of the constant image of the basis field x^alpha e_s},
+    one application per alpha with |alpha| = ORDER[name]."""
+    r = ORDER[name]
+    monomials, basis = monomials_up_to(r), kind_basis(kind, r)
+    out = []
+    for s in range(len(koszul._slots(kind))):
+        symbol = {}
+        for i, alpha in enumerate(monomials):
+            if sum(alpha) < r:
+                continue
+            entries = []
+            for ci, p in enumerate(OPS[name](basis[s * len(monomials) + i]).components):
+                for m, c in p.coefficients().items():
+                    assert not any(m), (name, kind, alpha)
+                    entries.append((ci, c))
+            if entries:
+                symbol[alpha] = entries
+        out.append(symbol)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", list(OPS))
+def test_the_one_probe_symbol_equals_the_per_monomial_symbol(name):
+    accepted = []
+    for kind in FieldKind:
+        try:
+            expected = _per_monomial_symbol(name, kind)
+        except KindError:  # the operator takes no field of this kind, or leaves its kind
+            with pytest.raises(KindError):
+                koszul._symbol(name, kind)
+            continue
+        if not any(expected):  # zero on this kind, as div div on skew fields: no order to read
+            with pytest.raises(ValueError, match=name):
+                koszul._symbol(name, kind)
+            continue
+        assert koszul._symbol(name, kind) == expected, kind
+        accepted.append(kind)
+    assert accepted
+
+
 def test_kernel_fill_applies_the_operators_to_symbol_probes_only(monkeypatch, fresh_kernel_caches):
     # A host-independent work count.  Each (operator, kind) symbol costs one
-    # application per slot of the kind and monomial of degree ORDER[name]: 198
-    # over the nine sampled kernels, whatever the degree.  Applying every
-    # operator to every kind_basis field took 1,240 at degree 3 and 5,208 at 6.
+    # application per slot of the kind, to the probe x^(r,r,r) e_s: 6 * 4 on
+    # symmetric, 3 * 2 on vector and 8 * 3 on trace-free fields, 54 over the
+    # nine sampled kernels, whatever the degree.
     calls = []
     for name, op in OPS.items():
         monkeypatch.setitem(OPS, name, lambda f, op=op: calls.append(op) or op(f))
@@ -304,7 +356,7 @@ def test_kernel_fill_applies_the_operators_to_symbol_probes_only(monkeypatch, fr
             kernel_basis(ops, kind, degree)
         return len(calls) - before
 
-    assert fill(3) <= 250
+    assert fill(3) == 54
     assert fill(6) == 0
 
 
@@ -325,6 +377,10 @@ def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(mon
         b = field_from_text(cases[name]["witness"])
         assert b.kind is spec.input_kind
         for op_name in spec.kernel_ops:
+            # the probe x^(r,r,r) e_s of the operator of order r, a basis field of degree 3r
+            r = ORDER[op_name]
+            assert b in kind_basis(b.kind, 3 * r)
+            assert {m for p in b.components for m in p.coefficients()} == {(r, r, r)}
             with pytest.raises(KindError):
                 OPS[op_name](b)
 

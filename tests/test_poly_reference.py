@@ -242,6 +242,7 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
         p, p + q, p - q, p * q, -p, p.scale(c), p.partial(i), Poly3.parse(str(p)),
         Poly3.from_row(3, [int(p.coeff(m) * p.denominator * den) for m in monomials_up_to(3)], p.denominator * den),
         Poly3.from_row(1, [0, den, 0, 0], den),
+        Poly3.from_entries(1, {1: den, 3: 0}, den),
         Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
         Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),
         Poly3.partial_sum(((1, i, p), (-1, 4 - i, q), (1, i, p * q), (-1, i, p))),
@@ -281,12 +282,17 @@ def test_from_row_matches_fraction_reference(case):
     ref = FractionPoly3({m: Fraction(n, den) for m, n in zip(monomials_up_to(degree), row)})
     assert_same(Poly3.from_row(degree, row, den), ref)
     assert_same(Poly3.from_row(degree, iter(row), den), ref)  # any iterable row
+    # the sparse form: only the nonzero entries, or every entry, zeros too
+    assert_same(Poly3.from_entries(degree, {i: n for i, n in enumerate(row) if n}, den), ref)
+    assert_same(Poly3.from_entries(degree, dict(enumerate(row)), den), ref)
 
 
 def test_from_row_rejects_bad_denominators_lengths_and_degrees():
     for den in (0, -3):
         with pytest.raises(ValueError, match="denominator must be positive"):
             Poly3.from_row(1, [0, 1, 0, 0], den)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Poly3.from_entries(1, {1: 1}, den)
     for row in ([1, 2, 3], [1, 2, 3, 4, 5]):
         with pytest.raises(ValueError):
             Poly3.from_row(1, row)

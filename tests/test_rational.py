@@ -75,10 +75,15 @@ def test_nullspace_dependent_rows():
 
 @st.composite
 def sparse_matrices(draw):
-    """(cols, rows): up to six rows, some of them empty, of mostly-zero rational entries."""
-    cols = draw(st.integers(1, 6))
-    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions(max_num=6, max_den=4))
-    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    """(cols, rows): up to ten rows of up to ten columns, some rows empty, of
+    mostly-zero entries: Fractions with denominators up to 12, or plain ints in
+    a row of ints, so that the integer elimination scales rows and meets
+    coefficient growth."""
+    cols = draw(st.integers(1, 10))
+    fraction = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions(max_num=30, max_den=12))
+    integer = st.one_of(st.just(0), st.just(0), st.integers(-30, 30))
+    row = st.one_of(*(st.lists(entry, min_size=cols, max_size=cols) for entry in (fraction, integer)))
+    rows = draw(st.lists(row, max_size=10))
     return cols, [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
