@@ -174,7 +174,8 @@ def verify_decomposition(name: str, samples: int, degree: int, seed: int) -> Che
         except KindError:  # the decomposition broke a kind predicate: the field alone is the witness
             return field_to_text(f)
         if kinds != expected_kinds:
-            return f"part kinds {tuple(k.value for k in kinds)} != expected {tuple(k.value for k in expected_kinds)}"
+            got, want = (tuple(k.value for k in ks) for ks in (kinds, expected_kinds))
+            return f"{field_to_text(f)}\npart kinds {got} != expected {want}"
         return field_to_text(f)
 
     return run_check(f"regdec {name}", anchor, samples, field_draw(kind, degree, seed, "decompose", name), holds, witness)

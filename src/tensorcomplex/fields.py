@@ -133,9 +133,6 @@ class TypedField:
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.components)
 
-    def degree(self) -> int:
-        return max(p.degree() for p in self.components)
-
     # -- linear structure ----------------------------------------------
 
     def _sum_kind(self, other: "TypedField") -> FieldKind:

@@ -197,28 +197,42 @@ def _symbol(name: str, kind: FieldKind) -> tuple[dict, ...]:
     return tuple(out)
 
 
-class _Kernel(tuple):
-    """Basis fields with `table`: per component, flat (monomial, basis index, numerator
-    over `denom`) triples of the nonzero entries.  Shared, so read-only."""
+@dataclass(frozen=True)
+class KernelBasis:
+    """A kernel basis of `size` fields of `kind`, degree <= `degree`, as one table:
+    per component, flat (monomial index, basis index, numerator over `denom`)
+    triples of the nonzero entries of every basis field."""
 
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"a kernel basis is read-only: {name}")
+    kind: FieldKind
+    degree: int
+    size: int
+    denom: int
+    table: tuple[tuple[int, ...], ...]
 
-    __delattr__ = __setattr__
+    def combine(self, weights) -> TypedField:
+        """Sum of weights[b] * (basis field b) over the int weights, one row per component."""
+        comps = []
+        for entries in self.table:
+            row = [0] * len(monomials_up_to(self.degree))
+            it = iter(entries)
+            for i, b, n in zip(it, it, it):
+                row[i] += weights[b] * n
+            comps.append(Poly3.from_row(self.degree, row, self.denom))
+        return TypedField(self.kind, tuple(comps))
 
 
 @cache
-def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
+def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> KernelBasis:
     """Exact basis of the joint kernel of the named operators on the
     kind-constrained degree-bounded space, built once per (op_names, kind,
-    degree) as a tuple no caller can change; op_names is a cache key, so a tuple.
+    degree) as one immutable table; op_names is a cache key, so a tuple.
 
     x^m e maps to the sum over alpha of binom(m, alpha) x^(m - alpha) times the
     constant image of x^alpha e, read off by `_symbol` and scaled to ints per
     operator: one column per `kind_basis` field, one row per reached (operator,
-    image component, monomial), one field per sparse nullspace vector.
-    ValueError if ORDER is wrong; BasisKindError, with the probe as witness, if
-    its image breaks its kind."""
+    image component, monomial), one basis field per sparse nullspace vector,
+    built only by `combine`.  ValueError if ORDER is wrong; BasisKindError,
+    with the probe as witness, if its image breaks its kind."""
     slots, monomials = _slots(kind), monomials_up_to(degree)
     symbols = {}
     for name in op_names:
@@ -236,43 +250,27 @@ def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> tup
                             rows.setdefault((name, ci, (a - x, b - y, c - z)), {})[j] = factor * coeff
     vectors = RatMatrix(len(slots) * len(monomials), rows.values()).nullspace()
     den = lcm(*(w.denominator for v in vectors for w in v.values()))
-    table, fields = [[] for _ in range(_COMPONENT_COUNT[kind])], []
+    table = [[] for _ in range(_COMPONENT_COUNT[kind])]
     for b, v in enumerate(vectors):
-        comps = [P_ZERO] * len(table)
-        entries = {}
         for j, w in v.items():
             s, i = divmod(j, len(monomials))
             n = w.numerator * (den // w.denominator)
             for k, sign in slots[s].items():
-                e = entries.setdefault(k, {})
-                e[i] = e.get(i, 0) + sign * n
                 table[k] += i, b, sign * n
-        for k, e in entries.items():
-            comps[k] = Poly3.from_entries(degree, e, den)
-        fields.append(TypedField(kind, tuple(comps)))
-    out = _Kernel(fields)
-    vars(out).update(table=tuple(map(tuple, table)), denom=den)
-    return out
+    return KernelBasis(kind, degree, len(vectors), den, tuple(map(tuple, table)))
 
 
 def sample_kernel(op_names: tuple[str, ...], kind: FieldKind, degree: int, seed: int, index: int = 0) -> TypedField:
-    """A random exact kernel element: a nonzero combination of nullspace basis
-    vectors with integer weights in [-9, 9], summed over its table."""
-    fields = kernel_basis(op_names, kind, degree)
-    if not fields:
+    """A random exact kernel element: the basis combined with integer weights in
+    [-9, 9], drawn again while all are zero."""
+    kernel = kernel_basis(op_names, kind, degree)
+    if not kernel.size:
         raise ValueError(f"kernel is trivial at this degree: {op_names} on {kind.value}")
     rng = derived_rng(seed, "kernel", *op_names, kind.value, degree, index)
-    weights = draw_ints(rng, len(fields))
+    weights = draw_ints(rng, kernel.size)
     while not any(weights):  # the basis is independent, so only all-zero weights give zero
-        weights = draw_ints(rng, len(fields))
-    comps = []
-    for entries in fields.table:
-        row = [0] * len(monomials_up_to(degree))
-        it = iter(entries)
-        for i, b, n in zip(it, it, it):
-            row[i] += weights[b] * n
-        comps.append(Poly3.from_row(degree, row, fields.denom))
-    return TypedField(kind, tuple(comps))
+        weights = draw_ints(rng, kernel.size)
+    return kernel.combine(weights)
 
 
 # -- right-inverse chains -----------------------------------------------------

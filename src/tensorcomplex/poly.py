@@ -15,18 +15,18 @@ ValueError; a code never wraps.  Total degree is not limited.
 
 A Poly3 stores integer numerators over one shared positive denominator, the
 layout of FLINT's fmpq_poly: `_codes` maps monomial codes to nonzero ints
-and `den` is the denominator.  The form is canonical, so equal polynomials
-have equal (_codes, den):
+and `_den` is the denominator.  The form is canonical, so equal polynomials
+have equal (_codes, _den):
 
-    gcd(den, every numerator) = 1,  no zero numerator,  zero has den = 1.
+    gcd(_den, every numerator) = 1,  no zero numerator,  zero has _den = 1.
 
 Arithmetic runs on Python ints with one gcd normalisation per result; a
-`Fraction` is built only where a single coefficient is read (`coeff`,
+`Fraction` is built only where a coefficient is read (`constant_term`,
 `coefficients`, the text form).  The many-term sums are int operations
 too, each one pass and one normalisation: `partial_sum` (signed first
 derivatives, for curl and div), `shift_sum` (signed x_i shifts, for the
 Koszul operators) and `combination` (weighted sums).  All operations are
-exact.  In the package only this module reads `_codes`, `terms` and `den`,
+exact.  In the package only this module reads `_codes`, `terms` and `_den`,
 and only this module decodes a code; other modules go through the methods,
 and through `monomial_code`, `parity_classes` and `check_product` where they
 pair terms themselves.
@@ -34,6 +34,7 @@ pair terms themselves.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -46,6 +47,8 @@ MAX_EXPONENT = 255  # each exponent has 8 bits; `k >> shift & 255` reads one
 _VARIABLES = {1: (1 << 24 | 1 << 16, 16), 2: (1 << 24 | 1 << 8, 8), 3: (1 << 24 | 1, 0)}
 # The low bit of each exponent: equal for two codes exactly when their sum has only even exponents.
 _PARITY = 1 << 16 | 1 << 8 | 1
+# A coefficient as `__str__` writes it; `parse` accepts no other form.
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class ExponentLimitError(ValueError):
@@ -81,7 +84,7 @@ def _new(codes: dict[int, int], den: int) -> "Poly3":
     """A Poly3 from numerators and denominator that are already in canonical form."""
     out = object.__new__(Poly3)
     out._codes = codes
-    out.den = den
+    out._den = den
     return out
 
 
@@ -104,7 +107,7 @@ def _signed_sum(a: "Poly3", b: "Poly3", sign: int) -> "Poly3":
         return a
     if not a._codes:
         return b if sign == 1 else -b
-    den, db = a.den, b.den
+    den, db = a._den, b._den
     if den == db:
         t = a._codes.copy()
         fb = sign
@@ -134,7 +137,7 @@ def _variable(i: int) -> tuple[int, int]:
 
 
 class Poly3:
-    __slots__ = ("_codes", "den")
+    __slots__ = ("_codes", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         coeffs: dict[int, Fraction] = {}
@@ -146,7 +149,7 @@ class Poly3:
         # Over the lcm of reduced denominators the numerators are already coprime to it.
         den = lcm(*(c.denominator for c in coeffs.values()))
         self._codes = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
-        self.den = den
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -175,14 +178,6 @@ class Poly3:
         return _make({k: n for k, n in zip(_row_codes(degree), numerators, strict=True) if n}, den)
 
     @staticmethod
-    def from_entries(degree: int, entries: Mapping[int, int], den: int = 1) -> "Poly3":
-        """`from_row` of a sparse row: its {row index: int numerator} entries, the rest zero."""
-        if den < 1:
-            raise ValueError(f"denominator must be positive, got {den}")
-        codes = _row_codes(degree)
-        return _make({codes[i]: n for i, n in entries.items() if n}, den)
-
-    @staticmethod
     def shift_sum(pieces: Iterable[tuple[int, int, "Poly3"]], offset: int) -> "Poly3":
         """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset.
 
@@ -191,7 +186,7 @@ class Poly3:
         Every piece's i is checked, a zero piece's too.
         """
         pieces = [(sign, i, _variable(i), p) for sign, i, p in pieces]
-        den = lcm(*(p.den for *_, p in pieces))
+        den = lcm(*(p._den for *_, p in pieces))
         degrees = {k >> 24 for *_, p in pieces for k in p._codes}
         if max(degrees, default=0) >= MAX_EXPONENT:
             for _, i, (_, shift), p in pieces:
@@ -202,7 +197,7 @@ class Poly3:
         t: dict[int, int] = {}
         get = t.get
         for sign, _, (unit, _), p in pieces:
-            w = sign * (den // p.den)
+            w = sign * (den // p._den)
             for k, n in p._codes.items():
                 m = k + unit
                 t[m] = get(m, 0) + n * w * factor[k >> 24]
@@ -219,7 +214,7 @@ class Poly3:
     @property
     def denominator(self) -> int:
         """The shared positive denominator of the canonical form."""
-        return self.den
+        return self._den
 
     @property
     def terms(self) -> "_Terms":
@@ -231,15 +226,11 @@ class Poly3:
         return max(self._codes, default=-1) >> 24
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._codes.get(0, 0), self.den)
-
-    def coeff(self, m: Monomial) -> Fraction:
-        n = self._codes.get(monomial_code(m)) if 0 <= min(m) and max(m) <= MAX_EXPONENT else None
-        return Fraction(n, self.den) if n else Fraction(0)
+        return Fraction(self._codes.get(0, 0), self._den)
 
     def coefficients(self) -> dict[Monomial, Fraction]:
         """Each nonzero coefficient as its own reduced Fraction."""
-        den = self.den
+        den = self._den
         return {(k >> 16 & 255, k >> 8 & 255, k & 255): Fraction(n, den) for k, n in self._codes.items()}
 
     def parity_classes(self) -> dict[int, list[tuple[int, int]]]:
@@ -259,10 +250,10 @@ class Poly3:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly3) and self.den == other.den and self._codes == other._codes
+        return isinstance(other, Poly3) and self._den == other._den and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash((self.den, frozenset(self._codes.items())))
+        return hash((self._den, frozenset(self._codes.items())))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -270,7 +261,7 @@ class Poly3:
         return _signed_sum(self, other, 1)
 
     def __neg__(self) -> "Poly3":
-        return _new({k: -n for k, n in self._codes.items()}, self.den)
+        return _new({k: -n for k, n in self._codes.items()}, self._den)
 
     def __sub__(self, other: "Poly3") -> "Poly3":
         return _signed_sum(self, other, -1)
@@ -289,7 +280,7 @@ class Poly3:
                 t[k] = get(k, 0) + n1 * n2
         if not all(t.values()):
             t = {k: n for k, n in t.items() if n}
-        return _make(t, self.den * other.den)
+        return _make(t, self._den * other._den)
 
     def scale(self, c) -> "Poly3":
         if type(c) is int:
@@ -301,7 +292,7 @@ class Poly3:
             return _new({}, 1)
         # self is canonical and cn/cd is reduced, so cancelling cn against den
         # and cd against the content of the numerators leaves a canonical result.
-        den = self.den
+        den = self._den
         g = gcd(cn, den)
         cn, den = cn // g, den // g
         g = gcd(cd, *self._codes.values()) if cd != 1 else 1
@@ -319,7 +310,7 @@ class Poly3:
         The weighted numerators are summed over the lcm of the denominators
         den(p) * den(w) in one pass, and the result is normalised once.
         """
-        scaled = [(w.numerator, w.denominator * p.den, p._codes) for w, p in pairs if w and p._codes]
+        scaled = [(w.numerator, w.denominator * p._den, p._codes) for w, p in pairs if w and p._codes]
         den = lcm(*(d for _, d, _ in scaled))
         t: dict[int, int] = {}
         get = t.get
@@ -339,7 +330,7 @@ class Poly3:
             e = k >> shift & 255
             if e:
                 t[k - unit] = n * e
-        return _make(t, self.den)
+        return _make(t, self._den)
 
     @staticmethod
     def partial_sum(pieces: Iterable[tuple[int, int, "Poly3"]]) -> "Poly3":
@@ -350,12 +341,12 @@ class Poly3:
         is normalised once.  Every piece's i is checked, a zero piece's too.
         """
         pieces = tuple(pieces)
-        den = lcm(*(p.den for _, _, p in pieces))
+        den = lcm(*(p._den for _, _, p in pieces))
         t: dict[int, int] = {}
         get = t.get
         for sign, i, p in pieces:
             unit, shift = _variable(i)
-            w = sign * (den // p.den)
+            w = sign * (den // p._den)
             for k, n in p._codes.items():
                 e = k >> shift & 255
                 if e:
@@ -373,8 +364,8 @@ class Poly3:
         parts = []
         for k in sorted(self._codes):
             n = self._codes[k]
-            g = gcd(n, self.den)
-            n, d = n // g, self.den // g
+            g = gcd(n, self._den)
+            n, d = n // g, self._den // g
             cs = str(n) if d == 1 else f"{n}/{d}"
             parts.append(f"{cs} * x1^{k >> 16 & 255} x2^{k >> 8 & 255} x3^{k & 255}")
         return " + ".join(parts)
@@ -383,14 +374,17 @@ class Poly3:
 
     @classmethod
     def parse(cls, text: str) -> "Poly3":
-        """The polynomial of the text form; ValueError names a malformed or out-of-range monomial."""
+        """The polynomial of the text form; ValueError names a bad coefficient or a malformed or out-of-range monomial."""
         text = text.strip()
         if text == "0":
             return cls.zero()
         terms: dict[Monomial, Fraction] = {}
         for chunk in text.split(" + "):
             coeff_part, _, mono_part = chunk.partition("*")
-            c = Fraction(coeff_part.strip())
+            coeff = coeff_part.strip()
+            if not _COEFFICIENT.fullmatch(coeff):  # refused before any number is built
+                raise ValueError(f"bad coefficient {coeff!r}")
+            c = Fraction(coeff)
             exps = []
             for factor in mono_part.split():
                 name, _, e = factor.partition("^")

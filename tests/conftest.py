@@ -24,6 +24,16 @@ def entry(m: TypedField, i: int, j: int) -> Poly3:
     return m.components[3 * (i - 1) + (j - 1)]
 
 
+def field_degree(f: TypedField) -> int:
+    """Total degree of a field, the largest of its components'; -1 for the zero field."""
+    return max(p.degree() for p in f.components)
+
+
+def basis_fields(kernel) -> list[TypedField]:
+    """The basis fields of a `koszul.kernel_basis` record, field b as `combine` of the b-th unit weights."""
+    return [kernel.combine([int(b == c) for c in range(kernel.size)]) for b in range(kernel.size)]
+
+
 def curl_without_one_term(c1, c2, c3):
     """operators._vector_curl with the -d3 c2 term of its first entry dropped."""
     return [

@@ -32,7 +32,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import curl_without_one_term, matrix, zero_field
+from conftest import curl_without_one_term, field_degree, matrix, zero_field
 
 
 def test_all_decompositions_reconstruct_exactly():
@@ -135,7 +135,7 @@ def test_degree_growth_bounded_by_two():
         dec = decompose(name, f)
         for p in dec.parts:
             if not p.potential.is_zero:
-                assert p.potential.degree() <= f.degree() + 2, (name, p.label)
+                assert field_degree(p.potential) <= field_degree(f) + 2, (name, p.label)
 
 
 def test_decompositions_are_deterministic():
@@ -197,9 +197,14 @@ def run_script(name, text):
             field_to_text(TypedField.identity_scaled(X1)).replace("x1^1", "x1^255"),
             "cannot decompose this field: x1 * p has an exponent of x1 past 255",
         ),
+        (
+            # Fraction would read it, slowly: the time grows with the exponent
+            field_to_text(TypedField.identity_scaled(X1)).replace("1 * x1^1", "1e-3000000 * x1^1"),
+            "bad field text: bad component line '1 1 : 1e-3000000 * x1^1 x2^0 x3^0': bad coefficient '1e-3000000'",
+        ),
     ],
     ids=["wrong-kind", "missing-component", "unknown-kind", "asymmetric-symmetric", "exponent-past-limit",
-         "decomposition-past-limit"],
+         "decomposition-past-limit", "coefficient-not-printed"],
 )
 def test_script_reports_bad_input_on_one_line(text, message):
     proc = run_script("cc", text)
@@ -339,6 +344,22 @@ def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(m
     assert f.kind is FieldKind.SYMMETRIC
     with pytest.raises(KindError):
         regdec_cc(f)
+
+
+def test_a_part_kind_mismatch_fails_with_the_field_and_the_part_kinds(monkeypatch):
+    # With the expected part kinds of cc patched to end in vector, every sample
+    # fails; the witness prints the input field, then the part kinds it gives.
+    fn, kind, anchor, expected = decompose_module._DECOMPOSERS["cc"]
+    wrong = (*expected[:-1], FieldKind.VECTOR)
+    monkeypatch.setitem(decompose_module._DECOMPOSERS, "cc", (fn, kind, anchor, wrong))
+    r = verify_decomposition("cc", samples=2, degree=2, seed=7)
+    assert r.status == "fail"
+    field_text, _, line = r.witness.rpartition("\n")
+    f = field_from_text(field_text)
+    assert f.kind is kind
+    kinds = tuple(p.potential.kind.value for p in decompose("cc", f).parts)
+    assert kinds != tuple(k.value for k in wrong)
+    assert line == f"part kinds {kinds} != expected {tuple(k.value for k in wrong)}"
 
 
 def test_a_broken_curl_fails_every_decomposition_with_its_input_as_witness(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from tensorcomplex.fields import TypedField
 from tensorcomplex.koszul import tc, td, tg
-from tensorcomplex import ball
+from tensorcomplex import ball, poly
 from tensorcomplex.ball import _odd_factorial, _pair_integral, integrate_ball
 from tensorcomplex.poly import MAX_EXPONENT, P_ONE, ExponentLimitError, Poly3, X1, X2, X3, monomial_code, monomials_up_to
 
@@ -33,7 +33,6 @@ def test_no_zero_coefficients_stored():
     p = X1 - X1
     assert p.is_zero and p.coefficients() == {}
     q = Poly3({(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
-    assert q.coeff((1, 0, 0)) == 0
     assert q.coefficients() == {(0, 1, 0): Fraction(2)}
 
 
@@ -74,7 +73,6 @@ def test_exponents_past_the_limit_raise_and_never_wrap():
         Poly3.parse("1 * x1^0 x2^256 x3^0")
     with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
         Poly3.monomial((0, 0, 256))
-    assert top.coeff((256, 0, 0)) == 0 and top.coeff((-1, 0, 0)) == 0
     # Only single exponents are limited: total degree may pass 255.
     wide = Poly3.monomial((200, 0, 0)) * Poly3.monomial((0, 200, 200))
     assert wide.degree() == 600 and wide.coefficients() == {(200, 200, 200): Fraction(1)}
@@ -145,6 +143,15 @@ def test_parse_fraction_forms():
     assert Poly3.parse("0").is_zero
 
 
+@pytest.mark.parametrize("coeff", ["1.5", "1e3", "1_000", "1e-3000000"])
+def test_parse_refuses_coefficients_the_printer_never_writes(monkeypatch, coeff):
+    # `Fraction` would read all four, and the cost of 1e-3000000 grows with its
+    # exponent; only -?[0-9]+(/[0-9]+)? is read, and nothing is built before.
+    monkeypatch.setattr(poly, "Fraction", lambda *_: pytest.fail("a number was built"))
+    with pytest.raises(ValueError, match=f"^bad coefficient '{coeff}'$"):
+        Poly3.parse(f"{coeff} * x1^0 x2^0 x3^0")
+
+
 def test_monomials_up_to_counts():
     # C(d+3, 3) monomials of degree <= d
     assert len(monomials_up_to(0)) == 1
@@ -172,6 +179,6 @@ def test_only_poly_reads_the_representation():
         for path in sorted(_PACKAGE.rglob("*.py"))
         if path.name != "poly.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in ("_codes", "terms", "den")
+        if isinstance(node, ast.Attribute) and node.attr in ("_codes", "_den", "terms")
     ]
     assert readers == []
