@@ -77,8 +77,6 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(diagram.to_markdown(args.flavor) + "\n")
         return 0
 
-    if args.degree < 0 or args.samples < 1:
-        parser.error("degree must be >= 0 and samples >= 1")
     cfg = SuiteConfig(
         suite=args.suite,
         seed=args.seed if args.seed is not None else _default_seed(parser),

@@ -40,6 +40,7 @@ from .fields import (
     _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, FieldKind, KindError, TypedField, field_to_text, vskw
 )
 from .operators import (
+    BasisKindError,
     CheckResult,
     OPS,
     ORDER,
@@ -160,14 +161,6 @@ def kind_basis(kind: FieldKind, degree: int) -> tuple[TypedField, ...]:
         for slot in _slots(kind)
         for m in monomials_up_to(degree)
     )
-
-
-class BasisKindError(KindError):
-    """An operator's image of the basis field `witness` (field text) broke its kind predicate."""
-
-    def __init__(self, message: str, witness: str):
-        super().__init__(message)
-        self.witness = witness
 
 
 @cache
@@ -524,11 +517,8 @@ def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict
             shared[key] = kinds, verdict
         return kinds[spec.part or 0] is spec.output_kind and verdict
 
-    case = f"{name}: {spec.statement}"
-    try:
-        return run_check(case, spec.anchor, samples, lambda s: sample_right_inverse_input(name, degree, seed, s), holds)
-    except BasisKindError as err:  # from the draw: a kernel operator broke a kind predicate on a basis field
-        return CheckResult(case, spec.anchor, False, err.witness)
+    return run_check(f"{name}: {spec.statement}", spec.anchor, samples,
+                     lambda s: sample_right_inverse_input(name, degree, seed, s), holds)
 
 
 def verify_right_inverses(samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> list:

@@ -351,6 +351,14 @@ class PreconditionError(ValueError):
         self.witness = witness
 
 
+class BasisKindError(KindError):
+    """An operator's image of the basis field `witness` (field text) broke its kind predicate."""
+
+    def __init__(self, message: str, witness: str):
+        super().__init__(message)
+        self.witness = witness
+
+
 @dataclass
 class CheckResult:
     """Outcome of one exact check; witness carries the offending input.
@@ -382,16 +390,20 @@ def run_check(
     """Test `holds` on draw(0), draw(1), ... and stop at the first sample where it fails.
 
     A failing sample is reported as witness(sample).  A KindError raised by
-    `holds`, from an output that broke its kind predicate or a chain step
-    that should be zero, fails the sample the same way; one raised by `draw`
-    is not caught.  A PreconditionError raised by `holds` makes the case an
-    error that carries the error's own witness.  The result records the wall
-    time of this case alone.
+    `holds`, from an output that broke its kind predicate or a chain step that
+    should be zero, fails the sample the same way; of those raised by `draw`,
+    only a BasisKindError is caught, and it fails the case with its witness.
+    A PreconditionError raised by `holds` makes the case an error that carries
+    the error's own witness.  The result records the wall time of this case alone.
     """
     t0 = perf_counter()
     result = CheckResult(name, anchor, True)
     for s in range(samples):
-        x = draw(s)
+        try:
+            x = draw(s)
+        except BasisKindError as err:
+            result = CheckResult(name, anchor, False, err.witness)
+            break
         try:
             ok = holds(x)
         except PreconditionError as err:

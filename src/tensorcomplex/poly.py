@@ -47,8 +47,9 @@ MAX_EXPONENT = 255  # each exponent has 8 bits; `k >> shift & 255` reads one
 _VARIABLES = {1: (1 << 24 | 1 << 16, 16), 2: (1 << 24 | 1 << 8, 8), 3: (1 << 24 | 1, 0)}
 # The low bit of each exponent: equal for two codes exactly when their sum has only even exponents.
 _PARITY = 1 << 16 | 1 << 8 | 1
-# A coefficient as `__str__` writes it; `parse` accepts no other form.
+# A coefficient and an exponent as `__str__` writes them; `parse` accepts no other form.
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_EXPONENT = re.compile(r"[0-9]+")
 
 
 class ExponentLimitError(ValueError):
@@ -388,7 +389,7 @@ class Poly3:
             exps = []
             for factor in mono_part.split():
                 name, _, e = factor.partition("^")
-                if name not in ("x1", "x2", "x3"):
+                if name not in ("x1", "x2", "x3") or not _EXPONENT.fullmatch(e):
                     raise ValueError(f"bad monomial factor {factor!r}")
                 exps.append((int(name[1]), int(e)))
             if [v for v, _ in exps] != [1, 2, 3]:

@@ -155,9 +155,11 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def check_config(cfg: SuiteConfig) -> None:
-    """ValueError for an unknown suite or a degree past the exponent limit, before any work is done."""
+    """ValueError for an unknown suite, a degree outside 0..MAX_EXPONENT or no samples, before any work is done."""
     if cfg.suite != "all" and cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    if cfg.degree < 0 or cfg.samples < 1:  # either would pass every case with nothing checked
+        raise ValueError("degree must be >= 0 and samples >= 1")
     if cfg.degree > MAX_EXPONENT:  # refused before any monomial table or draw is built
         raise ValueError(f"degree {cfg.degree} is past {MAX_EXPONENT}, the largest exponent a monomial can hold")
 

@@ -59,6 +59,12 @@ def test_config_checks_share_one_message():
     for check in (check_config, run_suite):
         with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from identities, .* or all$"):
             check(cfg)
+    # each would pass every case with nothing checked
+    for cfg in (SuiteConfig(suite="identities", seed=7, degree=-1), SuiteConfig(suite="identities", seed=7, samples=0),
+                SuiteConfig(suite="identities", seed=7, samples=-3)):
+        for check in (check_config, run_suite):
+            with pytest.raises(ValueError, match="^degree must be >= 0 and samples >= 1$"):
+                check(cfg)
 
 
 def test_two_complex_suite_has_44_cases(tmp_path):
@@ -83,8 +89,9 @@ def test_unknown_suite_exits_two():
 
 
 def test_bad_flag_exits_two():
-    r = run_cli("run", "--suite", "identities", "--samples", "0")
-    assert r.returncode == 2
+    for flag, value in (("--samples", "0"), ("--degree", "-1")):
+        r = run_cli("run", "--suite", "identities", flag, value)
+        assert (r.returncode, r.stderr, r.stdout) == (2, "error: degree must be >= 0 and samples >= 1\n", "")
 
 
 def test_large_seed_accepted(tmp_path):

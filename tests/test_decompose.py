@@ -10,6 +10,8 @@ import tensorcomplex.decompose as decompose_module
 import tensorcomplex.operators as operators_module
 from tensorcomplex.decompose import (
     DECOMPOSITION_NAMES,
+    INPUT_KINDS,
+    _tdg,
     decompose,
     regdec_cc,
     regdec_dd,
@@ -18,12 +20,14 @@ from tensorcomplex.decompose import (
     verify_decomposition,
 )
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
-from tensorcomplex.koszul import _dcc, _dgg, _rgcT
+from tensorcomplex.koszul import _dcc, _dcd, _ddd, _dgd, _dgg, _rcc_tilde, _rgcT, _rgg_tilde, tc, td
 from tensorcomplex.operators import (
     OPS,
+    OperatorId,
     components_equal,
     curl,
     deff,
+    div,
     grad,
     derived_rng,
     hess,
@@ -202,9 +206,14 @@ def run_script(name, text):
             field_to_text(TypedField.identity_scaled(X1)).replace("1 * x1^1", "1e-3000000 * x1^1"),
             "bad field text: bad component line '1 1 : 1e-3000000 * x1^1 x2^0 x3^0': bad coefficient '1e-3000000'",
         ),
+        (
+            # int() would read it as x1^10
+            field_to_text(TypedField.identity_scaled(X1)).replace("x1^1", "x1^1_0"),
+            "bad field text: bad component line '1 1 : 1 * x1^1_0 x2^0 x3^0': bad monomial factor 'x1^1_0'",
+        ),
     ],
     ids=["wrong-kind", "missing-component", "unknown-kind", "asymmetric-symmetric", "exponent-past-limit",
-         "decomposition-past-limit", "coefficient-not-printed"],
+         "decomposition-past-limit", "coefficient-not-printed", "exponent-not-printed"],
 )
 def test_script_reports_bad_input_on_one_line(text, message):
     proc = run_script("cc", text)
@@ -267,37 +276,107 @@ def test_script_reports_a_wrong_kind_as_bad_input_in_process(tmp_path, capsys):
     assert (code, out) == (2, ("", "decompose_field.py: regdec dd needs a symmetric field, got a trace-free field\n"))
 
 
-def test_perturbed_hessian_part_fails_decompositions(monkeypatch):
-    true_dgg = decompose_module._dgg
-    monkeypatch.setattr(decompose_module, "_dgg", lambda g: true_dgg(g) + TypedField.scalar(X1 * X2))
+def patch_chain(monkeypatch, name, kick):
+    """Add `kick` to the output of the chain `name` where decompose.py binds it:
+    its module attribute, which `_tdg` calls, and every word of `_DECOMPOSERS`."""
+    true = getattr(decompose_module, name)
+
+    def broken(f):
+        return true(f) + kick
+
+    monkeypatch.setattr(decompose_module, name, broken)
+    for key, (steps, *rest) in list(decompose_module._DECOMPOSERS.items()):
+        steps = tuple((label, tuple(broken if w is true else w for w in word), how) for label, word, how in steps)
+        monkeypatch.setitem(decompose_module._DECOMPOSERS, key, (steps, *rest))
+
+
+def failing_decompositions():
+    """The failing cases of the decompositions suite; each witness must parse
+    back to the input kind, and its decomposition must not be exact."""
     report = run_suite(SuiteConfig(suite="decompositions", seed=7, degree=2, samples=2))
     failing = {c.name: c for c in report.cases if c.status == "fail"}
-    # the hess part S2 of cc is merged into S1~ by short-cc; no other decomposition uses it
-    assert sorted(failing) == ["regdec cc", "regdec short-cc"]
     for name, case in failing.items():
+        name = name.removeprefix("regdec ")
         f = field_from_text(case.witness)
-        assert f.kind is FieldKind.SYMMETRIC
-        assert not decompose(name.removeprefix("regdec "), f).is_exact, name
+        assert f.kind is INPUT_KINDS[name], name
+        assert not decompose(name, f).is_exact, name
+    return sorted(failing)
+
+
+_VECTOR_KICK = TypedField.vector([X1 * X2, P_ZERO, P_ZERO])  # deff, T dev grad and curl deff of it are nonzero
+_TRACEFREE_KICK = matrix([[P_ZERO, X3 * X3, P_ZERO], [P_ZERO] * 3, [P_ZERO] * 3], FieldKind.TRACEFREE)
+
+
+def test_perturbed_hessian_part_fails_decompositions(monkeypatch):
+    patch_chain(monkeypatch, "_dgg", TypedField.scalar(X1 * X2))
+    # only the hess part S2 of cc uses _dgg; short-cc builds its S1~ with _rgg
+    assert failing_decompositions() == ["regdec cc"]
 
 
 def test_perturbed_rgcT_fails_exactly_the_cd_decompositions(monkeypatch):
-    true_rgcT = decompose_module._rgcT
-    kick = TypedField.vector([X1 * X2, P_ZERO, P_ZERO])  # not a conformal Killing field: T dev grad kick != 0
-    monkeypatch.setattr(decompose_module, "_rgcT", lambda tau: true_rgcT(tau) + kick)
-    report = run_suite(SuiteConfig(suite="decompositions", seed=7, degree=2, samples=2))
-    failing = {c.name: c for c in report.cases if c.status == "fail"}
-    # cd splits the S2~ part of short-cd into S2 and S3; no other decomposition uses the RgcT chain
-    assert sorted(failing) == ["regdec cd", "regdec short-cd"]
-    for name, case in failing.items():
-        f = field_from_text(case.witness)
-        assert f.kind is FieldKind.TRACEFREE
-        assert not decompose(name.removeprefix("regdec "), f).is_exact, name
+    patch_chain(monkeypatch, "_rgcT", _VECTOR_KICK)  # not a conformal Killing field: T dev grad kick != 0
+    # _tdg, the only caller of RgcT here, builds S3 of cd and S2~ of short-cd
+    assert failing_decompositions() == ["regdec cd", "regdec short-cd"]
+
+
+@pytest.mark.parametrize(
+    "chain, kick, failing",
+    [
+        ("_rgg", _VECTOR_KICK, ["regdec short-cc"]),
+        ("_rcc", _TRACEFREE_KICK, ["regdec short-dd"]),  # sym curl of the kick is nonzero
+        ("_dgd", _VECTOR_KICK, ["regdec cd"]),
+        ("_rc_plain", _VECTOR_KICK, ["regdec cd"]),
+    ],
+)
+def test_perturbed_chain_fails_exactly_the_decompositions_that_use_it(monkeypatch, chain, kick, failing):
+    patch_chain(monkeypatch, chain, kick)
+    assert failing_decompositions() == failing
+
+
+def composed_parts(name, f):
+    """(label, reassembly name, potential) of each part, composed without one
+    cascade per decomposition: cc, dd and short-cd as three-step cascades, cd
+    by splitting S2~ of short-cd into r = td(div S2~) and 2 tc(S2~ - r), and
+    short-cc / short-dd by merging S1 + grad S2 / S1 + T curl S2 of cc / dd."""
+    steps = {
+        "cc": (("S0", "inc", _dcc, "identity"), ("S1", None, _rgg_tilde, "deff"), ("S2", None, _dgg, "hess")),
+        "dd": (("S0", "div_div", _ddd, "identity"), ("S1", None, _rcc_tilde, "sym_curl"), ("S2", None, _dcc, "inc")),
+        "cd": (
+            ("S0", "curl_div", _dcd, "identity"),
+            ("S1", "sym_curl_t", _dcc, "curl"),
+            ("S2~", None, lambda rho: _rgcT(rho.transpose()).scale(Fraction(1, 2)), "t_dev_grad"),
+        ),
+    }
+    residual, parts = f, []
+    for label, pre, chain, reassembly in steps[name.removeprefix("short-")]:
+        if parts:
+            _, how, potential = parts[-1]
+            residual = residual - (potential if how == "identity" else OPS[how](potential))
+        parts.append((label, reassembly, chain(residual if pre is None else OPS[pre](residual))))
+    if name == "cd":
+        s2_tilde = parts.pop()[2]
+        r = td(div(s2_tilde))
+        parts += [("S2", "t_dev_grad", r), ("S3", "curl_deff", tc(s2_tilde - r).scale(2))]
+    elif name in ("short-cc", "short-dd"):
+        (_, _, s2), (_, how, s1) = parts.pop(), parts.pop()
+        parts.append(("S1~", how, s1 + OPS["grad" if name == "short-cc" else "t_curl"](s2)))
+    return parts
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_every_cascade_equals_the_composed_decomposition(degree):
+    for name in DECOMPOSITION_NAMES:
+        for seed in range(4):
+            f = random_field(INPUT_KINDS[name], degree, derived_rng(seed, "composed", name))
+            got = [(p.label, p.reassembly, p.potential.components) for p in decompose(name, f).parts]
+            want = [(label, OperatorId(how), p.components) for label, how, p in composed_parts(name, f)]
+            assert got == want, (name, seed)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_cascade_relations_between_the_decompositions(degree):
-    # cd and short-cd share S0 and S1, cd splits S2~ into S2 + 1/2 curl S3, and
-    # short-cc / short-dd merge the last two parts of cc / dd
+    # cd and short-cd share S0 and S1, S2~ of short-cd is S2 + 1/2 curl S3 of
+    # cd, and S1~ of short-cc / short-dd is S1 + grad S2 / S1 + T curl S2 of cc / dd
     def potentials(name, f):
         return [p.potential for p in decompose(name, f).parts]
 
@@ -317,15 +396,17 @@ def test_cascade_relations_between_the_decompositions(degree):
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_third_chain_sends_the_leading_part_to_zero(degree):
-    # The invariant stated in `_cascade`: the chain of the third step (_dgg for
-    # cc, _dcc for dd, _rgcT of the transpose for cd) maps S0 to exactly 0, so
+    # The invariant stated in `_cascade`: the third step (_dgg for cc, _dcc for
+    # dd, 1/2 _dgd . div for cd, _tdg for short-cd) maps S0 to exactly 0, so
     # S2 / S2~ is the same whether or not S0 is still in the residual.
     leading = []
     for seed in range(4):
         g = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "leading", "cc"))
         sigma = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "leading", "dd"))
         tau = random_field(FieldKind.TRACEFREE, degree, derived_rng(seed, "leading", "cd"))
-        for name, f, third in (("cc", g, _dgg), ("dd", sigma, _dcc), ("cd", tau, lambda s0: _rgcT(s0.transpose()))):
+        third_steps = (("cc", g, _dgg), ("dd", sigma, _dcc), ("cd", tau, lambda s0: _dgd(div(s0))),
+                       ("short-cd", tau, _tdg))
+        for name, f, third in third_steps:
             s0 = decompose(name, f).parts[0].potential
             assert third(s0).is_zero, (name, seed)
             leading.append(s0)

@@ -24,6 +24,7 @@ from tensorcomplex.fields import (
 )
 from tensorcomplex.operators import (
     OPS,
+    BasisKindError,
     PreconditionError,
     components_equal,
     curl,
@@ -505,6 +506,20 @@ def test_run_check_records_its_own_duration(monkeypatch):
     first = run_check("c", "a", 3, lambda s: s, lambda x: True)
     second = run_check("c", "a", 3, lambda s: s, lambda x: x < 1, witness=str)
     assert (first.duration_ms, second.duration_ms) == (1000, 5000)
+
+
+def test_run_check_basis_kind_error_in_draw_is_a_timed_fail_with_its_witness(monkeypatch):
+    # a kernel operator that breaks a kind predicate on a basis field raises in
+    # the draw; the case fails with that basis field and still records its time
+    _square_clock(monkeypatch)
+
+    def draw(s):
+        if s == 1:
+            raise BasisKindError("curl: components have nonzero trace", "kind: scalar\n1 1 : 0")
+        return s
+
+    r = run_check("c", "a", 3, draw, lambda x: True)
+    assert (r.status, r.witness, r.duration_ms) == ("fail", "kind: scalar\n1 1 : 0", 1000)
 
 
 def test_timings_give_every_case_of_every_suite_its_own_duration(monkeypatch):

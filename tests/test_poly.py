@@ -152,6 +152,15 @@ def test_parse_refuses_coefficients_the_printer_never_writes(monkeypatch, coeff)
         Poly3.parse(f"{coeff} * x1^0 x2^0 x3^0")
 
 
+@pytest.mark.parametrize("factor", ["x1^1_0", "x1^+2", "x1^\u0663"])
+def test_parse_refuses_exponents_the_printer_never_writes(factor):
+    # int() would read these as x1^10, x1^2 and x1^3 (an Arabic-Indic digit);
+    # only [0-9]+ is read
+    with pytest.raises(ValueError) as raised:
+        Poly3.parse(f"1 * {factor} x2^0 x3^0")
+    assert str(raised.value) == f"bad monomial factor {factor!r}"
+
+
 def test_monomials_up_to_counts():
     # C(d+3, 3) monomials of degree <= d
     assert len(monomials_up_to(0)) == 1
