@@ -12,7 +12,8 @@ The input uses the plain-text field format, e.g.
 The input must be UTF-8.  An unreadable or undecodable file or stdin,
 malformed field text (an exponent past 255 included), a field of a kind the
 decomposition does not take, or one whose decomposition would need an
-exponent past 255 is reported on one line with exit code 2.  A step inside
+exponent past 255 is reported on one line with exit code 2, and so is a
+failed write of the parts to stdout (a full disk, say).  A step inside
 the decomposition that breaks a kind predicate or that its lemma makes zero,
 found nonzero, means a broken operator, not bad input: it is reported on one
 line as a failed decomposition, with exit code 1.
@@ -65,8 +66,12 @@ def main(argv: list[str] | None = None) -> int:
     except ExponentLimitError as err:
         print(f"decompose_field.py: cannot decompose this field: {err}", file=sys.stderr)
         return 2
-    print(dec.to_text())
-    print(f"\nexact reconstruction: {dec.is_exact}")
+    try:
+        sys.stdout.write(f"{dec.to_text()}\n\nexact reconstruction: {dec.is_exact}\n")
+        sys.stdout.flush()
+    except OSError as err:
+        print(f"decompose_field.py: cannot write stdout: {err.strerror}", file=sys.stderr)
+        return 2
     return 0 if dec.is_exact else 1
 
 

@@ -3,8 +3,9 @@
 
 Usage: python scripts/run_all_suites.py [seed] [outdir]
 
-A seed that is not an integer, or an output directory that cannot be
-created, is reported on one line with exit code 2.
+A seed that is not an integer, an output directory that cannot be
+created, or a report file that cannot be written is reported on one line
+with exit code 2.
 """
 
 import sys
@@ -35,8 +36,12 @@ def main() -> int:
         t0 = time.monotonic()
         report = run_suite(cfg)
         elapsed = time.monotonic() - t0
-        (outdir / f"{suite}.json").write_text(report.to_json())
-        (outdir / f"{suite}.md").write_text(report.to_markdown())
+        for path, text in ((outdir / f"{suite}.json", report.to_json()), (outdir / f"{suite}.md", report.to_markdown())):
+            try:
+                path.write_text(text)
+            except OSError as err:
+                print(f"run_all_suites.py: cannot write {path}: {err.strerror}", file=sys.stderr)
+                return 2
         s = report.counts
         failures += s["fail"] + s["error"]
         print(

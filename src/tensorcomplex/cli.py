@@ -1,7 +1,7 @@
 """Command-line runner for the verification suites.
 
-Exit codes: 0 all cases pass, 1 any case fails or errors, 2 bad usage/config
-or an unwritable --out path.
+Exit codes: 0 all cases pass, 1 any case fails or errors, 2 bad usage/config,
+an unwritable --out path or a failed write of the output.
 The default seed comes from TENSORCOMPLEX_SEED when set.
 """
 
@@ -60,6 +60,18 @@ def _open_out(out: str | None) -> AbstractContextManager[TextIO] | None:
         return None
 
 
+def _write(stream: AbstractContextManager[TextIO], out: str | None, text: str) -> int:
+    """Write, flush and close: 0, or 2 after one line when the write fails (a full disk, say)."""
+    try:
+        with stream as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as err:
+        print(f"error: cannot write {out or 'stdout'}: {err.strerror}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -68,14 +80,13 @@ def main(argv: list[str] | None = None) -> int:
         stream = _open_out(args.out)
         if stream is None:
             return 2
-        with stream as fh:
-            if args.format == "json":
-                import json
+        if args.format == "json":
+            import json
 
-                fh.write(json.dumps(diagram.to_dict(args.flavor), indent=2, sort_keys=True) + "\n")
-            else:
-                fh.write(diagram.to_markdown(args.flavor) + "\n")
-        return 0
+            text = json.dumps(diagram.to_dict(args.flavor), indent=2, sort_keys=True)
+        else:
+            text = diagram.to_markdown(args.flavor)
+        return _write(stream, args.out, text + "\n")
 
     cfg = SuiteConfig(
         suite=args.suite,
@@ -94,10 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     stream = _open_out(args.out)
     if stream is None:
         return 2
-    with stream as fh:
-        report = run_suite(cfg)
-        fh.write(report.to_json() if cfg.format == "json" else report.to_markdown())
-    return 0 if report.all_passed else 1
+    report = run_suite(cfg)
+    code = _write(stream, args.out, report.to_json() if cfg.format == "json" else report.to_markdown())
+    return code or (0 if report.all_passed else 1)
 
 
 if __name__ == "__main__":

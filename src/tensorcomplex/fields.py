@@ -14,6 +14,7 @@ otherwise.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -264,6 +265,10 @@ ID_FIELD = TypedField.identity_scaled(P_ONE)
 # print as p/q.  The round-trip text -> field -> text is bit-exact.
 
 
+# The two indices as field_to_text writes them: decimal digits, no sign, no leading zero.
+_INDICES = re.compile(r"\s*(0|[1-9][0-9]*)\s+(0|[1-9][0-9]*)\s*")
+
+
 def _text_indices(kind: FieldKind) -> list[tuple[int, int]]:
     """Index pairs of the component lines, in component order."""
     if kind is FieldKind.SCALAR:
@@ -294,9 +299,11 @@ def field_from_text(text: str) -> TypedField:
     for ln in lines[1:]:
         idx, _, poly = ln.partition(":")
         try:
-            i, j = (int(t) for t in idx.split())
+            if not (m := _INDICES.fullmatch(idx)):
+                raise ValueError(f"bad indices {idx.strip()!r}")
+            i, j = int(m[1]), int(m[2])
             p = Poly3.parse(poly.strip())
-        except (ValueError, ZeroDivisionError) as err:
+        except ValueError as err:
             raise ValueError(f"bad component line {ln!r}: {err}") from None
         if (i, j) not in indices:
             raise ValueError(f"component {i} {j} is out of range for a {kind.value} field: {ln!r}")

@@ -6,13 +6,15 @@ Conventions, fixed once here:
   * an OPS name is its steps joined by "_", applied right to left, so
     OPS["t_curl"](f) = transpose(curl(f)) and OPS["div_t"](f) = div(transpose(f));
     `_STEPS` is that rule, and each name's order is the sum of its steps' orders;
-  * the steps t, sym and dev act pointwise (order 0), as TypedField.transpose,
-    .sym and .dev;
+  * the steps t, sym, skw, dev, S and tr act pointwise (order 0), as
+    TypedField.transpose, .sym, .skw, .dev, .s_op and .trace; so do mskw and
+    vskw (from fields) and id, which maps a scalar field w to w id;
   * curl and div build each entry in one pass, as one `Poly3.partial_sum`
     of its signed first derivatives.
 
-The identity suite at the bottom compares canonical polynomial forms, never
-point samples; a pass means the two sides agree exactly.
+Each side of an identity in IDENTITIES is a scaled OPS word, so ORDER gives
+every identity its order.  The identity suite compares canonical polynomial
+forms, never point samples; a pass means the sides agree exactly.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def inc(g: TypedField) -> TypedField:
 
 @dataclass(frozen=True)
 class OperatorId:
-    """A named diagram operator together with its edge scale factor."""
+    """An OPS word with its scale factor: a diagram edge, the op of a right inverse, a reassembly or an identity side."""
 
     name: str
     scale: Fraction = Fraction(1)
@@ -121,6 +123,12 @@ class OperatorId:
         return self.name if self.scale == 1 else f"{self.scale} {self.name}"
 
 
+def _times_id(w: TypedField) -> TypedField:
+    if w.kind is not FieldKind.SCALAR:
+        raise KindError("id needs a scalar field")
+    return TypedField.identity_scaled(w.comp(1))
+
+
 # The steps an OPS name is spelled with, each with its function and its order.
 _STEPS: dict[str, tuple[Callable[[TypedField], TypedField], int]] = {
     "grad": (grad, 1),
@@ -131,7 +139,13 @@ _STEPS: dict[str, tuple[Callable[[TypedField], TypedField], int]] = {
     "inc": (inc, 2),
     "t": (TypedField.transpose, 0),
     "sym": (TypedField.sym, 0),
+    "skw": (TypedField.skw, 0),
     "dev": (TypedField.dev, 0),
+    "S": (TypedField.s_op, 0),
+    "tr": (TypedField.trace, 0),
+    "mskw": (mskw, 0),
+    "vskw": (vskw, 0),
+    "id": (_times_id, 0),
 }
 
 
@@ -149,11 +163,51 @@ def _word(name: str) -> Callable[[TypedField], TypedField]:
     return op
 
 
+# -- identity table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One algebraic identity: every side, a scaled OPS word, must give the same field."""
+
+    name: str
+    anchor: str
+    input_kind: FieldKind
+    sides: tuple[OperatorId, ...]
+
+
+_HALF = Fraction(1, 2)
+_W, _V, _M = FieldKind.SCALAR, FieldKind.VECTOR, FieldKind.MATRIX
+
+IDENTITIES: dict[str, Identity] = {
+    ident.name: ident
+    for ident in [
+        Identity("div-mskw", "Sec. 2 identity (a)", _V, (OperatorId("div_mskw"), OperatorId("curl", Fraction(-1)))),
+        Identity("mskw-grad", "Sec. 2 identity (b)", _W, (OperatorId("mskw_grad"), OperatorId("curl_id", Fraction(-1)))),
+        Identity("mskw-curl", "Sec. 2 identity (c)", _V, (OperatorId("mskw_curl"), OperatorId("skw_grad", Fraction(2)))),
+        Identity("skw-curl", "Sec. 2 identity (d)", _M, (OperatorId("skw_curl", Fraction(2)), OperatorId("mskw_div_S"))),
+        Identity("S-grad", "Sec. 2 identity (e)", _V, (OperatorId("S_grad"), OperatorId("curl_mskw", Fraction(-1)))),
+        # The sign is forced by identity (e): curl mskw v = -S grad v has
+        # trace -div v + 3 div v = +2 div v.  On symmetric fields (the only
+        # place downstream chains use this) both sides vanish either way.
+        Identity("tr-curl", "Sec. 2 identity (f)", _M, (OperatorId("tr_curl"), OperatorId("div_vskw", Fraction(2)))),
+        Identity("eq2", "Lemma 2.1 Eq. (2)", _M, (OperatorId("div_t_curl"), OperatorId("curl_div_t"))),
+        Identity("eq3", "Lemma 2.1 Eq. (3)", _V,
+                 (OperatorId("curl_t_grad"), OperatorId("t_grad_curl"), OperatorId("t_dev_grad_curl"))),
+        Identity("eq4", "Lemma 2.1 Eq. (4)", _M, (OperatorId("div_sym_curl_t"), OperatorId("curl_div", _HALF))),
+        Identity("eq5", "Lemma 2.1 Eq. (5)", _V,
+                 (OperatorId("curl_deff"), OperatorId("t_grad_curl", _HALF), OperatorId("t_dev_grad_curl", _HALF))),
+        Identity("eq6", "Lemma 2.1 Eq. (6)", _V,
+                 (OperatorId("div_t_dev_grad", _HALF), OperatorId("grad_div", Fraction(1, 3)))),
+    ]
+}
+
 OPS: dict[str, Callable[[TypedField], TypedField]] = {
     name: _word(name)
     for name in (
         "grad", "curl", "div", "deff", "dev_grad", "t_dev_grad", "sym_curl", "sym_curl_t", "t_curl", "div_t",
         "hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t",
+        *(side.name for ident in IDENTITIES.values() for side in ident.sides),
     )
 }
 
@@ -219,123 +273,7 @@ def field_draw(kind: FieldKind, degree: int, seed: int, *stream: object) -> Call
     return lambda s: random_field(kind, degree, derived_rng(seed, *stream, s))
 
 
-# -- identity suite -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Identity:
-    """One algebraic identity: all expressions in `sides` must agree exactly."""
-
-    name: str
-    statement: str
-    anchor: str
-    input_kind: FieldKind
-    sides: tuple[Callable[[TypedField], TypedField], ...]
-
-
-def _half(f: TypedField) -> TypedField:
-    return f.scale(Fraction(1, 2))
-
-
-IDENTITIES: dict[str, Identity] = {
-    ident.name: ident
-    for ident in [
-        Identity(
-            "div-mskw",
-            "div mskw v = -curl v",
-            "Sec. 2 identity (a)",
-            FieldKind.VECTOR,
-            (lambda v: div(mskw(v)), lambda v: -curl(v)),
-        ),
-        Identity(
-            "mskw-grad",
-            "mskw grad w = -curl(w id)",
-            "Sec. 2 identity (b)",
-            FieldKind.SCALAR,
-            (
-                lambda w: mskw(grad(w)),
-                lambda w: -curl(TypedField.identity_scaled(w.comp(1))),
-            ),
-        ),
-        Identity(
-            "mskw-curl",
-            "mskw curl v = 2 skw grad v",
-            "Sec. 2 identity (c)",
-            FieldKind.VECTOR,
-            (lambda v: mskw(curl(v)), lambda v: grad(v).skw().scale(2)),
-        ),
-        Identity(
-            "skw-curl",
-            "2 skw curl tau = mskw div S tau",
-            "Sec. 2 identity (d)",
-            FieldKind.MATRIX,
-            (lambda t: curl(t).skw().scale(2), lambda t: mskw(div(t.s_op()))),
-        ),
-        Identity(
-            "S-grad",
-            "S grad v = -curl mskw v",
-            "Sec. 2 identity (e)",
-            FieldKind.VECTOR,
-            (lambda v: grad(v).s_op(), lambda v: -curl(mskw(v))),
-        ),
-        Identity(
-            # The sign is forced by identity (e): curl mskw v = -S grad v has
-            # trace -div v + 3 div v = +2 div v.  On symmetric fields (the only
-            # place downstream chains use this) both sides vanish either way.
-            "tr-curl",
-            "tr curl tau = 2 div vskw tau",
-            "Sec. 2 identity (f)",
-            FieldKind.MATRIX,
-            (lambda t: curl(t).trace(), lambda t: div(vskw(t)).scale(2)),
-        ),
-        Identity(
-            "eq2",
-            "div T curl tau = curl div T tau",
-            "Lemma 2.1 Eq. (2)",
-            FieldKind.MATRIX,
-            (lambda t: div(OPS["t_curl"](t)), lambda t: curl(OPS["div_t"](t))),
-        ),
-        Identity(
-            "eq3",
-            "curl T grad u = T grad curl u = T dev grad curl u",
-            "Lemma 2.1 Eq. (3)",
-            FieldKind.VECTOR,
-            (
-                lambda u: curl(grad(u).transpose()),
-                lambda u: grad(curl(u)).transpose(),
-                lambda u: OPS["t_dev_grad"](curl(u)),
-            ),
-        ),
-        Identity(
-            "eq4",
-            "div sym curl T tau = 1/2 curl div tau",
-            "Lemma 2.1 Eq. (4)",
-            FieldKind.MATRIX,
-            (lambda t: div(OPS["sym_curl_t"](t)), lambda t: _half(OPS["curl_div"](t))),
-        ),
-        Identity(
-            "eq5",
-            "curl deff u = 1/2 T grad curl u = 1/2 T dev grad curl u",
-            "Lemma 2.1 Eq. (5)",
-            FieldKind.VECTOR,
-            (
-                lambda u: curl(deff(u)),
-                lambda u: _half(grad(curl(u)).transpose()),
-                lambda u: _half(OPS["t_dev_grad"](curl(u))),
-            ),
-        ),
-        Identity(
-            "eq6",
-            "1/2 div T dev grad u = 1/3 grad div u",
-            "Lemma 2.1 Eq. (6)",
-            FieldKind.VECTOR,
-            (
-                lambda u: _half(div(OPS["t_dev_grad"](u))),
-                lambda u: OPS["grad_div"](u).scale(Fraction(1, 3)),
-            ),
-        ),
-    ]
-}
+# -- sampled checks -----------------------------------------------------------
 
 
 def components_equal(a: TypedField, b: TypedField) -> bool:
@@ -422,7 +360,7 @@ def verify_identity(name: str, samples: int, degree: int, seed: int) -> CheckRes
     ident = IDENTITIES[name]
 
     def holds(f: TypedField) -> bool:
-        first, *rest = [side(f) for side in ident.sides]
+        first, *rest = [side.apply(f) for side in ident.sides]
         return all(components_equal(first, other) for other in rest)
 
     return run_check(name, ident.anchor, samples, field_draw(ident.input_kind, degree, seed, "identity", name), holds)

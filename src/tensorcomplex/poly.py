@@ -48,7 +48,7 @@ _VARIABLES = {1: (1 << 24 | 1 << 16, 16), 2: (1 << 24 | 1 << 8, 8), 3: (1 << 24 
 # The low bit of each exponent: equal for two codes exactly when their sum has only even exponents.
 _PARITY = 1 << 16 | 1 << 8 | 1
 # A coefficient and an exponent as `__str__` writes them; `parse` accepts no other form.
-_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_COEFFICIENT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 _EXPONENT = re.compile(r"[0-9]+")
 
 

@@ -1,3 +1,7 @@
+import errno
+import io
+import os
+
 import hypothesis
 import hypothesis.strategies as st
 from fractions import Fraction
@@ -32,6 +36,13 @@ def field_degree(f: TypedField) -> int:
 def basis_fields(kernel) -> list[TypedField]:
     """The basis fields of a `koszul.kernel_basis` record, field b as `combine` of the b-th unit weights."""
     return [kernel.combine([int(b == c) for c in range(kernel.size)]) for b in range(kernel.size)]
+
+
+class FullStream(io.StringIO):
+    """A stream on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def curl_without_one_term(c1, c2, c3):

@@ -10,6 +10,8 @@ from tensorcomplex.cli import main
 from tensorcomplex.poly import monomials_up_to
 from tensorcomplex.suites import SuiteConfig, check_config, run_suite
 
+from conftest import FullStream
+
 
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "tensorcomplex.cli", *args]
@@ -211,6 +213,26 @@ def test_unwritable_dump_diagram_out_path_is_one_line_exit_two(tmp_path, capsys)
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--suite", "identities", "--samples", "1", "--degree", "1"], ["dump-diagram", "--format", "markdown"]],
+)
+def test_failed_write_to_stdout_is_one_line_exit_two(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+def test_failed_write_to_the_out_path_is_one_line_exit_two(tmp_path, monkeypatch, capsys):
+    # The path opens, but the disk is full: the write itself fails.
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullStream(), raising=False)
+    assert main(["run", "--suite", "identities", "--samples", "1", "--degree", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No space left on device\n"
+    assert captured.out == ""
+
+
 _RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
 
 
@@ -227,4 +249,12 @@ def test_run_all_suites_bad_outdir_is_one_line_exit_two(tmp_path):
     r = subprocess.run([sys.executable, str(_RUN_ALL), "7", str(outdir)], capture_output=True, text=True)
     assert r.returncode == 2
     assert r.stderr == f"run_all_suites.py: cannot create {outdir}: Not a directory\n"
+    assert r.stdout == ""
+
+
+def test_run_all_suites_unwritable_report_is_one_line_exit_two(tmp_path):
+    (tmp_path / "identities.json").mkdir()
+    r = subprocess.run([sys.executable, str(_RUN_ALL), "7", str(tmp_path)], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stderr == f"run_all_suites.py: cannot write {tmp_path / 'identities.json'}: Is a directory\n"
     assert r.stdout == ""

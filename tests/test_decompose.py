@@ -36,7 +36,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import curl_without_one_term, field_degree, matrix, zero_field
+from conftest import FullStream, curl_without_one_term, field_degree, matrix, zero_field
 
 
 def test_all_decompositions_reconstruct_exactly():
@@ -268,6 +268,12 @@ def test_script_reports_a_step_failing_inside_the_chain_as_a_failed_decompositio
     code, out = run_script_in_process("dd", witness, tmp_path, capsys)
     message = "decompose_field.py: decomposition failed: div(S eta) inside the chain is nonzero\n"
     assert (code, out) == (1, ("", message))
+
+
+def test_script_reports_a_failed_write_as_one_line_exit_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code, out = run_script_in_process("cc", field_to_text(TypedField.identity_scaled(X1)), tmp_path, capsys)
+    assert (code, out[1]) == (2, "decompose_field.py: cannot write stdout: No space left on device\n")
 
 
 def test_script_reports_a_wrong_kind_as_bad_input_in_process(tmp_path, capsys):

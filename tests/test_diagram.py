@@ -398,7 +398,7 @@ def _witness_holds(suite, case):
     if suite == "identities":
         ident = operators.IDENTITIES[case.name]
         assert f.kind is ident.input_kind
-        first, *rest = [side(f) for side in ident.sides]
+        first, *rest = [side.apply(f) for side in ident.sides]
         return all(components_equal(first, other) for other in rest)
     if suite == "cells":
         return _witness_commutes(case)

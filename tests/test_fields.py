@@ -254,7 +254,12 @@ def test_text_out_of_range_index_names_line():
 
 @pytest.mark.parametrize(
     "line",
-    ["1 : 0", "1 1 1 : 0", "a 1 : 0", "1 1 : 2 * y^1", "1 1 : 1/0 * x1^0 x2^0 x3^0", "1 1 : 1 * x1^0 x2^256 x3^0"],
+    [
+        "1 : 0", "1 1 1 : 0", "a 1 : 0", "1 1 : 2 * y^1", "1 1 : 1/0 * x1^0 x2^0 x3^0", "1 1 : 1 * x1^0 x2^256 x3^0",
+        # int() would read these indices as 1 1 (Arabic-Indic digits, a sign,
+        # a leading zero) and 10 1; only the printed form is read
+        "\u0661 \u0661 : 0", "+1 1 : 0", "01 1 : 0", "1_0 1 : 0",
+    ],
 )
 def test_text_malformed_line_names_it(line):
     with pytest.raises(ValueError, match=re.escape(f"bad component line {line!r}")):

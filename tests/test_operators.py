@@ -233,6 +233,17 @@ def test_all_identities_pass():
     assert not failed, failed
 
 
+def test_every_identity_has_one_order_read_from_its_words():
+    # Each side is a scaled OPS word, so ORDER gives the identity its order:
+    # 1 for the Sec. 2 identities (a)-(f), 2 for Lemma 2.1 Eqs. (2)-(6).
+    orders = {name: {operators.ORDER[side.name] for side in ident.sides} for name, ident in operators.IDENTITIES.items()}
+    assert orders == {
+        **dict.fromkeys(["div-mskw", "mskw-grad", "mskw-curl", "skw-curl", "S-grad", "tr-curl"], {1}),
+        **dict.fromkeys(["eq2", "eq3", "eq4", "eq5", "eq6"], {2}),
+    }
+    assert all(side.name in OPS for ident in operators.IDENTITIES.values() for side in ident.sides)
+
+
 def test_skw_curl_identity_at_spec_parameters():
     assert verify_identity("skw-curl", samples=20, degree=4, seed=7).passed
 
@@ -246,13 +257,7 @@ def test_identity_failure_reports_witness(monkeypatch):
     # never an exception
     import tensorcomplex.operators as ops
 
-    broken = ops.Identity(
-        "broken",
-        "grad u = 2 grad u",
-        "none",
-        FieldKind.SCALAR,
-        (lambda w: grad(w), lambda w: grad(w).scale(2)),
-    )
+    broken = ops.Identity("broken", "none", FieldKind.SCALAR, (ops.OperatorId("grad"), ops.OperatorId("grad", Fraction(2))))
     monkeypatch.setitem(ops.IDENTITIES, "broken", broken)
     r = verify_identity("broken", samples=3, degree=2, seed=1)
     assert not r.passed and r.status == "fail"
@@ -408,6 +413,13 @@ def test_every_operator_has_constant_coefficients_and_the_order_of_its_order_ent
             assert components_equal(op(_translate(f, h)), _translate(op(f), h)), (kind, degree)
 
 
+def _times_id(w: TypedField) -> TypedField:
+    """w id for a scalar field w; like the id step, it takes no other kind."""
+    if w.kind is not FieldKind.SCALAR:
+        raise KindError("id needs a scalar field")
+    return TypedField.identity_scaled(w.comp(1))
+
+
 # Each composite operator spelled out by hand, a reference independent of the
 # word builder: its OPS key names its steps, applied right to left.
 _COMPOSITES = {
@@ -423,6 +435,24 @@ _COMPOSITES = {
     "curl_deff": lambda u: curl(deff(u)),
     "t_curl_deff": lambda u: curl(deff(u)).transpose(),
     "curl_div_t": lambda f: curl(div(f.transpose())),
+    # the words of the identity table
+    "div_mskw": lambda v: div(mskw(v)),
+    "mskw_grad": lambda w: mskw(grad(w)),
+    "curl_id": lambda w: curl(_times_id(w)),
+    "mskw_curl": lambda v: mskw(curl(v)),
+    "skw_grad": lambda v: grad(v).skw(),
+    "skw_curl": lambda t: curl(t).skw(),
+    "mskw_div_S": lambda t: mskw(div(t.s_op())),
+    "S_grad": lambda v: grad(v).s_op(),
+    "curl_mskw": lambda v: curl(mskw(v)),
+    "tr_curl": lambda t: curl(t).trace(),
+    "div_vskw": lambda t: div(vskw(t)),
+    "div_t_curl": lambda t: div(curl(t).transpose()),
+    "curl_t_grad": lambda u: curl(grad(u).transpose()),
+    "t_grad_curl": lambda u: grad(curl(u)).transpose(),
+    "t_dev_grad_curl": lambda u: grad(curl(u)).dev().transpose(),
+    "div_sym_curl_t": lambda t: div(curl(t.transpose()).sym()),
+    "div_t_dev_grad": lambda u: div(grad(u).dev().transpose()),
 }
 
 

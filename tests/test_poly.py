@@ -143,10 +143,11 @@ def test_parse_fraction_forms():
     assert Poly3.parse("0").is_zero
 
 
-@pytest.mark.parametrize("coeff", ["1.5", "1e3", "1_000", "1e-3000000"])
+@pytest.mark.parametrize("coeff", ["1.5", "1e3", "1_000", "1e-3000000", "1/0", "-3/00"])
 def test_parse_refuses_coefficients_the_printer_never_writes(monkeypatch, coeff):
-    # `Fraction` would read all four, and the cost of 1e-3000000 grows with its
-    # exponent; only -?[0-9]+(/[0-9]+)? is read, and nothing is built before.
+    # `Fraction` would read the first four, and the cost of 1e-3000000 grows
+    # with its exponent, and it would raise ZeroDivisionError on the last two;
+    # only -?[0-9]+(/0*[1-9][0-9]*)? is read, and nothing is built before.
     monkeypatch.setattr(poly, "Fraction", lambda *_: pytest.fail("a number was built"))
     with pytest.raises(ValueError, match=f"^bad coefficient '{coeff}'$"):
         Poly3.parse(f"{coeff} * x1^0 x2^0 x3^0")

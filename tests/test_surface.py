@@ -51,8 +51,9 @@ def test_every_operator_key_is_named_outside_the_operators_module():
     # The composite operators are words in OPS, not `def`s, so the scan above
     # cannot see them.  Every OPS key must be named as a string in production
     # code outside operators.py (a diagram, pairing, right-inverse or
-    # decomposition table), or it is a dead word.
-    from tensorcomplex.operators import OPS
+    # decomposition table) or by a side of an IDENTITIES row, or it is a dead
+    # word.
+    from tensorcomplex.operators import IDENTITIES, OPS
 
     named = {
         node.value
@@ -61,6 +62,7 @@ def test_every_operator_key_is_named_outside_the_operators_module():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+    named |= {side.name for ident in IDENTITIES.values() for side in ident.sides}
     assert [name for name in OPS if name not in named] == []
 
 
