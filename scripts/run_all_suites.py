@@ -3,7 +3,7 @@
 
 Usage: python scripts/run_all_suites.py [seed] [outdir]
 
-A seed that is not an integer, an output directory that cannot be
+A seed that is not an integer (-?[0-9]+), an output directory that cannot be
 created, or a report file that cannot be written is reported on one line
 with exit code 2.
 """
@@ -14,12 +14,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tensorcomplex.cli import integer  # noqa: E402
 from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E402
 
 
 def main() -> int:
     try:
-        seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
+        seed = integer(sys.argv[1]) if len(sys.argv) > 1 else 7
     except ValueError:
         print(f"run_all_suites.py: seed must be an integer, got {sys.argv[1]!r}", file=sys.stderr)
         return 2

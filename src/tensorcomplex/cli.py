@@ -2,13 +2,15 @@
 
 Exit codes: 0 all cases pass, 1 any case fails or errors, 2 bad usage/config,
 an unwritable --out path or a failed write of the output.
-The default seed comes from TENSORCOMPLEX_SEED when set.
+The default seed comes from TENSORCOMPLEX_SEED when set.  Every integer, in a
+flag or in that variable, is read only as -?[0-9]+.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import AbstractContextManager, nullcontext
 from typing import TextIO
@@ -17,10 +19,21 @@ from . import diagram
 from .suites import SUITE_NAMES, SuiteConfig, check_config, run_suite
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The integer written -?[0-9]+, the form field text uses; ValueError on any
+    other text, such as 1_0, +7, " 7 " or non-ASCII digits, which int() reads."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _default_seed(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("TENSORCOMPLEX_SEED", "0")
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         parser.error(f"TENSORCOMPLEX_SEED must be an integer, got {raw!r}")
 
@@ -31,9 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
-    run.add_argument("--seed", type=int, default=None, help="64-bit seed (default: TENSORCOMPLEX_SEED or 0)")
-    run.add_argument("--degree", type=int, default=3)
-    run.add_argument("--samples", type=int, default=10)
+    run.add_argument("--seed", type=integer, default=None, help="64-bit seed (default: TENSORCOMPLEX_SEED or 0)")
+    run.add_argument("--degree", type=integer, default=3)
+    run.add_argument("--samples", type=integer, default=10)
     run.add_argument("--format", default="json", choices=["json", "markdown"])
     run.add_argument("--strict-preconditions", action="store_true")
     run.add_argument("--timings", action="store_true", help="include per-case timings (breaks byte-determinism)")

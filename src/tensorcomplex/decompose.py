@@ -2,27 +2,28 @@
 operators so that the reassembled sum reproduces the input exactly.
 
 Every decomposition is one residual cascade (`_cascade`), a row of
-`_DECOMPOSERS`.  Each part is a word of `koszul.py` right-inverse chains, OPS
-keys and scales, read right to left, applied to the residual that the earlier
-parts leave; its contribution, the part reassembled by its operator, is taken
-off before the next part:
+`_DECOMPOSERS`.  Each part is a word, applied right to left by
+`koszul.apply_word` to the residual that the earlier parts leave; its letters
+are RIGHT_INVERSES names, OPS keys and scales.  The part's contribution, the
+part reassembled by its operator, is taken off before the next part:
 
     decomposition    part   <- word                     reassembly
-    cc (Thm 3.4)     S0     <- _dcc . inc               identity
-                     S1     <- _rgg_tilde               deff
-                     S2     <- _dgg                     hess
-    dd (Thm 3.7)     S0     <- _ddd . div_div           identity
-                     S1     <- _rcc_tilde               sym_curl
-                     S2     <- _dcc                     inc
-    cd (Thm 3.10)    S0     <- _dcd . curl_div          identity
-                     S1     <- _dcc . sym_curl_t        curl
-                     S2     <- 1/2 _dgd . div           t_dev_grad
-                     S3     <- _rc_plain . _tdg         curl_deff
-    short-cc         S0 of cc, S1~ <- _rgg (Lemma 3.15)   deff
-    short-dd         S0 of dd, S1~ <- _rcc (Lemma 3.18)   sym_curl
-    short-cd         S0, S1 of cd, S2~ <- _tdg            t_dev_grad
+    cc (Thm 3.4)     S0     <- Dcc . inc                identity
+                     S1     <- Rgg_tilde                deff
+                     S2     <- Dgg                      hess
+    dd (Thm 3.7)     S0     <- Ddd . div_div            identity
+                     S1     <- Rcc_tilde                sym_curl
+                     S2     <- Dcc                      inc
+    cd (Thm 3.10)    S0     <- Dcd . curl_div           identity
+                     S1     <- Dcc . sym_curl_t         curl
+                     S2     <- 1/2 Dgd . div            t_dev_grad
+                     S3     <- Rc_plain . 1/2 RgcT . t  curl_deff
+    short-cc         S0 of cc, S1~ <- Rgg (Lemma 3.15)  deff
+    short-dd         S0 of dd, S1~ <- Rcc (Lemma 3.18)  sym_curl
+    short-cd         S0, S1 of cd, S2~ <- 1/2 RgcT . t  t_dev_grad
 
-where _tdg = 1/2 _rgcT . transpose, the right inverse of T dev grad.
+where 1/2 RgcT . t, Lemma 3.17 on the transpose, is the right inverse of
+T dev grad.
 
 Each decomposition is a deterministic function of its input (no randomness
 inside the chains), so results are reproducible byte for byte.  Only the
@@ -33,15 +34,15 @@ component maps is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import FieldKind, KindError, TypedField, field_to_text
 # tc, td, tg and tg_rows are not called here, but perfbench/test_perfbench.py checks that the tracer rebinds them here.
-from .koszul import (_HALF, _dcc, _dcd, _ddd, _dgd, _dgg, _rc_plain, _rcc, _rcc_tilde, _rgcT, _rgg, _rgg_tilde,
-                     tc, td, tg, tg_rows)
-from .operators import OPS, CheckResult, OperatorId, components_equal, field_draw, run_check
+from .koszul import apply_word, tc, td, tg, tg_rows
+from .operators import CheckResult, OperatorId, components_equal, field_draw, run_check
 
 _IDENTITY = OperatorId("identity")  # reassembly that leaves the potential as is
-_S, _T, _V = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR
+_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 
 
 @dataclass(frozen=True)
@@ -75,47 +76,39 @@ class Decomposition:
         return "\n\n".join(blocks)
 
 
-def _tdg(rho: TypedField) -> TypedField:
-    """Vector q with T dev grad q = rho, for trace-free rho with sym curl T rho = 0 (Lemma 3.17 on the transpose)."""
-    return _rgcT(rho.transpose()).scale(_HALF)
-
-
 def _cascade(f: TypedField, kind: FieldKind, what: str, steps) -> Decomposition:
-    """One part per step (label, word, reassembly name): its potential is the
-    word applied right to left to the residual, where an OPS key applies its
-    operator, a Fraction scales and any other entry is a chain.  The residual
-    starts at f and loses each part's contribution before the next step.
+    """One part per step (label, word, reassembly name): its potential is
+    `koszul.apply_word` of the word on the residual, which starts at f and
+    loses each part's contribution before the next step.
 
-    Invariant: the third step of cc, dd, cd and short-cd (_dgg, _dcc, 1/2 _dgd . div,
-    _tdg) sends S0 to exactly 0, so S2 / S2~ would be the same with S0 left in the
-    residual; the loop takes it off anyway, as it does every part."""
+    Invariant: the third step of cc, dd, cd and short-cd (Dgg, Dcc, 1/2 Dgd . div,
+    1/2 RgcT . t) sends S0 to exactly 0, so S2 / S2~ would be the same with S0 left
+    in the residual; the loop takes it off anyway, as it does every part."""
     if f.kind is not kind:
         raise KindError(f"{what} needs a {kind.value} field")
     residual, parts = f, []
     for label, word, reassembly in steps:
         if parts:
             residual = residual - parts[-1].contribution()
-        potential = residual
-        for w in reversed(word):
-            potential = OPS[w](potential) if isinstance(w, str) else w(potential) if callable(w) else potential.scale(w)
-        parts.append(DecompositionPart(label, potential, OperatorId(reassembly)))
+        parts.append(DecompositionPart(label, apply_word(word, residual), OperatorId(reassembly)))
     return Decomposition(f, tuple(parts))
 
 
-_S0_CC, _S0_DD = ("S0", (_dcc, "inc"), "identity"), ("S0", (_ddd, "div_div"), "identity")
-_S0_S1_CD = (("S0", (_dcd, "curl_div"), "identity"), ("S1", (_dcc, "sym_curl_t"), "curl"))
+_TDG = (Fraction(1, 2), "RgcT", "t")  # the right inverse of T dev grad: Lemma 3.17 on the transpose
+_S0_CC, _S0_DD = ("S0", ("Dcc", "inc"), "identity"), ("S0", ("Ddd", "div_div"), "identity")
+_S0_S1_CD = (("S0", ("Dcd", "curl_div"), "identity"), ("S1", ("Dcc", "sym_curl_t"), "curl"))
 
 # name -> (cascade steps, input kind, anchor, kinds of its parts in order)
 _DECOMPOSERS = {
-    "cc": ((_S0_CC, ("S1", (_rgg_tilde,), "deff"), ("S2", (_dgg,), "hess")), _S, "Thm 3.4", (_S, _V, FieldKind.SCALAR)),
-    "dd": ((_S0_DD, ("S1", (_rcc_tilde,), "sym_curl"), ("S2", (_dcc,), "inc")), _S, "Thm 3.7", (_S, _T, _S)),
+    "cc": ((_S0_CC, ("S1", ("Rgg_tilde",), "deff"), ("S2", ("Dgg",), "hess")), _S, "Thm 3.4", (_S, _V, _W)),
+    "dd": ((_S0_DD, ("S1", ("Rcc_tilde",), "sym_curl"), ("S2", ("Dcc",), "inc")), _S, "Thm 3.7", (_S, _T, _S)),
     "cd": (
-        (*_S0_S1_CD, ("S2", (_HALF, _dgd, "div"), "t_dev_grad"), ("S3", (_rc_plain, _tdg), "curl_deff")),
+        (*_S0_S1_CD, ("S2", (Fraction(1, 2), "Dgd", "div"), "t_dev_grad"), ("S3", ("Rc_plain", *_TDG), "curl_deff")),
         _T, "Thm 3.10", (_T, _S, _V, _V),
     ),
-    "short-cc": ((_S0_CC, ("S1~", (_rgg,), "deff")), _S, "Sec. 4 Thm (cc)", (_S, _V)),
-    "short-dd": ((_S0_DD, ("S1~", (_rcc,), "sym_curl")), _S, "Sec. 4 Thm (dd)", (_S, _T)),
-    "short-cd": ((*_S0_S1_CD, ("S2~", (_tdg,), "t_dev_grad")), _T, "Sec. 4 Thm (cd)", (_T, _S, _V)),
+    "short-cc": ((_S0_CC, ("S1~", ("Rgg",), "deff")), _S, "Sec. 4 Thm (cc)", (_S, _V)),
+    "short-dd": ((_S0_DD, ("S1~", ("Rcc",), "sym_curl")), _S, "Sec. 4 Thm (dd)", (_S, _T)),
+    "short-cd": ((*_S0_S1_CD, ("S2~", _TDG, "t_dev_grad")), _T, "Sec. 4 Thm (cd)", (_T, _S, _V)),
 }
 
 DECOMPOSITION_NAMES = tuple(_DECOMPOSERS)

@@ -18,9 +18,11 @@ These satisfy, exactly and unconditionally on polynomials,
 
 so tg / tc / td are right inverses of grad / curl / div on curl-free /
 divergence-free / arbitrary inputs respectively.  Every matrix-space right
-inverse below is an executable chain of these, listed in one table with the
-diagram operator it inverts; its defining identity, that operator applied to
-the output gives the input back, is checked exactly by the test suite.
+inverse below is a chain of these, listed in one table with the diagram
+operator it inverts; its defining identity, that operator applied to the
+output gives the input back, is checked exactly by the test suite.  A chain
+is a word, read right to left by `apply_word`; a chain that sums or splits is
+a function, the one letter of its row's word.
 Compact-support or boundary-condition semantics are not modeled;
 moment-orthogonality preconditions are optional ("strict" mode) because the
 homogeneous operators do not need them.
@@ -33,7 +35,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import comb, lcm
-from typing import Any, Callable
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
 from .fields import (
@@ -277,48 +278,37 @@ def _check_zero(f: TypedField, what: str):
         raise KindError(f"{what} is nonzero")
 
 
-def _dcc(sigma: TypedField) -> TypedField:
-    """Symmetric potential g with inc g = sigma, for symmetric div-free sigma."""
-    eta = tc_rows(sigma)             # curl eta = sigma
-    s_eta = eta.s_op()
-    _check_zero(div(s_eta), "div(S eta) inside the chain")
-    gamma = tc_rows(s_eta)           # curl gamma = S eta
-    return gamma.sym()
+@dataclass(frozen=True)
+class _Zero:
+    """A chain letter: `_check_zero` of OPS[op] of its input, which it passes on."""
+
+    op: str
+    what: str
+
+    def __call__(self, f: TypedField) -> TypedField:
+        _check_zero(OPS[self.op](f), f"{self.what} inside the chain")
+        return f
 
 
-def _rgg_tilde(g: TypedField) -> TypedField:
-    """Vector u with curl deff u = curl g, for symmetric g with inc g = 0."""
-    q = tg_rows(OPS["t_curl"](g))    # grad q = T curl g
-    _check_zero(div(q), "div q (= tr T curl g) inside the chain")
-    return tc(q).scale(2)            # q = 1/2 curl u
+# The degree-raising letters of a chain.  They are not constant-coefficient,
+# so they stay out of OPS, where ORDER and `_symbol` would see them.
+_RAISE = {"tg": tg, "tc": tc, "td": td, "tg_rows": tg_rows, "tc_rows": tc_rows, "td_component_rows": td_component_rows}
 
 
-def _dgg(g: TypedField) -> TypedField:
-    """Scalar w with hess w = g, for symmetric g with curl g = 0."""
-    u = tg_rows(g)                   # grad u = g
-    _check_zero(curl(u), "curl u inside the chain")
-    return tg(u)                     # grad (tg u) = u
-
-
-def _ddd(w: TypedField) -> TypedField:
-    """Symmetric sigma with div div sigma = w."""
-    q = td(w)                        # div q = w
-    tau = td_component_rows(q)       # div tau = q
-    return tau.sym()
-
-
-def _rcc_tilde(sigma: TypedField) -> TypedField:
-    """Trace-free eta with div sym curl eta = div sigma, for div div sigma = 0."""
-    u = tc(div(sigma))               # curl u = div sigma
-    tau = td_component_rows(u.scale(2))  # div tau = 2u
-    return tau.dev().transpose()
-
-
-def _dcd(v: TypedField) -> TypedField:
-    """Trace-free tau with curl div tau = v, for divergence-free v."""
-    u = tc(v)                        # curl u = v
-    tau = td_component_rows(u)       # div tau = u
-    return tau.dev()
+def apply_word(word: tuple, f: TypedField):
+    """The word applied to f, right to left.  A str letter is a RIGHT_INVERSES
+    name, which applies that row's word without its preconditions, a `_RAISE`
+    key or an OPS key; any other callable letter, a zero check or a chain
+    function, is called; a number scales."""
+    for letter in reversed(word):
+        if isinstance(letter, str):
+            if letter in RIGHT_INVERSES:
+                f = apply_word(RIGHT_INVERSES[letter].chain, f)
+            else:
+                f = _RAISE[letter](f) if letter in _RAISE else OPS[letter](f)
+        else:
+            f = letter(f) if callable(letter) else f.scale(letter)
+    return f
 
 
 def _rgc_tilde_dgc_tilde(tau: TypedField) -> tuple[TypedField, TypedField]:
@@ -335,18 +325,12 @@ def _dgc(tau: TypedField) -> TypedField:
     """Vector with curl deff of it = tau, for div tau = 0 and sym curl T tau = 0."""
     g, u = _rgc_tilde_dgc_tilde(tau)
     _check_zero(inc(g), "inc of the symmetric potential inside the chain")
-    return _rgg_tilde(g) + u
-
-
-def _dgd(v: TypedField) -> TypedField:
-    """Vector q with (1/3) grad div q = v, for curl-free v."""
-    w = tg(v)                        # grad w = v
-    return td(w.scale(3))            # div q = 3w
+    return apply_word(("Rgg_tilde",), g) + u
 
 
 def _rgg(g: TypedField) -> TypedField:
     """Vector with deff of it = g, for symmetric g with inc g = 0."""
-    u = _rgg_tilde(g)                # curl(g - deff u) = 0
+    u = apply_word(("Rgg_tilde",), g)  # curl(g - deff u) = 0
     v = tg_rows(g - deff(u))         # grad v = g - deff u
     _check_zero(curl(v), "curl of the gradient potential inside the chain")
     return u + v
@@ -372,7 +356,7 @@ def _rgcT(tau: TypedField) -> TypedField:
 
 def _rcc(sigma: TypedField) -> TypedField:
     """Trace-free field whose sym curl is sigma, for div div sigma = 0."""
-    s1 = _rcc_tilde(sigma)
+    s1 = apply_word(("Rcc_tilde",), sigma)
     rho = tc_rows(sigma - OPS["sym_curl"](s1))  # curl rho = sigma - sym curl s1
     return s1 + rho.dev()
 
@@ -383,21 +367,6 @@ def _rcd(q: TypedField) -> TypedField:
     u = vskw(gamma)
     tau = td_component_rows(u.scale(-2))  # div tau = -2u
     return gamma.sym() + OPS["sym_curl_t"](tau.dev())
-
-
-def _rg(v: TypedField) -> TypedField:
-    """Scalar with (1/3) grad of it = v, for curl-free v."""
-    return tg(v).scale(3)
-
-
-def _rc_plain(q: TypedField) -> TypedField:
-    """Vector with (1/2) curl of it = q, for divergence-free q."""
-    return tc(q).scale(2)
-
-
-def _rd_plain(w: TypedField) -> TypedField:
-    """Vector whose divergence is w (unconditional)."""
-    return td(w)
 
 
 @dataclass(frozen=True)
@@ -411,7 +380,7 @@ class RightInverseSpec:
     input_kind: FieldKind
     kernel_ops: tuple[str, ...]             # exact kernel constraints on the input
     moment_space: MomentSpace | None        # enforced only in strict mode
-    chain: Callable[[TypedField], Any]      # the construction, with its full output
+    chain: tuple                            # the construction as a word, read right to left by apply_word
     output_kind: FieldKind
     op: OperatorId                          # the operator this chain inverts
     statement: str
@@ -425,38 +394,51 @@ _THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
 RIGHT_INVERSES: dict[str, RightInverseSpec] = {
     spec.name: spec
     for spec in [
-        RightInverseSpec("Dcc", "Lemma 3.1", _S, ("div",), None, _dcc, _S, OperatorId("inc"), "inc(Dcc s) = s"),
-        RightInverseSpec("Rgg_tilde", "Lemma 3.2", _S, ("inc",), None, _rgg_tilde, _V, OperatorId("deff"),
-                         "curl deff(R~gg g) = curl g", after="curl"),
-        RightInverseSpec("Dgg", "Lemma 3.3", _S, ("curl",), None, _dgg, _W, OperatorId("hess"), "hess(Dgg g) = g"),
-        RightInverseSpec("Ddd", "Lemma 3.5", _W, (), P1_SPACE, _ddd, _S, OperatorId("div_div"), "div div(Ddd w) = w"),
-        RightInverseSpec("Rcc_tilde", "Lemma 3.6", _S, ("div_div",), None, _rcc_tilde, _T, OperatorId("sym_curl"),
+        # curl eta = sigma, then curl gamma = S eta
+        RightInverseSpec("Dcc", "Lemma 3.1", _S, ("div",), None,
+                         ("sym", "tc_rows", _Zero("div", "div(S eta)"), "S", "tc_rows"), _S, OperatorId("inc"),
+                         "inc(Dcc s) = s"),
+        # grad q = T curl g, then q = 1/2 curl u
+        RightInverseSpec("Rgg_tilde", "Lemma 3.2", _S, ("inc",), None,
+                         (2, "tc", _Zero("div", "div q (= tr T curl g)"), "tg_rows", "t_curl"), _V,
+                         OperatorId("deff"), "curl deff(R~gg g) = curl g", after="curl"),
+        # grad u = g, then grad (tg u) = u
+        RightInverseSpec("Dgg", "Lemma 3.3", _S, ("curl",), None, ("tg", _Zero("curl", "curl u"), "tg_rows"), _W,
+                         OperatorId("hess"), "hess(Dgg g) = g"),
+        # div q = w, then div tau = q
+        RightInverseSpec("Ddd", "Lemma 3.5", _W, (), P1_SPACE, ("sym", "td_component_rows", "td"), _S,
+                         OperatorId("div_div"), "div div(Ddd w) = w"),
+        # curl u = div sigma, then div tau = 2u
+        RightInverseSpec("Rcc_tilde", "Lemma 3.6", _S, ("div_div",), None,
+                         ("t", "dev", "td_component_rows", 2, "tc", "div"), _T, OperatorId("sym_curl"),
                          "div sym curl(R~cc s) = div s", after="div"),
-        RightInverseSpec("Dcd", "Lemma 3.9", _V, ("div",), ND_SPACE, _dcd, _T, OperatorId("curl_div"),
-                         "curl div(Dcd v) = v"),
+        # curl u = v, then div tau = u
+        RightInverseSpec("Dcd", "Lemma 3.9", _V, ("div",), ND_SPACE, ("dev", "td_component_rows", "tc"), _T,
+                         OperatorId("curl_div"), "curl div(Dcd v) = v"),
         # the two halves of one construction and their sum, each checked through curl of g + deff u
-        RightInverseSpec("Rgc_tilde", "Lemma 3.11", _T, ("div",), None, _rgc_tilde_dgc_tilde, _S, OperatorId("curl"),
-                         "tau = curl(R~gc tau + deff D~gc tau)", part=0),
-        RightInverseSpec("Dgc_tilde", "Lemma 3.11", _T, ("div",), None, _rgc_tilde_dgc_tilde, _V, OperatorId("curl"),
-                         "tau = curl(R~gc tau + deff D~gc tau)", part=1),
-        RightInverseSpec("Rgc", "Lemma 3.12", _T, ("div",), None, _rgc_tilde_dgc_tilde, _S, OperatorId("curl"),
+        RightInverseSpec("Rgc_tilde", "Lemma 3.11", _T, ("div",), None, (_rgc_tilde_dgc_tilde,), _S,
+                         OperatorId("curl"), "tau = curl(R~gc tau + deff D~gc tau)", part=0),
+        RightInverseSpec("Dgc_tilde", "Lemma 3.11", _T, ("div",), None, (_rgc_tilde_dgc_tilde,), _V,
+                         OperatorId("curl"), "tau = curl(R~gc tau + deff D~gc tau)", part=1),
+        RightInverseSpec("Rgc", "Lemma 3.12", _T, ("div",), None, (_rgc_tilde_dgc_tilde,), _S, OperatorId("curl"),
                          "curl(Rgc tau) = tau", part=2),
-        RightInverseSpec("Dgc", "Lemma 3.13", _T, ("div", "sym_curl_t"), None, _dgc, _V, OperatorId("curl_deff"),
+        RightInverseSpec("Dgc", "Lemma 3.13", _T, ("div", "sym_curl_t"), None, (_dgc,), _V, OperatorId("curl_deff"),
                          "curl deff(Dgc tau) = tau"),
-        RightInverseSpec("Dgd", "Lemma 3.14", _V, ("curl",), RT_SPACE, _dgd, _V, OperatorId("grad_div", _THIRD),
-                         "(1/3) grad div(Dgd v) = v"),
-        RightInverseSpec("Rgg", "Lemma 3.15", _S, ("inc",), None, _rgg, _V, OperatorId("deff"), "deff(Rgg g) = g"),
-        RightInverseSpec("Rgd", "Lemma 3.16", _V, (), RT_SPACE, _rgd, _T, OperatorId("div"), "div(Rgd v) = v"),
-        RightInverseSpec("RgcT", "Lemma 3.17", _T, ("sym_curl",), None, _rgcT, _V, OperatorId("dev_grad", _HALF),
+        # grad w = v, then div q = 3w
+        RightInverseSpec("Dgd", "Lemma 3.14", _V, ("curl",), RT_SPACE, ("td", 3, "tg"), _V,
+                         OperatorId("grad_div", _THIRD), "(1/3) grad div(Dgd v) = v"),
+        RightInverseSpec("Rgg", "Lemma 3.15", _S, ("inc",), None, (_rgg,), _V, OperatorId("deff"), "deff(Rgg g) = g"),
+        RightInverseSpec("Rgd", "Lemma 3.16", _V, (), RT_SPACE, (_rgd,), _T, OperatorId("div"), "div(Rgd v) = v"),
+        RightInverseSpec("RgcT", "Lemma 3.17", _T, ("sym_curl",), None, (_rgcT,), _V, OperatorId("dev_grad", _HALF),
                          "(1/2) dev grad(RgcT tau) = tau"),
-        RightInverseSpec("Rcc", "Lemma 3.18", _S, ("div_div",), None, _rcc, _T, OperatorId("sym_curl"),
+        RightInverseSpec("Rcc", "Lemma 3.18", _S, ("div_div",), None, (_rcc,), _T, OperatorId("sym_curl"),
                          "sym curl(Rcc s) = s"),
-        RightInverseSpec("Rcd", "Lemma 3.19", _V, (), ND_SPACE, _rcd, _S, OperatorId("div"), "div(Rcd q) = q"),
-        RightInverseSpec("Rg", "Lemma 3.20", _V, ("curl",), RT_SPACE, _rg, _W, OperatorId("grad", _THIRD),
+        RightInverseSpec("Rcd", "Lemma 3.19", _V, (), ND_SPACE, (_rcd,), _S, OperatorId("div"), "div(Rcd q) = q"),
+        RightInverseSpec("Rg", "Lemma 3.20", _V, ("curl",), RT_SPACE, (3, "tg"), _W, OperatorId("grad", _THIRD),
                          "(1/3) grad(Rg v) = v"),
-        RightInverseSpec("Rc_plain", "Lemma 3.20", _V, ("div",), ND_SPACE, _rc_plain, _V, OperatorId("curl", _HALF),
+        RightInverseSpec("Rc_plain", "Lemma 3.20", _V, ("div",), ND_SPACE, (2, "tc"), _V, OperatorId("curl", _HALF),
                          "(1/2) curl(Rc q) = q"),
-        RightInverseSpec("Rd_plain", "Lemma 3.20", _W, (), P1_SPACE, _rd_plain, _V, OperatorId("div"), "div(Rd w) = w"),
+        RightInverseSpec("Rd_plain", "Lemma 3.20", _W, (), P1_SPACE, ("td",), _V, OperatorId("div"), "div(Rd w) = w"),
     ]
 }
 
@@ -483,7 +465,7 @@ def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool
         space, (basis, pairing) = spec.moment_space, found
         raise PreconditionError(f"moment precondition failed: pairing with {space.name} element is {pairing}",
                                 field_to_text(basis))
-    return spec.chain(f)
+    return apply_word(spec.chain, f)
 
 
 def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) -> TypedField:

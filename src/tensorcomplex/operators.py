@@ -206,7 +206,7 @@ OPS: dict[str, Callable[[TypedField], TypedField]] = {
     name: _word(name)
     for name in (
         "grad", "curl", "div", "deff", "dev_grad", "t_dev_grad", "sym_curl", "sym_curl_t", "t_curl", "div_t",
-        "hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t",
+        "hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t", "t", "sym", "dev", "S",
         *(side.name for ident in IDENTITIES.values() for side in ident.sides),
     )
 }

@@ -47,9 +47,10 @@ MAX_EXPONENT = 255  # each exponent has 8 bits; `k >> shift & 255` reads one
 _VARIABLES = {1: (1 << 24 | 1 << 16, 16), 2: (1 << 24 | 1 << 8, 8), 3: (1 << 24 | 1, 0)}
 # The low bit of each exponent: equal for two codes exactly when their sum has only even exponents.
 _PARITY = 1 << 16 | 1 << 8 | 1
-# A coefficient and an exponent as `__str__` writes them; `parse` accepts no other form.
-_COEFFICIENT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-_EXPONENT = re.compile(r"[0-9]+")
+# A coefficient and an exponent as `__str__` writes them, with no leading zero; `parse`
+# accepts no other form.  A coefficient is nonzero, and a fraction is reduced with d > 1.
+_COEFFICIENT = re.compile(r"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+_EXPONENT = re.compile(r"0|[1-9][0-9]*")
 
 
 class ExponentLimitError(ValueError):
@@ -375,7 +376,8 @@ class Poly3:
 
     @classmethod
     def parse(cls, text: str) -> "Poly3":
-        """The polynomial of the text form; ValueError names a bad coefficient or a malformed or out-of-range monomial."""
+        """The polynomial of the text form; ValueError names a bad coefficient or a malformed,
+        out-of-range or repeated monomial."""
         text = text.strip()
         if text == "0":
             return cls.zero()
@@ -383,7 +385,8 @@ class Poly3:
         for chunk in text.split(" + "):
             coeff_part, _, mono_part = chunk.partition("*")
             coeff = coeff_part.strip()
-            if not _COEFFICIENT.fullmatch(coeff):  # refused before any number is built
+            n_d = _COEFFICIENT.fullmatch(coeff)  # refused before any Fraction is built
+            if not n_d or n_d[2] and (n_d[2] == "1" or gcd(int(n_d[1]), int(n_d[2])) != 1):
                 raise ValueError(f"bad coefficient {coeff!r}")
             c = Fraction(coeff)
             exps = []
@@ -395,7 +398,9 @@ class Poly3:
             if [v for v, _ in exps] != [1, 2, 3]:
                 raise ValueError(f"bad monomial {mono_part!r}")
             m = (exps[0][1], exps[1][1], exps[2][1])
-            terms[m] = terms.get(m, Fraction(0)) + c
+            if m in terms:
+                raise ValueError(f"repeated monomial {mono_part.strip()!r}")
+            terms[m] = c
         return cls(terms)
 
 

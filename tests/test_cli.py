@@ -186,6 +186,32 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     assert "usage:" in err and "TENSORCOMPLEX_SEED must be an integer, got 'abc'" in err
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0667", " 7 ", "+7"])
+def test_env_seed_is_read_only_as_ascii_digits(monkeypatch, capsys, text):
+    # int() reads each of these (as 10 or 7); only -?[0-9]+ is read
+    monkeypatch.setenv("TENSORCOMPLEX_SEED", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "identities", "--samples", "1", "--degree", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"TENSORCOMPLEX_SEED must be an integer, got {text!r}")
+
+
+@pytest.mark.parametrize(
+    "flag, text", [("--seed", "1_0"), ("--seed", "+7"), ("--seed", " 7 "), ("--degree", "\u0660"), ("--samples", "\u0661")]
+)
+def test_integer_flags_are_read_only_as_ascii_digits(capsys, flag, text):
+    args = {"--seed": "7", "--degree": "1", "--samples": "1", flag: text}
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "identities", *(word for pair in args.items() for word in pair)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: invalid integer value: {text!r}")
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-7", -7), (str(2**64), 2**64)])
+def test_integer_reads_ascii_digits(text, value):
+    assert cli.integer(text) == value
+
+
 def test_unwritable_out_path_is_one_line_exit_two(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code = main(["run", "--suite", "identities", "--samples", "1", "--degree", "1", "--out", str(out)])
@@ -241,6 +267,14 @@ def test_run_all_suites_bad_seed_is_one_line_exit_two(tmp_path):
     assert r.returncode == 2
     assert r.stderr == "run_all_suites.py: seed must be an integer, got 'abc'\n"
     assert r.stdout == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0667"])
+def test_run_all_suites_reads_the_seed_only_as_ascii_digits(tmp_path, text):
+    r = subprocess.run([sys.executable, str(_RUN_ALL), text, str(tmp_path)], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"run_all_suites.py: seed must be an integer, got {text!r}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_all_suites_bad_outdir_is_one_line_exit_two(tmp_path):

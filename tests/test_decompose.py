@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import subprocess
 import sys
@@ -11,7 +12,6 @@ import tensorcomplex.operators as operators_module
 from tensorcomplex.decompose import (
     DECOMPOSITION_NAMES,
     INPUT_KINDS,
-    _tdg,
     decompose,
     regdec_cc,
     regdec_dd,
@@ -20,9 +20,10 @@ from tensorcomplex.decompose import (
     verify_decomposition,
 )
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
-from tensorcomplex.koszul import _dcc, _dcd, _ddd, _dgd, _dgg, _rcc_tilde, _rgcT, _rgg_tilde, tc, td
+from tensorcomplex.koszul import RIGHT_INVERSES, _RAISE, _Zero, apply_word, tc, td
 from tensorcomplex.operators import (
     OPS,
+    ORDER,
     OperatorId,
     components_equal,
     curl,
@@ -261,7 +262,7 @@ def run_script_in_process(name, text, tmp_path, capsys):
 
 def test_script_reports_a_step_failing_inside_the_chain_as_a_failed_decomposition(monkeypatch, tmp_path, capsys):
     # The dd witness is a symmetric field, of the kind dd takes: the broken
-    # curl, not the input, makes div(S eta) nonzero inside the _dcc chain.
+    # curl, not the input, makes div(S eta) nonzero inside the Dcc chain.
     monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
     witness = verify_decomposition("dd", samples=2, degree=2, seed=7).witness
     assert field_from_text(witness).kind is FieldKind.SYMMETRIC
@@ -282,18 +283,17 @@ def test_script_reports_a_wrong_kind_as_bad_input_in_process(tmp_path, capsys):
     assert (code, out) == (2, ("", "decompose_field.py: regdec dd needs a symmetric field, got a trace-free field\n"))
 
 
+def chain_of(name):
+    """The chain of the RIGHT_INVERSES row `name`, without its preconditions."""
+    return lambda f: apply_word((name,), f)
+
+
 def patch_chain(monkeypatch, name, kick):
-    """Add `kick` to the output of the chain `name` where decompose.py binds it:
-    its module attribute, which `_tdg` calls, and every word of `_DECOMPOSERS`."""
-    true = getattr(decompose_module, name)
-
-    def broken(f):
-        return true(f) + kick
-
-    monkeypatch.setattr(decompose_module, name, broken)
-    for key, (steps, *rest) in list(decompose_module._DECOMPOSERS.items()):
-        steps = tuple((label, tuple(broken if w is true else w for w in word), how) for label, word, how in steps)
-        monkeypatch.setitem(decompose_module._DECOMPOSERS, key, (steps, *rest))
+    """Add `kick` to the output of the RIGHT_INVERSES row `name`, which every
+    decomposition word that names it reads."""
+    spec = RIGHT_INVERSES[name]
+    broken = dataclasses.replace(spec, chain=(lambda f: apply_word(spec.chain, f) + kick,))
+    monkeypatch.setitem(RIGHT_INVERSES, name, broken)
 
 
 def failing_decompositions():
@@ -314,29 +314,60 @@ _TRACEFREE_KICK = matrix([[P_ZERO, X3 * X3, P_ZERO], [P_ZERO] * 3, [P_ZERO] * 3]
 
 
 def test_perturbed_hessian_part_fails_decompositions(monkeypatch):
-    patch_chain(monkeypatch, "_dgg", TypedField.scalar(X1 * X2))
-    # only the hess part S2 of cc uses _dgg; short-cc builds its S1~ with _rgg
+    patch_chain(monkeypatch, "Dgg", TypedField.scalar(X1 * X2))
+    # only the hess part S2 of cc uses Dgg; short-cc builds its S1~ with Rgg
     assert failing_decompositions() == ["regdec cc"]
 
 
 def test_perturbed_rgcT_fails_exactly_the_cd_decompositions(monkeypatch):
-    patch_chain(monkeypatch, "_rgcT", _VECTOR_KICK)  # not a conformal Killing field: T dev grad kick != 0
-    # _tdg, the only caller of RgcT here, builds S3 of cd and S2~ of short-cd
+    patch_chain(monkeypatch, "RgcT", _VECTOR_KICK)  # not a conformal Killing field: T dev grad kick != 0
+    # 1/2 RgcT . t, the only word here that names RgcT, builds S3 of cd and S2~ of short-cd
     assert failing_decompositions() == ["regdec cd", "regdec short-cd"]
 
 
 @pytest.mark.parametrize(
     "chain, kick, failing",
     [
-        ("_rgg", _VECTOR_KICK, ["regdec short-cc"]),
-        ("_rcc", _TRACEFREE_KICK, ["regdec short-dd"]),  # sym curl of the kick is nonzero
-        ("_dgd", _VECTOR_KICK, ["regdec cd"]),
-        ("_rc_plain", _VECTOR_KICK, ["regdec cd"]),
+        ("Rgg", _VECTOR_KICK, ["regdec short-cc"]),
+        ("Rcc", _TRACEFREE_KICK, ["regdec short-dd"]),  # sym curl of the kick is nonzero
+        ("Dgd", _VECTOR_KICK, ["regdec cd"]),
+        ("Rc_plain", _VECTOR_KICK, ["regdec cd"]),
     ],
 )
 def test_perturbed_chain_fails_exactly_the_decompositions_that_use_it(monkeypatch, chain, kick, failing):
     patch_chain(monkeypatch, chain, kick)
     assert failing_decompositions() == failing
+
+
+def word_gain(word) -> int:
+    """The degrees a word gains, read from data alone: +1 per `_RAISE` letter,
+    -ORDER per OPS letter, ORDER of its row's op per RIGHT_INVERSES name, and
+    0 per scale or zero check.  Every str letter must resolve, in one table."""
+    gain = 0
+    for letter in word:
+        if isinstance(letter, _Zero):
+            assert letter.op in OPS, letter
+        elif isinstance(letter, str):
+            assert [letter in table for table in (_RAISE, OPS, RIGHT_INVERSES)].count(True) == 1, letter
+            gain += 1 if letter in _RAISE else -ORDER[letter] if letter in OPS else ORDER[RIGHT_INVERSES[letter].op.name]
+        else:
+            assert isinstance(letter, (int, Fraction)), letter  # a chain function shows no gain
+    return gain
+
+
+def test_every_word_gains_the_order_of_its_operator():
+    # A right-inverse word gains the order of the operator it inverts, and a
+    # decomposition step the order of its reassembly (0 for the identity).
+    words = {name: spec.chain for name, spec in RIGHT_INVERSES.items()
+             if all(isinstance(letter, (str, int, Fraction, _Zero)) for letter in spec.chain)}
+    assert len(words) == 10
+    assert {name: word_gain(word) for name, word in words.items()} == {
+        name: ORDER[RIGHT_INVERSES[name].op.name] for name in words}
+    steps = {(name, label): (word, how) for name, (rows, *_) in decompose_module._DECOMPOSERS.items()
+             for label, word, how in rows}
+    assert len(steps) == 17
+    assert {key: word_gain(word) for key, (word, _) in steps.items()} == {
+        key: 0 if how == "identity" else ORDER[how] for key, (_, how) in steps.items()}
 
 
 def composed_parts(name, f):
@@ -345,12 +376,14 @@ def composed_parts(name, f):
     by splitting S2~ of short-cd into r = td(div S2~) and 2 tc(S2~ - r), and
     short-cc / short-dd by merging S1 + grad S2 / S1 + T curl S2 of cc / dd."""
     steps = {
-        "cc": (("S0", "inc", _dcc, "identity"), ("S1", None, _rgg_tilde, "deff"), ("S2", None, _dgg, "hess")),
-        "dd": (("S0", "div_div", _ddd, "identity"), ("S1", None, _rcc_tilde, "sym_curl"), ("S2", None, _dcc, "inc")),
+        "cc": (("S0", "inc", chain_of("Dcc"), "identity"), ("S1", None, chain_of("Rgg_tilde"), "deff"),
+               ("S2", None, chain_of("Dgg"), "hess")),
+        "dd": (("S0", "div_div", chain_of("Ddd"), "identity"), ("S1", None, chain_of("Rcc_tilde"), "sym_curl"),
+               ("S2", None, chain_of("Dcc"), "inc")),
         "cd": (
-            ("S0", "curl_div", _dcd, "identity"),
-            ("S1", "sym_curl_t", _dcc, "curl"),
-            ("S2~", None, lambda rho: _rgcT(rho.transpose()).scale(Fraction(1, 2)), "t_dev_grad"),
+            ("S0", "curl_div", chain_of("Dcd"), "identity"),
+            ("S1", "sym_curl_t", chain_of("Dcc"), "curl"),
+            ("S2~", None, lambda rho: chain_of("RgcT")(rho.transpose()).scale(Fraction(1, 2)), "t_dev_grad"),
         ),
     }
     residual, parts = f, []
@@ -402,16 +435,17 @@ def test_cascade_relations_between_the_decompositions(degree):
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_third_chain_sends_the_leading_part_to_zero(degree):
-    # The invariant stated in `_cascade`: the third step (_dgg for cc, _dcc for
-    # dd, 1/2 _dgd . div for cd, _tdg for short-cd) maps S0 to exactly 0, so
+    # The invariant stated in `_cascade`: the third step (Dgg for cc, Dcc for
+    # dd, 1/2 Dgd . div for cd, 1/2 RgcT . t for short-cd) maps S0 to exactly 0, so
     # S2 / S2~ is the same whether or not S0 is still in the residual.
     leading = []
     for seed in range(4):
         g = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "leading", "cc"))
         sigma = random_field(FieldKind.SYMMETRIC, degree, derived_rng(seed, "leading", "dd"))
         tau = random_field(FieldKind.TRACEFREE, degree, derived_rng(seed, "leading", "cd"))
-        third_steps = (("cc", g, _dgg), ("dd", sigma, _dcc), ("cd", tau, lambda s0: _dgd(div(s0))),
-                       ("short-cd", tau, _tdg))
+        third_steps = (("cc", g, chain_of("Dgg")), ("dd", sigma, chain_of("Dcc")),
+                       ("cd", tau, lambda s0: chain_of("Dgd")(div(s0))),
+                       ("short-cd", tau, lambda s0: chain_of("RgcT")(s0.transpose()).scale(Fraction(1, 2))))
         for name, f, third in third_steps:
             s0 = decompose(name, f).parts[0].potential
             assert third(s0).is_zero, (name, seed)

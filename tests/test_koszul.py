@@ -27,6 +27,7 @@ from tensorcomplex.koszul import (
     PreconditionError,
     RIGHT_INVERSES,
     RIGHT_INVERSE_NAMES,
+    apply_word,
     homotopy_check,
     kernel_basis,
     kind_basis,
@@ -459,10 +460,10 @@ def test_a_doubled_chain_fails_the_right_inverse_check(monkeypatch, name):
     spec = RIGHT_INVERSES[name]
 
     def doubled(f):
-        out = spec.chain(f)
+        out = apply_word(spec.chain, f)
         return out.scale(2) if spec.part is None else tuple(half.scale(2) for half in out)
 
-    monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, chain=doubled))
+    monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(spec, chain=(doubled,)))
     result = verify_right_inverse(name, samples=2, degree=2, seed=7)
     assert result.status == "fail"
     witness = field_from_text(result.witness)
@@ -480,6 +481,7 @@ def test_a_nonzero_curl_inside_dgg_fails_the_case_with_the_drawn_input(monkeypat
         return TypedField.vector([u.comp(1).scale(2), u.comp(2), u.comp(3)])
 
     monkeypatch.setattr(koszul, "tg_rows", broken)
+    monkeypatch.setitem(koszul._RAISE, "tg_rows", broken)  # the letter the Dgg word reads
     result = verify_right_inverse("Dgg", samples=3, degree=3, seed=7)
     assert result.status == "fail"
     witness = field_from_text(result.witness)
@@ -550,6 +552,7 @@ def test_right_inverse_kind_check():
 def test_wrong_sign_in_tc_is_caught(monkeypatch):
     true_tc = koszul.tc
     monkeypatch.setattr(koszul, "tc", lambda q: -true_tc(q))
+    monkeypatch.setitem(koszul._RAISE, "tc", koszul.tc)  # the letter the chain words read
     report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
     cases = {c.name: c for c in report.cases}
     checks = {
@@ -583,7 +586,7 @@ def test_the_lemma_3_11_rows_build_their_pair_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(koszul, "_rgc_tilde_dgc_tilde", counted)
     for name in _LEMMA_3_11:
-        monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(RIGHT_INVERSES[name], chain=counted))
+        monkeypatch.setitem(koszul.RIGHT_INVERSES, name, dataclasses.replace(RIGHT_INVERSES[name], chain=(counted,)))
     report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=10))
     assert report.all_passed
     assert len(calls) == 20
@@ -595,7 +598,7 @@ def _broken_curl(monkeypatch):
 
 def _one_doubled_chain(monkeypatch):
     spec = RIGHT_INVERSES["Dgc_tilde"]
-    doubled = dataclasses.replace(spec, chain=lambda tau: tuple(half.scale(2) for half in spec.chain(tau)))
+    doubled = dataclasses.replace(spec, chain=(lambda tau: tuple(half.scale(2) for half in apply_word(spec.chain, tau)),))
     monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", doubled)
 
 

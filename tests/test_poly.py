@@ -143,23 +143,36 @@ def test_parse_fraction_forms():
     assert Poly3.parse("0").is_zero
 
 
-@pytest.mark.parametrize("coeff", ["1.5", "1e3", "1_000", "1e-3000000", "1/0", "-3/00"])
+@pytest.mark.parametrize(
+    "coeff", ["1.5", "1e3", "1_000", "1e-3000000", "1/0", "-3/00", "007", "3/04", "2/4", "1/1", "-0", "0"]
+)
 def test_parse_refuses_coefficients_the_printer_never_writes(monkeypatch, coeff):
     # `Fraction` would read the first four, and the cost of 1e-3000000 grows
-    # with its exponent, and it would raise ZeroDivisionError on the last two;
-    # only -?[0-9]+(/0*[1-9][0-9]*)? is read, and nothing is built before.
+    # with its exponent, and it would raise ZeroDivisionError on the next two;
+    # it would read the rest to a value the printer writes another way, or as
+    # no term at all.  Only a nonzero -?[1-9][0-9]*(/[1-9][0-9]*)?, a fraction
+    # reduced with d > 1, is read, and no Fraction is built before.
     monkeypatch.setattr(poly, "Fraction", lambda *_: pytest.fail("a number was built"))
     with pytest.raises(ValueError, match=f"^bad coefficient '{coeff}'$"):
         Poly3.parse(f"{coeff} * x1^0 x2^0 x3^0")
 
 
-@pytest.mark.parametrize("factor", ["x1^1_0", "x1^+2", "x1^\u0663"])
+@pytest.mark.parametrize("factor", ["x1^1_0", "x1^+2", "x1^\u0663", "x1^01"])
 def test_parse_refuses_exponents_the_printer_never_writes(factor):
-    # int() would read these as x1^10, x1^2 and x1^3 (an Arabic-Indic digit);
-    # only [0-9]+ is read
+    # int() would read these as x1^10, x1^2, x1^3 (an Arabic-Indic digit) and
+    # x1^1; only 0|[1-9][0-9]* is read
     with pytest.raises(ValueError) as raised:
         Poly3.parse(f"1 * {factor} x2^0 x3^0")
     assert str(raised.value) == f"bad monomial factor {factor!r}"
+
+
+@pytest.mark.parametrize("text", ["1 * x1^0 x2^0 x3^0 + 1 * x1^0 x2^0 x3^0",
+                                  "1 * x1^1 x2^0 x3^0 + 2 * x1^0 x2^0 x3^0 + -1 * x1^1 x2^0 x3^0"])
+def test_parse_refuses_a_repeated_monomial(text):
+    # the printer writes each monomial once, so a repeat is no sum but bad text,
+    # in whatever order the terms come
+    with pytest.raises(ValueError, match=r"^repeated monomial '[^']*'$"):
+        Poly3.parse(text)
 
 
 def test_monomials_up_to_counts():

@@ -176,11 +176,16 @@ def test_components_equal_agrees_with_a_zero_difference(pair, c):
 
 
 @settings(max_examples=200)
-@given(st.lists(st.tuples(monomials(), fractions(max_num=40, max_den=60)), min_size=1, max_size=6), st.booleans())
+@given(st.dictionaries(monomials(), fractions(max_num=40, max_den=60).filter(bool), min_size=1, max_size=6),
+       st.booleans())
 def test_parse_and_print_match_fraction_reference(chunks, cancel):
-    if cancel:  # the same monomial again with the opposite coefficient
-        chunks = chunks + [(chunks[0][0], -chunks[0][1])]
-    text = " + ".join(f"{c} * x1^{a} x2^{b} x3^{e}" for (a, b, e), c in chunks)
+    # each monomial once with a nonzero coefficient, as the printer writes it,
+    # in any order; the same monomial again, with the opposite coefficient, is refused
+    text = " + ".join(f"{c} * x1^{a} x2^{b} x3^{e}" for (a, b, e), c in chunks.items())
+    if cancel:
+        (a, b, e), c = next(iter(chunks.items()))
+        with pytest.raises(ValueError, match="^repeated monomial"):
+            Poly3.parse(f"{text} + {-c} * x1^{a} x2^{b} x3^{e}")
     p, r = Poly3.parse(text), FractionPoly3.parse(text)
     assert_same(p, r)
     assert Poly3.parse(str(p)) == p
