@@ -9,14 +9,14 @@ The input uses the plain-text field format, e.g.
     1 1 : 1 * x1^2 x2^0 x3^0
     ...
 
-The input must be UTF-8.  An unreadable or undecodable file or stdin,
-malformed field text (an exponent past 255 included), a field of a kind the
-decomposition does not take, or one whose decomposition would need an
-exponent past 255 is reported on one line with exit code 2, and so is a
-failed write of the parts to stdout (a full disk, say).  A step inside
-the decomposition that breaks a kind predicate or that its lemma makes zero,
-found nonzero, means a broken operator, not bad input: it is reported on one
-line as a failed decomposition, with exit code 1.
+The input must be UTF-8.  An argument past the file, an unreadable or
+undecodable file or stdin, malformed field text (an exponent past 255
+included), a field of a kind the decomposition does not take, or one whose
+decomposition would need an exponent past 255 is reported on one line with
+exit code 2, and so is a failed write of the parts to stdout (a full disk,
+say).  A step inside the decomposition that breaks a kind predicate or that
+its lemma makes zero, found nonzero, means a broken operator, not bad input:
+it is reported on one line as a failed decomposition, with exit code 1.
 """
 
 import sys
@@ -35,6 +35,9 @@ def main(argv: list[str] | None = None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     name = argv[0]
+    if len(argv) > 2:
+        print(f"decompose_field.py: unexpected argument {argv[2]!r}", file=sys.stderr)
+        return 2
     source = argv[1] if len(argv) > 1 else "stdin"
     try:
         if len(argv) > 1:

@@ -3,9 +3,9 @@
 
 Usage: python scripts/run_all_suites.py [seed] [outdir]
 
-A seed that is not an integer (-?[0-9]+), an output directory that cannot be
-created, or a report file that cannot be written is reported on one line
-with exit code 2.
+An argument past the output directory, a seed that is not an integer
+(-?[0-9]+), an output directory that cannot be created, or a report file that
+cannot be written is reported on one line with exit code 2.
 """
 
 import sys
@@ -19,6 +19,9 @@ from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E4
 
 
 def main() -> int:
+    if len(sys.argv) > 3:
+        print(f"run_all_suites.py: unexpected argument {sys.argv[3]!r}", file=sys.stderr)
+        return 2
     try:
         seed = integer(sys.argv[1]) if len(sys.argv) > 1 else 7
     except ValueError:

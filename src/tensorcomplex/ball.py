@@ -222,8 +222,6 @@ _PAIRINGS: dict[str, PairingSpec] = {
     ),
 }
 
-PAIRING_NAMES = tuple(_PAIRINGS)
-
 
 def verify_ibp(which: str, samples: int, degree: int, seed: int) -> CheckResult:
     """Both sides of the named pairing agree as exact pi-multiples.  A failing

@@ -5,9 +5,10 @@ Nodes follow the R-V-V-R / V-S-T-V / V-T-S-V / R-V-V-R value-kind pattern.
 factor (1/3 grad, 1/2 curl, 1/2 dev grad, ...) kept apart from its operator.
 `DIAGONALS` holds the second-order diagonal of each interior cell, equal to
 both of the cell's first-order factorizations.  `edge(src, dst)` finds any of
-the 33 steps, `walk(*nodes)` chains them, and `apply_path` is the one walker:
-cells, 2-complex paths and the derived complexes of Cor. 2.6 are all walks
-through it.
+the 33 steps, and `walk(*nodes)` chains them into a `Walk`, which `apply_path`
+applies.  A walk is a side of an `operators.Identity` row: a cell is a two-sided
+row, and a 2-complex path or a derived pair of Cor. 2.6 a one-sided row that
+must give zero.  The rows are built from this data when a check is called.
 
 Every check reads the operator algebra from this data alone.  The with-bc and
 no-bc flavors differ only in the node labels, which only the dump
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldKind, TypedField
-from .operators import CheckResult, OperatorId, components_equal, field_draw, run_check
+from .operators import CheckResult, Identity, OperatorId
 
 R = FieldKind.SCALAR
 V = FieldKind.VECTOR
@@ -117,9 +118,16 @@ def edge(src: tuple[int, int], dst: tuple[int, int]) -> EdgeOp:
     return _STEPS[(src, dst)]
 
 
-def walk(*nodes: tuple[int, int]) -> tuple[EdgeOp, ...]:
+class Walk(tuple):
+    """Steps in order, each an edge or a diagonal: a row side, applied by `apply_path`."""
+
+    def apply(self, f: TypedField) -> TypedField:
+        return apply_path(self, f)
+
+
+def walk(*nodes: tuple[int, int]) -> Walk:
     """The steps through `nodes`, in order: each consecutive pair is an edge or a diagonal."""
-    return tuple(edge(a, b) for a, b in zip(nodes, nodes[1:]))
+    return Walk(edge(a, b) for a, b in zip(nodes, nodes[1:]))
 
 
 def to_dict(flavor: str) -> dict:
@@ -163,25 +171,15 @@ def path_label(p: tuple[EdgeOp, ...]) -> str:
     return f"{steps} [{ops}]"
 
 
-def enumerate_paths(length: int) -> list[tuple[EdgeOp, ...]]:
+def enumerate_paths(length: int) -> list[Walk]:
     """All monotone (right/down) paths of exactly `length` edges, lexicographic order."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    paths: list[tuple[EdgeOp, ...]] = []
-
-    def extend(nodes: tuple[tuple[int, int], ...]):
-        if len(nodes) > length:
-            paths.append(walk(*nodes))
-            return
-        r, c = nodes[-1]
-        for nxt in ((r, c + 1), (r + 1, c)):  # right before down
-            if nxt[0] <= 4 and nxt[1] <= 4:
-                extend(nodes + (nxt,))
-
-    for r in range(1, 5):
-        for c in range(1, 5):
-            extend(((r, c),))
-    return paths
+    paths = [[(r, c)] for r in range(1, 5) for c in range(1, 5)]
+    for _ in range(length):  # each path steps right, then down, while it stays in the grid
+        paths = [p + [(r, c)] for p in paths for r, c in ((p[-1][0], p[-1][1] + 1), (p[-1][0] + 1, p[-1][1]))
+                 if r <= 4 and c <= 4]
+    return [walk(*p) for p in paths]
 
 
 def apply_path(p: tuple[EdgeOp, ...], f: TypedField) -> TypedField:
@@ -194,20 +192,17 @@ def apply_path(p: tuple[EdgeOp, ...], f: TypedField) -> TypedField:
     return f
 
 
-def check_cell(cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
+def cell_row(cell: tuple[int, int]) -> Identity:
     """down∘right == right∘down on the cell with top-left corner `cell`."""
     r, c = cell
     if not (1 <= r <= 3 and 1 <= c <= 3):
         raise ValueError("cell must index one of the 9 interior cells")
-    right_down = walk(cell, (r, c + 1), (r + 1, c + 1))
-    down_right = walk(cell, (r + 1, c), (r + 1, c + 1))
-    return run_check(
-        f"cell ({r},{c})",
-        "Thm 2.3",
-        samples,
-        field_draw(node_kind(cell), degree, seed, "cell", r, c),
-        lambda f: components_equal(apply_path(right_down, f), apply_path(down_right, f)),
-    )
+    sides = (walk(cell, (r, c + 1), (r + 1, c + 1)), walk(cell, (r + 1, c), (r + 1, c + 1)))
+    return Identity(f"cell ({r},{c})", "Thm 2.3", node_kind(cell), sides, ("cell", r, c))
+
+
+def check_cell(cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
+    return cell_row(cell).verify(samples, degree, seed)
 
 
 def check_all_cells(samples: int, degree: int, seed: int) -> list[CheckResult]:
@@ -215,18 +210,16 @@ def check_all_cells(samples: int, degree: int, seed: int) -> list[CheckResult]:
     return [check_cell(d.src, samples, degree, seed) for d in DIAGONALS]
 
 
-def check_two_complex(samples: int, degree: int, seed: int) -> list[CheckResult]:
+def two_complex_rows() -> list[Identity]:
     """Every monotone length-3 path composes to the exact zero field."""
     return [
-        run_check(
-            f"path {path_label(p)}",
-            "Thm 2.5",
-            samples,
-            field_draw(node_kind(p[0].src), degree, seed, "two-complex", idx),
-            lambda f: apply_path(p, f).is_zero,
-        )
+        Identity(f"path {path_label(p)}", "Thm 2.5", node_kind(p[0].src), (p,), ("two-complex", idx))
         for idx, p in enumerate(enumerate_paths(3))
     ]
+
+
+def check_two_complex(samples: int, degree: int, seed: int) -> list[CheckResult]:
+    return [row.verify(samples, degree, seed) for row in two_complex_rows()]
 
 
 _DERIVED_COMPLEXES = {
@@ -237,20 +230,19 @@ _DERIVED_COMPLEXES = {
 }
 
 
-def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> list[CheckResult]:
+def derived_rows(name: str) -> list[Identity]:
     """Consecutive compositions of the named derived complex vanish exactly."""
     anchor, nodes = _DERIVED_COMPLEXES[name]
     steps = walk(*nodes)
     return [
-        run_check(
-            f"{name}: {second.op.label()} ∘ {first.op.label()} = 0",
-            anchor,
-            samples,
-            field_draw(node_kind(first.src), degree, seed, "derived", name, stage),
-            lambda f: apply_path((first, second), f).is_zero,
-        )
+        Identity(f"{name}: {second.op.label()} ∘ {first.op.label()} = 0", anchor, node_kind(first.src),
+                 (Walk((first, second)),), ("derived", name, stage))
         for stage, (first, second) in enumerate(zip(steps, steps[1:]))
     ]
+
+
+def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> list[CheckResult]:
+    return [row.verify(samples, degree, seed) for row in derived_rows(name)]
 
 
 def check_all_derived_complexes(samples: int, degree: int, seed: int) -> list[CheckResult]:

@@ -442,8 +442,6 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
     ]
 }
 
-RIGHT_INVERSE_NAMES = tuple(RIGHT_INVERSES)
-
 
 def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) -> TypedField:
     """Run the named chain after verifying its preconditions exactly."""

@@ -12,9 +12,10 @@ Conventions, fixed once here:
   * curl and div build each entry in one pass, as one `Poly3.partial_sum`
     of its signed first derivatives.
 
-Each side of an identity in IDENTITIES is a scaled OPS word, so ORDER gives
-every identity its order.  The identity suite compares canonical polynomial
-forms, never point samples; a pass means the sides agree exactly.
+`Identity` is the one row type of the 70 constant-coefficient cases: IDENTITIES
+here, and the cells, 2-complex paths and derived pairs of `diagram`.  A side is
+a scaled OPS word, of order ORDER[name], or a diagram walk; a row compares
+canonical polynomial forms, never point samples.
 """
 
 from __future__ import annotations
@@ -163,17 +164,27 @@ def _word(name: str) -> Callable[[TypedField], TypedField]:
     return op
 
 
-# -- identity table -----------------------------------------------------------
+# -- case rows and the identity table ------------------------------------------
 
 
 @dataclass(frozen=True)
 class Identity:
-    """One algebraic identity: every side, a scaled OPS word, must give the same field."""
+    """One case: on a field of `input_kind` every side (an OperatorId or a `diagram.Walk`) gives the same
+    field, or a lone side gives zero.  Samples come from the RNG stream `stream`, or ("identity", name)."""
 
     name: str
     anchor: str
     input_kind: FieldKind
-    sides: tuple[OperatorId, ...]
+    sides: tuple[Any, ...]
+    stream: tuple[object, ...] = ()
+
+    def holds(self, f: TypedField) -> bool:
+        first, *rest = [side.apply(f) for side in self.sides]
+        return all(components_equal(first, other) for other in rest) if rest else first.is_zero
+
+    def verify(self, samples: int, degree: int, seed: int) -> CheckResult:
+        stream = self.stream or ("identity", self.name)
+        return run_check(self.name, self.anchor, samples, field_draw(self.input_kind, degree, seed, *stream), self.holds)
 
 
 _HALF = Fraction(1, 2)
@@ -357,13 +368,7 @@ def run_check(
 
 
 def verify_identity(name: str, samples: int, degree: int, seed: int) -> CheckResult:
-    ident = IDENTITIES[name]
-
-    def holds(f: TypedField) -> bool:
-        first, *rest = [side.apply(f) for side in ident.sides]
-        return all(components_equal(first, other) for other in rest)
-
-    return run_check(name, ident.anchor, samples, field_draw(ident.input_kind, degree, seed, "identity", name), holds)
+    return IDENTITIES[name].verify(samples, degree, seed)
 
 
 def verify_all_identities(samples: int, degree: int, seed: int) -> list[CheckResult]:

@@ -72,9 +72,9 @@ def test_criterion_6_right_inverses():
     # construction line; every id is checked on its own kernel-sampled inputs
     results = [
         koszul.verify_right_inverse(name, samples=10, degree=3, seed=7)
-        for name in koszul.RIGHT_INVERSE_NAMES
+        for name in koszul.RIGHT_INVERSES
     ]
-    distinct_identities = {koszul.RIGHT_INVERSES[n].statement for n in koszul.RIGHT_INVERSE_NAMES}
+    distinct_identities = {koszul.RIGHT_INVERSES[n].statement for n in koszul.RIGHT_INVERSES}
     witness = koszul.right_inverse("Ddd", TypedField.scalar(P_ONE))
     expected = matrix(
         [[(Poly3.variable(i) * Poly3.variable(j)).scale(Fraction(1, 12)) for j in range(1, 4)] for i in range(1, 4)],

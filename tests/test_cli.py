@@ -277,6 +277,13 @@ def test_run_all_suites_reads_the_seed_only_as_ascii_digits(tmp_path, text):
     assert not any(tmp_path.iterdir())
 
 
+def test_run_all_suites_refuses_an_argument_past_the_outdir(tmp_path):
+    r = subprocess.run([sys.executable, str(_RUN_ALL), "7", str(tmp_path), "extra-arg"], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "run_all_suites.py: unexpected argument 'extra-arg'\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_all_suites_bad_outdir_is_one_line_exit_two(tmp_path):
     outdir = tmp_path / "a-file" / "reports"
     outdir.parent.write_text("")

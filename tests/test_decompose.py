@@ -232,6 +232,17 @@ def test_script_reports_a_missing_file_on_one_line(tmp_path):
     assert proc.stdout == ""
 
 
+def test_script_refuses_an_argument_past_the_file(tmp_path):
+    # Only the first file was read before: the missing one went unnoticed.
+    good = tmp_path / "a.txt"
+    good.write_text(field_to_text(TypedField.identity_scaled(X1)))
+    missing = tmp_path / "missing.txt"
+    proc = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(good), str(missing), "extra"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"decompose_field.py: unexpected argument {str(missing)!r}\n"
+
+
 def test_script_reports_undecodable_input_on_one_line(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe")

@@ -26,7 +26,6 @@ from tensorcomplex.fields import (
 from tensorcomplex.koszul import (
     PreconditionError,
     RIGHT_INVERSES,
-    RIGHT_INVERSE_NAMES,
     apply_word,
     homotopy_check,
     kernel_basis,
@@ -392,7 +391,7 @@ def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(mon
     args = ["run", "--suite", "right-inverses", "--seed", "7", "--degree", "2", "--samples", "2", "--out", str(out)]
     assert main(args) == 1
     cases = {c["name"].partition(":")[0]: c for c in json.loads(out.read_text())["cases"]}
-    assert set(RIGHT_INVERSE_NAMES) <= set(cases)
+    assert set(RIGHT_INVERSES) <= set(cases)
     for name in ("Rgg_tilde", "Dgg", "Rgg"):  # the samples of ker inc and ker curl on symmetric fields
         spec = RIGHT_INVERSES[name]
         assert cases[name]["status"] == "fail", name
@@ -425,17 +424,17 @@ def test_emptied_kernel_caches_take_a_mutated_curl_into_the_samples_and_the_case
     report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
     statuses = {c.name.partition(":")[0]: c.status for c in report.cases}
     # only the chains with no kernel constraint and no curl inside still pass
-    assert {name for name in RIGHT_INVERSE_NAMES if statuses[name] == "pass"} == {"Ddd", "Rgd", "Rd_plain"}
-    assert {statuses[name] for name in RIGHT_INVERSE_NAMES} == {"pass", "fail"}
+    assert {name for name in RIGHT_INVERSES if statuses[name] == "pass"} == {"Ddd", "Rgd", "Rd_plain"}
+    assert {statuses[name] for name in RIGHT_INVERSES} == {"pass", "fail"}
 
 
-@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+@pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
 def test_right_inverse_defining_identity(name):
     result = verify_right_inverse(name, samples=4, degree=2, seed=7)
     assert result.passed, result.witness
 
 
-@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+@pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
 def test_right_inverse_output_kind(name):
     spec = RIGHT_INVERSES[name]
     f = sample_right_inverse_input(name, 2, 13, 0)
@@ -443,7 +442,7 @@ def test_right_inverse_output_kind(name):
     assert out.kind is spec.output_kind
 
 
-@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+@pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
 def test_wrong_output_kind_fails_the_right_inverse_check(monkeypatch, name):
     # no chain returns a general matrix field, so every spec now declares a wrong kind
     spec = RIGHT_INVERSES[name]
@@ -453,7 +452,7 @@ def test_wrong_output_kind_fails_the_right_inverse_check(monkeypatch, name):
     assert field_from_text(result.witness).kind is spec.input_kind
 
 
-@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+@pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
 def test_a_doubled_chain_fails_the_right_inverse_check(monkeypatch, name):
     # every row of the table, the `after` rows and the Lemma 3.11 pair included,
     # must reject an output twice too large, with a genuine input as witness
@@ -534,7 +533,7 @@ def test_dcc_on_kernel_sample():
     assert components_equal(inc(g), sigma)
 
 
-@pytest.mark.parametrize("name", RIGHT_INVERSE_NAMES)
+@pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
 def test_right_inverse_raises_the_degree_by_the_order_of_its_operator(name):
     # each chain gains as many degrees as the operator it inverts takes off;
     # the Lemma 3.11 pair inverts curl through g + deff u, so u gains one more

@@ -1,6 +1,7 @@
 """Differential operators against an independent sympy oracle, plus the
 exact identity suite and the sampled-check engine."""
 
+import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from tensorcomplex.fields import (
     TypedField,
     X_FIELD,
     cross,
+    field_from_text,
     field_to_text,
     mskw,
     vskw,
@@ -265,6 +267,32 @@ def test_identity_failure_reports_witness(monkeypatch):
     from tensorcomplex.fields import field_from_text
 
     field_from_text(r.witness)  # the witness parses back
+
+
+def test_a_lone_side_must_give_the_zero_field(monkeypatch):
+    # A one-sided row claims that its side vanishes: grad of a random scalar
+    # field does not, and grad scaled by 0 does.
+    lone = operators.Identity("lone", "none", FieldKind.SCALAR, (operators.OperatorId("grad"),))
+    zero = operators.Identity("zero", "none", FieldKind.SCALAR, (operators.OperatorId("grad", Fraction(0)),))
+    monkeypatch.setitem(operators.IDENTITIES, "lone", lone)
+    monkeypatch.setitem(operators.IDENTITIES, "zero", zero)
+    r = verify_identity("lone", samples=3, degree=2, seed=1)
+    assert r.status == "fail"
+    w = field_from_text(r.witness)
+    assert w.kind is FieldKind.SCALAR and not grad(w).is_zero
+    assert verify_identity("zero", samples=3, degree=2, seed=1).passed
+
+
+def test_a_three_sided_row_fails_on_its_third_side_alone(monkeypatch):
+    eq3 = operators.IDENTITIES["eq3"]
+    third = operators.OperatorId(eq3.sides[2].name, Fraction(2))
+    broken = dataclasses.replace(eq3, sides=(*eq3.sides[:2], third))
+    monkeypatch.setitem(operators.IDENTITIES, "eq3", broken)
+    r = verify_identity("eq3", samples=3, degree=2, seed=7)
+    assert r.status == "fail"
+    v = field_from_text(r.witness)
+    first, second, last = (side.apply(v) for side in broken.sides)
+    assert components_equal(first, second) and not components_equal(first, last)
 
 
 def test_passing_identity_has_no_witness():
