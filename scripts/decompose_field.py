@@ -9,14 +9,15 @@ The input uses the plain-text field format, e.g.
     1 1 : 1 * x1^2 x2^0 x3^0
     ...
 
-The input must be UTF-8.  An argument past the file, an unreadable or
-undecodable file or stdin, malformed field text (an exponent past 255
-included), a field of a kind the decomposition does not take, or one whose
-decomposition would need an exponent past 255 is reported on one line with
-exit code 2, and so is a failed write of the parts to stdout (a full disk,
-say).  A step inside the decomposition that breaks a kind predicate or that
-its lemma makes zero, found nonzero, means a broken operator, not bad input:
-it is reported on one line as a failed decomposition, with exit code 1.
+The input must be UTF-8.  A missing or unknown decomposition name, an
+argument past the file, an unreadable or undecodable file or stdin,
+malformed field text (an exponent past 255 included), a field of a kind the
+decomposition does not take, or one whose decomposition would need an
+exponent past 255 is reported on one line with exit code 2, and so is a
+failed write of the parts to stdout (a full disk, say).  A step inside the
+decomposition that breaks a kind predicate or that its lemma makes zero,
+found nonzero, means a broken operator, not bad input: it is reported on
+one line as a failed decomposition, with exit code 1.
 """
 
 import sys
@@ -32,7 +33,8 @@ from tensorcomplex.poly import ExponentLimitError  # noqa: E402
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in DECOMPOSITION_NAMES:
-        print(__doc__, file=sys.stderr)
+        what = f"unknown decomposition {argv[0]!r}" if argv else "missing decomposition name"
+        print(f"decompose_field.py: {what} (one of {', '.join(DECOMPOSITION_NAMES)})", file=sys.stderr)
         return 2
     name = argv[0]
     if len(argv) > 2:

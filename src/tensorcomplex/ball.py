@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import (
     E1,
@@ -126,19 +126,23 @@ def bump(k: int) -> Poly3:
     return out
 
 
-@dataclass(frozen=True)
-class MomentSpace:
+class MomentSpace(NamedTuple):
     """A finite-dimensional test space with an explicit polynomial basis."""
 
     name: str
     kind: FieldKind
     basis: tuple[TypedField, ...]
 
-    @functools.cached_property
+    @property
     def weighted_gram(self) -> tuple[list[TypedField], list[dict[int, Fraction]]]:
-        """Each basis field b_i times bump(1), and Gram row i, {j: (b_j bump(1), b_i)}; built once."""
-        weighted = [b.mul_scalar_poly(bump(1)) for b in self.basis]
-        return weighted, [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} for b in self.basis]
+        """Each basis field b_i times bump(1), and Gram row i, {j: (b_j bump(1), b_i)}; built once per space."""
+        return _weighted_gram(self)
+
+
+@functools.cache
+def _weighted_gram(space: MomentSpace) -> tuple[list[TypedField], list[dict[int, Fraction]]]:
+    weighted = [b.mul_scalar_poly(bump(1)) for b in space.basis]
+    return weighted, [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} for b in space.basis]
 
 
 CONSTANTS_SCALAR = MomentSpace("constants", FieldKind.SCALAR, (TypedField.scalar(P_ONE),))
@@ -192,8 +196,7 @@ def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
 _R, _V, _S, _T = FieldKind.SCALAR, FieldKind.VECTOR, FieldKind.SYMMETRIC, FieldKind.TRACEFREE
 
 
-@dataclass(frozen=True)
-class PairingSpec:
+class PairingSpec(NamedTuple):
     """One extension identity of Sec. 6: for every `field_kind` field f and
     bump-weighted `test_kind` test field phi, (f, op(phi)) = factor (adj(f), phi).
     Operators are named by their OPS key."""

@@ -33,8 +33,8 @@ component maps is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import FieldKind, KindError, TypedField, field_to_text
 # tc, td, tg and tg_rows are not called here, but perfbench/test_perfbench.py checks that the tracer rebinds them here.
@@ -45,8 +45,7 @@ _IDENTITY = OperatorId("identity")  # reassembly that leaves the potential as is
 _S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 
 
-@dataclass(frozen=True)
-class DecompositionPart:
+class DecompositionPart(NamedTuple):
     label: str
     potential: TypedField
     reassembly: OperatorId
@@ -55,8 +54,7 @@ class DecompositionPart:
         return self.potential if self.reassembly == _IDENTITY else self.reassembly.apply(self.potential)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     input: TypedField
     parts: tuple[DecompositionPart, ...]
 

@@ -17,8 +17,8 @@ no-bc flavors differ only in the node labels, which only the dump
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import FieldKind, TypedField
 from .operators import CheckResult, Identity, OperatorId
@@ -81,8 +81,7 @@ _DIAGONALS = {
 }
 
 
-@dataclass(frozen=True)
-class EdgeOp:
+class EdgeOp(NamedTuple):
     src: tuple[int, int]
     dst: tuple[int, int]
     op: OperatorId

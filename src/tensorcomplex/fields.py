@@ -15,7 +15,6 @@ otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -72,25 +71,44 @@ def _axial(u: Sequence[Poly3]) -> list[Poly3]:
     return [-u[2], u[1], -u[0]]
 
 
-@dataclass(frozen=True)
 class TypedField:
-    kind: FieldKind
-    components: tuple[Poly3, ...]
+    """A field of `kind` with its components as a tuple of Poly3; immutable, compared and hashed by value."""
 
-    def __post_init__(self):
-        n = _COMPONENT_COUNT[self.kind]
-        c = self.components
+    __slots__ = ("kind", "components")
+
+    def __init__(self, kind: FieldKind, components: tuple[Poly3, ...]):
+        n = _COMPONENT_COUNT[kind]
+        c = components
         if len(c) != n:
-            raise KindError(f"{self.kind.value} field needs {n} components, got {len(c)}")
-        if self.kind is FieldKind.SYMMETRIC:
+            raise KindError(f"{kind.value} field needs {n} components, got {len(c)}")
+        if kind is FieldKind.SYMMETRIC:
             if any(c[k] != c[t] for k, t in OFF_DIAGONAL):
                 raise KindError("components are not symmetric")
-        elif self.kind is FieldKind.TRACEFREE:
+        elif kind is FieldKind.TRACEFREE:
             if not _trace(c).is_zero:
                 raise KindError("components have nonzero trace")
-        elif self.kind is FieldKind.SKEW:
+        elif kind is FieldKind.SKEW:
             if any(not c[k].is_zero for k in DIAGONAL) or any(not (c[k] + c[t]).is_zero for k, t in OFF_DIAGONAL):
                 raise KindError("components are not skew")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a TypedField")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a TypedField")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind is other.kind and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.components))
+
+    def __repr__(self) -> str:
+        return f"TypedField(kind={self.kind!r}, components={self.components!r})"
 
     # -- constructors -------------------------------------------------
 

@@ -30,11 +30,11 @@ homogeneous operators do not need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import comb, lcm
+from typing import NamedTuple
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
 from .fields import (
@@ -191,8 +191,7 @@ def _symbol(name: str, kind: FieldKind) -> tuple[dict, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(NamedTuple):
     """A kernel basis of `size` fields of `kind`, degree <= `degree`, as one table:
     per component, flat (monomial index, basis index, numerator over `denom`)
     triples of the nonzero entries of every basis field."""
@@ -278,8 +277,7 @@ def _check_zero(f: TypedField, what: str):
         raise KindError(f"{what} is nonzero")
 
 
-@dataclass(frozen=True)
-class _Zero:
+class _Zero(NamedTuple):
     """A chain letter: `_check_zero` of OPS[op] of its input, which it passes on."""
 
     op: str
@@ -369,8 +367,7 @@ def _rcd(q: TypedField) -> TypedField:
     return gamma.sym() + OPS["sym_curl_t"](tau.dev())
 
 
-@dataclass(frozen=True)
-class RightInverseSpec:
+class RightInverseSpec(NamedTuple):
     """One right-inverse operator: its domain, preconditions, chain, and the
     diagram operator `op` it inverts.  Its defining identity is op(out) = input,
     with both sides taken through OPS[after] first when `after` is set."""

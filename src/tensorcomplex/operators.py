@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .fields import (
     _COMPONENT_COUNT,
@@ -109,8 +108,7 @@ def inc(g: TypedField) -> TypedField:
 # -- operator registry ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorId:
+class OperatorId(NamedTuple):
     """An OPS word with its scale factor: a diagram edge, the op of a right inverse, a reassembly or an identity side."""
 
     name: str
@@ -167,8 +165,7 @@ def _word(name: str) -> Callable[[TypedField], TypedField]:
 # -- case rows and the identity table ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One case: on a field of `input_kind` every side (an OperatorId or a `diagram.Walk`) gives the same
     field, or a lone side gives zero.  Samples come from the RNG stream `stream`, or ("identity", name)."""
 
@@ -308,12 +305,11 @@ class BasisKindError(KindError):
         self.witness = witness
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one exact check; witness carries the offending input.
 
     `error` marks precondition violations (as opposed to a nonzero residual);
-    `duration_ms` is the case's own wall time, set by `run_check`.
+    `duration_ms` is the case's own wall time, measured by `run_check`.
     """
 
     name: str
@@ -346,25 +342,24 @@ def run_check(
     the error's own witness.  The result records the wall time of this case alone.
     """
     t0 = perf_counter()
-    result = CheckResult(name, anchor, True)
+    passed, found, error = True, None, False
     for s in range(samples):
         try:
             x = draw(s)
         except BasisKindError as err:
-            result = CheckResult(name, anchor, False, err.witness)
+            passed, found = False, err.witness
             break
         try:
             ok = holds(x)
         except PreconditionError as err:
-            result = CheckResult(name, anchor, False, f"{err} | witness:\n{err.witness}", error=True)
+            passed, found, error = False, f"{err} | witness:\n{err.witness}", True
             break
         except KindError:
             ok = False
         if not ok:
-            result = CheckResult(name, anchor, False, witness(x))
+            passed, found = False, witness(x)
             break
-    result.duration_ms = int((perf_counter() - t0) * 1000)
-    return result
+    return CheckResult(name, anchor, passed, found, error, int((perf_counter() - t0) * 1000))
 
 
 def verify_identity(name: str, samples: int, degree: int, seed: int) -> CheckResult:

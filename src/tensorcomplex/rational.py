@@ -9,21 +9,39 @@ where one value is read.  Long operator chains multiply denominators like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
 
-@dataclass(frozen=True)
 class PiScalar:
-    """An exact value q*pi with q rational.
+    """An exact value q*pi with q rational; immutable, compared and hashed by value.
 
-    Closed under addition and rational scaling.  The product of two
-    PiScalars is pi^2-valued and deliberately not representable.
+    Closed under addition and scaling on the right by a rational.  The
+    product of two PiScalars is pi^2-valued and deliberately not
+    representable; a number on the left (2 * x) is refused too, where a
+    tuple would silently repeat itself.
     """
 
-    coeff: Fraction
+    __slots__ = ("coeff",)
+
+    def __init__(self, coeff: Fraction):
+        object.__setattr__(self, "coeff", coeff)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a PiScalar")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a PiScalar")
+
+    def __eq__(self, other) -> bool:
+        return self.coeff == other.coeff if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeff)
+
+    def __repr__(self) -> str:
+        return f"PiScalar(coeff={self.coeff!r})"
 
     def __add__(self, other: "PiScalar") -> "PiScalar":
         return PiScalar(self.coeff + other.coeff)
@@ -48,10 +66,9 @@ class RatMatrix:
     """Sparse exact-rational matrix: `cols` columns, each row a map from a
     column index to its nonzero entry, kept as ints over the row's lcm denominator."""
 
-    def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction]]):
+    def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction | int]]):
         self.cols = cols
-        self.rows = [{c: x.numerator * (d // x.denominator) for c, x in row.items() if x}
-                     for row in rows for d in [lcm(*(x.denominator for x in row.values()))]]
+        self.rows = [_int_row(row) for row in rows]
 
     def nullspace(self) -> list[dict[int, Fraction]]:
         """Basis of the kernel: one sparse vector per free column, ascending,
@@ -78,6 +95,15 @@ class RatMatrix:
                 if c != p:
                     basis[c][p] = Fraction(-x, row[p])
         return [dict(sorted(v.items())) for v in basis.values()]
+
+
+def _int_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """The nonzero entries of the row as int numerators over the lcm of their denominators;
+    a row of ints, as `koszul.kernel_basis` hands it, is kept as it is."""
+    if all(type(x) is int for x in row.values()):
+        return {c: x for c, x in row.items() if x}
+    d = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (d // x.denominator) for c, x in row.items() if x}
 
 
 def _combine(row: dict[int, int], a: int, pairs: list) -> dict[int, int]:

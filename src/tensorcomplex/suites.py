@@ -2,21 +2,32 @@
 
 Identical configs produce byte-identical reports; wall-clock timings are
 therefore excluded from reports unless explicitly requested.
+
+This module loads `operators` and `diagram` (with `fields` and `poly`) and
+nothing more, so a run pays to import and compile only what its suites call:
+
+  * identities, cells, two-complex, derived-complexes: nothing more, since
+    the 70 constant-coefficient rows live in `operators` and `diagram`;
+  * pairings: `ball`, and through it `rational`, at its first case;
+  * right-inverses: `koszul`, and through it `ball` and `rational`;
+  * decompositions: `decompose`, and through it `koszul`, `ball` and `rational`.
+
+Each runner imports its modules inside the function for that reason.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import ball, decompose, diagram, koszul, operators
+from . import diagram, operators
 from .fields import X_FIELD, FieldKind, TypedField
 from .operators import CheckResult, components_equal, run_check
 from .poly import MAX_EXPONENT, P_ONE, Poly3
 
-@dataclass
-class SuiteConfig:
+
+class SuiteConfig(NamedTuple):
     suite: str = "all"
     seed: int = 0
     degree: int = 3
@@ -26,11 +37,21 @@ class SuiteConfig:
     timings: bool = False
 
 
-@dataclass
 class Report:
-    suite: str
-    config: SuiteConfig
-    cases: list[CheckResult] = field(default_factory=list)
+    """The cases of one run, in order; `run_suite` fills its own `cases` list."""
+
+    __slots__ = ("suite", "config", "cases")
+
+    def __init__(self, suite: str, config: SuiteConfig):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "cases", [])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Report")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Report")
 
     @property
     def counts(self) -> dict[str, int]:
@@ -45,7 +66,7 @@ class Report:
         return all(c.status == "pass" for c in self.cases)
 
     def to_dict(self) -> dict:
-        cfg = asdict(self.config)
+        cfg = self.config._asdict()
         cfg.pop("timings", None)
         cases = []
         for c in self.cases:
@@ -101,6 +122,8 @@ def _suite_derived(cfg: SuiteConfig) -> list[CheckResult]:
 
 def _ddd_unit_witness() -> CheckResult:
     """The closed-form check: Ddd(1) = x x^T / 12 with double divergence 1."""
+    from . import koszul
+
     one = TypedField.scalar(P_ONE)
     x = X_FIELD.components
     expected = TypedField(FieldKind.SYMMETRIC, tuple((a * b).scale(Fraction(1, 12)) for a in x for b in x))
@@ -114,6 +137,8 @@ def _ddd_unit_witness() -> CheckResult:
 
 
 def _suite_right_inverses(cfg: SuiteConfig) -> list[CheckResult]:
+    from . import koszul
+
     return [
         *koszul.homotopy_check(cfg.samples, cfg.degree, cfg.seed),
         *koszul.verify_right_inverses(cfg.samples, cfg.degree, cfg.seed, cfg.strict_preconditions),
@@ -122,17 +147,23 @@ def _suite_right_inverses(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _suite_decompositions(cfg: SuiteConfig) -> list[CheckResult]:
+    from . import decompose
+
     return decompose.verify_all_decompositions(cfg.samples, cfg.degree, cfg.seed)
 
 
 def _ball_integral(name: str, p: Poly3, expected: str) -> CheckResult:
     """The closed-form check: the ball integral of p prints as `expected`."""
+    from . import ball
+
     return run_check(
         name, "quadrature closed form", 1, lambda s: str(ball.integrate_ball(p)), lambda v: v == expected, str
     )
 
 
 def _suite_pairings(cfg: SuiteConfig) -> list[CheckResult]:
+    from . import ball
+
     return [
         _ball_integral("unit ball volume = 4/3*pi", P_ONE, "4/3*pi"),
         _ball_integral("integral of x1^2 = 4/15*pi", Poly3.monomial((2, 0, 0)), "4/15*pi"),

@@ -1,7 +1,6 @@
 """Exact ball quadrature against a spherical-coordinates sympy oracle,
 moment spaces, and the duality-pairing identities."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -321,7 +320,7 @@ def test_l2_pair_kind_mismatch_raises(kinds):
 
 
 def test_wrong_pairing_sign_is_caught(monkeypatch):
-    monkeypatch.setitem(ball._PAIRINGS, "q-grad", dataclasses.replace(ball._PAIRINGS["q-grad"], factor=Fraction(1)))
+    monkeypatch.setitem(ball._PAIRINGS, "q-grad", ball._PAIRINGS["q-grad"]._replace(factor=Fraction(1)))
     r = verify_ibp("q-grad", samples=2, degree=2, seed=7)
     assert not r.passed
     # the witness alone rechecks the case: both sides differ under the wrong sign

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import subprocess
 import sys
@@ -224,6 +223,14 @@ def test_script_reports_bad_input_on_one_line(text, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, what", [([], "missing decomposition name"), (["bogus"], "unknown decomposition 'bogus'"),
+                                        (["dd-short", "field.txt"], "unknown decomposition 'dd-short'")])
+def test_script_reports_a_missing_or_unknown_decomposition_on_one_line(args, what):
+    proc = subprocess.run([sys.executable, str(_SCRIPT), *args], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"decompose_field.py: {what} (one of cc, dd, cd, short-cc, short-dd, short-cd)\n"
+
+
 def test_script_reports_a_missing_file_on_one_line(tmp_path):
     missing = tmp_path / "missing.txt"
     proc = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(missing)], capture_output=True, text=True)
@@ -303,7 +310,7 @@ def patch_chain(monkeypatch, name, kick):
     """Add `kick` to the output of the RIGHT_INVERSES row `name`, which every
     decomposition word that names it reads."""
     spec = RIGHT_INVERSES[name]
-    broken = dataclasses.replace(spec, chain=(lambda f: apply_word(spec.chain, f) + kick,))
+    broken = spec._replace(chain=(lambda f: apply_word(spec.chain, f) + kick,))
     monkeypatch.setitem(RIGHT_INVERSES, name, broken)
 
 

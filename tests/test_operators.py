@@ -1,7 +1,6 @@
 """Differential operators against an independent sympy oracle, plus the
 exact identity suite and the sampled-check engine."""
 
-import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -286,7 +285,7 @@ def test_a_lone_side_must_give_the_zero_field(monkeypatch):
 def test_a_three_sided_row_fails_on_its_third_side_alone(monkeypatch):
     eq3 = operators.IDENTITIES["eq3"]
     third = operators.OperatorId(eq3.sides[2].name, Fraction(2))
-    broken = dataclasses.replace(eq3, sides=(*eq3.sides[:2], third))
+    broken = eq3._replace(sides=(*eq3.sides[:2], third))
     monkeypatch.setitem(operators.IDENTITIES, "eq3", broken)
     r = verify_identity("eq3", samples=3, degree=2, seed=7)
     assert r.status == "fail"

@@ -91,8 +91,12 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 @example((3, []))
 @example((2, [{}, {0: Fraction(1, 2)}, {}]))
+@example((4, [{0: 2, 1: -4, 3: 6}, {1: 3, 2: -9}, {0: 1, 1: 1, 2: 1, 3: 1}]))  # all-int rows, as kernel_basis hands them
+@example((3, [{0: Fraction(2), 2: Fraction(-4)}, {0: 3, 1: 6}]))  # Fractions of denominator 1 beside an int row
 def test_nullspace_equals_sympy_nullspace(matrix):
     cols, rows = matrix
+    # every row is held as ints, whether it came as ints or as Fractions
+    assert all(type(x) is int for row in RatMatrix(cols, rows).rows for x in row.values())
     dense = sympy.Matrix(len(rows), cols, lambda i, j: sympy.Rational(str(rows[i].get(j, 0))))
     expected = [[sympy.Rational(str(x)) for x in v] for v in dense.nullspace()]
     basis = RatMatrix(cols, rows).nullspace()
