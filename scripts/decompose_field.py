@@ -25,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tensorcomplex.decompose import DECOMPOSITION_NAMES, INPUT_KINDS, decompose  # noqa: E402
+from tensorcomplex.decompose import _DECOMPOSERS, DECOMPOSITION_NAMES, decompose  # noqa: E402
 from tensorcomplex.fields import KindError, field_from_text  # noqa: E402
 from tensorcomplex.poly import ExponentLimitError  # noqa: E402
 
@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"decompose_field.py: bad field text: {err}", file=sys.stderr)
         return 2
-    kind = INPUT_KINDS[name]
+    kind = _DECOMPOSERS[name].input_kind
     if field.kind is not kind:
         print(f"decompose_field.py: regdec {name} needs a {kind.value} field, got a {field.kind.value} field",
               file=sys.stderr)

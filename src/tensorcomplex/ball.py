@@ -5,6 +5,9 @@ degree-raising homotopy operators apply), with every monomial integral a
 rational multiple of pi.  Compact support is modeled by bump weights
 (1 - |x|^2)^k, which vanish to order k on the boundary sphere and keep all
 integration-by-parts boundary terms exactly zero.
+
+The checks are rows with `sample`, `holds`, `witness` and `verify`:
+`PairingSpec` for the Sec. 6 pairings, `MembershipStep` for the Thm 2.3 steps.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ def l2_pair(a: TypedField, b: TypedField) -> PiScalar:
     return _pair_integral(pairing_components(a, b))
 
 
+@functools.cache
 def bump(k: int) -> Poly3:
     """(1 - |x|^2)^k; k = 0 is the constant 1."""
     if k < 0:
@@ -197,10 +201,12 @@ _R, _V, _S, _T = FieldKind.SCALAR, FieldKind.VECTOR, FieldKind.SYMMETRIC, FieldK
 
 
 class PairingSpec(NamedTuple):
-    """One extension identity of Sec. 6: for every `field_kind` field f and
-    bump-weighted `test_kind` test field phi, (f, op(phi)) = factor (adj(f), phi).
-    Operators are named by their OPS key."""
+    """One extension identity of Sec. 6: for every `field_kind` field f and bump-weighted
+    `test_kind` test field phi, (f, op(phi)) = factor (adj(f), phi) as exact pi-multiples.
+    Operators are named by their OPS key.  A sample is the pair (f, phi); a failing one is
+    reported as f, then `test field:` and phi."""
 
+    name: str
     field_kind: FieldKind
     test_kind: FieldKind
     op: str
@@ -208,90 +214,100 @@ class PairingSpec(NamedTuple):
     factor: Fraction
     anchor: str
 
+    def sample(self, degree: int, seed: int, index: int) -> tuple[TypedField, TypedField]:
+        """f, then phi times bump(2): it vanishes to second order on the sphere, and no op has order above 2."""
+        rng = derived_rng(seed, "ibp", self.name, index)
+        f = random_field(self.field_kind, degree, rng)
+        return f, random_field(self.test_kind, degree, rng).mul_scalar_poly(bump(2))
+
+    def holds(self, sample: tuple[TypedField, TypedField]) -> bool:
+        f, phi = sample
+        return (l2_pair(f, OPS[self.op](phi)) - l2_pair(OPS[self.adj](f), phi) * self.factor).is_zero
+
+    def witness(self, sample: tuple[TypedField, TypedField]) -> str:
+        return f"{field_to_text(sample[0])}\ntest field:\n{field_to_text(sample[1])}"
+
+    def verify(self, samples: int, degree: int, seed: int) -> CheckResult:
+        draw = functools.partial(self.sample, degree, seed)
+        return run_check(self.name, self.anchor, samples, draw, self.holds, self.witness)
+
 
 _PAIRINGS: dict[str, PairingSpec] = {
-    "q-grad": PairingSpec(_V, _R, "grad", "div", Fraction(-1), "Sec. 6 extension lemma (q∘grad)"),
-    "sigma-deff": PairingSpec(_S, _V, "deff", "div", Fraction(-1), "Sec. 6 extension lemma (σ∘deff)"),
-    "sigma-hess": PairingSpec(_S, _R, "hess", "div_div", Fraction(1), "Sec. 6 extension lemma (σ∘hess)"),
-    "g-sym-curl": PairingSpec(_S, _T, "sym_curl", "curl", Fraction(1), "Sec. 6 extension lemma (g∘sym curl)"),
-    "g-inc": PairingSpec(_S, _S, "inc", "inc", Fraction(1), "Sec. 6 extension lemma (g∘inc)"),
-    "tau-curl": PairingSpec(_T, _S, "curl", "sym_curl", Fraction(1), "Sec. 6 extension lemma (τ∘curl)"),
-    "tau-dev-grad": PairingSpec(_T, _V, "dev_grad", "div", Fraction(-1), "Sec. 6 extension lemma (τ∘dev grad)"),
-    # Adjoint chain: curl div T tau = div T curl tau (identity eq2), then one
-    # div adjoint (a minus) and the eq3/eq5 trades give
-    # (tau ∘ curl deff)(u) = -1/2 (curl div T tau)(u).
-    "tau-curl-deff": PairingSpec(
-        _T, _V, "curl_deff", "curl_div_t", Fraction(-1, 2), "Sec. 6 extension lemma (τ∘curl deff)"
-    ),
+    spec.name: spec
+    for spec in [
+        PairingSpec("q-grad", _V, _R, "grad", "div", Fraction(-1), "Sec. 6 extension lemma (q∘grad)"),
+        PairingSpec("sigma-deff", _S, _V, "deff", "div", Fraction(-1), "Sec. 6 extension lemma (σ∘deff)"),
+        PairingSpec("sigma-hess", _S, _R, "hess", "div_div", Fraction(1), "Sec. 6 extension lemma (σ∘hess)"),
+        PairingSpec("g-sym-curl", _S, _T, "sym_curl", "curl", Fraction(1), "Sec. 6 extension lemma (g∘sym curl)"),
+        PairingSpec("g-inc", _S, _S, "inc", "inc", Fraction(1), "Sec. 6 extension lemma (g∘inc)"),
+        PairingSpec("tau-curl", _T, _S, "curl", "sym_curl", Fraction(1), "Sec. 6 extension lemma (τ∘curl)"),
+        PairingSpec("tau-dev-grad", _T, _V, "dev_grad", "div", Fraction(-1), "Sec. 6 extension lemma (τ∘dev grad)"),
+        # Adjoint chain: curl div T tau = div T curl tau (identity eq2), then one
+        # div adjoint (a minus) and the eq3/eq5 trades give
+        # (tau ∘ curl deff)(u) = -1/2 (curl div T tau)(u).
+        PairingSpec("tau-curl-deff", _T, _V, "curl_deff", "curl_div_t", Fraction(-1, 2),
+                    "Sec. 6 extension lemma (τ∘curl deff)"),
+    ]
 }
 
 
 def verify_ibp(which: str, samples: int, degree: int, seed: int) -> CheckResult:
-    """Both sides of the named pairing agree as exact pi-multiples.  A failing
-    sample is reported as the field, then `test field:` and the test field."""
-    spec = _PAIRINGS[which]
-    # bump(2) vanishes to second order on the sphere; no operator here has order above 2
-    w = bump(2)
-
-    def draw(s: int) -> tuple[TypedField, TypedField]:
-        rng = derived_rng(seed, "ibp", which, s)
-        f = random_field(spec.field_kind, degree, rng)
-        return f, random_field(spec.test_kind, degree, rng).mul_scalar_poly(w)
-
-    def holds(sample: tuple[TypedField, TypedField]) -> bool:
-        f, phi = sample
-        return (l2_pair(f, OPS[spec.op](phi)) - l2_pair(OPS[spec.adj](f), phi) * spec.factor).is_zero
-
-    def witness(sample: tuple[TypedField, TypedField]) -> str:
-        return f"{field_to_text(sample[0])}\ntest field:\n{field_to_text(sample[1])}"
-
-    return run_check(which, spec.anchor, samples, draw, holds, witness)
+    return _PAIRINGS[which].verify(samples, degree, seed)
 
 
 def verify_all_ibp(samples: int, degree: int, seed: int) -> list[CheckResult]:
     return [verify_ibp(name, samples, degree, seed) for name in _PAIRINGS]
 
 
-# -- moment-membership steps -----------------------------------------------
-#
-# Each row (name, anchor, kind, project, op, target) is one step of the Thm 2.3
-# proof: a random `kind` field times bump(1), made moment-orthogonal to `project`
-# unless that is None, is mapped by OPS[op] into the annihilator of `target`.
+class MembershipStep(NamedTuple):
+    """One step of the Thm 2.3 proof: a random `input_kind` field times bump(1),
+    made moment-orthogonal to `project` unless that is None, is mapped by OPS[op]
+    into the annihilator of `target`."""
+
+    name: str
+    anchor: str
+    input_kind: FieldKind
+    op: str
+    target: MomentSpace
+    project: MomentSpace | None = None
+
+    def sample(self, degree: int, seed: int, index: int) -> TypedField:
+        rng = derived_rng(seed, "membership", self.name, index)
+        f = random_field(self.input_kind, degree, rng).mul_scalar_poly(bump(1))
+        return f if self.project is None else project_moment_orthogonal(f, self.project)
+
+    def holds(self, f: TypedField) -> bool:
+        return moment_orthogonal(OPS[self.op](f), self.target) is None
+
+    def witness(self, f: TypedField) -> str:
+        """The field, then `image:` and its image, then the pairing and the basis field it pairs with."""
+        try:
+            image = OPS[self.op](f)
+            basis, value = moment_orthogonal(image, self.target)
+        except KindError as err:  # the image broke a kind predicate: there is no pairing to print
+            return f"{field_to_text(f)}\n{err}"
+        pairing = f"pairing = {value} with:\n{field_to_text(basis)}"
+        return f"{field_to_text(f)}\nimage:\n{field_to_text(image)}\n{pairing}"
+
+    verify = PairingSpec.verify
+
 
 _MEMBERSHIP_STEPS = (
-    ("div of bumped trace-free field ⊥ RT", "Thm 2.3 proof (τ : id vanishes)", _T, None, "div", RT_SPACE),
-    ("div of bumped symmetric field ⊥ ND", "Thm 2.3 proof (symmetry)", _S, None, "div", ND_SPACE),
-    ("div of bumped ND-orthogonal vector ⊥ P1", "Thm 2.3 proof (grad p ∈ ND)", _V, ND_SPACE, "div", P1_SPACE),
-    ("curl of bumped RT-orthogonal vector ⊥ ND", "Thm 2.3 proof (curl r = 2b)", _V, RT_SPACE, "curl", ND_SPACE),
-    ("grad of bumped mean-zero scalar ⊥ RT", "Thm 2.3 proof (zero mean)", _R, CONSTANTS_SCALAR, "grad", RT_SPACE),
+    MembershipStep("div of bumped trace-free field ⊥ RT", "Thm 2.3 proof (τ : id vanishes)", _T, "div", RT_SPACE),
+    MembershipStep("div of bumped symmetric field ⊥ ND", "Thm 2.3 proof (symmetry)", _S, "div", ND_SPACE),
+    MembershipStep("div of bumped ND-orthogonal vector ⊥ P1", "Thm 2.3 proof (grad p ∈ ND)", _V, "div", P1_SPACE,
+                   ND_SPACE),
+    MembershipStep("curl of bumped RT-orthogonal vector ⊥ ND", "Thm 2.3 proof (curl r = 2b)", _V, "curl", ND_SPACE,
+                   RT_SPACE),
+    MembershipStep("grad of bumped mean-zero scalar ⊥ RT", "Thm 2.3 proof (zero mean)", _R, "grad", RT_SPACE,
+                   CONSTANTS_SCALAR),
 )
 
 
 def verify_membership_steps(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Moment-membership steps: images of bump-weighted fields land in the
-    annihilators of the expected test spaces, exactly; then the negative control.
-    A failing sample is reported as the field, then `image:` and its image, then
-    the pairing and the basis field it pairs with."""
-    w1 = bump(1)
-    results = []
-    for name, anchor, kind, project, op, target in _MEMBERSHIP_STEPS:
-        # run_check is done with draw, holds and witness before the loop moves on, so they see this row
-        def draw(s: int) -> TypedField:
-            f = random_field(kind, degree, derived_rng(seed, "membership", name, s)).mul_scalar_poly(w1)
-            return f if project is None else project_moment_orthogonal(f, project)
-
-        def witness(f: TypedField) -> str:
-            try:
-                image = OPS[op](f)
-                basis, value = moment_orthogonal(image, target)
-            except KindError as err:  # the image broke a kind predicate: there is no pairing to print
-                return f"{field_to_text(f)}\n{err}"
-            pairing = f"pairing = {value} with:\n{field_to_text(basis)}"
-            return f"{field_to_text(f)}\nimage:\n{field_to_text(image)}\n{pairing}"
-
-        results.append(
-            run_check(name, anchor, samples, draw, lambda f: moment_orthogonal(OPS[op](f), target) is None, witness)
-        )
+    annihilators of the expected test spaces, exactly; then the negative control."""
+    results = [step.verify(samples, degree, seed) for step in _MEMBERSHIP_STEPS]
     # negative control: a constant field is not orthogonal to a space containing it
     control = run_check(
         "negative control: constant vs P1 detected",

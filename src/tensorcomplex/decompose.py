@@ -1,8 +1,9 @@
 """Regular decompositions: split a field into potentials of higher-order
 operators so that the reassembled sum reproduces the input exactly.
 
-Every decomposition is one residual cascade (`_cascade`), a row of
-`_DECOMPOSERS`.  Each part is a word, applied right to left by
+Every decomposition is a `DecompositionSpec` row of `_DECOMPOSERS`: one
+residual cascade, which `decompose(name, f)` runs and the row's `holds`
+checks.  Each part is a word, applied right to left by
 `koszul.apply_word` to the residual that the earlier parts leave; its letters
 are RIGHT_INVERSES names, OPS keys and scales.  The part's contribution, the
 part reassembled by its operator, is taken off before the next part:
@@ -67,6 +68,10 @@ class Decomposition(NamedTuple):
     def is_exact(self) -> bool:
         return components_equal(self.reassembled, self.input)
 
+    @property
+    def part_kinds(self) -> tuple[FieldKind, ...]:
+        return tuple(p.potential.kind for p in self.parts)
+
     def to_text(self) -> str:
         blocks = [f"input:\n{field_to_text(self.input)}"]
         for p in self.parts:
@@ -74,48 +79,75 @@ class Decomposition(NamedTuple):
         return "\n\n".join(blocks)
 
 
-def _cascade(f: TypedField, kind: FieldKind, what: str, steps) -> Decomposition:
-    """One part per step (label, word, reassembly name): its potential is
-    `koszul.apply_word` of the word on the residual, which starts at f and
-    loses each part's contribution before the next step.
+class DecompositionSpec(NamedTuple):
+    """One case: `decompose(name, f)` splits a field f of `input_kind` into parts of `part_kinds`, one per
+    step (label, word, reassembly name), whose contributions sum back to f exactly."""
 
-    Invariant: the third step of cc, dd, cd and short-cd (Dgg, Dcc, 1/2 Dgd . div,
-    1/2 RgcT . t) sends S0 to exactly 0, so S2 / S2~ would be the same with S0 left
-    in the residual; the loop takes it off anyway, as it does every part."""
-    if f.kind is not kind:
-        raise KindError(f"{what} needs a {kind.value} field")
-    residual, parts = f, []
-    for label, word, reassembly in steps:
-        if parts:
-            residual = residual - parts[-1].contribution()
-        parts.append(DecompositionPart(label, apply_word(word, residual), OperatorId(reassembly)))
-    return Decomposition(f, tuple(parts))
+    name: str
+    anchor: str
+    input_kind: FieldKind
+    steps: tuple[tuple, ...]
+    part_kinds: tuple[FieldKind, ...]
+
+    def holds(self, f: TypedField) -> bool:
+        dec = decompose(self.name, f)
+        return dec.part_kinds == self.part_kinds and dec.is_exact
+
+    def witness(self, f: TypedField) -> str:
+        """The field, then the part kinds when they are not the expected ones."""
+        try:
+            kinds = decompose(self.name, f).part_kinds
+        except KindError:  # the decomposition broke a kind predicate: the field alone is the witness
+            return field_to_text(f)
+        if kinds != self.part_kinds:
+            got, want = (tuple(k.value for k in ks) for ks in (kinds, self.part_kinds))
+            return f"{field_to_text(f)}\npart kinds {got} != expected {want}"
+        return field_to_text(f)
+
+    def verify(self, samples: int, degree: int, seed: int) -> CheckResult:
+        draw = field_draw(self.input_kind, degree, seed, "decompose", self.name)
+        return run_check(f"regdec {self.name}", self.anchor, samples, draw, self.holds, self.witness)
 
 
 _TDG = (Fraction(1, 2), "RgcT", "t")  # the right inverse of T dev grad: Lemma 3.17 on the transpose
 _S0_CC, _S0_DD = ("S0", ("Dcc", "inc"), "identity"), ("S0", ("Ddd", "div_div"), "identity")
 _S0_S1_CD = (("S0", ("Dcd", "curl_div"), "identity"), ("S1", ("Dcc", "sym_curl_t"), "curl"))
 
-# name -> (cascade steps, input kind, anchor, kinds of its parts in order)
-_DECOMPOSERS = {
-    "cc": ((_S0_CC, ("S1", ("Rgg_tilde",), "deff"), ("S2", ("Dgg",), "hess")), _S, "Thm 3.4", (_S, _V, _W)),
-    "dd": ((_S0_DD, ("S1", ("Rcc_tilde",), "sym_curl"), ("S2", ("Dcc",), "inc")), _S, "Thm 3.7", (_S, _T, _S)),
-    "cd": (
-        (*_S0_S1_CD, ("S2", (Fraction(1, 2), "Dgd", "div"), "t_dev_grad"), ("S3", ("Rc_plain", *_TDG), "curl_deff")),
-        _T, "Thm 3.10", (_T, _S, _V, _V),
-    ),
-    "short-cc": ((_S0_CC, ("S1~", ("Rgg",), "deff")), _S, "Sec. 4 Thm (cc)", (_S, _V)),
-    "short-dd": ((_S0_DD, ("S1~", ("Rcc",), "sym_curl")), _S, "Sec. 4 Thm (dd)", (_S, _T)),
-    "short-cd": ((*_S0_S1_CD, ("S2~", _TDG, "t_dev_grad")), _T, "Sec. 4 Thm (cd)", (_T, _S, _V)),
+_DECOMPOSERS: dict[str, DecompositionSpec] = {
+    spec.name: spec
+    for spec in [
+        DecompositionSpec("cc", "Thm 3.4", _S, (_S0_CC, ("S1", ("Rgg_tilde",), "deff"), ("S2", ("Dgg",), "hess")),
+                          (_S, _V, _W)),
+        DecompositionSpec("dd", "Thm 3.7", _S, (_S0_DD, ("S1", ("Rcc_tilde",), "sym_curl"), ("S2", ("Dcc",), "inc")),
+                          (_S, _T, _S)),
+        DecompositionSpec("cd", "Thm 3.10", _T, (*_S0_S1_CD, ("S2", (Fraction(1, 2), "Dgd", "div"), "t_dev_grad"),
+                                                 ("S3", ("Rc_plain", *_TDG), "curl_deff")), (_T, _S, _V, _V)),
+        DecompositionSpec("short-cc", "Sec. 4 Thm (cc)", _S, (_S0_CC, ("S1~", ("Rgg",), "deff")), (_S, _V)),
+        DecompositionSpec("short-dd", "Sec. 4 Thm (dd)", _S, (_S0_DD, ("S1~", ("Rcc",), "sym_curl")), (_S, _T)),
+        DecompositionSpec("short-cd", "Sec. 4 Thm (cd)", _T, (*_S0_S1_CD, ("S2~", _TDG, "t_dev_grad")), (_T, _S, _V)),
+    ]
 }
 
 DECOMPOSITION_NAMES = tuple(_DECOMPOSERS)
-INPUT_KINDS = {name: row[1] for name, row in _DECOMPOSERS.items()}
 
 
 def decompose(name: str, f: TypedField) -> Decomposition:
-    steps, kind, *_ = _DECOMPOSERS[name]
-    return _cascade(f, kind, f"regdec {name}", steps)
+    """One part per step of the named row: its potential is `koszul.apply_word` of the
+    word on the residual, which starts at f and loses each part's contribution before
+    the next step.
+
+    Invariant: the third step of cc, dd, cd and short-cd (Dgg, Dcc, 1/2 Dgd . div,
+    1/2 RgcT . t) sends S0 to exactly 0, so S2 / S2~ would be the same with S0 left
+    in the residual; the loop takes it off anyway, as it does every part."""
+    spec = _DECOMPOSERS[name]
+    if f.kind is not spec.input_kind:
+        raise KindError(f"regdec {name} needs a {spec.input_kind.value} field")
+    residual, parts = f, []
+    for label, word, reassembly in spec.steps:
+        if parts:
+            residual = residual - parts[-1].contribution()
+        parts.append(DecompositionPart(label, apply_word(word, residual), OperatorId(reassembly)))
+    return Decomposition(f, tuple(parts))
 
 
 def regdec_cc(g: TypedField) -> Decomposition:
@@ -141,28 +173,8 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
     return decompose(f"short-{which}", f)
 
 
-def _part_kinds(dec: Decomposition) -> tuple[FieldKind, ...]:
-    return tuple(p.potential.kind for p in dec.parts)
-
-
 def verify_decomposition(name: str, samples: int, degree: int, seed: int) -> CheckResult:
-    _, kind, anchor, expected_kinds = _DECOMPOSERS[name]
-
-    def holds(f: TypedField) -> bool:
-        dec = decompose(name, f)
-        return _part_kinds(dec) == expected_kinds and dec.is_exact
-
-    def witness(f: TypedField) -> str:
-        try:
-            kinds = _part_kinds(decompose(name, f))
-        except KindError:  # the decomposition broke a kind predicate: the field alone is the witness
-            return field_to_text(f)
-        if kinds != expected_kinds:
-            got, want = (tuple(k.value for k in ks) for ks in (kinds, expected_kinds))
-            return f"{field_to_text(f)}\npart kinds {got} != expected {want}"
-        return field_to_text(f)
-
-    return run_check(f"regdec {name}", anchor, samples, field_draw(kind, degree, seed, "decompose", name), holds, witness)
+    return _DECOMPOSERS[name].verify(samples, degree, seed)
 
 
 def verify_all_decompositions(samples: int, degree: int, seed: int) -> list[CheckResult]:

@@ -8,21 +8,17 @@ On a homogeneous degree-k component, with x the coordinate field:
 
 Each runs as one pass over the input terms: multiplying by x_i shifts an
 exponent, and each degree-k term takes its factor 1/(k+c) with c = 1, 2, 3.
+They satisfy the four identities of HOMOTOPY exactly and unconditionally on
+polynomials, so tg / tc / td are right inverses of grad / curl / div on
+curl-free / divergence-free / arbitrary inputs respectively.
 
-These satisfy, exactly and unconditionally on polynomials,
-
-    tg(grad w)          = w - w(0)
-    grad(tg v) + tc(curl v) = v
-    curl(tc q) + td(div q)  = q
-    div(td u)           = u
-
-so tg / tc / td are right inverses of grad / curl / div on curl-free /
-divergence-free / arbitrary inputs respectively.  Every matrix-space right
-inverse below is a chain of these, listed in one table with the diagram
-operator it inverts; its defining identity, that operator applied to the
-output gives the input back, is checked exactly by the test suite.  A chain
-is a word, read right to left by `apply_word`; a chain that sums or splits is
-a function, the one letter of its row's word.
+Every matrix-space right inverse is a chain of these: a `RightInverseSpec` row
+of RIGHT_INVERSES, with the diagram operator it inverts.  A chain is a word,
+read right to left by `apply_word`; a `WordSum` letter sums words over one
+field, and a chain that splits a field or reuses one is a function, the one
+letter of its row's word.  A row's `holds` checks its defining identity, that
+operator applied to the output gives the input back, and its `verify` runs
+that check on sampled inputs.
 Compact-support or boundary-condition semantics are not modeled;
 moment-orthogonality preconditions are optional ("strict" mode) because the
 homogeneous operators do not need them.
@@ -31,8 +27,7 @@ homogeneous operators do not need them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import groupby
+from functools import cache, partial
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -43,6 +38,7 @@ from .fields import (
 from .operators import (
     BasisKindError,
     CheckResult,
+    Identity,
     OPS,
     ORDER,
     OperatorId,
@@ -53,8 +49,6 @@ from .operators import (
     derived_rng,
     div,
     draw_ints,
-    field_draw,
-    grad,
     inc,
     random_field,
     run_check,
@@ -120,19 +114,35 @@ def td_component_rows(v: TypedField) -> TypedField:
     return TypedField(FieldKind.MATRIX, tuple(p for c in v.components for p in _scalar_td(c)))
 
 
+class WordSum(tuple):
+    """Words applied to one field by `apply_word` and summed: a side of a HOMOTOPY row, or a chain letter."""
+
+    def apply(self, f: TypedField) -> TypedField:
+        first, *rest = (apply_word(word, f) for word in self)
+        return sum(rest, first)
+
+    __call__ = apply
+
+
+def _minus_value_at_0(w: TypedField) -> TypedField:
+    return TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term()))
+
+
+# The four exact homotopy identities, as `Identity` rows whose two sides are sums of words.
+HOMOTOPY: dict[str, Identity] = {
+    name: Identity(name, "Eq. (17) realization", kind, tuple(map(WordSum, sides)), ("homotopy", name))
+    for name, kind, sides in [
+        ("tg(grad w) = w - w(0)", FieldKind.SCALAR, ((("tg", "grad"),), ((_minus_value_at_0,),))),
+        ("grad(tg v) + tc(curl v) = v", FieldKind.VECTOR, ((("grad", "tg"), ("tc", "curl")), ((),))),
+        ("curl(tc q) + td(div q) = q", FieldKind.VECTOR, ((("curl", "tc"), ("td", "div")), ((),))),
+        ("div(td u) = u", FieldKind.SCALAR, ((("div", "td"),), ((),))),
+    ]
+}
+
+
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """The four exact homotopy identities on random fields."""
-    checks = [
-        ("tg(grad w) = w - w(0)", FieldKind.SCALAR, lambda w: components_equal(
-            tg(grad(w)), TypedField.scalar(w.comp(1) - Poly3.const(w.comp(1).constant_term())))),
-        ("grad(tg v) + tc(curl v) = v", FieldKind.VECTOR, lambda v: components_equal(grad(tg(v)) + tc(curl(v)), v)),
-        ("curl(tc q) + td(div q) = q", FieldKind.VECTOR, lambda q: components_equal(curl(tc(q)) + td(div(q)), q)),
-        ("div(td u) = u", FieldKind.SCALAR, lambda u: components_equal(div(td(u)), u)),
-    ]
-    return [
-        run_check(name, "Eq. (17) realization", samples, field_draw(kind, degree, seed, "homotopy", name), check)
-        for name, kind, check in checks
-    ]
+    return [row.verify(samples, degree, seed) for row in HOMOTOPY.values()]
 
 
 # -- kernel sampling --------------------------------------------------------
@@ -296,8 +306,8 @@ _RAISE = {"tg": tg, "tc": tc, "td": td, "tg_rows": tg_rows, "tc_rows": tc_rows, 
 def apply_word(word: tuple, f: TypedField):
     """The word applied to f, right to left.  A str letter is a RIGHT_INVERSES
     name, which applies that row's word without its preconditions, a `_RAISE`
-    key or an OPS key; any other callable letter, a zero check or a chain
-    function, is called; a number scales."""
+    key or an OPS key; any other callable letter, a zero check, a WordSum or a
+    chain function, is called; a number scales."""
     for letter in reversed(word):
         if isinstance(letter, str):
             if letter in RIGHT_INVERSES:
@@ -334,14 +344,6 @@ def _rgg(g: TypedField) -> TypedField:
     return u + v
 
 
-def _rgd(v: TypedField) -> TypedField:
-    """Trace-free field whose divergence is v (unconditional)."""
-    tau = td_component_rows(v)       # div tau = v
-    t = tau.trace()
-    q = td(t)                        # div q = tr tau
-    return tau.dev() + OPS["t_dev_grad"](q).scale(Fraction(1, 2))
-
-
 def _rgcT(tau: TypedField) -> TypedField:
     """Vector q with (1/2) dev grad q = tau, for trace-free tau with sym curl tau = 0."""
     w = tg(OPS["div_t"](tau)).comp(1)  # grad w = div T tau
@@ -357,14 +359,6 @@ def _rcc(sigma: TypedField) -> TypedField:
     s1 = apply_word(("Rcc_tilde",), sigma)
     rho = tc_rows(sigma - OPS["sym_curl"](s1))  # curl rho = sigma - sym curl s1
     return s1 + rho.dev()
-
-
-def _rcd(q: TypedField) -> TypedField:
-    """Symmetric field whose divergence is q (unconditional)."""
-    gamma = td_component_rows(q)     # div gamma = q
-    u = vskw(gamma)
-    tau = td_component_rows(u.scale(-2))  # div tau = -2u
-    return gamma.sym() + OPS["sym_curl_t"](tau.dev())
 
 
 class RightInverseSpec(NamedTuple):
@@ -383,6 +377,55 @@ class RightInverseSpec(NamedTuple):
     statement: str
     after: str | None = None                # an OPS key: the identity holds only after it
     part: int | None = None                 # the chain builds a pair (g, u); this operator is (g, u, g + deff u)[part]
+
+    def construct(self, f: TypedField, strict_preconditions: bool = False):
+        """The chain's full output on f, after its preconditions are verified exactly."""
+        if f.kind is not self.input_kind:
+            raise KindError(f"{self.name} needs a {self.input_kind.value} field, got {f.kind.value}")
+        for op_name in self.kernel_ops:
+            out = OPS[op_name](f)
+            if not out.is_zero:
+                raise PreconditionError(f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out))
+        space = self.moment_space
+        if strict_preconditions and space is not None and (found := moment_orthogonal(f, space)):
+            basis, pairing = found
+            raise PreconditionError(f"moment precondition failed: pairing with {space.name} element is {pairing}",
+                                    field_to_text(basis))
+        return apply_word(self.chain, f)
+
+    def outcome(self, f: TypedField, strict_preconditions: bool) -> tuple[list[FieldKind], bool]:
+        """The kinds of the chain's parts on f, and whether op of the last part gives f back (after `after`)."""
+        out = self.construct(f, strict_preconditions)
+        parts = (out,) if self.part is None else (*out, out[0] + deff(out[1]))
+        image, target = self.op.apply(parts[-1]), f
+        if self.after is not None:
+            image, target = OPS[self.after](image), OPS[self.after](target)
+        return [p.kind for p in parts], components_equal(image, target)
+
+    def holds(self, f: TypedField, strict_preconditions: bool = False, shared: dict | None = None) -> bool:
+        """The output has its declared kind and satisfies the defining identity.  The rows of one pair, given
+        one `shared` dict, build and check each input once: the record is keyed by the field and by the row's
+        input kind, preconditions, chain, op and after, so a row reads only what its own check computes."""
+        if shared is None or self.part is None:
+            kinds, verdict = self.outcome(f, strict_preconditions)
+        else:
+            key = f, self.input_kind, self.kernel_ops, self.moment_space, self.chain, self.op, self.after
+            if key not in shared:
+                shared[key] = self.outcome(f, strict_preconditions)
+            kinds, verdict = shared[key]
+        return kinds[self.part or 0] is self.output_kind and verdict
+
+    def sample(self, degree: int, seed: int, index: int) -> TypedField:
+        """A genuine domain element: kernel-sampled when there are kernel constraints, otherwise a random field."""
+        if self.kernel_ops:
+            return sample_kernel(self.kernel_ops, self.input_kind, degree, seed, index)
+        return random_field(self.input_kind, degree, derived_rng(seed, "ri-input", self.name, index))
+
+    def verify(self, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
+               shared: dict | None = None) -> CheckResult:
+        draw, name = partial(self.sample, degree, seed), f"{self.name}: {self.statement}"
+        return run_check(name, self.anchor, samples, draw,
+                         partial(self.holds, strict_preconditions=strict_preconditions, shared=shared))
 
 
 _S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
@@ -425,12 +468,18 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
         RightInverseSpec("Dgd", "Lemma 3.14", _V, ("curl",), RT_SPACE, ("td", 3, "tg"), _V,
                          OperatorId("grad_div", _THIRD), "(1/3) grad div(Dgd v) = v"),
         RightInverseSpec("Rgg", "Lemma 3.15", _S, ("inc",), None, (_rgg,), _V, OperatorId("deff"), "deff(Rgg g) = g"),
-        RightInverseSpec("Rgd", "Lemma 3.16", _V, (), RT_SPACE, (_rgd,), _T, OperatorId("div"), "div(Rgd v) = v"),
+        # div tau = v, then div q = tr tau
+        RightInverseSpec("Rgd", "Lemma 3.16", _V, (), RT_SPACE,
+                         (WordSum((("dev",), (_HALF, "t_dev_grad", "td", "tr"))), "td_component_rows"), _T,
+                         OperatorId("div"), "div(Rgd v) = v"),
         RightInverseSpec("RgcT", "Lemma 3.17", _T, ("sym_curl",), None, (_rgcT,), _V, OperatorId("dev_grad", _HALF),
                          "(1/2) dev grad(RgcT tau) = tau"),
         RightInverseSpec("Rcc", "Lemma 3.18", _S, ("div_div",), None, (_rcc,), _T, OperatorId("sym_curl"),
                          "sym curl(Rcc s) = s"),
-        RightInverseSpec("Rcd", "Lemma 3.19", _V, (), ND_SPACE, (_rcd,), _S, OperatorId("div"), "div(Rcd q) = q"),
+        # div gamma = q, then div tau = -2 vskw gamma
+        RightInverseSpec("Rcd", "Lemma 3.19", _V, (), ND_SPACE,
+                         (WordSum((("sym",), ("sym_curl_t", "dev", "td_component_rows", -2, "vskw"))),
+                          "td_component_rows"), _S, OperatorId("div"), "div(Rcd q) = q"),
         RightInverseSpec("Rg", "Lemma 3.20", _V, ("curl",), RT_SPACE, (3, "tg"), _W, OperatorId("grad", _THIRD),
                          "(1/3) grad(Rg v) = v"),
         RightInverseSpec("Rc_plain", "Lemma 3.20", _V, ("div",), ND_SPACE, (2, "tc"), _V, OperatorId("curl", _HALF),
@@ -443,66 +492,16 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
 def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) -> TypedField:
     """Run the named chain after verifying its preconditions exactly."""
     spec = RIGHT_INVERSES[name]
-    out = _construct(spec, f, strict_preconditions)
+    out = spec.construct(f, strict_preconditions)
     return out if spec.part is None else out[spec.part] if spec.part < 2 else out[0] + deff(out[1])
-
-
-def _construct(spec: RightInverseSpec, f: TypedField, strict_preconditions: bool):
-    """The chain's full output on f, after its preconditions are verified exactly."""
-    name = spec.name
-    if f.kind is not spec.input_kind:
-        raise KindError(f"{name} needs a {spec.input_kind.value} field, got {f.kind.value}")
-    for op_name in spec.kernel_ops:
-        out = OPS[op_name](f)
-        if not out.is_zero:
-            raise PreconditionError(f"kernel constraint failed: {op_name}(input) is nonzero", field_to_text(out))
-    if strict_preconditions and spec.moment_space is not None and (found := moment_orthogonal(f, spec.moment_space)):
-        space, (basis, pairing) = spec.moment_space, found
-        raise PreconditionError(f"moment precondition failed: pairing with {space.name} element is {pairing}",
-                                field_to_text(basis))
-    return apply_word(spec.chain, f)
-
-
-def sample_right_inverse_input(name: str, degree: int, seed: int, index: int) -> TypedField:
-    """A genuine domain element for the named operator: kernel-sampled when
-    there are kernel constraints, otherwise a random field."""
-    spec = RIGHT_INVERSES[name]
-    if spec.kernel_ops:
-        return sample_kernel(spec.kernel_ops, spec.input_kind, degree, seed, index)
-    rng = derived_rng(seed, "ri-input", name, index)
-    return random_field(spec.input_kind, degree, rng)
 
 
 def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
                          shared: dict | None = None) -> CheckResult:
-    """The named chain's output has its declared kind and satisfies its defining identity.
-    Cases given one `shared` dict build and check each input once."""
-    spec = RIGHT_INVERSES[name]
-
-    def outcome(f: TypedField):
-        out = _construct(spec, f, strict_preconditions)
-        parts = (out,) if spec.part is None else (*out, out[0] + deff(out[1]))
-        image, target = spec.op.apply(parts[-1]), f
-        if spec.after is not None:
-            image, target = OPS[spec.after](image), OPS[spec.after](target)
-        return [p.kind for p in parts], components_equal(image, target)
-
-    def holds(f: TypedField) -> bool:
-        key = spec.chain, f
-        kinds, verdict = shared[key] if shared and key in shared else outcome(f)
-        if shared is not None:
-            shared[key] = kinds, verdict
-        return kinds[spec.part or 0] is spec.output_kind and verdict
-
-    return run_check(f"{name}: {spec.statement}", spec.anchor, samples,
-                     lambda s: sample_right_inverse_input(name, degree, seed, s), holds)
+    return RIGHT_INVERSES[name].verify(samples, degree, seed, strict_preconditions, shared)
 
 
 def verify_right_inverses(samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> list:
-    """Every row of RIGHT_INVERSES, in order; consecutive rows of one chain share one record."""
-    results = []
-    for _, specs in groupby(RIGHT_INVERSES.values(), lambda spec: spec.chain):
-        specs = list(specs)
-        shared = {} if len(specs) > 1 else None
-        results += [verify_right_inverse(s.name, samples, degree, seed, strict_preconditions, shared) for s in specs]
-    return results
+    """Every row of RIGHT_INVERSES, in order; the rows of one pair share one record."""
+    shared = {}
+    return [verify_right_inverse(name, samples, degree, seed, strict_preconditions, shared) for name in RIGHT_INVERSES]

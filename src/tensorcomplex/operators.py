@@ -12,10 +12,11 @@ Conventions, fixed once here:
   * curl and div build each entry in one pass, as one `Poly3.partial_sum`
     of its signed first derivatives.
 
-`Identity` is the one row type of the 70 constant-coefficient cases: IDENTITIES
-here, and the cells, 2-complex paths and derived pairs of `diagram`.  A side is
-a scaled OPS word, of order ORDER[name], or a diagram walk; a row compares
-canonical polynomial forms, never point samples.
+Every sampled case is a row whose `verify` hands its own `holds` to `run_check`.
+`Identity` is the row of the 70 constant-coefficient cases (IDENTITIES here; the
+cells, 2-complex paths and derived pairs of `diagram`) and of `koszul.HOMOTOPY`.
+A side is a scaled OPS word, of order ORDER[name], a diagram walk or a sum of
+koszul words; a row compares canonical polynomial forms, never point samples.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def _word(name: str) -> Callable[[TypedField], TypedField]:
 
 
 class Identity(NamedTuple):
-    """One case: on a field of `input_kind` every side (an OperatorId or a `diagram.Walk`) gives the same
-    field, or a lone side gives zero.  Samples come from the RNG stream `stream`, or ("identity", name)."""
+    """One case: on a field of `input_kind` every side (an OperatorId, `diagram.Walk` or `koszul.WordSum`) gives
+    the same field, or a lone side gives zero.  Samples come from the RNG stream `stream`, or ("identity", name)."""
 
     name: str
     anchor: str
@@ -215,6 +216,7 @@ OPS: dict[str, Callable[[TypedField], TypedField]] = {
     for name in (
         "grad", "curl", "div", "deff", "dev_grad", "t_dev_grad", "sym_curl", "sym_curl_t", "t_curl", "div_t",
         "hess", "inc", "grad_div", "curl_div", "div_div", "curl_deff", "t_curl_deff", "curl_div_t", "t", "sym", "dev", "S",
+        "tr", "vskw",
         *(side.name for ident in IDENTITIES.values() for side in ident.sides),
     )
 }

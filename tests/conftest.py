@@ -4,8 +4,10 @@ import os
 
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 from fractions import Fraction
 
+from tensorcomplex import koszul
 from tensorcomplex.fields import _COMPONENT_COUNT, FieldKind, TypedField
 from tensorcomplex.poly import P_ZERO, Poly3
 
@@ -36,6 +38,20 @@ def field_degree(f: TypedField) -> int:
 def basis_fields(kernel) -> list[TypedField]:
     """The basis fields of a `koszul.kernel_basis` record, field b as `combine` of the b-th unit weights."""
     return [kernel.combine([int(b == c) for c in range(kernel.size)]) for b in range(kernel.size)]
+
+
+def _clear_kernel_caches():
+    koszul.kernel_basis.cache_clear()
+    koszul._symbol.cache_clear()
+
+
+@pytest.fixture
+def fresh_kernel_caches():
+    """Empty the caches that hold operator images before and after the test, so
+    the kernel fill sees a mutated operator or ORDER entry and keeps nothing of it."""
+    _clear_kernel_caches()
+    yield
+    _clear_kernel_caches()
 
 
 class FullStream(io.StringIO):

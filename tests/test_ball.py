@@ -219,7 +219,7 @@ def test_membership_steps():
     results = verify_membership_steps(samples=3, degree=2, seed=7)
     assert len(results) == 6
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-    assert [r.name for r in results[:5]] == [row[0] for row in ball._MEMBERSHIP_STEPS]
+    assert [r.name for r in results[:5]] == [row.name for row in ball._MEMBERSHIP_STEPS]
 
 
 @pytest.mark.parametrize("step", range(5))
@@ -227,11 +227,11 @@ def test_every_membership_step_can_fail(monkeypatch, step):
     # a matrix field in place of a trace-free or symmetric one, or a field left
     # unprojected, has a nonzero moment against some basis field of the target
     steps = list(ball._MEMBERSHIP_STEPS)
-    name, anchor, kind, project, op, target = steps[step]
-    if project is None:
-        steps[step] = (name, anchor, FieldKind.MATRIX, None, op, target)
+    row = steps[step]
+    if row.project is None:
+        steps[step] = row._replace(input_kind=FieldKind.MATRIX)
     else:
-        steps[step] = (name, anchor, kind, None, op, target)
+        steps[step] = row._replace(project=None)
     monkeypatch.setattr(ball, "_MEMBERSHIP_STEPS", tuple(steps))
     results = verify_membership_steps(samples=3, degree=2, seed=7)
     assert [r.passed for r in results] == [i != step for i in range(5)] + [True]
@@ -241,8 +241,8 @@ def test_every_membership_step_can_fail(monkeypatch, step):
     image_text, rest = rest.split("\npairing = ")
     value, basis_text = rest.split(" with:\n")
     f, image, basis = (field_from_text(t) for t in (field_text, image_text, basis_text))
-    assert components_equal(OPS[op](f), image)
-    assert any(components_equal(basis, b) for b in target.basis), results[step].witness
+    assert components_equal(OPS[row.op](f), image)
+    assert any(components_equal(basis, b) for b in row.target.basis), results[step].witness
     assert str(l2_pair(image, basis)) == value and not l2_pair(image, basis).is_zero
 
 
@@ -251,8 +251,7 @@ def test_membership_step_with_an_image_of_the_wrong_kind_fails_with_the_field(mo
     # div of a vector field is a scalar, which RT does not test: the moment
     # test raises KindError, and the case fails with the field and the error
     steps = list(ball._MEMBERSHIP_STEPS)
-    name, anchor, _, project, op, target = steps[0]
-    steps[0] = (name, anchor, FieldKind.VECTOR, project, op, target)
+    steps[0] = steps[0]._replace(input_kind=FieldKind.VECTOR)
     monkeypatch.setattr(ball, "_MEMBERSHIP_STEPS", tuple(steps))
     results = verify_membership_steps(samples=1, degree=1, seed=7)
     assert [r.status for r in results] == ["fail"] + ["pass"] * 5

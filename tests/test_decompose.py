@@ -9,8 +9,8 @@ import pytest
 import tensorcomplex.decompose as decompose_module
 import tensorcomplex.operators as operators_module
 from tensorcomplex.decompose import (
+    _DECOMPOSERS,
     DECOMPOSITION_NAMES,
-    INPUT_KINDS,
     decompose,
     regdec_cc,
     regdec_dd,
@@ -19,7 +19,7 @@ from tensorcomplex.decompose import (
     verify_decomposition,
 )
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
-from tensorcomplex.koszul import RIGHT_INVERSES, _RAISE, _Zero, apply_word, tc, td
+from tensorcomplex.koszul import RIGHT_INVERSES, _RAISE, WordSum, _Zero, apply_word, tc, td
 from tensorcomplex.operators import (
     OPS,
     ORDER,
@@ -132,10 +132,7 @@ def test_short_cd_zero_input():
 def test_degree_growth_bounded_by_two():
     rng = derived_rng(19, "deg")
     for name in DECOMPOSITION_NAMES:
-        from tensorcomplex.decompose import _DECOMPOSERS
-
-        kind = _DECOMPOSERS[name][1]
-        f = random_field(kind, 2, rng)
+        f = random_field(_DECOMPOSERS[name].input_kind, 2, rng)
         dec = decompose(name, f)
         for p in dec.parts:
             if not p.potential.is_zero:
@@ -322,7 +319,7 @@ def failing_decompositions():
     for name, case in failing.items():
         name = name.removeprefix("regdec ")
         f = field_from_text(case.witness)
-        assert f.kind is INPUT_KINDS[name], name
+        assert f.kind is _DECOMPOSERS[name].input_kind, name
         assert not decompose(name, f).is_exact, name
     return sorted(failing)
 
@@ -359,12 +356,17 @@ def test_perturbed_chain_fails_exactly_the_decompositions_that_use_it(monkeypatc
 
 def word_gain(word) -> int:
     """The degrees a word gains, read from data alone: +1 per `_RAISE` letter,
-    -ORDER per OPS letter, ORDER of its row's op per RIGHT_INVERSES name, and
-    0 per scale or zero check.  Every str letter must resolve, in one table."""
+    -ORDER per OPS letter, ORDER of its row's op per RIGHT_INVERSES name, the
+    one gain of all its words per `WordSum` letter, and 0 per scale or zero
+    check.  Every str letter must resolve, in one table."""
     gain = 0
     for letter in word:
         if isinstance(letter, _Zero):
             assert letter.op in OPS, letter
+        elif isinstance(letter, WordSum):
+            gains = {word_gain(w) for w in letter}
+            assert len(gains) == 1, letter  # every word of a sum gains the same
+            gain += gains.pop()
         elif isinstance(letter, str):
             assert [letter in table for table in (_RAISE, OPS, RIGHT_INVERSES)].count(True) == 1, letter
             gain += 1 if letter in _RAISE else -ORDER[letter] if letter in OPS else ORDER[RIGHT_INVERSES[letter].op.name]
@@ -377,12 +379,11 @@ def test_every_word_gains_the_order_of_its_operator():
     # A right-inverse word gains the order of the operator it inverts, and a
     # decomposition step the order of its reassembly (0 for the identity).
     words = {name: spec.chain for name, spec in RIGHT_INVERSES.items()
-             if all(isinstance(letter, (str, int, Fraction, _Zero)) for letter in spec.chain)}
-    assert len(words) == 10
+             if all(isinstance(letter, (str, int, Fraction, _Zero, WordSum)) for letter in spec.chain)}
+    assert len(words) == 12
     assert {name: word_gain(word) for name, word in words.items()} == {
         name: ORDER[RIGHT_INVERSES[name].op.name] for name in words}
-    steps = {(name, label): (word, how) for name, (rows, *_) in decompose_module._DECOMPOSERS.items()
-             for label, word, how in rows}
+    steps = {(name, label): (word, how) for name, row in _DECOMPOSERS.items() for label, word, how in row.steps}
     assert len(steps) == 17
     assert {key: word_gain(word) for key, (word, _) in steps.items()} == {
         key: 0 if how == "identity" else ORDER[how] for key, (_, how) in steps.items()}
@@ -424,7 +425,7 @@ def composed_parts(name, f):
 def test_every_cascade_equals_the_composed_decomposition(degree):
     for name in DECOMPOSITION_NAMES:
         for seed in range(4):
-            f = random_field(INPUT_KINDS[name], degree, derived_rng(seed, "composed", name))
+            f = random_field(_DECOMPOSERS[name].input_kind, degree, derived_rng(seed, "composed", name))
             got = [(p.label, p.reassembly, p.potential.components) for p in decompose(name, f).parts]
             want = [(label, OperatorId(how), p.components) for label, how, p in composed_parts(name, f)]
             assert got == want, (name, seed)
@@ -488,14 +489,14 @@ def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(m
 def test_a_part_kind_mismatch_fails_with_the_field_and_the_part_kinds(monkeypatch):
     # With the expected part kinds of cc patched to end in vector, every sample
     # fails; the witness prints the input field, then the part kinds it gives.
-    fn, kind, anchor, expected = decompose_module._DECOMPOSERS["cc"]
-    wrong = (*expected[:-1], FieldKind.VECTOR)
-    monkeypatch.setitem(decompose_module._DECOMPOSERS, "cc", (fn, kind, anchor, wrong))
+    row = _DECOMPOSERS["cc"]
+    wrong = (*row.part_kinds[:-1], FieldKind.VECTOR)
+    monkeypatch.setitem(_DECOMPOSERS, "cc", row._replace(part_kinds=wrong))
     r = verify_decomposition("cc", samples=2, degree=2, seed=7)
     assert r.status == "fail"
     field_text, _, line = r.witness.rpartition("\n")
     f = field_from_text(field_text)
-    assert f.kind is kind
+    assert f.kind is row.input_kind
     kinds = tuple(p.potential.kind.value for p in decompose("cc", f).parts)
     assert kinds != tuple(k.value for k in wrong)
     assert line == f"part kinds {kinds} != expected {tuple(k.value for k in wrong)}"

@@ -1,10 +1,15 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tensorcomplex.ball as ball
+import tensorcomplex.decompose as decompose
 import tensorcomplex.diagram as diagram
 import tensorcomplex.fields as fields
+import tensorcomplex.koszul as koszul
 import tensorcomplex.operators as operators
 from tensorcomplex.diagram import (
     DIAGONALS,
@@ -46,6 +51,8 @@ from tensorcomplex.suites import SuiteConfig, run_suite
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
 from conftest import curl_without_one_term, field_degree, zero_field
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_node_kinds_follow_rvst_pattern():
@@ -393,38 +400,65 @@ def _partial_sum_without_exponent_factor(pieces):
 
 
 def _suite_rows():
-    """The rows of the four constant-coefficient suites, each suite in its report order."""
+    """The rows of every suite, each suite in its report order, built from the current (possibly
+    patched) data; each closed-form case of perfbench/child.py's SINGLE_SHOT_CASES, which is no
+    row, stands in its place as its name."""
     return {
         "identities": list(operators.IDENTITIES.values()),
         "cells": [cell_row(d.src) for d in DIAGONALS],
         "two-complex": two_complex_rows(),
         "derived-complexes": [row for name in diagram._DERIVED_COMPLEXES for row in derived_rows(name)],
+        "right-inverses": [*koszul.HOMOTOPY.values(), *koszul.RIGHT_INVERSES.values(),
+                           "Ddd(1) = x x^T / 12, div div = 1"],
+        "decompositions": list(decompose._DECOMPOSERS.values()),
+        "pairings": ["unit ball volume = 4/3*pi", "integral of x1^2 = 4/15*pi", *ball._PAIRINGS.values(),
+                     *ball._MEMBERSHIP_STEPS, "negative control: constant vs P1 detected"],
     }
 
 
+def _case_name(row):
+    """The name a row's case has in its report."""
+    if isinstance(row, koszul.RightInverseSpec):
+        return f"{row.name}: {row.statement}"
+    if isinstance(row, decompose.DecompositionSpec):
+        return f"regdec {row.name}"
+    return row.name
+
+
 def _row(suite, name):
-    """The row of the named case of `suite`, built from the current (possibly patched) data."""
-    return {row.name: row for row in _suite_rows()[suite]}[name]
+    """The row of the named case of `suite`."""
+    return {_case_name(row): row for row in _suite_rows()[suite] if not isinstance(row, str)}[name]
 
 
 def _witness_holds(suite, case):
     """Whether the failing case's witness, read back from its text, passes the case's check:
-    a cell is re-checked by hand, every other case by its row, looked up by name."""
+    a cell is re-checked by hand, every other case by its row, looked up by name.  A pairing
+    witness is the field and the test field; a decomposition witness may end in its part kinds."""
     if suite == "cells":
         return _witness_commutes(case)
     row = _row(suite, case.name)
-    f = field_from_text(case.witness)
+    if isinstance(row, ball.PairingSpec):
+        sample = tuple(field_from_text(text) for text in case.witness.split("\ntest field:\n"))
+        assert tuple(f.kind for f in sample) == (row.field_kind, row.test_kind)
+        return row.holds(sample)
+    f = field_from_text(case.witness.partition("\npart kinds ")[0])
     assert f.kind is row.input_kind
     return row.holds(f)
 
 
-def test_the_70_rows_are_the_four_suites_in_report_order():
+def test_the_112_sampled_rows_are_every_suite_in_report_order():
+    spec = importlib.util.spec_from_file_location("child", _ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
     rows = _suite_rows()
-    names = [row.name for suite_rows in rows.values() for row in suite_rows]
-    assert len(names) == 70 and len(set(names)) == 70
+    every_row = [row for suite_rows in rows.values() for row in suite_rows]
+    sampled = [row for row in every_row if not isinstance(row, str)]
+    assert len(sampled) == 112 and len({row.name for row in sampled}) == 112
+    assert {row for row in every_row if isinstance(row, str)} == child.SINGLE_SHOT_CASES
     for suite, suite_rows in rows.items():
         report = run_suite(SuiteConfig(suite=suite, seed=7, degree=1, samples=1))
-        assert [(c.name, c.anchor) for c in report.cases] == [(row.name, row.anchor) for row in suite_rows]
+        expected = [row if isinstance(row, str) else (_case_name(row), row.anchor) for row in suite_rows]
+        assert [c.name if c.name in child.SINGLE_SHOT_CASES else (c.name, c.anchor) for c in report.cases] == expected
 
 
 def test_partial_sum_without_exponent_factor_fails_identities_cells_and_two_complex(monkeypatch):
@@ -468,3 +502,20 @@ def test_curl_without_one_term_fails_four_suites_with_rechecked_witnesses(monkey
     out = tmp_path / "cells.json"
     assert main(["run", "--suite", "cells", "--seed", "7", "--degree", "2", "--samples", "2", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["summary"]["fail"] > 0
+
+
+@pytest.mark.parametrize("suite, failing", [("right-inverses", 18), ("decompositions", 6), ("pairings", 4)])
+def test_curl_without_one_term_fails_the_koszul_and_ball_suites_with_rechecked_witnesses(
+    monkeypatch, fresh_kernel_caches, suite, failing
+):
+    # The kernels are filled with the broken curl too.  Each failing case's
+    # witness, read back, fails its row's check again, where a KindError
+    # raised on the witness counts as not passing.
+    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
+    cases = _failing_cases(suite, 2)
+    assert len(cases) == failing
+    for case in cases:
+        try:
+            assert not _witness_holds(suite, case), case.name
+        except KindError:
+            pass

@@ -50,7 +50,7 @@ def golden_decompositions_text() -> str:
     blocks = []
     for degree in (1, 2):
         for name in DECOMPOSITION_NAMES:
-            f = random_field(_DECOMPOSERS[name][1], degree, derived_rng(7, "golden", name))
+            f = random_field(_DECOMPOSERS[name].input_kind, degree, derived_rng(7, "golden", name))
             blocks.append(f"decompose {name} degree {degree}\n{decompose(name, f).to_text()}")
     return "\n\n".join(blocks) + "\n"
 

@@ -31,7 +31,6 @@ from tensorcomplex.koszul import (
     kind_basis,
     right_inverse,
     sample_kernel,
-    sample_right_inverse_input,
     tc,
     td,
     tg,
@@ -41,6 +40,7 @@ from tensorcomplex.koszul import (
 from tensorcomplex.operators import (
     OPS,
     ORDER,
+    OperatorId,
     components_equal,
     curl,
     deff,
@@ -54,7 +54,9 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, monomials_up_to
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import basis_fields, curl_without_one_term, field_degree, matrix, polys, scalar_fields, vector_fields
+from conftest import (
+    _clear_kernel_caches, basis_fields, curl_without_one_term, field_degree, matrix, polys, scalar_fields, vector_fields
+)
 
 _X = sympy.Matrix(sympy.symbols("x1 x2 x3"))
 
@@ -266,20 +268,6 @@ def test_kernel_basis_equals_sympy_nullspace(degree):
         assert basis_fields(kernel_basis(ops, kind, degree)) == expected, (ops, kind)
 
 
-def _clear_kernel_caches():
-    koszul.kernel_basis.cache_clear()
-    koszul._symbol.cache_clear()
-
-
-@pytest.fixture
-def fresh_kernel_caches():
-    """Empty the caches that hold operator images before and after the test, so
-    the kernel fill sees a mutated operator or ORDER entry and keeps nothing of it."""
-    _clear_kernel_caches()
-    yield
-    _clear_kernel_caches()
-
-
 @pytest.mark.parametrize("order", [0, 2])
 def test_a_wrong_order_entry_makes_kernel_basis_name_the_operator(monkeypatch, fresh_kernel_caches, order):
     # At order 0 curl takes the constant probe to zero; at order 2 it takes
@@ -436,7 +424,7 @@ def test_right_inverse_defining_identity(name):
 @pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
 def test_right_inverse_output_kind(name):
     spec = RIGHT_INVERSES[name]
-    f = sample_right_inverse_input(name, 2, 13, 0)
+    f = RIGHT_INVERSES[name].sample(2, 13, 0)
     out = right_inverse(name, f)
     assert out.kind is spec.output_kind
 
@@ -538,7 +526,7 @@ def test_right_inverse_raises_the_degree_by_the_order_of_its_operator(name):
     # the Lemma 3.11 pair inverts curl through g + deff u, so u gains one more
     spec = RIGHT_INVERSES[name]
     gain = {"Rgc_tilde": 1, "Dgc_tilde": 2}.get(name, ORDER[spec.op.name])
-    f = sample_right_inverse_input(name, 3, 19, 0)
+    f = RIGHT_INVERSES[name].sample(3, 19, 0)
     assert field_degree(right_inverse(name, f)) == field_degree(f) + gain
 
 
@@ -605,12 +593,18 @@ def _one_wrong_output_kind(monkeypatch):
     monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", wrong)
 
 
-@pytest.mark.parametrize("breakage", [_broken_curl, _one_doubled_chain, _one_wrong_output_kind])
+def _one_wrong_op(monkeypatch):
+    wrong = RIGHT_INVERSES["Dgc_tilde"]._replace(op=OperatorId("curl", Fraction(2)))
+    monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", wrong)
+
+
+@pytest.mark.parametrize("breakage", [_broken_curl, _one_doubled_chain, _one_wrong_output_kind, _one_wrong_op])
 def test_the_shared_lemma_3_11_cases_report_as_each_case_alone(monkeypatch, breakage):
     # The record the three rows share holds outcomes, not verdicts: each case
     # still compares its own output kind (a wrong one on a row of the shared
-    # chain), and a row with another chain (a doubled one) draws on none of
-    # it.  So each case reports what it reports when run alone.
+    # chain), and a row with another chain (a doubled one) or another op (a
+    # doubled curl) draws on none of it.  So each case reports what it
+    # reports when run alone.
     breakage(monkeypatch)
     cases = {c.name.partition(":")[0]: c for c in verify_right_inverses(samples=4, degree=2, seed=7)}
     assert any(cases[name].status != "pass" for name in _LEMMA_3_11)
@@ -623,7 +617,7 @@ def test_the_shared_lemma_3_11_cases_report_as_each_case_alone(monkeypatch, brea
 def test_paired_right_inverse_returns_its_half(monkeypatch, name, half):
     # Rgc is the third part of the Lemma 3.11 pair (g, u): their sum g + deff u,
     # which only Rgc builds
-    f = sample_right_inverse_input(name, 2, 13, 0)
+    f = RIGHT_INVERSES[name].sample(2, 13, 0)
     g, u = koszul._rgc_tilde_dgc_tilde(f)
     expected = (g, u, g + deff(u))[half]
     calls = []

@@ -21,6 +21,8 @@ def _records():
         IDENTITIES["eq2"],
         diagram.EDGES[0],
         ball._PAIRINGS["q-grad"],
+        ball._MEMBERSHIP_STEPS[0],
+        decompose._DECOMPOSERS["cc"],
         ball.P1_SPACE,
         koszul.RIGHT_INVERSES["Dcc"],
         koszul.kernel_basis(("div",), FieldKind.SYMMETRIC, 1),
@@ -41,7 +43,7 @@ def _field_names(record) -> tuple[str, ...]:
 
 def test_every_record_refuses_assignment():
     records = _records()
-    assert len({type(r) for r in records}) == 15
+    assert len({type(r) for r in records}) == 17
     for record in records:
         for name in (*_field_names(record), "extra"):
             with pytest.raises(AttributeError):

@@ -126,3 +126,41 @@ def test_every_instance_method_is_reached_as_an_attribute():
         and m.name not in read
     ]
     assert unused == []
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether node calls a function or method of the given name."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def _argument(call: ast.Call, index: int, name: str) -> ast.expr | None:
+    """The call's argument at position `index` or with keyword `name`."""
+    if len(call.args) > index:
+        return call.args[index]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def test_no_sampled_case_hands_run_check_a_closure():
+    # Every sampled case checks through a method of its row (`row.holds`, or
+    # `partial(row.holds, ...)`) or a module-level function, so the check of
+    # any case can be reached by name outside the call that runs it.  A lambda,
+    # a function defined inside another function or a local variable as
+    # `holds` hides it.  The single-shot cases, one closed form checked once
+    # (samples 1), keep their inline lambdas: three call sites, four cases.
+    offenders, single_shot = [], 0
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        module_functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for call in ast.walk(tree):
+            if not _calls(call, "run_check"):
+                continue
+            samples, holds = _argument(call, 2, "samples"), _argument(call, 4, "holds")
+            if isinstance(samples, ast.Constant) and samples.value == 1:
+                single_shot += 1
+                continue
+            if _calls(holds, "partial"):
+                holds = holds.args[0]
+            if not (isinstance(holds, ast.Attribute) or isinstance(holds, ast.Name) and holds.id in module_functions):
+                offenders.append(f"{path.stem}:{call.lineno}")
+    assert offenders == []
+    assert single_shot == 3
