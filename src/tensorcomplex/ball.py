@@ -6,8 +6,9 @@ rational multiple of pi.  Compact support is modeled by bump weights
 (1 - |x|^2)^k, which vanish to order k on the boundary sphere and keep all
 integration-by-parts boundary terms exactly zero.
 
-The checks are rows with `sample`, `holds`, `witness` and `verify`:
-`PairingSpec` for the Sec. 6 pairings, `MembershipStep` for the Thm 2.3 steps.
+`pairing_rows` is the pairings suite: `operators.ClosedForm` rows for two ball
+integrals and a negative control, `PairingSpec` rows for the Sec. 6 pairings and
+`MembershipStep` rows for the Thm 2.3 steps.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .fields import (
@@ -29,7 +31,7 @@ from .fields import (
     field_to_text,
     pairing_components,
 )
-from .operators import CheckResult, OPS, derived_rng, random_field, run_check
+from .operators import CheckResult, ClosedForm, OPS, SuiteConfig, derived_rng, random_field, run_check
 from .poly import MAX_EXPONENT, P_ONE, Poly3, check_product, monomial_code
 from .rational import PiScalar, RatMatrix
 
@@ -214,6 +216,8 @@ class PairingSpec(NamedTuple):
     factor: Fraction
     anchor: str
 
+    case_name = property(attrgetter("name"))
+
     def sample(self, degree: int, seed: int, index: int) -> tuple[TypedField, TypedField]:
         """f, then phi times bump(2): it vanishes to second order on the sphere, and no op has order above 2."""
         rng = derived_rng(seed, "ibp", self.name, index)
@@ -227,9 +231,9 @@ class PairingSpec(NamedTuple):
     def witness(self, sample: tuple[TypedField, TypedField]) -> str:
         return f"{field_to_text(sample[0])}\ntest field:\n{field_to_text(sample[1])}"
 
-    def verify(self, samples: int, degree: int, seed: int) -> CheckResult:
-        draw = functools.partial(self.sample, degree, seed)
-        return run_check(self.name, self.anchor, samples, draw, self.holds, self.witness)
+    def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
+        draw = functools.partial(self.sample, cfg.degree, cfg.seed)
+        return run_check(self.case_name, self.anchor, cfg.samples, draw, self.holds, self.witness)
 
 
 _PAIRINGS: dict[str, PairingSpec] = {
@@ -252,11 +256,7 @@ _PAIRINGS: dict[str, PairingSpec] = {
 
 
 def verify_ibp(which: str, samples: int, degree: int, seed: int) -> CheckResult:
-    return _PAIRINGS[which].verify(samples, degree, seed)
-
-
-def verify_all_ibp(samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [verify_ibp(name, samples, degree, seed) for name in _PAIRINGS]
+    return _PAIRINGS[which].verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {})
 
 
 class MembershipStep(NamedTuple):
@@ -270,6 +270,8 @@ class MembershipStep(NamedTuple):
     op: str
     target: MomentSpace
     project: MomentSpace | None = None
+
+    case_name = property(attrgetter("name"))
 
     def sample(self, degree: int, seed: int, index: int) -> TypedField:
         rng = derived_rng(seed, "membership", self.name, index)
@@ -289,7 +291,9 @@ class MembershipStep(NamedTuple):
         pairing = f"pairing = {value} with:\n{field_to_text(basis)}"
         return f"{field_to_text(f)}\nimage:\n{field_to_text(image)}\n{pairing}"
 
-    verify = PairingSpec.verify
+    def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
+        draw = functools.partial(self.sample, cfg.degree, cfg.seed)
+        return run_check(self.case_name, self.anchor, cfg.samples, draw, self.holds, self.witness)
 
 
 _MEMBERSHIP_STEPS = (
@@ -304,17 +308,43 @@ _MEMBERSHIP_STEPS = (
 )
 
 
+# -- closed forms ---------------------------------------------------------
+
+
+def _unit_ball_volume() -> PiScalar:
+    return integrate_ball(P_ONE)
+
+
+def _x1_squared_integral() -> PiScalar:
+    return integrate_ball(Poly3.monomial((2, 0, 0)))
+
+
+def _p1_detects_a_constant() -> bool:
+    """The negative control: a constant field is not orthogonal to P1, a space that contains it."""
+    found = moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE)
+    return found is not None and not found[1].is_zero
+
+
+def _undetected(detected: bool) -> str:
+    return "orthogonality unexpectedly held"
+
+
+_QUADRATURE = "quadrature closed form"
+_INTEGRALS = (
+    ClosedForm("unit ball volume = 4/3*pi", _QUADRATURE, _unit_ball_volume, PiScalar(Fraction(4, 3)).__eq__),
+    ClosedForm("integral of x1^2 = 4/15*pi", _QUADRATURE, _x1_squared_integral, PiScalar(Fraction(4, 15)).__eq__),
+)
+_NEGATIVE_CONTROL = ClosedForm("negative control: constant vs P1 detected", "Thm 2.3 proof", _p1_detects_a_constant,
+                               bool, _undetected)
+
+
+def pairing_rows() -> list:
+    """The pairings suite: the two ball integrals, the pairing identities, the membership steps, the control."""
+    return [*_INTEGRALS, *_PAIRINGS.values(), *_MEMBERSHIP_STEPS, _NEGATIVE_CONTROL]
+
+
 def verify_membership_steps(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """Moment-membership steps: images of bump-weighted fields land in the
     annihilators of the expected test spaces, exactly; then the negative control."""
-    results = [step.verify(samples, degree, seed) for step in _MEMBERSHIP_STEPS]
-    # negative control: a constant field is not orthogonal to a space containing it
-    control = run_check(
-        "negative control: constant vs P1 detected",
-        "Thm 2.3 proof",
-        1,
-        lambda s: moment_orthogonal(TypedField.scalar(P_ONE), P1_SPACE),
-        lambda found: found is not None and not found[1].is_zero,
-        lambda found: "orthogonality unexpectedly held",
-    )
-    return [*results, control]
+    cfg = SuiteConfig(seed=seed, degree=degree, samples=samples)
+    return [row.verify(cfg, {}) for row in (*_MEMBERSHIP_STEPS, _NEGATIVE_CONTROL)]

@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .fields import FieldKind, KindError, TypedField, field_to_text
 # tc, td, tg and tg_rows are not called here, but perfbench/test_perfbench.py checks that the tracer rebinds them here.
 from .koszul import apply_word, tc, td, tg, tg_rows
-from .operators import CheckResult, OperatorId, components_equal, field_draw, run_check
+from .operators import CheckResult, OperatorId, SuiteConfig, components_equal, field_draw, run_check
 
 _IDENTITY = OperatorId("identity")  # reassembly that leaves the potential as is
 _S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
@@ -89,6 +89,10 @@ class DecompositionSpec(NamedTuple):
     steps: tuple[tuple, ...]
     part_kinds: tuple[FieldKind, ...]
 
+    @property
+    def case_name(self) -> str:
+        return f"regdec {self.name}"
+
     def holds(self, f: TypedField) -> bool:
         dec = decompose(self.name, f)
         return dec.part_kinds == self.part_kinds and dec.is_exact
@@ -104,9 +108,9 @@ class DecompositionSpec(NamedTuple):
             return f"{field_to_text(f)}\npart kinds {got} != expected {want}"
         return field_to_text(f)
 
-    def verify(self, samples: int, degree: int, seed: int) -> CheckResult:
-        draw = field_draw(self.input_kind, degree, seed, "decompose", self.name)
-        return run_check(f"regdec {self.name}", self.anchor, samples, draw, self.holds, self.witness)
+    def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
+        draw = field_draw(self.input_kind, cfg.degree, cfg.seed, "decompose", self.name)
+        return run_check(self.case_name, self.anchor, cfg.samples, draw, self.holds, self.witness)
 
 
 _TDG = (Fraction(1, 2), "RgcT", "t")  # the right inverse of T dev grad: Lemma 3.17 on the transpose
@@ -173,9 +177,9 @@ def regdec_short(f: TypedField, which: str) -> Decomposition:
     return decompose(f"short-{which}", f)
 
 
+def decomposition_rows() -> list[DecompositionSpec]:
+    return list(_DECOMPOSERS.values())
+
+
 def verify_decomposition(name: str, samples: int, degree: int, seed: int) -> CheckResult:
-    return _DECOMPOSERS[name].verify(samples, degree, seed)
-
-
-def verify_all_decompositions(samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [verify_decomposition(name, samples, degree, seed) for name in DECOMPOSITION_NAMES]
+    return _DECOMPOSERS[name].verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {})

@@ -8,7 +8,7 @@ both of the cell's first-order factorizations.  `edge(src, dst)` finds any of
 the 33 steps, and `walk(*nodes)` chains them into a `Walk`, which `apply_path`
 applies.  A walk is a side of an `operators.Identity` row: a cell is a two-sided
 row, and a 2-complex path or a derived pair of Cor. 2.6 a one-sided row that
-must give zero.  The rows are built from this data when a check is called.
+must give zero.  The rows are built from this data when a suite asks for them.
 
 Every check reads the operator algebra from this data alone.  The with-bc and
 no-bc flavors differ only in the node labels, which only the dump
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .fields import FieldKind, TypedField
-from .operators import CheckResult, Identity, OperatorId
+from .operators import CheckResult, Identity, OperatorId, SuiteConfig
 
 R = FieldKind.SCALAR
 V = FieldKind.VECTOR
@@ -200,13 +200,13 @@ def cell_row(cell: tuple[int, int]) -> Identity:
     return Identity(f"cell ({r},{c})", "Thm 2.3", node_kind(cell), sides, ("cell", r, c))
 
 
-def check_cell(cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
-    return cell_row(cell).verify(samples, degree, seed)
-
-
-def check_all_cells(samples: int, degree: int, seed: int) -> list[CheckResult]:
+def cell_rows() -> list[Identity]:
     """Every interior cell, in the row-major order of the diagonals that span them."""
-    return [check_cell(d.src, samples, degree, seed) for d in DIAGONALS]
+    return [cell_row(d.src) for d in DIAGONALS]
+
+
+def check_cell(cell: tuple[int, int], samples: int, degree: int, seed: int) -> CheckResult:
+    return cell_row(cell).verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {})
 
 
 def two_complex_rows() -> list[Identity]:
@@ -218,7 +218,7 @@ def two_complex_rows() -> list[Identity]:
 
 
 def check_two_complex(samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [row.verify(samples, degree, seed) for row in two_complex_rows()]
+    return [row.verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {}) for row in two_complex_rows()]
 
 
 _DERIVED_COMPLEXES = {
@@ -240,9 +240,9 @@ def derived_rows(name: str) -> list[Identity]:
     ]
 
 
+def derived_complex_rows() -> list[Identity]:
+    return [row for name in _DERIVED_COMPLEXES for row in derived_rows(name)]
+
+
 def check_derived_complex(name: str, samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [row.verify(samples, degree, seed) for row in derived_rows(name)]
-
-
-def check_all_derived_complexes(samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [r for name in _DERIVED_COMPLEXES for r in check_derived_complex(name, samples, degree, seed)]
+    return [row.verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {}) for row in derived_rows(name)]

@@ -18,7 +18,7 @@ read right to left by `apply_word`; a `WordSum` letter sums words over one
 field, and a chain that splits a field or reuses one is a function, the one
 letter of its row's word.  A row's `holds` checks its defining identity, that
 operator applied to the output gives the input back, and its `verify` runs
-that check on sampled inputs.
+that check on sampled inputs; `right_inverse_rows` is the suite.
 Compact-support or boundary-condition semantics are not modeled;
 moment-orthogonality preconditions are optional ("strict" mode) because the
 homogeneous operators do not need them.
@@ -33,27 +33,13 @@ from typing import NamedTuple
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
 from .fields import (
-    _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, FieldKind, KindError, TypedField, field_to_text, vskw
+    _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, X_FIELD, FieldKind, KindError, TypedField, field_to_text, vskw
 )
 from .operators import (
-    BasisKindError,
-    CheckResult,
-    Identity,
-    OPS,
-    ORDER,
-    OperatorId,
-    PreconditionError,
-    components_equal,
-    curl,
-    deff,
-    derived_rng,
-    div,
-    draw_ints,
-    inc,
-    random_field,
-    run_check,
+    BasisKindError, CheckResult, ClosedForm, Identity, OPS, ORDER, OperatorId, PreconditionError, SuiteConfig,
+    components_equal, curl, deff, derived_rng, div, draw_ints, inc, random_field, run_check,
 )
-from .poly import P_ZERO, Poly3, monomials_up_to
+from .poly import P_ONE, P_ZERO, Poly3, monomials_up_to
 from .rational import RatMatrix
 
 
@@ -142,7 +128,7 @@ HOMOTOPY: dict[str, Identity] = {
 
 def homotopy_check(samples: int, degree: int, seed: int) -> list[CheckResult]:
     """The four exact homotopy identities on random fields."""
-    return [row.verify(samples, degree, seed) for row in HOMOTOPY.values()]
+    return [row.verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {}) for row in HOMOTOPY.values()]
 
 
 # -- kernel sampling --------------------------------------------------------
@@ -376,7 +362,16 @@ class RightInverseSpec(NamedTuple):
     op: OperatorId                          # the operator this chain inverts
     statement: str
     after: str | None = None                # an OPS key: the identity holds only after it
-    part: int | None = None                 # the chain builds a pair (g, u); this operator is (g, u, g + deff u)[part]
+    part: int | None = None                 # the chain builds a pair (g, u); this operator gives piece `part`
+
+    @property
+    def case_name(self) -> str:
+        return f"{self.name}: {self.statement}"
+
+    def piece(self, out, index: int):
+        """Piece `index` of the chain's output: the output itself, or, of a Lemma 3.11 pair (g, u), g, u or
+        g + deff u.  The row's operator gives piece `part or 0`, and op inverts the last piece."""
+        return out if self.part is None else out[index] if index < 2 else out[0] + deff(out[1])
 
     def construct(self, f: TypedField, strict_preconditions: bool = False):
         """The chain's full output on f, after its preconditions are verified exactly."""
@@ -396,23 +391,23 @@ class RightInverseSpec(NamedTuple):
     def outcome(self, f: TypedField, strict_preconditions: bool) -> tuple[list[FieldKind], bool]:
         """The kinds of the chain's parts on f, and whether op of the last part gives f back (after `after`)."""
         out = self.construct(f, strict_preconditions)
-        parts = (out,) if self.part is None else (*out, out[0] + deff(out[1]))
+        parts = [self.piece(out, index) for index in range(1 if self.part is None else 3)]
         image, target = self.op.apply(parts[-1]), f
         if self.after is not None:
             image, target = OPS[self.after](image), OPS[self.after](target)
         return [p.kind for p in parts], components_equal(image, target)
 
-    def holds(self, f: TypedField, strict_preconditions: bool = False, shared: dict | None = None) -> bool:
+    def holds(self, f: TypedField, strict_preconditions: bool = False, memo: dict | None = None) -> bool:
         """The output has its declared kind and satisfies the defining identity.  The rows of one pair, given
-        one `shared` dict, build and check each input once: the record is keyed by the field and by the row's
+        one `memo` dict, build and check each input once: the record is keyed by the field and by the row's
         input kind, preconditions, chain, op and after, so a row reads only what its own check computes."""
-        if shared is None or self.part is None:
+        if memo is None or self.part is None:
             kinds, verdict = self.outcome(f, strict_preconditions)
         else:
             key = f, self.input_kind, self.kernel_ops, self.moment_space, self.chain, self.op, self.after
-            if key not in shared:
-                shared[key] = self.outcome(f, strict_preconditions)
-            kinds, verdict = shared[key]
+            if key not in memo:
+                memo[key] = self.outcome(f, strict_preconditions)
+            kinds, verdict = memo[key]
         return kinds[self.part or 0] is self.output_kind and verdict
 
     def sample(self, degree: int, seed: int, index: int) -> TypedField:
@@ -421,11 +416,10 @@ class RightInverseSpec(NamedTuple):
             return sample_kernel(self.kernel_ops, self.input_kind, degree, seed, index)
         return random_field(self.input_kind, degree, derived_rng(seed, "ri-input", self.name, index))
 
-    def verify(self, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
-               shared: dict | None = None) -> CheckResult:
-        draw, name = partial(self.sample, degree, seed), f"{self.name}: {self.statement}"
-        return run_check(name, self.anchor, samples, draw,
-                         partial(self.holds, strict_preconditions=strict_preconditions, shared=shared))
+    def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
+        draw = partial(self.sample, cfg.degree, cfg.seed)
+        return run_check(self.case_name, self.anchor, cfg.samples, draw,
+                         partial(self.holds, strict_preconditions=cfg.strict_preconditions, memo=memo))
 
 
 _S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
@@ -492,16 +486,29 @@ RIGHT_INVERSES: dict[str, RightInverseSpec] = {
 def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) -> TypedField:
     """Run the named chain after verifying its preconditions exactly."""
     spec = RIGHT_INVERSES[name]
-    out = spec.construct(f, strict_preconditions)
-    return out if spec.part is None else out[spec.part] if spec.part < 2 else out[0] + deff(out[1])
+    return spec.piece(spec.construct(f, strict_preconditions), spec.part or 0)
 
 
 def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
                          shared: dict | None = None) -> CheckResult:
-    return RIGHT_INVERSES[name].verify(samples, degree, seed, strict_preconditions, shared)
+    cfg = SuiteConfig(seed=seed, degree=degree, samples=samples, strict_preconditions=strict_preconditions)
+    return RIGHT_INVERSES[name].verify(cfg, {} if shared is None else shared)
 
 
-def verify_right_inverses(samples: int, degree: int, seed: int, strict_preconditions: bool = False) -> list:
-    """Every row of RIGHT_INVERSES, in order; the rows of one pair share one record."""
-    shared = {}
-    return [verify_right_inverse(name, samples, degree, seed, strict_preconditions, shared) for name in RIGHT_INVERSES]
+def _ddd_of_one() -> TypedField:
+    return right_inverse("Ddd", TypedField.scalar(P_ONE))
+
+
+def _is_x_xt_over_12(out: TypedField) -> bool:
+    """out is x x^T / 12, and its double divergence is 1."""
+    x = X_FIELD.components
+    expected = TypedField(FieldKind.SYMMETRIC, tuple((a * b).scale(Fraction(1, 12)) for a in x for b in x))
+    return components_equal(out, expected) and components_equal(OPS["div_div"](out), TypedField.scalar(P_ONE))
+
+
+_DDD_OF_ONE = ClosedForm("Ddd(1) = x x^T / 12, div div = 1", "Lemma 3.5", _ddd_of_one, _is_x_xt_over_12, field_to_text)
+
+
+def right_inverse_rows() -> list:
+    """The homotopy identities, every row of RIGHT_INVERSES, then the closed form of Ddd(1)."""
+    return [*HOMOTOPY.values(), *RIGHT_INVERSES.values(), _DDD_OF_ONE]

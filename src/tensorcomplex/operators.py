@@ -12,11 +12,11 @@ Conventions, fixed once here:
   * curl and div build each entry in one pass, as one `Poly3.partial_sum`
     of its signed first derivatives.
 
-Every sampled case is a row whose `verify` hands its own `holds` to `run_check`.
+Every case is a row whose `verify(cfg, memo)` hands its own `holds` to `run_check`.
 `Identity` is the row of the 70 constant-coefficient cases (IDENTITIES here; the
-cells, 2-complex paths and derived pairs of `diagram`) and of `koszul.HOMOTOPY`.
-A side is a scaled OPS word, of order ORDER[name], a diagram walk or a sum of
-koszul words; a row compares canonical polynomial forms, never point samples.
+cells, 2-complex paths and derived pairs of `diagram`) and of `koszul.HOMOTOPY`;
+a side is an OPS word, a diagram walk or a sum of koszul words, compared in
+canonical form.  `ClosedForm` is the row of a closed form checked once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from array import array
 from fractions import Fraction
-from operator import add, sub
+from operator import add, attrgetter, sub
 from time import perf_counter
 from typing import Any, Callable, NamedTuple
 
@@ -176,13 +176,34 @@ class Identity(NamedTuple):
     sides: tuple[Any, ...]
     stream: tuple[object, ...] = ()
 
+    case_name = property(attrgetter("name"))
+
     def holds(self, f: TypedField) -> bool:
         first, *rest = [side.apply(f) for side in self.sides]
         return all(components_equal(first, other) for other in rest) if rest else first.is_zero
 
-    def verify(self, samples: int, degree: int, seed: int) -> CheckResult:
-        stream = self.stream or ("identity", self.name)
-        return run_check(self.name, self.anchor, samples, field_draw(self.input_kind, degree, seed, *stream), self.holds)
+    def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
+        draw = field_draw(self.input_kind, cfg.degree, cfg.seed, *(self.stream or ("identity", self.name)))
+        return run_check(self.case_name, self.anchor, cfg.samples, draw, self.holds)
+
+
+class ClosedForm(NamedTuple):
+    """One case that checks one closed form, once: `value`, a module-level function, computes it and `holds`
+    accepts it; a rejected value is reported as witness(value)."""
+
+    name: str
+    anchor: str
+    value: Callable[[], Any]
+    holds: Callable[[Any], bool]
+    witness: Callable[[Any], str] = str
+
+    case_name = property(attrgetter("name"))
+
+    def draw(self, s: int) -> Any:
+        return self.value()
+
+    def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
+        return run_check(self.case_name, self.anchor, 1, self.draw, self.holds, self.witness)
 
 
 _HALF = Fraction(1, 2)
@@ -307,6 +328,18 @@ class BasisKindError(KindError):
         self.witness = witness
 
 
+class SuiteConfig(NamedTuple):
+    """One run: its suite, draws (seed, degree, samples) and options; every row's `verify` reads it."""
+
+    suite: str = "all"
+    seed: int = 0
+    degree: int = 3
+    samples: int = 10
+    format: str = "json"
+    strict_preconditions: bool = False
+    timings: bool = False
+
+
 class CheckResult(NamedTuple):
     """Outcome of one exact check; witness carries the offending input.
 
@@ -365,8 +398,4 @@ def run_check(
 
 
 def verify_identity(name: str, samples: int, degree: int, seed: int) -> CheckResult:
-    return IDENTITIES[name].verify(samples, degree, seed)
-
-
-def verify_all_identities(samples: int, degree: int, seed: int) -> list[CheckResult]:
-    return [verify_identity(name, samples, degree, seed) for name in IDENTITIES]
+    return IDENTITIES[name].verify(SuiteConfig(seed=seed, degree=degree, samples=samples), {})

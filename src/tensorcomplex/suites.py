@@ -3,38 +3,25 @@
 Identical configs produce byte-identical reports; wall-clock timings are
 therefore excluded from reports unless explicitly requested.
 
-This module loads `operators` and `diagram` (with `fields` and `poly`) and
-nothing more, so a run pays to import and compile only what its suites call:
+A suite is its rows: `suite_rows(name)` builds them, in report order, and
+`run_suite` calls `row.verify(cfg, memo)` on each.  This module loads
+`operators` and `diagram` (with `fields` and `poly`); a suite imports what
+else its rows need:
 
-  * identities, cells, two-complex, derived-complexes: nothing more, since
-    the 70 constant-coefficient rows live in `operators` and `diagram`;
-  * pairings: `ball`, and through it `rational`, at its first case;
+  * identities, cells, two-complex, derived-complexes: nothing more;
+  * pairings: `ball`, and through it `rational`;
   * right-inverses: `koszul`, and through it `ball` and `rational`;
   * decompositions: `decompose`, and through it `koszul`, `ball` and `rational`.
-
-Each runner imports its modules inside the function for that reason.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import NamedTuple
+from importlib import import_module
 
 from . import diagram, operators
-from .fields import X_FIELD, FieldKind, TypedField
-from .operators import CheckResult, components_equal, run_check
-from .poly import MAX_EXPONENT, P_ONE, Poly3
-
-
-class SuiteConfig(NamedTuple):
-    suite: str = "all"
-    seed: int = 0
-    degree: int = 3
-    samples: int = 10
-    format: str = "json"
-    strict_preconditions: bool = False
-    timings: bool = False
+from .operators import SuiteConfig
+from .poly import MAX_EXPONENT
 
 
 class Report:
@@ -104,82 +91,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
-    return operators.verify_all_identities(cfg.samples, cfg.degree, cfg.seed)
-
-
-def _suite_cells(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_all_cells(cfg.samples, cfg.degree, cfg.seed)
-
-
-def _suite_two_complex(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_two_complex(cfg.samples, cfg.degree, cfg.seed)
-
-
-def _suite_derived(cfg: SuiteConfig) -> list[CheckResult]:
-    return diagram.check_all_derived_complexes(cfg.samples, cfg.degree, cfg.seed)
-
-
-def _ddd_unit_witness() -> CheckResult:
-    """The closed-form check: Ddd(1) = x x^T / 12 with double divergence 1."""
-    from . import koszul
-
-    one = TypedField.scalar(P_ONE)
-    x = X_FIELD.components
-    expected = TypedField(FieldKind.SYMMETRIC, tuple((a * b).scale(Fraction(1, 12)) for a in x for b in x))
-    return run_check(
-        "Ddd(1) = x x^T / 12, div div = 1",
-        "Lemma 3.5",
-        1,
-        lambda s: koszul.right_inverse("Ddd", one),
-        lambda out: components_equal(out, expected) and components_equal(operators.OPS["div_div"](out), one),
-    )
-
-
-def _suite_right_inverses(cfg: SuiteConfig) -> list[CheckResult]:
-    from . import koszul
-
-    return [
-        *koszul.homotopy_check(cfg.samples, cfg.degree, cfg.seed),
-        *koszul.verify_right_inverses(cfg.samples, cfg.degree, cfg.seed, cfg.strict_preconditions),
-        _ddd_unit_witness(),
-    ]
-
-
-def _suite_decompositions(cfg: SuiteConfig) -> list[CheckResult]:
-    from . import decompose
-
-    return decompose.verify_all_decompositions(cfg.samples, cfg.degree, cfg.seed)
-
-
-def _ball_integral(name: str, p: Poly3, expected: str) -> CheckResult:
-    """The closed-form check: the ball integral of p prints as `expected`."""
-    from . import ball
-
-    return run_check(
-        name, "quadrature closed form", 1, lambda s: str(ball.integrate_ball(p)), lambda v: v == expected, str
-    )
-
-
-def _suite_pairings(cfg: SuiteConfig) -> list[CheckResult]:
-    from . import ball
-
-    return [
-        _ball_integral("unit ball volume = 4/3*pi", P_ONE, "4/3*pi"),
-        _ball_integral("integral of x1^2 = 4/15*pi", Poly3.monomial((2, 0, 0)), "4/15*pi"),
-        *ball.verify_all_ibp(cfg.samples, cfg.degree, cfg.seed),
-        *ball.verify_membership_steps(cfg.samples, cfg.degree, cfg.seed),
-    ]
-
-
+# Each suite, in report order, and what builds its rows from the current data; `koszul`, `decompose` and
+# `ball` are imported when their suite runs, not before.
 _SUITES = {
-    "identities": _suite_identities,
-    "cells": _suite_cells,
-    "two-complex": _suite_two_complex,
-    "derived-complexes": _suite_derived,
-    "right-inverses": _suite_right_inverses,
-    "decompositions": _suite_decompositions,
-    "pairings": _suite_pairings,
+    "identities": lambda: operators.IDENTITIES.values(),
+    "cells": lambda: diagram.cell_rows(),
+    "two-complex": lambda: diagram.two_complex_rows(),
+    "derived-complexes": lambda: diagram.derived_complex_rows(),
+    "right-inverses": lambda: import_module(".koszul", __package__).right_inverse_rows(),
+    "decompositions": lambda: import_module(".decompose", __package__).decomposition_rows(),
+    "pairings": lambda: import_module(".ball", __package__).pairing_rows(),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -195,10 +116,15 @@ def check_config(cfg: SuiteConfig) -> None:
         raise ValueError(f"degree {cfg.degree} is past {MAX_EXPONENT}, the largest exponent a monomial can hold")
 
 
+def suite_rows(name: str) -> list:
+    """The rows of the named suite, in report order, built from the current data."""
+    return list(_SUITES[name]())
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
+    """Every row of the configured suite, or of each suite in turn, verified with one memo for the run."""
     check_config(cfg)
-    report = Report(cfg.suite, cfg)
+    report, memo = Report(cfg.suite, cfg), {}
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    for name in names:
-        report.cases.extend(_SUITES[name](cfg))
+    report.cases.extend(row.verify(cfg, memo) for name in names for row in suite_rows(name))
     return report

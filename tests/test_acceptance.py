@@ -21,14 +21,14 @@ def _report(criterion: str, passed: bool):
 def test_criterion_1_identity_suite():
     # 6 pointwise identities + 5 second-order identities, 20 samples, degree <= 4, < 10 s
     t0 = time.monotonic()
-    results = operators.verify_all_identities(samples=20, degree=4, seed=7)
+    results = [operators.verify_identity(name, samples=20, degree=4, seed=7) for name in operators.IDENTITIES]
     elapsed = time.monotonic() - t0
     ok = len(results) == 11 and all(r.passed for r in results) and elapsed < 10.0
     _report(f"1: identity suite, 11 identities x 20 samples, degree 4, {elapsed:.1f}s", ok)
 
 
 def test_criterion_2_commutativity_of_all_cells():
-    results = diagram.check_all_cells(samples=10, degree=3, seed=7)
+    results = [diagram.check_cell(d.src, samples=10, degree=3, seed=7) for d in diagram.DIAGONALS]
     scaled = {
         ((1, 3), (2, 3)): Fraction(1, 2),
         ((3, 1), (3, 2)): Fraction(1, 2),
@@ -93,13 +93,15 @@ def test_criterion_6_right_inverses():
 
 
 def test_criterion_7_regular_decompositions():
-    results = decompose.verify_all_decompositions(samples=10, degree=3, seed=7)
+    results = [
+        decompose.verify_decomposition(name, samples=10, degree=3, seed=7) for name in decompose.DECOMPOSITION_NAMES
+    ]
     ok = len(results) == 6 and all(r.passed for r in results)
     _report("7: cc/dd/cd and the three short decompositions reconstruct exactly", ok)
 
 
 def test_criterion_8_pairings_and_memberships():
-    ibp = ball.verify_all_ibp(samples=10, degree=3, seed=7)
+    ibp = [ball.verify_ibp(name, samples=10, degree=3, seed=7) for name in ball._PAIRINGS]
     membership = ball.verify_membership_steps(samples=10, degree=3, seed=7)
     integrals_ok = (
         str(ball.integrate_ball(P_ONE)) == "4/3*pi"

@@ -6,36 +6,30 @@ from pathlib import Path
 import pytest
 
 import tensorcomplex.ball as ball
-import tensorcomplex.decompose as decompose
 import tensorcomplex.diagram as diagram
 import tensorcomplex.fields as fields
-import tensorcomplex.koszul as koszul
 import tensorcomplex.operators as operators
 from tensorcomplex.diagram import (
     DIAGONALS,
     EDGES,
     EdgeOp,
     apply_path,
-    cell_row,
-    check_all_cells,
-    check_all_derived_complexes,
     check_cell,
     check_derived_complex,
     check_two_complex,
-    derived_rows,
     edge,
     enumerate_paths,
     node_kind,
     path_label,
     to_dict,
     to_markdown,
-    two_complex_rows,
     walk,
 )
 from tensorcomplex.fields import E1, FieldKind, KindError, TypedField, field_from_text
 from tensorcomplex.operators import (
     OPS,
     CheckResult,
+    ClosedForm,
     OperatorId,
     components_equal,
     curl,
@@ -47,7 +41,7 @@ from tensorcomplex.operators import (
     run_check,
 )
 from tensorcomplex.cli import main
-from tensorcomplex.suites import SuiteConfig, run_suite
+from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite, suite_rows
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
 from conftest import curl_without_one_term, field_degree, zero_field
@@ -154,7 +148,7 @@ def test_cell_2_2_on_constant():
 
 
 def test_all_cells_commute():
-    results = check_all_cells(samples=4, degree=2, seed=7)
+    results = [check_cell(d.src, samples=4, degree=2, seed=7) for d in DIAGONALS]
     assert len(results) == 9
     assert all(r.passed for r in results)
 
@@ -270,7 +264,8 @@ def test_derived_complexes():
 
 
 def test_all_derived_complexes_run_in_published_order():
-    results = check_all_derived_complexes(samples=1, degree=2, seed=7)
+    cfg = SuiteConfig(seed=7, degree=2, samples=1)
+    results = [row.verify(cfg, {}) for row in suite_rows("derived-complexes")]
     expected = [
         r for name in ("hessian", "elasticity", "divdiv") for r in check_derived_complex(name, samples=1, degree=2, seed=7)
     ]
@@ -367,8 +362,9 @@ def test_div_dropping_a_partial_fails_two_complex(monkeypatch):
 
     monkeypatch.setitem(operators.OPS, "div", div_without_x3)
     failing = _failing_cases("two-complex", 3)
+    rows = {row.case_name: row for row in suite_rows("two-complex")}
     for case in failing:
-        (path,) = _row("two-complex", case.name).sides
+        (path,) = rows[case.name].sides
         assert not apply_path(path, field_from_text(case.witness)).is_zero, case.name
 
 
@@ -399,44 +395,13 @@ def _partial_sum_without_exponent_factor(pieces):
     return Poly3(total)
 
 
-def _suite_rows():
-    """The rows of every suite, each suite in its report order, built from the current (possibly
-    patched) data; each closed-form case of perfbench/child.py's SINGLE_SHOT_CASES, which is no
-    row, stands in its place as its name."""
-    return {
-        "identities": list(operators.IDENTITIES.values()),
-        "cells": [cell_row(d.src) for d in DIAGONALS],
-        "two-complex": two_complex_rows(),
-        "derived-complexes": [row for name in diagram._DERIVED_COMPLEXES for row in derived_rows(name)],
-        "right-inverses": [*koszul.HOMOTOPY.values(), *koszul.RIGHT_INVERSES.values(),
-                           "Ddd(1) = x x^T / 12, div div = 1"],
-        "decompositions": list(decompose._DECOMPOSERS.values()),
-        "pairings": ["unit ball volume = 4/3*pi", "integral of x1^2 = 4/15*pi", *ball._PAIRINGS.values(),
-                     *ball._MEMBERSHIP_STEPS, "negative control: constant vs P1 detected"],
-    }
-
-
-def _case_name(row):
-    """The name a row's case has in its report."""
-    if isinstance(row, koszul.RightInverseSpec):
-        return f"{row.name}: {row.statement}"
-    if isinstance(row, decompose.DecompositionSpec):
-        return f"regdec {row.name}"
-    return row.name
-
-
-def _row(suite, name):
-    """The row of the named case of `suite`."""
-    return {_case_name(row): row for row in _suite_rows()[suite] if not isinstance(row, str)}[name]
-
-
 def _witness_holds(suite, case):
     """Whether the failing case's witness, read back from its text, passes the case's check:
     a cell is re-checked by hand, every other case by its row, looked up by name.  A pairing
     witness is the field and the test field; a decomposition witness may end in its part kinds."""
     if suite == "cells":
         return _witness_commutes(case)
-    row = _row(suite, case.name)
+    row = {row.case_name: row for row in suite_rows(suite)}[case.name]
     if isinstance(row, ball.PairingSpec):
         sample = tuple(field_from_text(text) for text in case.witness.split("\ntest field:\n"))
         assert tuple(f.kind for f in sample) == (row.field_kind, row.test_kind)
@@ -446,19 +411,20 @@ def _witness_holds(suite, case):
     return row.holds(f)
 
 
-def test_the_112_sampled_rows_are_every_suite_in_report_order():
+def test_the_116_rows_are_every_suite_in_report_order():
+    # Each row names its own case: every suite's report lists its rows' names
+    # and anchors in table order, and the closed-form rows, checked once, are
+    # the cases the benchmark counts as one check each.
     spec = importlib.util.spec_from_file_location("child", _ROOT / "perfbench" / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
-    rows = _suite_rows()
-    every_row = [row for suite_rows in rows.values() for row in suite_rows]
-    sampled = [row for row in every_row if not isinstance(row, str)]
-    assert len(sampled) == 112 and len({row.name for row in sampled}) == 112
-    assert {row for row in every_row if isinstance(row, str)} == child.SINGLE_SHOT_CASES
-    for suite, suite_rows in rows.items():
+    rows = {suite: suite_rows(suite) for suite in SUITE_NAMES}
+    every_row = [row for suite in SUITE_NAMES for row in rows[suite]]
+    assert len(every_row) == 116 and len({row.case_name for row in every_row}) == 116
+    assert {row.case_name for row in every_row if isinstance(row, ClosedForm)} == child.SINGLE_SHOT_CASES
+    for suite in SUITE_NAMES:
         report = run_suite(SuiteConfig(suite=suite, seed=7, degree=1, samples=1))
-        expected = [row if isinstance(row, str) else (_case_name(row), row.anchor) for row in suite_rows]
-        assert [c.name if c.name in child.SINGLE_SHOT_CASES else (c.name, c.anchor) for c in report.cases] == expected
+        assert [(c.name, c.anchor) for c in report.cases] == [(row.case_name, row.anchor) for row in rows[suite]]
 
 
 def test_partial_sum_without_exponent_factor_fails_identities_cells_and_two_complex(monkeypatch):

@@ -15,7 +15,7 @@ from tensorcomplex.decompose import _DECOMPOSERS, DECOMPOSITION_NAMES, decompose
 from tensorcomplex.fields import FieldKind, field_to_text
 from tensorcomplex.koszul import RIGHT_INVERSES, sample_kernel
 from tensorcomplex.operators import derived_rng, random_field
-from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite
+from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite, suite_rows
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -114,7 +114,8 @@ def test_dump_diagram_matches_golden(flavor, fmt, suffix, capsys):
 
 
 def test_derived_complex_case_names():
-    results = diagram.check_all_derived_complexes(samples=1, degree=1, seed=7)
+    cfg = SuiteConfig(seed=7, degree=1, samples=1)
+    results = [row.verify(cfg, {}) for row in suite_rows("derived-complexes")]
     assert [r.name for r in results] == [
         "hessian: curl ∘ hess = 0",
         "hessian: div ∘ curl = 0",

@@ -25,6 +25,7 @@ def _records():
         decompose._DECOMPOSERS["cc"],
         ball.P1_SPACE,
         koszul.RIGHT_INVERSES["Dcc"],
+        koszul.right_inverse_rows()[-1],  # the closed form of Ddd(1)
         koszul.kernel_basis(("div",), FieldKind.SYMMETRIC, 1),
         next(letter for letter in koszul.RIGHT_INVERSES["Dcc"].chain if isinstance(letter, koszul._Zero)),
         dec,
@@ -43,7 +44,7 @@ def _field_names(record) -> tuple[str, ...]:
 
 def test_every_record_refuses_assignment():
     records = _records()
-    assert len({type(r) for r in records}) == 17
+    assert len({type(r) for r in records}) == 18
     for record in records:
         for name in (*_field_names(record), "extra"):
             with pytest.raises(AttributeError):

@@ -141,26 +141,21 @@ def _argument(call: ast.Call, index: int, name: str) -> ast.expr | None:
 
 
 def test_no_sampled_case_hands_run_check_a_closure():
-    # Every sampled case checks through a method of its row (`row.holds`, or
+    # Every case checks through a method or field of its row (`row.holds`, or
     # `partial(row.holds, ...)`) or a module-level function, so the check of
     # any case can be reached by name outside the call that runs it.  A lambda,
     # a function defined inside another function or a local variable as
-    # `holds` hides it.  The single-shot cases, one closed form checked once
-    # (samples 1), keep their inline lambdas: three call sites, four cases.
-    offenders, single_shot = [], 0
+    # `holds` hides it.  The closed forms, checked once, are rows too.
+    offenders = []
     for path in sorted(_PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         module_functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         for call in ast.walk(tree):
             if not _calls(call, "run_check"):
                 continue
-            samples, holds = _argument(call, 2, "samples"), _argument(call, 4, "holds")
-            if isinstance(samples, ast.Constant) and samples.value == 1:
-                single_shot += 1
-                continue
+            holds = _argument(call, 4, "holds")
             if _calls(holds, "partial"):
                 holds = holds.args[0]
             if not (isinstance(holds, ast.Attribute) or isinstance(holds, ast.Name) and holds.id in module_functions):
                 offenders.append(f"{path.stem}:{call.lineno}")
     assert offenders == []
-    assert single_shot == 3
