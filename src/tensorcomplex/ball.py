@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import NamedTuple
 
 from .fields import (
@@ -329,10 +329,13 @@ def _undetected(detected: bool) -> str:
     return "orthogonality unexpectedly held"
 
 
+# `eq`, not `PiScalar.__eq__`: a value of any other type compares unequal, where the method's NotImplemented is true.
 _QUADRATURE = "quadrature closed form"
 _INTEGRALS = (
-    ClosedForm("unit ball volume = 4/3*pi", _QUADRATURE, _unit_ball_volume, PiScalar(Fraction(4, 3)).__eq__),
-    ClosedForm("integral of x1^2 = 4/15*pi", _QUADRATURE, _x1_squared_integral, PiScalar(Fraction(4, 15)).__eq__),
+    ClosedForm("unit ball volume = 4/3*pi", _QUADRATURE, _unit_ball_volume,
+               functools.partial(eq, PiScalar(Fraction(4, 3)))),
+    ClosedForm("integral of x1^2 = 4/15*pi", _QUADRATURE, _x1_squared_integral,
+               functools.partial(eq, PiScalar(Fraction(4, 15)))),
 )
 _NEGATIVE_CONTROL = ClosedForm("negative control: constant vs P1 detected", "Thm 2.3 proof", _p1_detects_a_constant,
                                bool, _undetected)

@@ -489,10 +489,10 @@ def right_inverse(name: str, f: TypedField, strict_preconditions: bool = False) 
     return spec.piece(spec.construct(f, strict_preconditions), spec.part or 0)
 
 
-def verify_right_inverse(name: str, samples: int, degree: int, seed: int, strict_preconditions: bool = False,
-                         shared: dict | None = None) -> CheckResult:
+def verify_right_inverse(name: str, samples: int, degree: int, seed: int,
+                         strict_preconditions: bool = False) -> CheckResult:
     cfg = SuiteConfig(seed=seed, degree=degree, samples=samples, strict_preconditions=strict_preconditions)
-    return RIGHT_INVERSES[name].verify(cfg, {} if shared is None else shared)
+    return RIGHT_INVERSES[name].verify(cfg, {})
 
 
 def _ddd_of_one() -> TypedField:

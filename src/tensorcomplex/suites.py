@@ -94,10 +94,10 @@ class Report:
 # Each suite, in report order, and what builds its rows from the current data; `koszul`, `decompose` and
 # `ball` are imported when their suite runs, not before.
 _SUITES = {
-    "identities": lambda: operators.IDENTITIES.values(),
-    "cells": lambda: diagram.cell_rows(),
-    "two-complex": lambda: diagram.two_complex_rows(),
-    "derived-complexes": lambda: diagram.derived_complex_rows(),
+    "identities": operators.IDENTITIES.values,
+    "cells": diagram.cell_rows,
+    "two-complex": diagram.two_complex_rows,
+    "derived-complexes": diagram.derived_complex_rows,
     "right-inverses": lambda: import_module(".koszul", __package__).right_inverse_rows(),
     "decompositions": lambda: import_module(".decompose", __package__).decomposition_rows(),
     "pairings": lambda: import_module(".ball", __package__).pairing_rows(),

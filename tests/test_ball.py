@@ -35,8 +35,9 @@ from tensorcomplex.fields import (
     field_from_text,
     pairing_product,
 )
-from tensorcomplex.operators import OPS, components_equal, derived_rng, div, grad, random_field
+from tensorcomplex.operators import OPS, SuiteConfig, components_equal, derived_rng, div, grad, random_field
 from tensorcomplex.poly import P_ONE, Poly3, X1, X2
+from tensorcomplex.rational import PiScalar
 
 from conftest import field_degree, matrix_fields, polys, scalar_fields, vector_fields, zero_field
 
@@ -89,6 +90,16 @@ def test_unit_ball_volume():
 
 def test_x1_squared():
     assert str(integrate_ball(X1 * X1)) == "4/15*pi"
+
+
+@pytest.mark.parametrize("value", [Fraction(4, 3), Fraction(4, 15), 4, None, PiScalar(Fraction(1, 3))])
+def test_a_ball_integral_of_another_type_or_value_fails_its_closed_form(monkeypatch, value):
+    # The closed-form rows accept only the PiScalar they state: an integral that
+    # came back as a bare Fraction, an int or None fails both cases, with the value as witness.
+    monkeypatch.setattr(ball, "integrate_ball", lambda p: value)
+    for row in ball.pairing_rows()[:2]:
+        result = row.verify(SuiteConfig(suite="pairings"), {})
+        assert not result.passed and result.witness == str(value), row.case_name
 
 
 def test_odd_monomial_vanishes():
