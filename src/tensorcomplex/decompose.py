@@ -6,7 +6,7 @@ residual cascade, which `decompose(name, f)` runs and the row's `holds`
 checks.  Each part is a word, applied right to left by
 `koszul.apply_word` to the residual that the earlier parts leave; its letters
 are RIGHT_INVERSES names, OPS keys and scales.  The part's contribution, the
-part reassembled by its operator, is taken off before the next part:
+part reassembled by its operator, is kept and taken off before the next part:
 
     decomposition    part   <- word                     reassembly
     cc (Thm 3.4)     S0     <- Dcc . inc                identity
@@ -50,9 +50,7 @@ class DecompositionPart(NamedTuple):
     label: str
     potential: TypedField
     reassembly: OperatorId
-
-    def contribution(self) -> TypedField:
-        return self.potential if self.reassembly == _IDENTITY else self.reassembly.apply(self.potential)
+    contribution: TypedField  # the reassembly applied to the potential, as the cascade took it off
 
 
 class Decomposition(NamedTuple):
@@ -61,7 +59,7 @@ class Decomposition(NamedTuple):
 
     @property
     def reassembled(self) -> TypedField:
-        first, *rest = (part.contribution() for part in self.parts)
+        first, *rest = (part.contribution for part in self.parts)
         return sum(rest, first)
 
     @property
@@ -149,8 +147,9 @@ def decompose(name: str, f: TypedField) -> Decomposition:
     residual, parts = f, []
     for label, word, reassembly in spec.steps:
         if parts:
-            residual = residual - parts[-1].contribution()
-        parts.append(DecompositionPart(label, apply_word(word, residual), OperatorId(reassembly)))
+            residual = residual - parts[-1].contribution
+        potential, op = apply_word(word, residual), OperatorId(reassembly)
+        parts.append(DecompositionPart(label, potential, op, potential if op == _IDENTITY else op.apply(potential)))
     return Decomposition(f, tuple(parts))
 
 

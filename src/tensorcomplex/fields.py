@@ -6,10 +6,11 @@ ROWS, DIAGONAL, OFF_DIAGONAL and TRANSPOSE below, and the builders
 TypedField.symmetric and TypedField.skew, state that layout once; every
 other module reads matrix entries through them.  The Jacobian convention is
 that grad u has (i, j) entry d(u_i)/d(x_j).  Kind tags (symmetric,
-trace-free, skew) are validated on construction, so a tagged field always
-satisfies its predicate identically as polynomials.  A sum or difference of
-two matrix fields keeps their shared tag and is a plain matrix field
-otherwise.
+trace-free, skew) hold identically as polynomials: `TypedField(kind, c)`
+checks them where a tag claims computed values (`retag`, `S`, an operator's
+declared output, parsed text); `_of_kind` skips the check where the tag holds
+whatever the values are (symmetric and skew builders, `dev`, transpose, scale,
+negation, sum and difference, where two different matrix tags give `matrix`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Sequence
 
 from .poly import P_ONE, P_ZERO, Poly3
 
@@ -44,7 +46,7 @@ OFF_DIAGONAL = ((1, 3), (2, 6), (5, 7))
 # Component k of the transpose is component TRANSPOSE[k].
 TRANSPOSE = (0, 3, 6, 1, 4, 7, 2, 5, 8)
 
-_HALF = Fraction(1, 2)
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 class KindError(TypeError):
@@ -61,9 +63,9 @@ def _minus_on_diagonal(c: Sequence[Poly3], t: Poly3) -> tuple[Poly3, ...]:
     return tuple(p - t if k in DIAGONAL else p for k, p in enumerate(c))
 
 
-def _pair_halves(c: Sequence[Poly3], sign: int) -> list[Poly3]:
-    """(c_ij + sign * c_ji) / 2 for each off-diagonal pair, i < j."""
-    return [Poly3.combination(((_HALF, c[k]), (sign * _HALF, c[t]))) for k, t in OFF_DIAGONAL]
+def _pair_halves(c: Sequence[Poly3], op: Callable[[Poly3, Poly3], Poly3]) -> list[Poly3]:
+    """op(c_ij, c_ji) / 2 for each off-diagonal pair, i < j: op is add for the symmetric part, sub for the skew part."""
+    return [op(c[k], c[t]).scale(_HALF) for k, t in OFF_DIAGONAL]
 
 
 def _axial(u: Sequence[Poly3]) -> list[Poly3]:
@@ -124,14 +126,13 @@ class TypedField:
     def symmetric(cls, diagonal: Iterable[Poly3], upper: Iterable[Poly3]) -> "TypedField":
         """The symmetric field with the given diagonal and the entries (0, 1), (0, 2), (1, 2) above it."""
         (d0, d1, d2), (s01, s02, s12) = diagonal, upper
-        return cls(FieldKind.SYMMETRIC, (d0, s01, s02, s01, d1, s12, s02, s12, d2))
+        return _of_kind(FieldKind.SYMMETRIC, (d0, s01, s02, s01, d1, s12, s02, s12, d2))
 
     @classmethod
     def skew(cls, upper: Iterable[Poly3]) -> "TypedField":
         """The skew field with the entries (0, 1), (0, 2), (1, 2) above its zero diagonal."""
         s01, s02, s12 = upper
-        z = P_ZERO
-        return cls(FieldKind.SKEW, (z, s01, s02, -s01, z, s12, -s02, -s12, z))
+        return _of_kind(FieldKind.SKEW, (P_ZERO, s01, s02, -s01, P_ZERO, s12, -s02, -s12, P_ZERO))
 
     @classmethod
     def identity_scaled(cls, p: Poly3) -> "TypedField":
@@ -163,16 +164,16 @@ class TypedField:
         raise KindError(f"kind mismatch: {self.kind.value} vs {other.kind.value}")
 
     def __add__(self, other: "TypedField") -> "TypedField":
-        return TypedField(self._sum_kind(other), tuple(a + b for a, b in zip(self.components, other.components)))
+        return _of_kind(self._sum_kind(other), tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "TypedField") -> "TypedField":
-        return TypedField(self._sum_kind(other), tuple(a - b for a, b in zip(self.components, other.components)))
+        return _of_kind(self._sum_kind(other), tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "TypedField":
-        return TypedField(self.kind, tuple(-p for p in self.components))
+        return _of_kind(self.kind, tuple(-p for p in self.components))
 
     def scale(self, c) -> "TypedField":
-        return TypedField(self.kind, tuple(p.scale(c) for p in self.components))
+        return _of_kind(self.kind, tuple(p.scale(c) for p in self.components))
 
     def mul_scalar_poly(self, w: Poly3) -> "TypedField":
         """Pointwise multiplication by a scalar polynomial; keeps the tag."""
@@ -196,35 +197,35 @@ class TypedField:
 
     def transpose(self) -> "TypedField":
         c = self._matrix_components("transpose")
-        return TypedField(self.kind, tuple(c[k] for k in TRANSPOSE))
+        return _of_kind(self.kind, tuple(c[k] for k in TRANSPOSE))
 
     def sym(self) -> "TypedField":
         # One (e_ij + e_ji) / 2 per off-diagonal pair fills both of its slots.
         c = self._matrix_components("sym")
-        return TypedField.symmetric((c[k] for k in DIAGONAL), _pair_halves(c, 1))
+        return TypedField.symmetric((c[k] for k in DIAGONAL), _pair_halves(c, add))
 
     def skw(self) -> "TypedField":
-        return TypedField.skew(_pair_halves(self._matrix_components("skw"), -1))
+        return TypedField.skew(_pair_halves(self._matrix_components("skw"), sub))
 
     def trace(self) -> "TypedField":
         return TypedField.scalar(_trace(self._matrix_components("tr")))
 
     def dev(self) -> "TypedField":
         c = self._matrix_components("dev")
-        return TypedField(FieldKind.TRACEFREE, _minus_on_diagonal(c, _trace(c).scale(Fraction(1, 3))))
+        return _of_kind(FieldKind.TRACEFREE, _minus_on_diagonal(c, _trace(c).scale(_THIRD)))
 
     def s_op(self) -> "TypedField":
-        """tau -> tau^T - tr(tau) id."""
+        """tau -> tau^T - tr(tau) id, of the kind of tau: S g = g - tr(g) id, and S tau = tau^T if tr(tau) = 0."""
         c = self._matrix_components("S")
-        return TypedField(_s_result_kind(self.kind), _minus_on_diagonal([c[k] for k in TRANSPOSE], _trace(c)))
+        return TypedField(self.kind, _minus_on_diagonal([c[k] for k in TRANSPOSE], _trace(c)))
 
 
-def _s_result_kind(kind: FieldKind) -> FieldKind:
-    # S preserves symmetry (S g = g - tr(g) id), trace-freeness and skewness
-    # (S tau = tau^T on trace-free input).
-    if kind in (FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.SKEW):
-        return kind
-    return FieldKind.MATRIX
+def _of_kind(kind: FieldKind, components: tuple[Poly3, ...]) -> TypedField:
+    """A field built of components that have `kind` whatever their values: `TypedField`'s check is skipped."""
+    f = object.__new__(TypedField)
+    object.__setattr__(f, "kind", kind)
+    object.__setattr__(f, "components", components)
+    return f
 
 
 # -- axial-vector correspondence ---------------------------------------
@@ -239,7 +240,7 @@ def mskw(v: TypedField) -> TypedField:
 
 def vskw(m: TypedField) -> TypedField:
     """Axial vector of the skew part: vskw = mskw^{-1} ∘ skw."""
-    return TypedField.vector(_axial(_pair_halves(m._matrix_components("vskw"), -1)))
+    return TypedField.vector(_axial(_pair_halves(m._matrix_components("vskw"), sub)))
 
 
 # -- products ----------------------------------------------------------

@@ -6,8 +6,9 @@ On a homogeneous degree-k component, with x the coordinate field:
     tc(q) = (q x x) / (k + 2)      potential for curl
     td(u) = (x u)   / (k + 3)      potential for div
 
-Each runs as one pass over the input terms: multiplying by x_i shifts an
-exponent, and each degree-k term takes its factor 1/(k+c) with c = 1, 2, 3.
+Each, and each row map, is one `Poly3.shift_rows` call on a table of x_i
+shifts, one pass over the input terms: each input component is scaled once
+by 1/(k+c) per degree k, c = 1, 2, 3, then shifted into each output it feeds.
 They satisfy the four identities of HOMOTOPY exactly and unconditionally on
 polynomials, so tg / tc / td are right inverses of grad / curl / div on
 curl-free / divergence-free / arbitrary inputs respectively.
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from .ball import MomentSpace, ND_SPACE, P1_SPACE, RT_SPACE, moment_orthogonal
 from .fields import (
-    _COMPONENT_COUNT, DIAGONAL, OFF_DIAGONAL, ROWS, X_FIELD, FieldKind, KindError, TypedField, field_to_text, vskw
+    _COMPONENT_COUNT, DIAGONAL, MATRIX_KINDS, OFF_DIAGONAL, X_FIELD, FieldKind, KindError, TypedField, field_to_text, vskw
 )
 from .operators import (
     BasisKindError, CheckResult, ClosedForm, Identity, OPS, ORDER, OperatorId, PreconditionError, SuiteConfig,
@@ -46,58 +47,64 @@ from .rational import RatMatrix
 # -- the three homotopy operators -----------------------------------------
 
 
-def _vector_tg(v1: Poly3, v2: Poly3, v3: Poly3) -> Poly3:
-    return Poly3.shift_sum(((1, 1, v1), (1, 2, v2), (1, 3, v3)), 1)
+_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
+# Per output component, the (sign, input component, i) triples of its x_i shifts: v . x, q x x and x u.
+_TG = (((1, 0, 1), (1, 1, 2), (1, 2, 3)),)
+_TC = (((1, 1, 3), (-1, 2, 2)), ((1, 2, 1), (-1, 0, 3)), ((1, 0, 2), (-1, 1, 1)))
+_TD = (((1, 0, 1),), ((1, 0, 2),), ((1, 0, 3),))
 
 
-def _vector_tc(q1: Poly3, q2: Poly3, q3: Poly3) -> list[Poly3]:
-    return [
-        Poly3.shift_sum(((1, 3, q2), (-1, 2, q3)), 2),  # q2 x3 - q3 x2
-        Poly3.shift_sum(((1, 1, q3), (-1, 3, q1)), 2),  # q3 x1 - q1 x3
-        Poly3.shift_sum(((1, 2, q1), (-1, 1, q2)), 2),  # q1 x2 - q2 x1
-    ]
+def _each_row(rows: tuple, width: int) -> tuple:
+    """The rows applied to each of three consecutive runs of `width` input components, run by run."""
+    return tuple(tuple((sign, c + width * r, i) for sign, c, i in row) for r in range(3) for row in rows)
 
 
-def _scalar_td(p: Poly3) -> list[Poly3]:
-    return [Poly3.shift_sum(((1, j, p),), 3) for j in (1, 2, 3)]
+# Each map as one `Poly3.shift_rows` table: (input kinds, offset c of 1/(k+c), output kind, rows).
+_SHIFTS = {
+    "tg": ((_V,), 1, _W, _TG),
+    "tc": ((_V,), 2, _V, _TC),
+    "td": ((_W,), 3, _V, _TD),
+    "tg_rows": (MATRIX_KINDS, 1, _V, _each_row(_TG, 3)),
+    "tc_rows": (MATRIX_KINDS, 2, FieldKind.MATRIX, _each_row(_TC, 3)),
+    "td_component_rows": ((_V,), 3, FieldKind.MATRIX, _each_row(_TD, 1)),
+}
+
+
+def _shift(name: str, f: TypedField) -> TypedField:
+    kinds, offset, kind, rows = _SHIFTS[name]
+    if f.kind not in kinds:
+        raise KindError(f"{name} needs a {kinds[0].value} field")
+    return TypedField(kind, Poly3.shift_rows(f.components, rows, offset))
 
 
 def tg(v: TypedField) -> TypedField:
     """Scalar potential of a vector field: per degree k, (v . x)/(k+1)."""
-    if v.kind is not FieldKind.VECTOR:
-        raise KindError("tg needs a vector field")
-    return TypedField.scalar(_vector_tg(*v.components))
+    return _shift("tg", v)
 
 
 def tc(q: TypedField) -> TypedField:
     """Vector potential of a divergence-free field: per degree k, (q x x)/(k+2)."""
-    if q.kind is not FieldKind.VECTOR:
-        raise KindError("tc needs a vector field")
-    return TypedField.vector(_vector_tc(*q.components))
+    return _shift("tc", q)
 
 
 def td(u: TypedField) -> TypedField:
     """Vector potential of a scalar field: per degree k, (x u)/(k+3)."""
-    if u.kind is not FieldKind.SCALAR:
-        raise KindError("td needs a scalar field")
-    return TypedField.vector(_scalar_td(u.components[0]))
+    return _shift("td", u)
 
 
 def tg_rows(m: TypedField) -> TypedField:
-    """Apply tg to each row of a matrix field; grad of the result is m when
-    every row is curl-free."""
-    return TypedField.vector([_vector_tg(*m.components[r]) for r in ROWS])
+    """tg of each row of a matrix field; grad of the result is m when every row is curl-free."""
+    return _shift("tg_rows", m)
 
 
 def tc_rows(m: TypedField) -> TypedField:
-    """Apply tc to each row; row-wise curl of the result is m when every row
-    is divergence-free."""
-    return TypedField(FieldKind.MATRIX, tuple(p for r in ROWS for p in _vector_tc(*m.components[r])))
+    """tc of each row; row-wise curl of the result is m when every row is divergence-free."""
+    return _shift("tc_rows", m)
 
 
 def td_component_rows(v: TypedField) -> TypedField:
     """Matrix whose row i is td(v_i); its row-wise divergence is v."""
-    return TypedField(FieldKind.MATRIX, tuple(p for c in v.components for p in _scalar_td(c)))
+    return _shift("td_component_rows", v)
 
 
 class WordSum(tuple):
@@ -214,7 +221,8 @@ class KernelBasis(NamedTuple):
 def kernel_basis(op_names: tuple[str, ...], kind: FieldKind, degree: int) -> KernelBasis:
     """Exact basis of the joint kernel of the named operators on the
     kind-constrained degree-bounded space, built once per (op_names, kind,
-    degree) as one immutable table; op_names is a cache key, so a tuple.
+    degree) as one immutable table.  The cache, like `_symbol`'s, is keyed by
+    operator name (so op_names is a tuple): empty both when an operator changes.
 
     x^m e maps to the sum over alpha of binom(m, alpha) x^(m - alpha) times the
     constant image of x^alpha e, read off by `_symbol` and scaled to ints per
@@ -422,7 +430,6 @@ class RightInverseSpec(NamedTuple):
                          partial(self.holds, strict_preconditions=cfg.strict_preconditions, memo=memo))
 
 
-_S, _T, _V, _W = FieldKind.SYMMETRIC, FieldKind.TRACEFREE, FieldKind.VECTOR, FieldKind.SCALAR
 _THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
 
 RIGHT_INVERSES: dict[str, RightInverseSpec] = {

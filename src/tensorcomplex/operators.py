@@ -36,6 +36,7 @@ from .fields import (
     FieldKind,
     KindError,
     TypedField,
+    _of_kind,
     field_to_text,
     mskw,
     vskw,
@@ -295,7 +296,7 @@ def random_field(kind: FieldKind, degree: int, rng: random.Random) -> TypedField
     if kind is FieldKind.TRACEFREE:  # a_ij off the diagonal, (3 a_ii - tr) / 3 on it
         tr = [x + y + z for x, y, z in zip(*(a[k] for k in DIAGONAL))]
         rows = [([3 * x - t for x, t in zip(row, tr)], 3) if k in DIAGONAL else (row, 1) for k, row in enumerate(a)]
-        return TypedField(kind, tuple(Poly3.from_row(degree, row, den) for row, den in rows))
+        return _of_kind(kind, tuple(Poly3.from_row(degree, row, den) for row, den in rows))
     return TypedField(kind, tuple(Poly3.from_row(degree, row) for row in a))
 
 

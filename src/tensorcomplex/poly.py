@@ -22,13 +22,13 @@ have equal (_codes, _den):
 
 Arithmetic runs on Python ints with one gcd normalisation per result; a
 `Fraction` is built only where a coefficient is read (`constant_term`,
-`coefficients`, the text form).  The many-term sums are int operations
-too, each one pass and one normalisation: `partial_sum` (signed first
-derivatives, for curl and div), `shift_sum` (signed x_i shifts, for the
-Koszul operators) and `combination` (weighted sums).  All operations are
-exact.  In the package only this module reads `_codes`, `terms` and `_den`,
-and only this module decodes a code; other modules go through the methods,
-and through `monomial_code`, `parity_classes` and `check_product` where they
+`coefficients`, the text form).  The many-term sums are int operations too,
+each result normalised once: `partial_sum` (signed first derivatives, for
+curl and div) and `shift_rows` (signed x_i shifts, for the Koszul operators,
+each input scaled once by cached per-degree factors).  All are exact.  In
+the package only this module reads `_codes`, `terms` and `_den`, and only
+this module decodes a code; other modules go through the methods, and
+through `monomial_code`, `parity_classes` and `check_product` where they
 pair terms themselves.
 """
 
@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, int, int]
 
@@ -180,32 +180,36 @@ class Poly3:
         return _make({k: n for k, n in zip(_row_codes(degree), numerators, strict=True) if n}, den)
 
     @staticmethod
-    def shift_sum(pieces: Iterable[tuple[int, int, "Poly3"]], offset: int) -> "Poly3":
-        """Sum of sign * x_i * p over (sign, i, p), each term of degree k divided by k + offset.
-
-        Multiplying by x_i only adds its code, so the result is built term by
-        term, as integer numerators over lcm(den of each p) * lcm(k + offset).
-        Every piece's i is checked, a zero piece's too.
-        """
-        pieces = [(sign, i, _variable(i), p) for sign, i, p in pieces]
-        den = lcm(*(p._den for *_, p in pieces))
-        degrees = {k >> 24 for *_, p in pieces for k in p._codes}
-        if max(degrees, default=0) >= MAX_EXPONENT:
-            for _, i, (_, shift), p in pieces:
-                if any(k >> shift & 255 == MAX_EXPONENT for k in p._codes):
+    def shift_rows(components: Sequence["Poly3"], rows: Iterable[tuple], offset: int) -> tuple["Poly3", ...]:
+        """Per row, the sum of sign * x_i * components[c] over its (sign, c, i) triples, each term of
+        degree k divided by k + offset.  Each component is scaled once, to integer numerators over
+        lcm(den of each component) * lcm(k + offset over the degrees they span), by per-degree factors
+        cached per (lowest, highest degree, offset); each triple then shifts it into its row, which
+        only adds the code of x_i.  Every triple's i is checked, one on a zero component too."""
+        rows = [[(sign, c, _variable(i), i) for sign, c, i in row] for row in rows]
+        low = min((min(p._codes) for p in components if p._codes), default=0) >> 24
+        high = max((max(p._codes) for p in components if p._codes), default=0) >> 24
+        if high >= MAX_EXPONENT:
+            for _, c, (_, shift), i in (triple for row in rows for triple in row):
+                if any(k >> shift & 255 == MAX_EXPONENT for k in components[c]._codes):
                     raise ExponentLimitError(f"x{i} * p has an exponent of x{i} past {MAX_EXPONENT}")
-        shift_den = lcm(*(k + offset for k in degrees))
-        factor = {k: shift_den // (k + offset) for k in degrees}
-        t: dict[int, int] = {}
-        get = t.get
-        for sign, _, (unit, _), p in pieces:
-            w = sign * (den // p._den)
-            for k, n in p._codes.items():
-                m = k + unit
-                t[m] = get(m, 0) + n * w * factor[k >> 24]
-        if not all(t.values()):
-            t = {k: n for k, n in t.items() if n}
-        return _make(t, den * shift_den)
+        shift_den, factor = _shift_factors(low, high, offset)
+        den = lcm(*(p._den for p in components))
+        scaled = [[(k, n * w * factor[k >> 24]) for k, n in p._codes.items()] if (w := den // p._den) != 1
+                  else [(k, n * factor[k >> 24]) for k, n in p._codes.items()] for p in components]
+        out = []
+        for row in rows:
+            (sign, c, (unit, _), _), *rest = row
+            t = {k + unit: n for k, n in scaled[c]} if sign == 1 else {k + unit: n * sign for k, n in scaled[c]}
+            for sign, c, (unit, _), _ in rest:
+                get = t.get
+                for k, n in scaled[c]:
+                    m = k + unit
+                    t[m] = get(m, 0) + n * sign
+            if not all(t.values()):
+                t = {k: n for k, n in t.items() if n}
+            out.append(_make(t, den * shift_den))
+        return tuple(out)
 
     # -- predicates / inspection --------------------------------------
 
@@ -305,25 +309,6 @@ class Poly3:
             t = {k: n // g * cn for k, n in self._codes.items()}
         return _new(t, den * cd)
 
-    @staticmethod
-    def combination(pairs: Iterable[tuple[int | Fraction, "Poly3"]]) -> "Poly3":
-        """Sum of w * p over the (weight, polynomial) pairs, with int or Fraction weights.
-
-        The weighted numerators are summed over the lcm of the denominators
-        den(p) * den(w) in one pass, and the result is normalised once.
-        """
-        scaled = [(w.numerator, w.denominator * p._den, p._codes) for w, p in pairs if w and p._codes]
-        den = lcm(*(d for _, d, _ in scaled))
-        t: dict[int, int] = {}
-        get = t.get
-        for n, d, codes in scaled:
-            f = n * (den // d)
-            for k, c in codes.items():
-                t[k] = get(k, 0) + c * f
-        if not all(t.values()):
-            t = {k: n for k, n in t.items() if n}
-        return _make(t, den)
-
     def partial(self, i: int) -> "Poly3":
         """Formal derivative with respect to x_i, i in {1, 2, 3}."""
         unit, shift = _variable(i)
@@ -338,7 +323,7 @@ class Poly3:
     def partial_sum(pieces: Iterable[tuple[int, int, "Poly3"]]) -> "Poly3":
         """Sum of sign * dp/dx_i over (sign, i, p), i in {1, 2, 3}.
 
-        The derivative twin of `shift_sum`: every term is differentiated and
+        The derivative counterpart of one `shift_rows` row: every term is differentiated and
         added as an integer numerator over lcm(den of each p), and the result
         is normalised once.  Every piece's i is checked, a zero piece's too.
         """
@@ -427,6 +412,13 @@ def monomials_up_to(degree: int) -> tuple[Monomial, ...]:
 @cache
 def _row_codes(degree: int) -> tuple[int, ...]:
     return tuple(map(monomial_code, monomials_up_to(degree)))
+
+
+@cache
+def _shift_factors(low: int, high: int, offset: int) -> tuple[int, tuple[int, ...]]:
+    """(L, f): L = lcm(k + offset) over low <= k <= high, and f[k] = L // (k + offset) for those k (0 below)."""
+    den = lcm(*range(low + offset, high + offset + 1))
+    return den, tuple(den // (k + offset) if k >= low else 0 for k in range(high + 1))
 
 
 class _Terms:

@@ -1,13 +1,14 @@
 import errno
 import io
 import os
+from contextlib import contextmanager
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 from fractions import Fraction
 
-from tensorcomplex import koszul
+from tensorcomplex import koszul, operators
 from tensorcomplex.fields import _COMPONENT_COUNT, FieldKind, TypedField
 from tensorcomplex.poly import P_ZERO, Poly3
 
@@ -68,6 +69,27 @@ def curl_without_one_term(c1, c2, c3):
         Poly3.partial_sum(((1, 3, c1), (-1, 1, c3))),
         Poly3.partial_sum(((1, 1, c2), (-1, 2, c1))),
     ]
+
+
+@contextmanager
+def curl_mutation():
+    """The shared operator mutation: `operators._vector_curl` is `curl_without_one_term` inside the block.
+    The kernel caches are keyed by operator name, so they are emptied on entry, for the kernels to be filled
+    with the broken curl, and on exit, for them to be filled with the true one again."""
+    _clear_kernel_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_vector_curl", curl_without_one_term)
+        try:
+            yield
+        finally:
+            _clear_kernel_caches()
+
+
+@pytest.fixture
+def broken_curl():
+    """The whole test runs under `curl_mutation`."""
+    with curl_mutation():
+        yield
 
 
 @st.composite

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import tensorcomplex.decompose as decompose_module
-import tensorcomplex.operators as operators_module
 from tensorcomplex.decompose import (
     _DECOMPOSERS,
     DECOMPOSITION_NAMES,
@@ -35,7 +34,22 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import FullStream, curl_without_one_term, field_degree, matrix, zero_field
+from conftest import FullStream, field_degree, matrix, zero_field
+
+
+@pytest.mark.parametrize("name", DECOMPOSITION_NAMES)
+def test_each_stored_contribution_is_its_reassembly_applied_to_its_potential(name):
+    # The cascade keeps each contribution as it takes it off the residual, and
+    # the reassembled sum reads them back instead of applying the operators again.
+    spec = _DECOMPOSERS[name]
+    for s in range(3):
+        f = random_field(spec.input_kind, 2, derived_rng(7, "contribution", name, s))
+        dec = decompose(name, f)
+        for part, (_, _, reassembly) in zip(dec.parts, spec.steps, strict=True):
+            applied = part.potential if reassembly == "identity" else OPS[reassembly](part.potential)
+            assert part.reassembly == OperatorId(reassembly)
+            assert part.contribution == applied, (name, part.label)
+        assert components_equal(dec.reassembled, f)
 
 
 def test_all_decompositions_reconstruct_exactly():
@@ -274,10 +288,9 @@ def run_script_in_process(name, text, tmp_path, capsys):
     return code, (out.out, out.err)
 
 
-def test_script_reports_a_step_failing_inside_the_chain_as_a_failed_decomposition(monkeypatch, tmp_path, capsys):
+def test_script_reports_a_step_failing_inside_the_chain_as_a_failed_decomposition(tmp_path, capsys, broken_curl):
     # The dd witness is a symmetric field, of the kind dd takes: the broken
     # curl, not the input, makes div(S eta) nonzero inside the Dcc chain.
-    monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
     witness = verify_decomposition("dd", samples=2, degree=2, seed=7).witness
     assert field_from_text(witness).kind is FieldKind.SYMMETRIC
     code, out = run_script_in_process("dd", witness, tmp_path, capsys)
@@ -472,11 +485,10 @@ def test_third_chain_sends_the_leading_part_to_zero(degree):
         assert not any(s0.is_zero for s0 in leading)
 
 
-def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(monkeypatch):
+def test_kind_error_inside_a_decomposition_is_a_fail_with_the_field_as_witness(broken_curl):
     # A curl whose first entry drops its -d3 c2 term takes a symmetric field to
     # a matrix with a nonzero trace, so the cc cascade raises KindError both
     # in the check and again in its witness; the case must still fail and print the field.
-    monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
     r = verify_decomposition("cc", samples=2, degree=2, seed=7)
     assert r.status == "fail"
     f = field_from_text(r.witness)
@@ -501,11 +513,10 @@ def test_a_part_kind_mismatch_fails_with_the_field_and_the_part_kinds(monkeypatc
     assert line == f"part kinds {kinds} != expected {tuple(k.value for k in wrong)}"
 
 
-def test_a_broken_curl_fails_every_decomposition_with_its_input_as_witness(monkeypatch):
+def test_a_broken_curl_fails_every_decomposition_with_its_input_as_witness(broken_curl):
     # A step inside a chain that its lemma makes zero is nonzero only when an
     # operator is broken; the drawn input has no precondition to violate, so
     # every case must fail (never error) with that input as its witness.
-    monkeypatch.setattr(operators_module, "_vector_curl", curl_without_one_term)
     report = run_suite(SuiteConfig(suite="decompositions", seed=7, degree=2, samples=2))
     assert [c.status for c in report.cases] == ["fail"] * len(DECOMPOSITION_NAMES)
     s, t = FieldKind.SYMMETRIC, FieldKind.TRACEFREE

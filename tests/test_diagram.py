@@ -44,7 +44,7 @@ from tensorcomplex.cli import main
 from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite, suite_rows
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
-from conftest import curl_without_one_term, field_degree, zero_field
+from conftest import field_degree, zero_field
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -454,11 +454,10 @@ def test_swapped_transpose_table_fails_a_suite(monkeypatch):
             assert case.status == "fail" and not _witness_holds(suite, case), case.name
 
 
-def test_curl_without_one_term_fails_four_suites_with_rechecked_witnesses(monkeypatch, tmp_path):
+def test_curl_without_one_term_fails_four_suites_with_rechecked_witnesses(tmp_path, broken_curl):
     # The broken curl of a symmetric field is no longer trace-free, so the
     # operator itself raises KindError inside the checks: each case must then
     # fail with its sample as witness, never abort the run.
-    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
     for suite in ("identities", "cells", "two-complex", "derived-complexes"):
         for case in _failing_cases(suite, 2):
             try:
@@ -471,13 +470,10 @@ def test_curl_without_one_term_fails_four_suites_with_rechecked_witnesses(monkey
 
 
 @pytest.mark.parametrize("suite, failing", [("right-inverses", 18), ("decompositions", 6), ("pairings", 4)])
-def test_curl_without_one_term_fails_the_koszul_and_ball_suites_with_rechecked_witnesses(
-    monkeypatch, fresh_kernel_caches, suite, failing
-):
+def test_curl_without_one_term_fails_the_koszul_and_ball_suites_with_rechecked_witnesses(broken_curl, suite, failing):
     # The kernels are filled with the broken curl too.  Each failing case's
     # witness, read back, fails its row's check again, where a KindError
     # raised on the witness counts as not passing.
-    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
     cases = _failing_cases(suite, 2)
     assert len(cases) == failing
     for case in cases:

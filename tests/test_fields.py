@@ -23,10 +23,10 @@ from tensorcomplex.fields import (
     pairing_product,
     vskw,
 )
-from tensorcomplex.operators import components_equal, derived_rng, random_field
+from tensorcomplex.operators import components_equal, curl, derived_rng, random_field
 from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2
 
-from conftest import entry, matrix, matrix_fields, polys, vector_fields
+from conftest import entry, fractions, matrix, matrix_fields, polys, vector_fields
 
 
 def test_component_count_enforced():
@@ -68,6 +68,41 @@ def test_kind_of_a_sum(a, b, op):
     out = op(f, g)
     assert out.kind is expected
     assert out.components == tuple(op(p, q) for p, q in zip(f.components, g.components))
+
+
+_PROJECTIONS = {FieldKind.SYMMETRIC: TypedField.sym, FieldKind.TRACEFREE: TypedField.dev, FieldKind.SKEW: TypedField.skw}
+
+
+@given(st.sampled_from(list(_PROJECTIONS)), matrix_fields(max_degree=2), matrix_fields(max_degree=2), fractions(),
+       st.integers(0, 99))
+def test_fields_built_without_the_kind_check_pass_it(kind, m, n, c, seed):
+    # These results have their kind whatever the values are, so they skip the
+    # check; the public constructor, which checks, must accept every one.
+    f, g = _PROJECTIONS[kind](m), _PROJECTIONS[kind](n)
+    built = [f, g, f.transpose(), f.scale(c), -f, f + g, f - g, -(f.scale(c) - g.transpose()),
+             random_field(kind, 2, derived_rng(seed, "of-kind", kind.value))]
+    if kind is FieldKind.SYMMETRIC:
+        built.append(TypedField.identity_scaled(m.components[0]))
+    elif kind is FieldKind.SKEW:
+        built.append(mskw(TypedField.vector(m.components[:3])))
+    for out in built:
+        assert out.kind is kind
+        assert TypedField(kind, out.components) == out
+
+
+def test_a_tag_that_claims_computed_values_is_still_checked(broken_curl):
+    m = matrix([[X1, X2, P_ZERO], [P_ZERO, P_ONE, P_ZERO], [P_ZERO, P_ZERO, P_ZERO]])  # neither symmetric nor skew
+    for kind, message in ((FieldKind.SYMMETRIC, "not symmetric"), (FieldKind.TRACEFREE, "nonzero trace"),
+                          (FieldKind.SKEW, "not skew")):
+        with pytest.raises(KindError, match=message):
+            m.retag(kind)
+        with pytest.raises(ValueError, match=f"kind header says {kind.value}, but the components .*{message}"):
+            field_from_text(field_to_text(m).replace("kind: matrix", f"kind: {kind.value}"))
+    # curl declares a trace-free output on symmetric input; the curl that drops
+    # its -d3 c2 term breaks that claim on this field, and the check catches it
+    g = TypedField.symmetric((P_ZERO, P_ZERO, P_ZERO), (Poly3.variable(3), P_ZERO, P_ZERO))
+    with pytest.raises(KindError, match="nonzero trace"):
+        curl(g)
 
 
 def test_retag_to_the_same_kind_is_the_field_itself():

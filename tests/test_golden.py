@@ -17,6 +17,8 @@ from tensorcomplex.koszul import RIGHT_INVERSES, sample_kernel
 from tensorcomplex.operators import derived_rng, random_field
 from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite, suite_rows
 
+from conftest import curl_mutation
+
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -146,3 +148,18 @@ def test_benchmark_reports_match_recorded_digests(seed):
             for suite in workload.suites
         )
         assert hashlib.sha256(text.encode()).hexdigest() == recorded[name], name
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_reports_under_the_shared_mutation_match_their_recorded_digests(seed):
+    # The sha256 of every suite's JSON and markdown report under
+    # `curl_mutation` at degree 2 with 2 samples, each suite run on fresh
+    # kernel caches: the failing cases and their witnesses, byte for byte.
+    expected = json.loads((DATA / "mutation_report_digests.json").read_text())[f"seed {seed}"]
+    got = {}
+    for suite in SUITE_NAMES:
+        with curl_mutation():
+            report = run_suite(SuiteConfig(suite=suite, seed=seed, degree=2, samples=2))
+        for fmt, text in (("json", report.to_json()), ("md", report.to_markdown())):
+            got[f"{suite}.{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == expected

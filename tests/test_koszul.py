@@ -10,7 +10,6 @@ import sympy
 from hypothesis import given
 
 import tensorcomplex.koszul as koszul
-import tensorcomplex.operators as operators
 from tensorcomplex.cli import main
 from tensorcomplex.fields import (
     E1,
@@ -54,7 +53,7 @@ from tensorcomplex.poly import P_ONE, P_ZERO, Poly3, X1, X2, monomials_up_to
 from tensorcomplex.suites import SuiteConfig, run_suite
 
 from conftest import (
-    _clear_kernel_caches, basis_fields, curl_without_one_term, field_degree, matrix, polys, scalar_fields, vector_fields
+    _clear_kernel_caches, basis_fields, curl_mutation, field_degree, matrix, polys, scalar_fields, vector_fields
 )
 
 _X = sympy.Matrix(sympy.symbols("x1 x2 x3"))
@@ -367,12 +366,11 @@ def test_kernel_fill_builds_no_basis_field(monkeypatch, fresh_kernel_caches):
     assert fill(3) == fill(6)
 
 
-def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(monkeypatch, fresh_kernel_caches, tmp_path):
+def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(broken_curl, tmp_path):
     # The broken curl of a symmetric field is no longer trace-free, so inc and
     # curl raise KindError on a basis field while a draw builds their kernel on
     # symmetric fields.  Each such case must fail with that field as witness,
     # and the suite must finish and write its report.
-    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
     out = tmp_path / "right-inverses.json"
     args = ["run", "--suite", "right-inverses", "--seed", "7", "--degree", "2", "--samples", "2", "--out", str(out)]
     assert main(args) == 1
@@ -392,26 +390,38 @@ def test_a_kind_error_in_the_kernel_fill_fails_the_case_with_the_basis_field(mon
                 OPS[op_name](b)
 
 
-def test_emptied_kernel_caches_take_a_mutated_curl_into_the_samples_and_the_cases(monkeypatch, fresh_kernel_caches):
+def test_emptied_kernel_caches_take_a_mutated_curl_into_the_samples_and_the_cases(fresh_kernel_caches):
     # The sampling table is built inside the cached kernel_basis call, so
     # emptying that cache must drop it too: kernels filled with the true curl
     # and refilled with a broken one must sample from the broken operator.
     keys = list(dict.fromkeys((s.kernel_ops, s.input_kind) for s in RIGHT_INVERSES.values() if s.kernel_ops))
     before = {key: sample_kernel(*key, 2, 7) for key in keys}
     assert run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2)).all_passed
-    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
-    _clear_kernel_caches()
-    for ops, kind in keys:
-        try:
-            changed = sample_kernel(ops, kind, 2, 7) != before[ops, kind]
-        except KindError:  # the broken curl broke a kind predicate on a basis field
-            changed = True
-        assert changed == (not set(ops) <= {"div", "div_div"}), ops  # only these read no curl
-    report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
+    with curl_mutation():
+        for ops, kind in keys:
+            try:
+                changed = sample_kernel(ops, kind, 2, 7) != before[ops, kind]
+            except KindError:  # the broken curl broke a kind predicate on a basis field
+                changed = True
+            assert changed == (not set(ops) <= {"div", "div_div"}), ops  # only these read no curl
+        report = run_suite(SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2))
     statuses = {c.name.partition(":")[0]: c.status for c in report.cases}
     # only the chains with no kernel constraint and no curl inside still pass
     assert {name for name in RIGHT_INVERSES if statuses[name] == "pass"} == {"Ddd", "Rgd", "Rd_plain"}
     assert {statuses[name] for name in RIGHT_INVERSES} == {"pass", "fail"}
+
+
+def test_kernels_filled_before_the_curl_mutation_do_not_hide_its_failures():
+    # The kernel caches are keyed by operator name: kernels filled with the
+    # true curl and kept under the broken one sample from the true kernels, and
+    # a run reports 14 failing cases.  The shared mutation empties them first,
+    # so the run reports the 18 that a process with fresh caches reports.
+    cfg = SuiteConfig(suite="right-inverses", seed=7, degree=2, samples=2)
+    assert run_suite(cfg).all_passed
+    assert kernel_basis.cache_info().currsize
+    with curl_mutation():
+        report = run_suite(cfg)
+    assert report.counts == {"pass": 6, "fail": 18, "error": 0, "total": 24}
 
 
 @pytest.mark.parametrize("name", tuple(RIGHT_INVERSES))
@@ -577,34 +587,37 @@ def test_the_lemma_3_11_rows_build_their_pair_once_per_sample(monkeypatch):
     assert len(calls) == 20
 
 
-def _broken_curl(monkeypatch):
-    monkeypatch.setattr(operators, "_vector_curl", curl_without_one_term)
+def _broken_curl(request):
+    request.getfixturevalue("broken_curl")
 
 
-def _one_doubled_chain(monkeypatch):
+def _one_doubled_chain(request):
+    monkeypatch = request.getfixturevalue("monkeypatch")
     spec = RIGHT_INVERSES["Dgc_tilde"]
     doubled = spec._replace(chain=(lambda tau: tuple(half.scale(2) for half in apply_word(spec.chain, tau)),))
     monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", doubled)
 
 
-def _one_wrong_output_kind(monkeypatch):
+def _one_wrong_output_kind(request):
+    monkeypatch = request.getfixturevalue("monkeypatch")
     wrong = RIGHT_INVERSES["Dgc_tilde"]._replace(output_kind=_S)
     monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", wrong)
 
 
-def _one_wrong_op(monkeypatch):
+def _one_wrong_op(request):
+    monkeypatch = request.getfixturevalue("monkeypatch")
     wrong = RIGHT_INVERSES["Dgc_tilde"]._replace(op=OperatorId("curl", Fraction(2)))
     monkeypatch.setitem(koszul.RIGHT_INVERSES, "Dgc_tilde", wrong)
 
 
 @pytest.mark.parametrize("breakage", [_broken_curl, _one_doubled_chain, _one_wrong_output_kind, _one_wrong_op])
-def test_the_shared_lemma_3_11_cases_report_as_each_case_alone(monkeypatch, breakage):
+def test_the_shared_lemma_3_11_cases_report_as_each_case_alone(request, breakage):
     # The record the three rows share holds outcomes, not verdicts: each case
     # still compares its own output kind (a wrong one on a row of the shared
     # chain), and a row with another chain (a doubled one) or another op (a
     # doubled curl) draws on none of it.  So each case reports what it
     # reports when run alone.
-    breakage(monkeypatch)
+    breakage(request)
     cfg, memo = SuiteConfig(seed=7, degree=2, samples=4), {}  # one memo, as a suite run hands every row
     cases = {c.name.partition(":")[0]: c for c in (row.verify(cfg, memo) for row in RIGHT_INVERSES.values())}
     assert any(cases[name].status != "pass" for name in _LEMMA_3_11)

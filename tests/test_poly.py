@@ -66,9 +66,9 @@ def test_exponents_past_the_limit_raise_and_never_wrap():
         top * X1
     with pytest.raises(ExponentLimitError, match="^a product has exponent 510 of x1, past 255$"):
         top * top
-    assert Poly3.shift_sum([(1, 2, top)], 1) == (top * X2).scale(Fraction(1, 256))
+    assert Poly3.shift_rows([top], (((1, 0, 2),),), 1) == ((top * X2).scale(Fraction(1, 256)),)
     with pytest.raises(ExponentLimitError, match="^x1 \\* p has an exponent of x1 past 255$"):
-        Poly3.shift_sum([(1, 2, top), (1, 1, top)], 1)
+        Poly3.shift_rows([top], (((1, 0, 2),), ((1, 0, 1),)), 1)
     with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):
         Poly3.parse("1 * x1^0 x2^256 x3^0")
     with pytest.raises(ExponentLimitError, match="exponent past 255 in monomial"):

@@ -100,31 +100,6 @@ def test_arithmetic_matches_fraction_reference(pair, c, i):
 
 
 @st.composite
-def weighted_refs(draw):
-    """(weight, reference poly) pairs; some lists repeat every pair with the opposite weight, so the sum cancels."""
-    pairs = draw(st.lists(st.tuples(scalars(), ref_polys()), max_size=5))
-    if draw(st.booleans()):
-        pairs += [(-w, r) for w, r in pairs]
-    return pairs
-
-
-@settings(max_examples=200)
-@given(weighted_refs())
-def test_combination_matches_fraction_reference(pairs):
-    expected = sum((r.scale(w) for w, r in pairs), FractionPoly3())
-    assert_same(Poly3.combination((w, fast(r)) for w, r in pairs), expected)
-
-
-def test_combination_of_nothing_zero_weights_and_cancelling_terms_is_zero():
-    p = Poly3.parse("1/2 * x1^1 x2^0 x3^0 + -3/4 * x1^0 x2^2 x3^0")
-    for pairs in ([], [(0, p)], [(Fraction(0), p), (3, Poly3.zero())], [(2, p), (Fraction(-4, 2), p)]):
-        result = Poly3.combination(pairs)
-        assert_canonical(result)
-        assert result.is_zero
-    assert Poly3.combination([(Fraction(6, 1), p), (-4, p)]) == p.scale(2)
-
-
-@st.composite
 def derivative_pieces(draw):
     """0-4 (sign, i, reference poly) pieces; some polys are zero and some lists cancel to zero."""
     poly = st.one_of(ref_polys(max_degree=4), st.just(FractionPoly3()))
@@ -225,6 +200,55 @@ def test_koszul_operators_match_fraction_reference(refs, w):
             assert_same(p, r)
 
 
+@st.composite
+def shift_tables(draw):
+    """Components, some zero, with mixed denominators, and 1-4 rows of (sign, component, i) triples;
+    a row may read one component more than once."""
+    comps = draw(st.lists(st.one_of(ref_polys(), st.just(FractionPoly3())), min_size=1, max_size=4))
+    triple = st.tuples(st.sampled_from([1, -1]), st.integers(0, len(comps) - 1), st.sampled_from([1, 2, 3]))
+    return comps, tuple(draw(st.lists(st.lists(triple, min_size=1, max_size=4).map(tuple), min_size=1, max_size=4)))
+
+
+@settings(max_examples=200)
+@given(shift_tables(), st.integers(1, 4))
+def test_shift_rows_matches_the_reference_shift_sum_row_by_row(table, offset):
+    comps, rows = table
+    got = Poly3.shift_rows([fast(r) for r in comps], rows, offset)
+    assert len(got) == len(rows)
+    for p, row in zip(got, rows):
+        assert_same(p, shift_sum([(sign, i, comps[c]) for sign, c, i in row], offset))
+
+
+def test_shift_rows_reads_a_component_twice_a_zero_one_and_mixed_denominators():
+    p = Poly3.parse("1/2 * x1^1 x2^0 x3^0 + -3/4 * x1^0 x2^2 x3^0")
+    q = Poly3.parse("5/7 * x1^0 x2^0 x3^1 + 1/9 * x1^2 x2^1 x3^0")
+    comps = (p, q, Poly3.zero())
+    rows = (
+        ((1, 0, 1), (1, 0, 2)),  # p read twice
+        ((1, 0, 3), (-1, 0, 3)),  # p read twice, cancelling
+        ((1, 2, 1),),  # the zero component
+        ((1, 0, 2), (-1, 1, 1), (1, 2, 3)),  # denominators 4, 7 and 9
+    )
+    got = Poly3.shift_rows(comps, rows, 2)
+    refs = [FractionPoly3(c.coefficients()) for c in comps]
+    for out, row in zip(got, rows, strict=True):
+        assert_same(out, shift_sum([(sign, i, refs[c]) for sign, c, i in row], 2))
+    assert got[1].is_zero and got[2].is_zero
+    assert got[3].denominator == 16 * 9 * 5 * 7  # lcm(21, 6, 16, 45) of its terms
+
+
+@pytest.mark.parametrize("text, offset, expected", [
+    ("2/5 * x1^2 x2^0 x3^0 + 4/5 * x1^0 x2^2 x3^0", 1, "4/15 * x1^1 x2^2 x3^0 + 2/15 * x1^3 x2^0 x3^0"),
+    ("3 * x1^2 x2^0 x3^0", 1, "1 * x1^3 x2^0 x3^0"),  # the factor 1/3 cancels the numerator
+    ("5/2 * x1^0 x2^0 x3^0", 3, "5/6 * x1^1 x2^0 x3^0"),
+])
+def test_shift_rows_of_a_single_degree_is_canonical_over_k_plus_offset(text, offset, expected):
+    (out,) = Poly3.shift_rows([Poly3.parse(text)], (((1, 0, 1),),), offset)
+    assert_canonical(out)
+    assert str(out) == expected
+    assert out.denominator == Poly3.parse(expected).denominator
+
+
 @settings(max_examples=100)
 @given(st.lists(ref_pairs(), min_size=1, max_size=3))
 def test_pair_integral_matches_fraction_reference(pairs):
@@ -239,7 +263,7 @@ def test_pair_integral_matches_fraction_reference(pairs):
 @settings(max_examples=200)
 @given(ref_pairs(), scalars(), st.sampled_from([1, 2, 3]), st.integers(1, 60))
 def test_every_operation_returns_canonical_form(pair, c, i, den):
-    # den is also the shift offset of shift_sum, as tg / tc / td use 1 / 2 / 3
+    # den is also the shift offset of shift_rows, as tg / tc / td use 1 / 2 / 3
     r, s = pair
     p, q = fast(r), fast(s)
     results = [
@@ -248,8 +272,7 @@ def test_every_operation_returns_canonical_form(pair, c, i, den):
         Poly3.from_row(3, [int(p.coefficients().get(m, 0) * p.denominator * den) for m in monomials_up_to(3)],
                        p.denominator * den),
         Poly3.from_row(1, [0, den, 0, 0], den),
-        Poly3.shift_sum(((1, i, p), (-1, 4 - i, q)), den),
-        Poly3.combination(((c, p), (Fraction(1, den), q), (-c, p))),
+        *Poly3.shift_rows((p, q), (((1, 0, i), (-1, 1, 4 - i)), ((1, 1, i),), ((1, 0, i), (-1, 0, i))), den),
         Poly3.partial_sum(((1, i, p), (-1, 4 - i, q), (1, i, p * q), (-1, i, p))),
     ]
     v = TypedField.vector([p, q, p * q])
@@ -370,11 +393,12 @@ def test_exponents_near_the_limit_match_fraction_reference(pair, i, offset):
         assert_same(p * q, r * s)
         assert (p * q).degree() == (r * s).degree()
     pieces = [(1, i, r), (-1, 4 - i, s), (1, i, s)]
+    row = ((1, 0, i), (-1, 1, 4 - i), (1, 1, i))
     if any(_top_exponent(ref, j) == MAX_EXPONENT for _, j, ref in pieces):
         with pytest.raises(ExponentLimitError, match="past 255"):
-            Poly3.shift_sum(((sign, j, fast(ref)) for sign, j, ref in pieces), offset)
+            Poly3.shift_rows((p, q), (row,), offset)
     else:
-        assert_same(Poly3.shift_sum(((sign, j, fast(ref)) for sign, j, ref in pieces), offset), shift_sum(pieces, offset))
+        assert_same(*Poly3.shift_rows((p, q), (row,), offset), shift_sum(pieces, offset))
     assert_same(Poly3.partial_sum((sign, j, fast(ref)) for sign, j, ref in pieces), partial_sum(pieces))
 
 
@@ -393,14 +417,16 @@ def test_parity_classes_partition_the_terms_by_exponent_parity(r):
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])
-def test_shift_sum_and_partial_sum_reject_a_missing_variable(i):
+def test_shift_rows_and_partial_sum_reject_a_missing_variable(i):
     # Every piece's index is checked, also on a zero piece and after a good piece.
     x1 = Poly3.variable(1)
     for pieces in ([(1, i, x1)], [(1, i, Poly3.zero())], [(1, 1, x1), (-1, i, Poly3.zero())]):
         with pytest.raises(ValueError, match=f"^no variable x{i}$"):
-            Poly3.shift_sum(pieces, 1)
+            Poly3.shift_rows([p for *_, p in pieces], (tuple((sign, c, j) for c, (sign, j, _) in enumerate(pieces)),), 1)
         with pytest.raises(ValueError, match=f"^no variable x{i}$"):
             Poly3.partial_sum(pieces)
+    with pytest.raises(ValueError, match=f"^no variable x{i}$"):  # in a later row, on all-zero components
+        Poly3.shift_rows([Poly3.zero()], (((1, 0, 1),), ((1, 0, i),)), 2)
     with pytest.raises(ValueError, match=f"^no variable x{i}$"):
         x1.partial(i)
     with pytest.raises(ValueError, match=f"^no variable x{i}$"):
