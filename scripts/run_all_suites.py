@@ -42,7 +42,7 @@ def main() -> int:
         elapsed = time.monotonic() - t0
         for path, text in ((outdir / f"{suite}.json", report.to_json()), (outdir / f"{suite}.md", report.to_markdown())):
             try:
-                path.write_text(text)
+                path.write_text(text, encoding="utf-8")
             except OSError as err:
                 print(f"run_all_suites.py: cannot write {path}: {err.strerror}", file=sys.stderr)
                 return 2

@@ -4,7 +4,8 @@ The domain is the open unit ball: star-shaped about the origin (so the
 degree-raising homotopy operators apply), with every monomial integral a
 rational multiple of pi.  Compact support is modeled by bump weights
 (1 - |x|^2)^k, which vanish to order k on the boundary sphere and keep all
-integration-by-parts boundary terms exactly zero.
+integration-by-parts boundary terms exactly zero; `l2_pair` integrates such a
+weight in closed form, from a weighted moment table, without multiplying it out.
 
 `pairing_rows` is the pairings suite: `operators.ClosedForm` rows for two ball
 integrals and a negative control, `PairingSpec` rows for the Sec. 6 pairings and
@@ -37,28 +38,29 @@ from .rational import PiScalar, RatMatrix
 
 
 @functools.cache
-def _moments(half: int) -> tuple[int, dict[int, int]]:
-    """Integer ball moments for exponent sums up to 2*half, as (scale, table).
+def _moments(half: int, k: int = 0) -> tuple[int, dict[int, int]]:
+    """Integer ball moments weighted by (1 - |x|^2)^k, for exponent sums up to 2*half, as (scale, table).
 
     For even a, b, c with S = a + b + c the closed form is
-        integral over the unit ball of x1^a x2^b x3^c
-            = 4*pi (a-1)!! (b-1)!! (c-1)!! / (S+3)!!
-    (the unit-sphere moment divided by S + 3).  The table stores that
-    coefficient of pi times scale = (2*half + 3)!!, an integer because
-    (S+3)!! divides it, keyed by `monomial_code`, so the key of a product
-    monomial is the sum of the codes of its factors.  Monomials with an odd
-    exponent integrate to zero and are absent, as are those with an exponent
-    past MAX_EXPONENT, which no code names.  The cached table is shared:
-    callers must not mutate it.
+        integral over the unit ball of x1^a x2^b x3^c (1 - |x|^2)^k
+            = 4*pi (a-1)!! (b-1)!! (c-1)!! (2k)!! / (S+2k+3)!!,
+    the unit-sphere moment 4*pi (a-1)!! (b-1)!! (c-1)!! / (S+1)!! times the radial integral
+    of r^(S+2) (1 - r^2)^k, k! 2^k / ((S+3) (S+5) ... (S+2k+3)).  The table stores that
+    coefficient of pi times scale = (2*half + 2k + 3)!!, an integer because (S+2k+3)!!
+    divides it, keyed by the `monomial_code` of x^(a, b, c) alone, so the key of a product
+    monomial is the sum of the codes of its factors.  Monomials with an odd exponent
+    integrate to zero and are absent, as are those with an exponent past MAX_EXPONENT,
+    which no code names.  The cached table is shared: callers must not mutate it.
     """
     top = 2 * half
-    scale = _odd_factorial(top + 3)
+    scale = _odd_factorial(top + 2 * k + 3)
+    weight = 4 * 2**k * math.factorial(k)  # 4 (2k)!!
     table = {}
     for a in range(0, min(top, MAX_EXPONENT) + 1, 2):
         for b in range(0, min(top - a, MAX_EXPONENT) + 1, 2):
             for c in range(0, min(top - a - b, MAX_EXPONENT) + 1, 2):
-                moment = 4 * _odd_factorial(a - 1) * _odd_factorial(b - 1) * _odd_factorial(c - 1)
-                table[monomial_code((a, b, c))] = moment * (scale // _odd_factorial(a + b + c + 3))
+                moment = weight * _odd_factorial(a - 1) * _odd_factorial(b - 1) * _odd_factorial(c - 1)
+                table[monomial_code((a, b, c))] = moment * (scale // _odd_factorial(a + b + c + 2 * k + 3))
     return scale, table
 
 
@@ -67,40 +69,41 @@ def _odd_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2))
 
 
-def _common_denominator(polys) -> int:
-    return math.lcm(*(p.denominator for p in polys))
+def _pair_integral(pairs: list[tuple[Poly3, Poly3]], bump_order: int = 0) -> PiScalar:
+    """Integral over the unit ball of sum p*q*(1 - |x|^2)^bump_order over the pairs, from the term pairs.
 
-
-def _pair_integral(pairs: list[tuple[Poly3, Poly3]]) -> PiScalar:
-    """Integral over the unit ball of sum p*q over the pairs, from the term pairs.
-
-    The product polynomials are never formed.  Only terms in the same parity
-    class (`Poly3.parity_classes`) are paired, because any other pair has an
-    odd exponent and integrates to zero; the moment of a pair is read at the
-    sum of the two monomial codes.  So no exponent of a product may pass
-    MAX_EXPONENT (ExponentLimitError, as for `Poly3.__mul__`); total degree
-    is not limited.  Each pair's integer sum is scaled once to the common
-    denominators of the left and right sides.  The sum runs in Python ints;
-    one Fraction is built at the end.
+    Neither the products nor the weight are formed: `_moments(half, bump_order)`
+    includes the weight.  A pair of the same two objects, as the shared entries
+    of two symmetric fields give, is integrated once and counted.  Only terms in
+    the same parity class (`Poly3.parity_classes`) are paired, because any other
+    pair has an odd exponent and integrates to zero; the moment of a pair is read
+    at the sum of the two monomial codes.  So no exponent of a product may pass
+    MAX_EXPONENT (ExponentLimitError, as for `Poly3.__mul__`); total degree is
+    not limited.  Each pair's integer sum is scaled once to the common
+    denominators of the left and right sides, in Python ints; one Fraction is built at the end.
     """
-    pairs = [(p, q) for p, q in pairs if not (p.is_zero or q.is_zero)]
-    if not pairs:
-        return PiScalar(Fraction(0))
-    den_left = _common_denominator(p for p, _ in pairs)
-    den_right = _common_denominator(q for _, q in pairs)
-    top = max(p.degree() + q.degree() for p, q in pairs)
-    if top > MAX_EXPONENT:  # a code sum must not carry from one exponent into the next
-        for p, q in pairs:
-            check_product(p, q)
-    scale, table = _moments(top // 2)  # an even-exponent product has an even degree
-    total = 0
+    counted: dict[tuple[int, int], list] = {}
     for p, q in pairs:
+        if not (p.is_zero or q.is_zero):
+            counted.setdefault((id(p), id(q)), [p, q, 0])[2] += 1
+    if not counted:
+        return PiScalar(Fraction(0))
+    pairs = counted.values()
+    den_left = math.lcm(*(p.denominator for p, _, _ in pairs))
+    den_right = math.lcm(*(q.denominator for _, q, _ in pairs))
+    top = max(p.degree() + q.degree() for p, q, _ in pairs)
+    if top > MAX_EXPONENT:  # a code sum must not carry from one exponent into the next
+        for p, q, _ in pairs:
+            check_product(p, q)
+    scale, table = _moments(top // 2, bump_order)  # an even-exponent product has an even degree
+    total = 0
+    for p, q, count in pairs:
         left = p.parity_classes()
         pair_total = 0
         for parity, right in q.parity_classes().items():
             for code, num in left.get(parity, ()):
                 pair_total += num * sum(n * table[code + k] for k, n in right)
-        total += pair_total * (den_left // p.denominator * (den_right // q.denominator))
+        total += count * pair_total * (den_left // p.denominator * (den_right // q.denominator))
     return PiScalar(Fraction(total, den_left * den_right * scale))
 
 
@@ -108,9 +111,9 @@ def integrate_ball(p: Poly3) -> PiScalar:
     return _pair_integral([(p, P_ONE)])
 
 
-def l2_pair(a: TypedField, b: TypedField) -> PiScalar:
-    """Integral over the unit ball of the pointwise product (uv, u.v or u:v)."""
-    return _pair_integral(pairing_components(a, b))
+def l2_pair(a: TypedField, b: TypedField, bump_order: int = 0) -> PiScalar:
+    """Integral over the unit ball of the pointwise product (uv, u.v or u:v) times (1 - |x|^2)^bump_order."""
+    return _pair_integral(pairing_components(a, b), bump_order)
 
 
 @functools.cache
@@ -139,16 +142,11 @@ class MomentSpace(NamedTuple):
     kind: FieldKind
     basis: tuple[TypedField, ...]
 
-    @property
-    def weighted_gram(self) -> tuple[list[TypedField], list[dict[int, Fraction]]]:
-        """Each basis field b_i times bump(1), and Gram row i, {j: (b_j bump(1), b_i)}; built once per space."""
-        return _weighted_gram(self)
-
 
 @functools.cache
-def _weighted_gram(space: MomentSpace) -> tuple[list[TypedField], list[dict[int, Fraction]]]:
-    weighted = [b.mul_scalar_poly(bump(1)) for b in space.basis]
-    return weighted, [{j: l2_pair(wb, b).coeff for j, wb in enumerate(weighted)} for b in space.basis]
+def _gram_rows(space: MomentSpace) -> list[dict[int, Fraction]]:
+    """Row i of the bump(1)-weighted Gram matrix, {j: (b_j, b_i) weighted by 1 - |x|^2}; built once per space."""
+    return [{j: l2_pair(bj, bi, bump_order=1).coeff for j, bj in enumerate(space.basis)} for bi in space.basis]
 
 
 CONSTANTS_SCALAR = MomentSpace("constants", FieldKind.SCALAR, (TypedField.scalar(P_ONE),))
@@ -177,24 +175,24 @@ def moment_orthogonal(f: TypedField, space: MomentSpace) -> tuple[TypedField, Pi
     return None
 
 
-def project_moment_orthogonal(f: TypedField, space: MomentSpace) -> TypedField:
-    """Subtract a bump-weighted combination of basis fields to kill all moments.
+def project_moment_orthogonal(psi: TypedField, space: MomentSpace) -> TypedField:
+    """bump(1) * (psi - sum_j c_j b_j), a bump-weighted field orthogonal to the whole space.
 
-    Returns f - sum_i c_i * bump(1) * b_i, so the result is orthogonal to the
-    whole space.  The c_i solve the exact Gram system G c = r; G is
-    invertible for a basis, so (c, 1) is the one kernel vector of [G | -r].
+    The c_j solve the exact Gram system G c = r of the pairings weighted by
+    1 - |x|^2, G_ij = (b_j, b_i) and r_i = (psi, b_i); G is invertible for a
+    basis, so (c, 1) is the one kernel vector of [G | -r].
     """
-    weighted, gram = space.weighted_gram
-    n = len(weighted)
-    system = RatMatrix(n + 1, [row | {n: -l2_pair(f, b).coeff} for row, b in zip(gram, space.basis)])
+    gram = _gram_rows(space)
+    n = len(gram)
+    system = RatMatrix(n + 1, [row | {n: -l2_pair(psi, b, bump_order=1).coeff} for row, b in zip(gram, space.basis)])
     kernel = system.nullspace()
     if len(kernel) != 1 or kernel[0].get(n) != 1:
         raise ValueError(f"the Gram matrix of {space.name} is singular")
-    out = f
+    out = psi
     for j, c in kernel[0].items():
         if j != n:
-            out = out - weighted[j].scale(c)
-    return out
+            out = out - space.basis[j].scale(c)
+    return out.mul_scalar_poly(bump(1))
 
 
 # -- pairing identities --------------------------------------------------
@@ -203,9 +201,9 @@ _R, _V, _S, _T = FieldKind.SCALAR, FieldKind.VECTOR, FieldKind.SYMMETRIC, FieldK
 
 
 class PairingSpec(NamedTuple):
-    """One extension identity of Sec. 6: for every `field_kind` field f and bump-weighted
-    `test_kind` test field phi, (f, op(phi)) = factor (adj(f), phi) as exact pi-multiples.
-    Operators are named by their OPS key.  A sample is the pair (f, phi); a failing one is
+    """One extension identity of Sec. 6: for every `field_kind` field f and `test_kind` test field
+    phi = psi bump(2), (f, op(phi)) = factor (adj(f), psi) under the weight bump(2), as exact pi-multiples.
+    Operators are named by their OPS key.  A sample is the pair (f, psi); a failing one is
     reported as f, then `test field:` and phi."""
 
     name: str
@@ -219,17 +217,17 @@ class PairingSpec(NamedTuple):
     case_name = property(attrgetter("name"))
 
     def sample(self, degree: int, seed: int, index: int) -> tuple[TypedField, TypedField]:
-        """f, then phi times bump(2): it vanishes to second order on the sphere, and no op has order above 2."""
+        """f, then psi: phi = psi bump(2) vanishes to second order on the sphere, and no op has order above 2."""
         rng = derived_rng(seed, "ibp", self.name, index)
-        f = random_field(self.field_kind, degree, rng)
-        return f, random_field(self.test_kind, degree, rng).mul_scalar_poly(bump(2))
+        return random_field(self.field_kind, degree, rng), random_field(self.test_kind, degree, rng)
 
     def holds(self, sample: tuple[TypedField, TypedField]) -> bool:
-        f, phi = sample
-        return (l2_pair(f, OPS[self.op](phi)) - l2_pair(OPS[self.adj](f), phi) * self.factor).is_zero
+        f, psi = sample
+        phi = psi.mul_scalar_poly(bump(2))
+        return (l2_pair(f, OPS[self.op](phi)) - l2_pair(OPS[self.adj](f), psi, bump_order=2) * self.factor).is_zero
 
     def witness(self, sample: tuple[TypedField, TypedField]) -> str:
-        return f"{field_to_text(sample[0])}\ntest field:\n{field_to_text(sample[1])}"
+        return f"{field_to_text(sample[0])}\ntest field:\n{field_to_text(sample[1].mul_scalar_poly(bump(2)))}"
 
     def verify(self, cfg: SuiteConfig, memo: dict) -> CheckResult:
         draw = functools.partial(self.sample, cfg.degree, cfg.seed)
@@ -261,8 +259,8 @@ def verify_ibp(which: str, samples: int, degree: int, seed: int) -> CheckResult:
 
 class MembershipStep(NamedTuple):
     """One step of the Thm 2.3 proof: a random `input_kind` field times bump(1),
-    made moment-orthogonal to `project` unless that is None, is mapped by OPS[op]
-    into the annihilator of `target`."""
+    made moment-orthogonal to `project` (before the weight, which the projection
+    applies) unless that is None, is mapped by OPS[op] into the annihilator of `target`."""
 
     name: str
     anchor: str
@@ -274,9 +272,8 @@ class MembershipStep(NamedTuple):
     case_name = property(attrgetter("name"))
 
     def sample(self, degree: int, seed: int, index: int) -> TypedField:
-        rng = derived_rng(seed, "membership", self.name, index)
-        f = random_field(self.input_kind, degree, rng).mul_scalar_poly(bump(1))
-        return f if self.project is None else project_moment_orthogonal(f, self.project)
+        psi = random_field(self.input_kind, degree, derived_rng(seed, "membership", self.name, index))
+        return psi.mul_scalar_poly(bump(1)) if self.project is None else project_moment_orthogonal(psi, self.project)
 
     def holds(self, f: TypedField) -> bool:
         return moment_orthogonal(OPS[self.op](f), self.target) is None

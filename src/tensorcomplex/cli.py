@@ -60,11 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_out(out: str | None) -> AbstractContextManager[TextIO] | None:
-    """The stream to write to: `out`, opened before any work, or stdout.
-
-    An unwritable path is reported on one line and gives None.
-    """
+    """The stream to write to, UTF-8 whatever the locale: `out`, opened before any work, or stdout.
+    An unwritable path is reported on one line and gives None."""
     if not out:
+        if reconfigure := getattr(sys.stdout, "reconfigure", None):
+            reconfigure(encoding="utf-8")
         return nullcontext(sys.stdout)
     try:
         return open(out, "w", encoding="utf-8")

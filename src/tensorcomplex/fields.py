@@ -10,7 +10,8 @@ trace-free, skew) hold identically as polynomials: `TypedField(kind, c)`
 checks them where a tag claims computed values (`retag`, `S`, an operator's
 declared output, parsed text); `_of_kind` skips the check where the tag holds
 whatever the values are (symmetric and skew builders, `dev`, transpose, scale,
-negation, sum and difference, where two different matrix tags give `matrix`).
+`mul_scalar_poly`, negation, sum and difference, where two different matrix
+tags give `matrix`).
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ class TypedField:
         return _of_kind(self.kind, tuple(p.scale(c) for p in self.components))
 
     def mul_scalar_poly(self, w: Poly3) -> "TypedField":
-        """Pointwise multiplication by a scalar polynomial; keeps the tag."""
-        return TypedField(self.kind, tuple(p * w for p in self.components))
+        """Pointwise product with a scalar polynomial, once per distinct component object; keeps the tag."""
+        products = {key: p * w for key, p in {id(p): p for p in self.components}.items()}
+        return _of_kind(self.kind, tuple(products[id(p)] for p in self.components))
 
     def retag(self, kind: FieldKind) -> "TypedField":
         """Re-tag with `kind`; the kind predicate is re-validated (self when the kind is unchanged)."""

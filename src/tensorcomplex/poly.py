@@ -35,6 +35,7 @@ pair terms themselves.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -180,13 +181,14 @@ class Poly3:
         return _make({k: n for k, n in zip(_row_codes(degree), numerators, strict=True) if n}, den)
 
     @staticmethod
-    def shift_rows(components: Sequence["Poly3"], rows: Iterable[tuple], offset: int) -> tuple["Poly3", ...]:
+    def shift_rows(components: Sequence["Poly3"], rows: tuple[tuple, ...], offset: int) -> tuple["Poly3", ...]:
         """Per row, the sum of sign * x_i * components[c] over its (sign, c, i) triples, each term of
         degree k divided by k + offset.  Each component is scaled once, to integer numerators over
         lcm(den of each component) * lcm(k + offset over the degrees they span), by per-degree factors
-        cached per (lowest, highest degree, offset); each triple then shifts it into its row, which
-        only adds the code of x_i.  Every triple's i is checked, one on a zero component too."""
-        rows = [[(sign, c, _variable(i), i) for sign, c, i in row] for row in rows]
+        cached per (lowest, highest degree, offset), and shifted into each row that reads it, which only
+        adds the code of x_i: in the same pass when one triple reads it.  The rows, a tuple of tuples,
+        are planned once per table.  Every triple's i is checked, one on a zero component too."""
+        rows, readers = _shift_plan(tuple(rows))
         low = min((min(p._codes) for p in components if p._codes), default=0) >> 24
         high = max((max(p._codes) for p in components if p._codes), default=0) >> 24
         if high >= MAX_EXPONENT:
@@ -195,17 +197,28 @@ class Poly3:
                     raise ExponentLimitError(f"x{i} * p has an exponent of x{i} past {MAX_EXPONENT}")
         shift_den, factor = _shift_factors(low, high, offset)
         den = lcm(*(p._den for p in components))
-        scaled = [[(k, n * w * factor[k >> 24]) for k, n in p._codes.items()] if (w := den // p._den) != 1
-                  else [(k, n * factor[k >> 24]) for k, n in p._codes.items()] for p in components]
+        scaled = [None if readers[c] < 2 else [(k, n * w * factor[k >> 24]) for k, n in p._codes.items()]
+                  if (w := den // p._den) != 1 else [(k, n * factor[k >> 24]) for k, n in p._codes.items()]
+                  for c, p in enumerate(components)]
         out = []
         for row in rows:
             (sign, c, (unit, _), _), *rest = row
-            t = {k + unit: n for k, n in scaled[c]} if sign == 1 else {k + unit: n * sign for k, n in scaled[c]}
+            if (terms := scaled[c]) is None:
+                w = sign * (den // components[c]._den)
+                t = {k + unit: n * w * factor[k >> 24] for k, n in components[c]._codes.items()}
+            else:
+                t = {k + unit: n for k, n in terms} if sign == 1 else {k + unit: n * sign for k, n in terms}
+            get = t.get
             for sign, c, (unit, _), _ in rest:
-                get = t.get
-                for k, n in scaled[c]:
-                    m = k + unit
-                    t[m] = get(m, 0) + n * sign
+                if (terms := scaled[c]) is None:
+                    w = sign * (den // components[c]._den)
+                    for k, n in components[c]._codes.items():
+                        m = k + unit
+                        t[m] = get(m, 0) + n * w * factor[k >> 24]
+                else:
+                    for k, n in terms:
+                        m = k + unit
+                        t[m] = get(m, 0) + n * sign
             if not all(t.values()):
                 t = {k: n for k, n in t.items() if n}
             out.append(_make(t, den * shift_den))
@@ -412,6 +425,13 @@ def monomials_up_to(degree: int) -> tuple[Monomial, ...]:
 @cache
 def _row_codes(degree: int) -> tuple[int, ...]:
     return tuple(map(monomial_code, monomials_up_to(degree)))
+
+
+@cache
+def _shift_plan(rows: tuple[tuple[tuple[int, int, int], ...], ...]) -> tuple[tuple, Counter]:
+    """The rows with (code of x_i, bit offset) added to each triple, and how many triples read each component."""
+    plan = tuple(tuple((sign, c, _variable(i), i) for sign, c, i in row) for row in rows)
+    return plan, Counter(c for row in rows for _, c, _ in row)
 
 
 @cache

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 import hypothesis
 import hypothesis.strategies as st
 import pytest
+import sympy
 from fractions import Fraction
 
 from tensorcomplex import koszul, operators
@@ -34,6 +35,19 @@ def entry(m: TypedField, i: int, j: int) -> Poly3:
 def field_degree(f: TypedField) -> int:
     """Total degree of a field, the largest of its components'; -1 for the zero field."""
     return max(p.degree() for p in f.components)
+
+
+def divide_out_bump(phi: TypedField, k: int) -> TypedField:
+    """The field psi with phi = psi * (1 - |x|^2)^k, by exact sympy division; asserts a zero remainder."""
+    x = sympy.symbols("x1 x2 x3")
+    weight = sympy.Poly((1 - x[0] ** 2 - x[1] ** 2 - x[2] ** 2) ** k, *x, domain="QQ")
+    quotients = []
+    for p in phi.components:
+        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.coefficients().items()}
+        quotient, remainder = sympy.div(sympy.Poly.from_dict(terms or {(0, 0, 0): 0}, *x, domain="QQ"), weight)
+        assert remainder.is_zero, remainder
+        quotients.append(Poly3({m: Fraction(int(c.p), int(c.q)) for m, c in quotient.as_dict().items()}))
+    return TypedField(phi.kind, tuple(quotients))
 
 
 def basis_fields(kernel) -> list[TypedField]:

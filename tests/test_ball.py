@@ -7,7 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 
 from tensorcomplex.ball import (
     CONSTANTS_SCALAR,
@@ -36,10 +36,10 @@ from tensorcomplex.fields import (
     pairing_product,
 )
 from tensorcomplex.operators import OPS, SuiteConfig, components_equal, derived_rng, div, grad, random_field
-from tensorcomplex.poly import P_ONE, Poly3, X1, X2
+from tensorcomplex.poly import P_ONE, Poly3, X1, X2, monomial_code
 from tensorcomplex.rational import PiScalar
 
-from conftest import field_degree, matrix_fields, polys, scalar_fields, vector_fields, zero_field
+from conftest import divide_out_bump, field_degree, matrix_fields, polys, scalar_fields, vector_fields, zero_field
 
 
 def spherical_oracle(a: int, b: int, c: int):
@@ -65,16 +65,25 @@ def test_monomial_integrals_match_spherical_oracle(mono):
     assert sympy.Rational(coeff.numerator, coeff.denominator) * sympy.pi == sympy.nsimplify(expected)
 
 
+def _gamma_half(m: int) -> Fraction:
+    """Gamma(m + 1/2) / sqrt(pi)."""
+    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
+
+
 def _gamma_reference(a: int, b: int, c: int) -> Fraction:
     """2 G(a') G(b') G(c') / ((S+3) G(a'+b'+c')) with x' = (x+1)/2, the sqrt(pi) powers cancelled."""
-
-    def gamma_half(m: int) -> Fraction:  # Gamma(m + 1/2) / sqrt(pi)
-        return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-
     if a % 2 or b % 2 or c % 2:
         return Fraction(0)
-    num = gamma_half(a // 2) * gamma_half(b // 2) * gamma_half(c // 2)
-    return Fraction(2, a + b + c + 3) * num / gamma_half((a + b + c) // 2 + 1)
+    num = _gamma_half(a // 2) * _gamma_half(b // 2) * _gamma_half(c // 2)
+    return Fraction(2, a + b + c + 3) * num / _gamma_half((a + b + c) // 2 + 1)
+
+
+def _weighted_gamma_reference(a: int, b: int, c: int, k: int) -> Fraction:
+    """The ball moment of x^(a, b, c) (1 - |x|^2)^k over pi: the sphere moment, (S+3) times the Gamma form,
+    times the radial Beta integral of r^(S+2) (1 - r^2)^k, B((S+3)/2, k+1) / 2."""
+    h = (a + b + c) // 2
+    radial = Fraction(math.factorial(k), 2) * _gamma_half(h + 1) / _gamma_half(h + k + 2)
+    return (a + b + c + 3) * _gamma_reference(a, b, c) * radial
 
 
 def test_monomial_integrals_match_gamma_form_to_degree_16():
@@ -82,6 +91,19 @@ def test_monomial_integrals_match_gamma_form_to_degree_16():
         for b in range(17 - a):
             for c in range(17 - a - b):
                 assert integrate_ball(Poly3.monomial((a, b, c))).coeff == _gamma_reference(a, b, c), (a, b, c)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_weighted_moments_match_the_gamma_form_with_its_radial_beta_factor_to_degree_12(k):
+    scale, table = ball._moments(6, k)
+    even = [(a, b, c) for a in range(0, 13, 2) for b in range(0, 13 - a, 2) for c in range(0, 13 - a - b, 2)]
+    assert sorted(table) == sorted(monomial_code(m) for m in even)  # odd exponents integrate to zero
+    for m in even:
+        assert Fraction(table[monomial_code(m)], scale) == _weighted_gamma_reference(*m, k), m
+    for m in ((1, 0, 0), (3, 2, 1), (2, 2, 3)):
+        assert _weighted_gamma_reference(*m, k) == 0
+    if k == 0:
+        assert ball._moments(6, 0) == ball._moments(6)
 
 
 def test_unit_ball_volume():
@@ -184,7 +206,7 @@ def test_projection_builds_the_gram_rows_once_per_space(monkeypatch):
     first = project_moment_orthogonal(v, space)
     calls = []
     true_pair = ball.l2_pair
-    monkeypatch.setattr(ball, "l2_pair", lambda a, b: calls.append(b) or true_pair(a, b))
+    monkeypatch.setattr(ball, "l2_pair", lambda a, b, bump_order=0: calls.append(b) or true_pair(a, b, bump_order))
     second = project_moment_orthogonal(w, space)
     assert calls == list(space.basis)  # only the moments of w are paired again
     fresh = MomentSpace("ND copy", FieldKind.VECTOR, ND_SPACE.basis)
@@ -316,6 +338,35 @@ def test_l2_pair_matches_reference_at_degree_seven(kinds):
     value = l2_pair(a, b)
     assert value.is_zero is (set(kinds) == {FieldKind.SYMMETRIC, FieldKind.SKEW})  # sym : skw = 0 pointwise
     assert value == _reference_pair(a, b) == l2_pair(b, a)
+
+
+@pytest.mark.parametrize("kinds", _PAIRED_KINDS, ids=lambda k: f"{k[0].value}-{k[1].value}")
+@settings(max_examples=10)
+@given(data=st.data(), k=st.integers(0, 3))
+def test_a_bump_order_pairs_as_the_field_times_the_bump(kinds, data, k):
+    a, psi = data.draw(typed_fields(kinds[0])), data.draw(typed_fields(kinds[1]))
+    assert l2_pair(a, psi, bump_order=k) == l2_pair(a, psi.mul_scalar_poly(bump(k)))
+
+
+@given(polys(), polys(), polys(), st.integers(0, 3))
+def test_repeated_pairs_integrate_to_the_plain_sum(p, q, r, k):
+    # The same two objects, equal values in other objects, and a zero pair, each counted as often as listed.
+    pairs = [(p, q), (r, q), (p, q), (Poly3.parse(str(p)), q), (P_ONE.scale(0), r), (p, q)]
+    plain = PiScalar(Fraction(0))
+    for pair in pairs:
+        plain = plain + ball._pair_integral([pair], k)
+    assert ball._pair_integral(pairs, k) == plain
+    assert plain == ball._pair_integral([(p, q)], k) * 4 + ball._pair_integral([(r, q)], k)
+
+
+@pytest.mark.parametrize("name", tuple(ball._PAIRINGS))
+def test_a_pairing_witness_gives_back_the_drawn_test_field(name):
+    # The witness prints phi = psi bump(2); dividing the bump out of the text recovers psi exactly.
+    row = ball._PAIRINGS[name]
+    f, psi = row.sample(2, 7, 0)
+    field_text, phi_text = row.witness((f, psi)).split("\ntest field:\n")
+    replayed = (field_from_text(field_text), divide_out_bump(field_from_text(phi_text), 2))
+    assert replayed == (f, psi) and row.holds(replayed)
 
 
 @pytest.mark.parametrize("kinds", [(FieldKind.SCALAR, FieldKind.VECTOR), (FieldKind.VECTOR, FieldKind.MATRIX)])

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,19 @@ from tensorcomplex.suites import SuiteConfig, check_config, run_suite
 from conftest import FullStream
 
 
-def run_cli(*args, env=None):
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _env(**variables):
+    """This environment with the package's source on PYTHONPATH, which pytest's `pythonpath`
+    setting does not pass to a subprocess, and the given variables set."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
+
+
+def run_cli(*args, **variables):
     cmd = [sys.executable, "-m", "tensorcomplex.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=_env(**variables))
 
 
 def test_identities_suite_exit_zero(tmp_path):
@@ -299,3 +310,28 @@ def test_run_all_suites_unwritable_report_is_one_line_exit_two(tmp_path):
     assert r.returncode == 2
     assert r.stderr == f"run_all_suites.py: cannot write {tmp_path / 'identities.json'}: Is a directory\n"
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--suite", "pairings", "--degree", "1", "--samples", "1", "--format", "markdown"),
+    ("dump-diagram", "--format", "markdown"),
+])
+def test_a_markdown_report_to_an_ascii_stdout_is_written_as_utf8(args):
+    # The reports' ∘, ⊥ and ° have no ASCII form: stdout gets the bytes of a UTF-8 run, as --out does.
+    cmd = [sys.executable, "-m", "tensorcomplex.cli", *args]
+    ascii_run, utf8_run = (subprocess.run(cmd, capture_output=True, env=_env(PYTHONIOENCODING=encoding))
+                           for encoding in ("ascii", "utf-8"))
+    assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+    assert ascii_run.stdout == utf8_run.stdout and not ascii_run.stdout.isascii()
+
+
+def test_run_all_suites_writes_utf8_reports_in_an_ascii_locale(tmp_path):
+    # Under the C locale with neither coercion nor UTF-8 mode, the preferred encoding is ASCII.
+    ascii_locale = _env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    runs = {}
+    for name, env in (("ascii", ascii_locale), ("utf-8", _env(PYTHONUTF8="1"))):
+        r = subprocess.run([sys.executable, str(_RUN_ALL), "7", str(tmp_path / name)], capture_output=True, env=env)
+        assert (r.returncode, r.stderr) == (0, b""), name
+        runs[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+    assert len(runs["ascii"]) == 14 and runs["ascii"] == runs["utf-8"]
+    assert not runs["ascii"]["pairings.md"].isascii()

@@ -44,7 +44,7 @@ from tensorcomplex.cli import main
 from tensorcomplex.suites import SUITE_NAMES, SuiteConfig, run_suite, suite_rows
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 
-from conftest import field_degree, zero_field
+from conftest import divide_out_bump, field_degree, zero_field
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -398,17 +398,34 @@ def _partial_sum_without_exponent_factor(pieces):
 def _witness_holds(suite, case):
     """Whether the failing case's witness, read back from its text, passes the case's check:
     a cell is re-checked by hand, every other case by its row, looked up by name.  A pairing
-    witness is the field and the test field; a decomposition witness may end in its part kinds."""
+    witness is the field and the test field phi, which the row draws as psi with phi = psi
+    bump(2); a decomposition witness may end in its part kinds."""
     if suite == "cells":
         return _witness_commutes(case)
     row = {row.case_name: row for row in suite_rows(suite)}[case.name]
     if isinstance(row, ball.PairingSpec):
-        sample = tuple(field_from_text(text) for text in case.witness.split("\ntest field:\n"))
-        assert tuple(f.kind for f in sample) == (row.field_kind, row.test_kind)
-        return row.holds(sample)
+        f, phi = (field_from_text(text) for text in case.witness.split("\ntest field:\n"))
+        assert (f.kind, phi.kind) == (row.field_kind, row.test_kind)
+        return row.holds((f, divide_out_bump(phi, 2)))
     f = field_from_text(case.witness.partition("\npart kinds ")[0])
     assert f.kind is row.input_kind
     return row.holds(f)
+
+
+def test_a_bump_weighted_moment_table_without_its_double_factorial_fails_every_pairing_row(monkeypatch):
+    # The weight-2 moments lose their factor (2k)!! = 8, so the right side of each
+    # pairing identity is an eighth of the truth; each witness, replayed, fails again.
+    true_moments = ball._moments
+
+    def moments(half, k=0):
+        scale, table = true_moments(half, k)
+        return (scale, {code: m // 8 for code, m in table.items()}) if k == 2 else (scale, table)
+
+    monkeypatch.setattr(ball, "_moments", moments)
+    failing = _failing_cases("pairings", 2)
+    assert [c.name for c in failing] == list(ball._PAIRINGS)
+    for case in failing:
+        assert not _witness_holds("pairings", case), case.name
 
 
 def test_the_116_rows_are_every_suite_in_report_order():

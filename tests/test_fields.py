@@ -14,6 +14,7 @@ from tensorcomplex.fields import (
     ID_FIELD,
     KindError,
     MATRIX_KINDS,
+    OFF_DIAGONAL,
     TypedField,
     X_FIELD,
     cross,
@@ -361,3 +362,15 @@ def test_field_text_fuzz_parses_or_raises_value_error(text):
         field_from_text(text)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("kind", list(FieldKind))
+@given(w=polys())
+def test_mul_scalar_poly_keeps_every_tag_and_the_shared_symmetric_entries(kind, w):
+    f = random_field(kind, 2, derived_rng(3, "mul-scalar", kind.value))
+    g = f.mul_scalar_poly(w)
+    assert TypedField(kind, g.components) == g  # the public check agrees with the kept tag
+    assert g.components == tuple(p * w for p in f.components)
+    if kind is FieldKind.SYMMETRIC:
+        assert all(f.components[k] is f.components[t] for k, t in OFF_DIAGONAL)
+        assert all(g.components[k] is g.components[t] for k, t in OFF_DIAGONAL)

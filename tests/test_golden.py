@@ -87,12 +87,12 @@ def golden_pairings_text() -> str:
     moment spaces are built once and cached, so they are read first: the record
     then does not depend on what ran before it."""
     for space in (ball.CONSTANTS_SCALAR, ball.P1_SPACE, ball.RT_SPACE, ball.ND_SPACE):
-        space.weighted_gram
+        ball._gram_rows(space)
     values = []
     true_pair = ball.l2_pair
 
-    def recording_pair(a, b):
-        value = true_pair(a, b)
+    def recording_pair(a, b, bump_order=0):
+        value = true_pair(a, b, bump_order)
         values.append(str(value))
         return value
 

@@ -92,7 +92,8 @@ def test_ball_integrals_near_the_exponent_limit(monkeypatch):
     formed = [(254, 0, 0), (128, 0, 0), (128, 128, 0), (128, 128, 2)]
     asked = []
 
-    def moments(half):
+    def moments(half, k=0):
+        assert k == 0
         asked.append(half)
         scale = _odd_factorial(2 * half + 3)
         return scale, {monomial_code(m): int(_ball_moment(m) * scale) for m in formed}
