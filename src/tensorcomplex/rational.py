@@ -98,10 +98,7 @@ class RatMatrix:
 
 
 def _int_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The nonzero entries of the row as int numerators over the lcm of their denominators;
-    a row of ints, as `koszul.kernel_basis` hands it, is kept as it is."""
-    if all(type(x) is int for x in row.values()):
-        return {c: x for c, x in row.items() if x}
+    """The nonzero entries of the row, ints or Fractions, as int numerators over the lcm of their denominators."""
     d = lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (d // x.denominator) for c, x in row.items() if x}
 

@@ -18,27 +18,19 @@ from __future__ import annotations
 
 import json
 from importlib import import_module
+from typing import NamedTuple
 
 from . import diagram, operators
-from .operators import SuiteConfig
+from .operators import CheckResult, SuiteConfig
 from .poly import MAX_EXPONENT
 
 
-class Report:
-    """The cases of one run, in order; `run_suite` fills its own `cases` list."""
+class Report(NamedTuple):
+    """The cases of one run, in order."""
 
-    __slots__ = ("suite", "config", "cases")
-
-    def __init__(self, suite: str, config: SuiteConfig):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "cases", [])
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Report")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a Report")
+    suite: str
+    config: SuiteConfig
+    cases: tuple[CheckResult, ...] = ()
 
     @property
     def counts(self) -> dict[str, int]:
@@ -124,7 +116,5 @@ def suite_rows(name: str) -> list:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Every row of the configured suite, or of each suite in turn, verified with one memo for the run."""
     check_config(cfg)
-    report, memo = Report(cfg.suite, cfg), {}
-    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    report.cases.extend(row.verify(cfg, memo) for name in names for row in suite_rows(name))
-    return report
+    names, memo = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,), {}
+    return Report(cfg.suite, cfg, tuple(row.verify(cfg, memo) for name in names for row in suite_rows(name)))

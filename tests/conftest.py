@@ -1,7 +1,10 @@
 import errno
 import io
 import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -12,6 +15,8 @@ from fractions import Fraction
 from tensorcomplex import koszul, operators
 from tensorcomplex.fields import _COMPONENT_COUNT, FieldKind, TypedField
 from tensorcomplex.poly import P_ZERO, Poly3
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("default")
@@ -67,6 +72,20 @@ def fresh_kernel_caches():
     _clear_kernel_caches()
     yield
     _clear_kernel_caches()
+
+
+def cli_env(**variables):
+    """This environment with the package's source on PYTHONPATH, which pytest's `pythonpath`
+    setting does not pass to a subprocess, and the given variables set."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
+
+
+def run_cli(*args, input=None, text=True, closed=(), **variables):
+    """`tensorcomplex ARGS` in a fresh interpreter that starts with the file descriptors `closed` closed,
+    fed `input` on stdin and with `variables` set in its environment; stdout and stderr are captured."""
+    return subprocess.run([sys.executable, "-m", "tensorcomplex.cli", *args], input=input, capture_output=True,
+                          text=text, env=cli_env(**variables), preexec_fn=lambda: [os.close(fd) for fd in closed])
 
 
 class FullStream(io.StringIO):

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,25 +7,11 @@ import pytest
 
 from tensorcomplex import cli
 from tensorcomplex.cli import main
-from tensorcomplex.poly import monomials_up_to
+from tensorcomplex.fields import TypedField, field_to_text
+from tensorcomplex.poly import Poly3, monomials_up_to
 from tensorcomplex.suites import SuiteConfig, check_config, run_suite
 
-from conftest import FullStream
-
-
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _env(**variables):
-    """This environment with the package's source on PYTHONPATH, which pytest's `pythonpath`
-    setting does not pass to a subprocess, and the given variables set."""
-    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **variables}
-
-
-def run_cli(*args, **variables):
-    cmd = [sys.executable, "-m", "tensorcomplex.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=_env(**variables))
+from conftest import FullStream, cli_env, run_cli
 
 
 def test_identities_suite_exit_zero(tmp_path):
@@ -260,6 +245,29 @@ def test_failed_write_to_stdout_is_one_line_exit_two(monkeypatch, capsys, argv):
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 
+@pytest.mark.parametrize("args, stdin", [
+    (("run", "--suite", "identities", "--samples", "1", "--degree", "1"), None),
+    (("dump-diagram",), None),
+    (("decompose", "cc"), field_to_text(TypedField.identity_scaled(Poly3.variable(1)))),
+], ids=["run", "dump-diagram", "decompose"])
+def test_a_closed_stdout_is_one_line_exit_two(args, stdin):
+    # An interpreter started with fd 1 closed has no sys.stdout; it is refused as a failed write.
+    r = run_cli(*args, input=stdin, closed=(1,))
+    assert (r.returncode, r.stderr) == (2, "error: cannot write stdout: Bad file descriptor\n")
+    # With stderr closed too there is nowhere to report, and still no traceback, which would exit 1.
+    assert run_cli(*args, input=stdin, closed=(1, 2)).returncode == 2
+
+
+def test_a_closed_stdout_is_found_before_any_case_runs(monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("run_suite was called")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["run", "--suite", "all"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: Bad file descriptor\n"
+
+
 def test_failed_write_to_the_out_path_is_one_line_exit_two(tmp_path, monkeypatch, capsys):
     # The path opens, but the disk is full: the write itself fails.
     out = tmp_path / "r.json"
@@ -318,18 +326,16 @@ def test_run_all_suites_unwritable_report_is_one_line_exit_two(tmp_path):
 ])
 def test_a_markdown_report_to_an_ascii_stdout_is_written_as_utf8(args):
     # The reports' ∘, ⊥ and ° have no ASCII form: stdout gets the bytes of a UTF-8 run, as --out does.
-    cmd = [sys.executable, "-m", "tensorcomplex.cli", *args]
-    ascii_run, utf8_run = (subprocess.run(cmd, capture_output=True, env=_env(PYTHONIOENCODING=encoding))
-                           for encoding in ("ascii", "utf-8"))
+    ascii_run, utf8_run = (run_cli(*args, text=False, PYTHONIOENCODING=encoding) for encoding in ("ascii", "utf-8"))
     assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
     assert ascii_run.stdout == utf8_run.stdout and not ascii_run.stdout.isascii()
 
 
 def test_run_all_suites_writes_utf8_reports_in_an_ascii_locale(tmp_path):
     # Under the C locale with neither coercion nor UTF-8 mode, the preferred encoding is ASCII.
-    ascii_locale = _env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    ascii_locale = cli_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     runs = {}
-    for name, env in (("ascii", ascii_locale), ("utf-8", _env(PYTHONUTF8="1"))):
+    for name, env in (("ascii", ascii_locale), ("utf-8", cli_env(PYTHONUTF8="1"))):
         r = subprocess.run([sys.executable, str(_RUN_ALL), "7", str(tmp_path / name)], capture_output=True, env=env)
         assert (r.returncode, r.stderr) == (0, b""), name
         runs[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}

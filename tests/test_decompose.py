@@ -1,5 +1,4 @@
-import importlib.util
-import subprocess
+import codecs
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +15,7 @@ from tensorcomplex.decompose import (
     regdec_short,
     verify_decomposition,
 )
+from tensorcomplex.cli import main
 from tensorcomplex.fields import FieldKind, KindError, TypedField, X_FIELD, field_from_text, field_to_text
 from tensorcomplex.koszul import RIGHT_INVERSES, _RAISE, WordSum, _Zero, apply_word, tc, td
 from tensorcomplex.operators import (
@@ -34,7 +34,7 @@ from tensorcomplex.operators import (
 from tensorcomplex.poly import P_ZERO, Poly3, X1, X2, X3
 from tensorcomplex.suites import SuiteConfig, run_suite
 
-from conftest import FullStream, field_degree, matrix, zero_field
+from conftest import FullStream, field_degree, matrix, run_cli, zero_field
 
 
 @pytest.mark.parametrize("name", DECOMPOSITION_NAMES)
@@ -185,13 +185,6 @@ def test_wrong_kind_report():
     assert r.passed
 
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "decompose_field.py"
-
-
-def run_script(name, text):
-    return subprocess.run([sys.executable, str(_SCRIPT), name], input=text, capture_output=True, text=True)
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -225,89 +218,115 @@ def run_script(name, text):
     ids=["wrong-kind", "missing-component", "unknown-kind", "asymmetric-symmetric", "exponent-past-limit",
          "decomposition-past-limit", "coefficient-not-printed", "exponent-not-printed"],
 )
-def test_script_reports_bad_input_on_one_line(text, message):
-    proc = run_script("cc", text)
+def test_decompose_reports_bad_input_on_one_line(text, message):
+    proc = run_cli("decompose", "cc", input=text)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("args, what", [([], "missing decomposition name"), (["bogus"], "unknown decomposition 'bogus'"),
                                         (["dd-short", "field.txt"], "unknown decomposition 'dd-short'")])
-def test_script_reports_a_missing_or_unknown_decomposition_on_one_line(args, what):
-    proc = subprocess.run([sys.executable, str(_SCRIPT), *args], capture_output=True, text=True)
+def test_decompose_reports_a_missing_or_unknown_decomposition_on_one_line(args, what):
+    proc = run_cli("decompose", *args)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"decompose_field.py: {what} (one of cc, dd, cd, short-cc, short-dd, short-cd)\n"
+    assert proc.stderr == f"error: {what} (one of cc, dd, cd, short-cc, short-dd, short-cd)\n"
 
 
-def test_script_reports_a_missing_file_on_one_line(tmp_path):
+def test_decompose_reports_a_missing_file_on_one_line(tmp_path):
     missing = tmp_path / "missing.txt"
-    proc = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(missing)], capture_output=True, text=True)
+    proc = run_cli("decompose", "cc", str(missing))
     assert proc.returncode == 2
-    assert proc.stderr == f"decompose_field.py: cannot read {missing}: No such file or directory\n"
+    assert proc.stderr == f"error: cannot read {missing}: No such file or directory\n"
     assert proc.stdout == ""
 
 
-def test_script_refuses_an_argument_past_the_file(tmp_path):
+def test_decompose_refuses_an_argument_past_the_file(tmp_path):
     # Only the first file was read before: the missing one went unnoticed.
     good = tmp_path / "a.txt"
     good.write_text(field_to_text(TypedField.identity_scaled(X1)))
     missing = tmp_path / "missing.txt"
-    proc = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(good), str(missing), "extra"],
-                          capture_output=True, text=True)
+    proc = run_cli("decompose", "cc", str(good), str(missing), "extra")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"decompose_field.py: unexpected argument {str(missing)!r}\n"
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.splitlines()[-1].endswith(f"error: unrecognized arguments: {missing} extra")
 
 
-def test_script_reports_undecodable_input_on_one_line(tmp_path):
+def test_decompose_reports_undecodable_input_on_one_line(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe")
-    from_file = subprocess.run([sys.executable, str(_SCRIPT), "cc", str(bad)], capture_output=True)
-    from_stdin = subprocess.run([sys.executable, str(_SCRIPT), "cc"], input=b"\xff\xfe", capture_output=True)
+    from_file = run_cli("decompose", "cc", str(bad), text=False)
+    from_stdin = run_cli("decompose", "cc", input=b"\xff\xfe", text=False)
     for proc, source in ((from_file, str(bad)), (from_stdin, "stdin")):
         assert proc.returncode == 2
-        assert proc.stderr.decode() == f"decompose_field.py: cannot read {source}: not UTF-8 text (byte 0)\n"
+        assert proc.stderr.decode() == f"error: cannot read {source}: not UTF-8 text (byte 0)\n"
         assert proc.stdout == b""
 
 
-def test_script_decomposes_good_input():
-    proc = run_script("cc", field_to_text(TypedField.identity_scaled(X1)))
+def test_decompose_decomposes_good_input():
+    proc = run_cli("decompose", "cc", input=field_to_text(TypedField.identity_scaled(X1)))
     assert proc.returncode == 0 and "exact reconstruction: True" in proc.stdout
 
 
-def run_script_in_process(name, text, tmp_path, capsys):
-    """The script's exit code and (stdout, stderr), run in this process so a patched operator reaches it."""
-    spec = importlib.util.spec_from_file_location("decompose_field", _SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_decompose_drops_a_leading_byte_order_mark(tmp_path):
+    # A UTF-8 file that starts with a byte-order mark was refused as having no kind header.
+    text = field_to_text(TypedField.identity_scaled(X1)).encode()
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    runs = [run_cli("decompose", "cc", str(plain), text=False), run_cli("decompose", "cc", str(marked), text=False),
+            run_cli("decompose", "cc", input=codecs.BOM_UTF8 + text, text=False)]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, runs[0].stdout, b"")] * 3
+    # Every byte after the mark is read as strictly as before, and counted from the start of the input.
+    marked.write_bytes(codecs.BOM_UTF8 + b"kind: \xff")
+    proc = run_cli("decompose", "cc", str(marked))
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot read {marked}: not UTF-8 text (byte 9)\n")
+
+
+def test_decompose_reports_a_closed_stdin_on_one_line():
+    proc = run_cli("decompose", "cc", closed=(0,))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: cannot read stdin: Bad file descriptor\n")
+
+
+def test_decompose_prints_the_golden_decomposition_text(tmp_path):
+    path = tmp_path / "field.txt"
+    path.write_text(field_to_text(random_field(FieldKind.SYMMETRIC, 1, derived_rng(7, "golden"))))
+    proc = run_cli("decompose", "dd", str(path))
+    golden = (Path(__file__).parent / "data" / "golden_decomposition.txt").read_text()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden + "\nexact reconstruction: True\n", "")
+
+
+def decompose_in_process(name, text, tmp_path, capsys):
+    """The exit code and (stdout, stderr) of `tensorcomplex decompose`, run in this process so a patched
+    operator reaches it."""
     path = tmp_path / "field.txt"
     path.write_text(text)
-    code = script.main([name, str(path)])
+    code = main(["decompose", name, str(path)])
     out = capsys.readouterr()
     return code, (out.out, out.err)
 
 
-def test_script_reports_a_step_failing_inside_the_chain_as_a_failed_decomposition(tmp_path, capsys, broken_curl):
+def test_decompose_reports_a_step_failing_inside_the_chain_as_a_failed_decomposition(tmp_path, capsys, broken_curl):
     # The dd witness is a symmetric field, of the kind dd takes: the broken
     # curl, not the input, makes div(S eta) nonzero inside the Dcc chain.
     witness = verify_decomposition("dd", samples=2, degree=2, seed=7).witness
     assert field_from_text(witness).kind is FieldKind.SYMMETRIC
-    code, out = run_script_in_process("dd", witness, tmp_path, capsys)
-    message = "decompose_field.py: decomposition failed: div(S eta) inside the chain is nonzero\n"
+    code, out = decompose_in_process("dd", witness, tmp_path, capsys)
+    message = "error: decomposition failed: div(S eta) inside the chain is nonzero\n"
     assert (code, out) == (1, ("", message))
 
 
-def test_script_reports_a_failed_write_as_one_line_exit_two(monkeypatch, tmp_path, capsys):
+def test_decompose_reports_a_failed_write_as_one_line_exit_two(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(sys, "stdout", FullStream())
-    code, out = run_script_in_process("cc", field_to_text(TypedField.identity_scaled(X1)), tmp_path, capsys)
-    assert (code, out[1]) == (2, "decompose_field.py: cannot write stdout: No space left on device\n")
+    code, out = decompose_in_process("cc", field_to_text(TypedField.identity_scaled(X1)), tmp_path, capsys)
+    assert (code, out[1]) == (2, "error: cannot write stdout: No space left on device\n")
 
 
-def test_script_reports_a_wrong_kind_as_bad_input_in_process(tmp_path, capsys):
+def test_decompose_reports_a_wrong_kind_as_bad_input_in_process(tmp_path, capsys):
     tau = random_field(FieldKind.TRACEFREE, 2, derived_rng(7, "script", "dd"))
-    code, out = run_script_in_process("dd", field_to_text(tau), tmp_path, capsys)
-    assert (code, out) == (2, ("", "decompose_field.py: regdec dd needs a symmetric field, got a trace-free field\n"))
+    code, out = decompose_in_process("dd", field_to_text(tau), tmp_path, capsys)
+    assert (code, out) == (2, ("", "error: regdec dd needs a symmetric field, got a trace-free field\n"))
 
 
 def chain_of(name):
