@@ -33,7 +33,7 @@ from .fields import (
     pairing_components,
 )
 from .operators import CheckResult, ClosedForm, OPS, SuiteConfig, derived_rng, random_field, run_check
-from .poly import MAX_EXPONENT, P_ONE, Poly3, check_product, monomial_code
+from .poly import MAX_EXPONENT, P_ONE, Poly3, monomial_code
 from .rational import PiScalar, RatMatrix
 
 
@@ -52,6 +52,7 @@ def _moments(half: int, k: int = 0) -> tuple[int, dict[int, int]]:
     integrate to zero and are absent, as are those with an exponent past MAX_EXPONENT,
     which no code names.  The cached table is shared: callers must not mutate it.
     """
+    _check_bump_order(k)
     top = 2 * half
     scale = _odd_factorial(top + 2 * k + 3)
     weight = 4 * 2**k * math.factorial(k)  # 4 (2k)!!
@@ -64,24 +65,27 @@ def _moments(half: int, k: int = 0) -> tuple[int, dict[int, int]]:
     return scale, table
 
 
+def _check_bump_order(k: int) -> None:
+    if k < 0:
+        raise ValueError("bump order must be >= 0")
+
+
 def _odd_factorial(n: int) -> int:
     """n!! for odd n >= -1."""
     return math.prod(range(n, 0, -2))
 
 
 def _pair_integral(pairs: list[tuple[Poly3, Poly3]], bump_order: int = 0) -> PiScalar:
-    """Integral over the unit ball of sum p*q*(1 - |x|^2)^bump_order over the pairs, from the term pairs.
+    """Integral over the unit ball of sum p*q*(1 - |x|^2)^bump_order over the pairs.
 
-    Neither the products nor the weight are formed: `_moments(half, bump_order)`
-    includes the weight.  A pair of the same two objects, as the shared entries
-    of two symmetric fields give, is integrated once and counted.  Only terms in
-    the same parity class (`Poly3.parity_classes`) are paired, because any other
-    pair has an odd exponent and integrates to zero; the moment of a pair is read
-    at the sum of the two monomial codes.  So no exponent of a product may pass
-    MAX_EXPONENT (ExponentLimitError, as for `Poly3.__mul__`); total degree is
-    not limited.  Each pair's integer sum is scaled once to the common
-    denominators of the left and right sides, in Python ints; one Fraction is built at the end.
+    Neither the products nor the weight are formed: each pair is `Poly3.pair_sum` against the table
+    `_moments(half, bump_order)`, which includes the weight.  A pair of the same two objects, as the
+    shared entries of two symmetric fields give, is summed once and counted.  No exponent of a product
+    may pass MAX_EXPONENT (ExponentLimitError, before the table is built); total degree is not limited.
+    Each pair's integer sum is scaled to the common denominators of the left and right sides, and one
+    Fraction is built at the end.
     """
+    _check_bump_order(bump_order)
     counted: dict[tuple[int, int], list] = {}
     for p, q in pairs:
         if not (p.is_zero or q.is_zero):
@@ -91,19 +95,11 @@ def _pair_integral(pairs: list[tuple[Poly3, Poly3]], bump_order: int = 0) -> PiS
     pairs = counted.values()
     den_left = math.lcm(*(p.denominator for p, _, _ in pairs))
     den_right = math.lcm(*(q.denominator for _, q, _ in pairs))
-    top = max(p.degree() + q.degree() for p, q, _ in pairs)
-    if top > MAX_EXPONENT:  # a code sum must not carry from one exponent into the next
-        for p, q, _ in pairs:
-            check_product(p, q)
+    top = max(p.product_degree(q) for p, q, _ in pairs)
     scale, table = _moments(top // 2, bump_order)  # an even-exponent product has an even degree
     total = 0
     for p, q, count in pairs:
-        left = p.parity_classes()
-        pair_total = 0
-        for parity, right in q.parity_classes().items():
-            for code, num in left.get(parity, ()):
-                pair_total += num * sum(n * table[code + k] for k, n in right)
-        total += count * pair_total * (den_left // p.denominator * (den_right // q.denominator))
+        total += count * p.pair_sum(q, table) * (den_left // p.denominator * (den_right // q.denominator))
     return PiScalar(Fraction(total, den_left * den_right * scale))
 
 
@@ -119,8 +115,7 @@ def l2_pair(a: TypedField, b: TypedField, bump_order: int = 0) -> PiScalar:
 @functools.cache
 def bump(k: int) -> Poly3:
     """(1 - |x|^2)^k; k = 0 is the constant 1."""
-    if k < 0:
-        raise ValueError("bump order must be >= 0")
+    _check_bump_order(k)
     base = Poly3(
         {
             (0, 0, 0): Fraction(1),

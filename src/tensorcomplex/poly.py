@@ -25,11 +25,11 @@ Arithmetic runs on Python ints with one gcd normalisation per result; a
 `coefficients`, the text form).  The many-term sums are int operations too,
 each result normalised once: `partial_sum` (signed first derivatives, for
 curl and div) and `shift_rows` (signed x_i shifts, for the Koszul operators,
-each input scaled once by cached per-degree factors).  All are exact.  In
-the package only this module reads `_codes`, `terms` and `_den`, and only
-this module decodes a code; other modules go through the methods, and
-through `monomial_code`, `parity_classes` and `check_product` where they
-pair terms themselves.
+each input scaled once by cached per-degree factors) and `pair_sum` (the
+term pairs of two polynomials weighted by a moment table, for the ball
+pairings).  All are exact.  In the package only this module reads `_codes`,
+`terms` and `_den`, decodes a code, and calls `parity_classes` and
+`check_product`; other modules go through the methods and `monomial_code`.
 """
 
 from __future__ import annotations
@@ -72,15 +72,20 @@ def _decode(k: int) -> Monomial:
     return k >> 16 & 255, k >> 8 & 255, k & 255
 
 
-def check_product(p: "Poly3", q: "Poly3") -> None:
-    """Raise ExponentLimitError if some exponent of p * q would pass MAX_EXPONENT."""
+def check_product(p: "Poly3", q: "Poly3") -> int:
+    """The total degree of p * q, -1 if p or q is zero; ExponentLimitError if some exponent of p * q would
+    pass MAX_EXPONENT."""
     left, right = p._codes, q._codes
-    if left and right and (max(left) >> 24) + (max(right) >> 24) > MAX_EXPONENT:
+    if not left or not right:
+        return -1
+    degree = (max(left) >> 24) + (max(right) >> 24)
+    if degree > MAX_EXPONENT:
         # The leading terms in x_i order multiply to a nonzero term, so the largest sum is reached.
         for i, (_, shift) in _VARIABLES.items():
             top = max(k >> shift & 255 for k in left) + max(k >> shift & 255 for k in right)
             if top > MAX_EXPONENT:
                 raise ExponentLimitError(f"a product has exponent {top} of x{i}, past {MAX_EXPONENT}")
+    return degree
 
 
 def _new(codes: dict[int, int], den: int) -> "Poly3":
@@ -251,6 +256,31 @@ class Poly3:
         """Each nonzero coefficient as its own reduced Fraction."""
         den = self._den
         return {(k >> 16 & 255, k >> 8 & 255, k & 255): Fraction(n, den) for k, n in self._codes.items()}
+
+    def product_degree(self, other: "Poly3") -> int:
+        """The total degree of self * other, without forming it; -1 if either is zero.  ExponentLimitError,
+        as for `__mul__`, if some exponent of the product would pass MAX_EXPONENT."""
+        return check_product(self, other)
+
+    def pair_sum(self, other: "Poly3", table: Mapping[int, int]) -> int:
+        """Sum of n1 * n2 * table[k1 + k2] over the terms n1 x^k1 of self and n2 x^k2 of other (numerators
+        over `denominator`) whose product x^(k1 + k2) has only even exponents.
+
+        `table` maps monomial codes to ints and must hold every such product.  Only `other` is sorted
+        into `parity_classes`; each term of self is paired with its one class in a plain int loop.  No
+        exponent of the product may pass MAX_EXPONENT (ExponentLimitError, as for `__mul__`): a code
+        sum must not carry from one exponent into the next.
+        """
+        check_product(self, other)
+        classes = other.parity_classes()
+        total = 0
+        for k1, n1 in self._codes.items():
+            if right := classes.get(k1 & _PARITY):
+                pair_total = 0
+                for k2, n2 in right:
+                    pair_total += n2 * table[k1 + k2]
+                total += n1 * pair_total
+        return total
 
     def parity_classes(self) -> dict[int, list[tuple[int, int]]]:
         """The (monomial code, numerator over `denominator`) pairs of the terms, by exponent parity.

@@ -161,6 +161,19 @@ def test_bump_orders():
         bump(-1)
 
 
+@pytest.mark.parametrize("k", [-1, -4])
+def test_a_negative_bump_order_is_refused_up_front(k):
+    # With bump's own message, before any pair is summed: a zero pair is refused too.
+    message = "^bump order must be >= 0$"
+    for a, b in ((E1, E1), (E1, E2), (E1.scale(0), E2)):
+        with pytest.raises(ValueError, match=message):
+            l2_pair(a, b, bump_order=k)
+    with pytest.raises(ValueError, match=message):
+        ball._moments(2, k)
+    with pytest.raises(ValueError, match=message):
+        bump(k)
+
+
 def test_moment_space_dimensions():
     assert len(P1_SPACE.basis) == 4
     assert len(RT_SPACE.basis) == 4

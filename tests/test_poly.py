@@ -192,17 +192,32 @@ def test_monomials_up_to_is_one_shared_immutable_tuple():
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensorcomplex"
 
 
+def _name_read(node: ast.AST) -> str | None:
+    """The attribute, variable or imported name that `node` reads, if any."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def test_only_poly_reads_the_representation():
     # Poly3's packed monomial codes, numerators and shared denominator are
     # private to poly.py; every other module goes through ==, is_zero,
-    # coefficients(), parity_classes() and the other Poly3 methods, so the
-    # representation can change in one place.  `terms` is a decoded view of
-    # the packed dict and is private too.
+    # coefficients() and the other Poly3 methods, so the representation can
+    # change in one place.  `terms` is a decoded view of the packed dict and
+    # is private too.  Sorting terms by `parity_classes` and guarding the
+    # exponents of a product by `check_product` are steps on that layout,
+    # which `Poly3.pair_sum` and `Poly3.product_degree` take for the ball
+    # pairings: no other module names either, so none calls them.
+    fields, steps = ("_codes", "_den", "terms"), ("parity_classes", "check_product")
     readers = [
-        f"{path.name}:{node.lineno} .{node.attr}"
+        f"{path.name}:{node.lineno} {name}"
         for path in sorted(_PACKAGE.rglob("*.py"))
         if path.name != "poly.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in ("_codes", "_den", "terms")
+        if (name := _name_read(node)) in steps or isinstance(node, ast.Attribute) and name in fields
     ]
     assert readers == []

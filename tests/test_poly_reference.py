@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from tensorcomplex.ball import _pair_integral, integrate_ball
+from tensorcomplex.ball import _moments, _pair_integral, integrate_ball
 from tensorcomplex.fields import FieldKind, KindError, TypedField
 from tensorcomplex.koszul import tc, td, tg
 from tensorcomplex.operators import components_equal
@@ -414,6 +414,59 @@ def test_parity_classes_partition_the_terms_by_exponent_parity(r):
             m = tuple(x + y for x, y in zip(monomial_of[k1], monomial_of[k2]))
             assert (parity1 == parity2) == all(e % 2 == 0 for e in m)
             assert monomial_code(m) == k1 + k2
+
+
+@st.composite
+def pair_sum_operands(draw):
+    """Two operands of `pair_sum`: drawn, or one of them zero, a single monomial, a polynomial with only
+    odd exponents (degree up to 9), or the same object as the other."""
+    p = fast(draw(ref_polys()))
+    shape = draw(st.sampled_from(["drawn", "zero", "monomial", "odd", "itself"]))
+    if shape == "zero":
+        return p, Poly3.zero()
+    if shape == "monomial":
+        return p, Poly3.monomial(draw(monomials()), draw(fractions(max_num=40, max_den=60)))
+    if shape == "odd":
+        odd = st.tuples(*[st.sampled_from([1, 3])] * 3)
+        return p, Poly3(draw(st.dictionaries(odd, fractions(max_num=40, max_den=60), min_size=1, max_size=4)))
+    return p, p if shape == "itself" else fast(draw(ref_polys()))
+
+
+@settings(max_examples=100)
+@given(pair_sum_operands(), st.integers(0, 3))
+def test_pair_sum_is_the_plain_sum_over_term_pairs_in_the_table(operands, k):
+    # Reference: every term pair, by exponent triples and Fractions, whose product is a key of the
+    # table.  The table covers every even product: each operand has degree at most 9.
+    p, q = operands
+    _, table = _moments(9, k)
+    expected = sum(
+        (c1 * c2 * table[code]
+         for m1, c1 in p.coefficients().items()
+         for m2, c2 in q.coefficients().items()
+         if (code := monomial_code(tuple(a + b for a, b in zip(m1, m2)))) in table),
+        Fraction(0),
+    )
+    total = p.pair_sum(q, table)
+    assert type(total) is int and Fraction(total, p.denominator * q.denominator) == expected
+    assert q.pair_sum(p, table) == total
+    assert p.product_degree(q) == q.product_degree(p) == (p * q).degree()
+
+
+@pytest.mark.parametrize("left, right, exponent, i", [
+    ((128, 0, 0), (128, 0, 2), 256, 1),
+    ((0, 200, 0), (1, 57, 0), 257, 2),  # no term pair has an even product: refused all the same, as by *
+    ((0, 0, MAX_EXPONENT), (0, 0, 1), 256, 3),
+])
+def test_pair_sum_refuses_a_product_past_the_exponent_limit(left, right, exponent, i):
+    p, q = Poly3.monomial(left) + Poly3.variable(2), Poly3.monomial(right, Fraction(2, 3))
+    message = f"^a product has exponent {exponent} of x{i}, past {MAX_EXPONENT}$"
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ExponentLimitError, match=message):
+            a.pair_sum(b, {})
+        with pytest.raises(ExponentLimitError, match=message):
+            a.product_degree(b)
+        with pytest.raises(ExponentLimitError, match=message):
+            a * b
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])
